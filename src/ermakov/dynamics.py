@@ -82,30 +82,70 @@ def _mass_at(scn: Scenario, t: float) -> float:
     return mv
 
 
+# --- kernels ------------------------------------------------------------------
+# Each equation is written once, as a kernel on scalars built per Scenario
+# (which couplings are structurally zero is decided there, not per call).
+# The integrators' vector adapters feed them plain floats; the pointwise
+# rhs_phys and rhs_Q are thin users of the same kernels.
+
+def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
+    """(t, q, q_dot, f, f_dot, tau) -> (dq, dq_dot, df, df_dot, dtau)."""
+    m, omega_tilde_sq = scn.m, scn.omega_tilde_sq
+    F, G = scn.coupling_F, scn.coupling_G
+    has_F, has_G = not is_zero(F.expr), not is_zero(G.expr)
+
+    def kernel(t, q, q_dot, f, f_dot, tau):
+        mv = _mass_at(scn, t)
+        md = m.deriv(t)
+        omt2 = omega_tilde_sq(t)
+        _guard("f", f, t)  # dtau = 1/(m f^2) needs f regardless of couplings
+        g_term = 0.0
+        if has_G:
+            _guard("q", q, t)
+            g_term = G(f / q) / (mv * mv * q ** 3)
+        f_term = 0.0
+        if has_F:
+            f_term = F(q / f) / (mv * mv * f ** 3)
+        drag = md / mv
+        return (q_dot, -drag * q_dot - omt2 * q + g_term,
+                f_dot, -drag * f_dot - omt2 * f + f_term,
+                1.0 / (mv * f * f))
+    return kernel
+
+
+def _qframe_kernel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
+                   G: Func1 | None = None) -> Callable[[float, float], float]:
+    """(Q, tau) -> Q'' = -V'(Q) + W'(1/Q)/Q^2.
+
+    A side without a (nonzero) potential falls back to its bare coupling,
+    V'(Q) = Q F(Q) and W'(1/Q)/Q^2 = G(1/Q)/Q^3: the same algebra that
+    defines F and G from V' and W'.
+    """
+    use_V = V is not None and not is_zero(V.expr)
+    use_F = not use_V and F is not None and not is_zero(F.expr)
+    use_W = W is not None and not is_zero(W.expr)
+    use_G = not use_W and G is not None and not is_zero(G.expr)
+
+    def kernel(Q, tau):
+        accel = 0.0
+        if use_V:
+            accel -= V.deriv(Q)
+        elif use_F:
+            accel -= Q * F(Q)
+        if use_W:
+            _guard("Q", Q, tau)
+            accel += W.deriv(1.0 / Q) / (Q * Q)
+        elif use_G:
+            _guard("Q", Q, tau)
+            accel += G(1.0 / Q) / (Q ** 3)
+        return accel
+    return kernel
+
+
 def rhs_phys(state: PhysState, scn: Scenario) -> DerivPhys:
     """Accelerations of the coupled q-f pair plus the tau clock rate."""
-    t, q, q_dot, f, f_dot = state.t, state.q, state.q_dot, state.f, state.f_dot
-    mv = _mass_at(scn, t)
-    md = scn.m.deriv(t)
-    omt2 = scn.omega_tilde_sq(t)
-
-    _guard("f", f, t)  # dtau = 1/(m f^2) needs f regardless of couplings
-    g_term = 0.0
-    if not is_zero(scn.coupling_G.expr):
-        _guard("q", q, t)
-        g_term = scn.coupling_G(f / q) / (mv * mv * q ** 3)
-    f_term = 0.0
-    if not is_zero(scn.coupling_F.expr):
-        f_term = scn.coupling_F(q / f) / (mv * mv * f ** 3)
-
-    drag = md / mv
-    return DerivPhys(
-        dq=q_dot,
-        dq_dot=-drag * q_dot - omt2 * q + g_term,
-        df=f_dot,
-        df_dot=-drag * f_dot - omt2 * f + f_term,
-        dtau=1.0 / (mv * f * f),
-    )
+    return DerivPhys(*_phys_kernel(scn)(state.t, state.q, state.q_dot,
+                                        state.f, state.f_dot, state.tau))
 
 
 def rhs_xrho(x: float, x_dot: float, rho: float, rho_dot: float, t: float,
@@ -128,14 +168,7 @@ def rhs_xrho(x: float, x_dot: float, rho: float, rho_dot: float, t: float,
 
 def rhs_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> tuple[float, float]:
     """Autonomous transformed-frame equation of motion."""
-    Q = state.Q
-    accel = 0.0
-    if V is not None and not is_zero(V.expr):
-        accel -= V.deriv(Q)
-    if W is not None and not is_zero(W.expr):
-        _guard("Q", Q, state.tau)
-        accel += W.deriv(1.0 / Q) / (Q * Q)
-    return state.Q_prime, accel
+    return state.Q_prime, _qframe_kernel(V, W)(state.Q, state.tau)
 
 
 # --- vector adapters for the integrators -----------------------------------
@@ -143,12 +176,26 @@ def rhs_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> tuple[float, 
 #                x-rho y = [x, x_dot, rho, rho_dot];
 #                Q-frame y = [Q, Q_prime].
 
-def phys_ode(scn: Scenario) -> Callable[[float, np.ndarray], np.ndarray]:
+def _vector_rhs(kernel: Callable[..., tuple[float, ...]]
+                ) -> Callable[[float, np.ndarray], np.ndarray]:
+    """rhs(t, y) = kernel(t, *y) as an array, computed on plain floats.
+
+    Plain floats raise where numpy scalars overflow to inf or divide by
+    zero with a warning (``q ** 3`` for huge q, a product underflowing
+    to 0 in a denominator); such a call is redone on the numpy scalars,
+    so the inf/nan reaches the integrator's non-finite-state check
+    instead of escaping as an exception.
+    """
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        state = PhysState(t=t, tau=y[4], q=y[0], q_dot=y[1], f=y[2], f_dot=y[3])
-        d = rhs_phys(state, scn)
-        return np.array([d.dq, d.dq_dot, d.df, d.df_dot, d.dtau])
+        try:
+            return np.array(kernel(t, *y.tolist()))
+        except (ZeroDivisionError, OverflowError):
+            return np.array(kernel(t, *y))
     return rhs
+
+
+def phys_ode(scn: Scenario) -> Callable[[float, np.ndarray], np.ndarray]:
+    return _vector_rhs(_phys_kernel(scn))
 
 
 def xrho_ode(omega_sq: Callable[[float], float], g: Func1,
@@ -158,54 +205,34 @@ def xrho_ode(omega_sq: Callable[[float], float], g: Func1,
     return rhs
 
 
+def _qframe_ode(kernel: Callable[[float, float], float]
+                ) -> Callable[[float, np.ndarray], np.ndarray]:
+    return _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, kernel(Q, tau)))
+
+
 def qframe_ode(V: Func1 | None, W: Func1 | None) -> Callable[[float, np.ndarray], np.ndarray]:
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        dQ, dQp = rhs_Q(QFrameState(tau=tau, Q=y[0], Q_prime=y[1]), V, W)
-        return np.array([dQ, dQp])
-    return rhs
+    return _qframe_ode(_qframe_kernel(V, W))
 
 
 def qframe_accel(V: Func1 | None, W: Func1 | None) -> Callable[[float], float]:
     """Position-only acceleration Q -> Q'' for the symplectic stepper."""
-    def accel(Q: float) -> float:
-        _, dQp = rhs_Q(QFrameState(tau=0.0, Q=Q, Q_prime=0.0), V, W)
-        return dQp
-    return accel
+    kernel = _qframe_kernel(V, W)
+    return lambda Q: kernel(Q, 0.0)
 
 
 def qframe_accel_from_scenario(scn: Scenario) -> Callable[[float], float]:
     """Transformed-frame acceleration for any scenario.
 
     Prefers the potentials; scenarios built from bare couplings use the
-    equivalent form Q'' = -Q F(Q) + G(1/Q)/Q^3 (same algebra that
-    defines F and G from V' and W')."""
-    if scn.potential_V is not None and scn.potential_W is not None:
-        return qframe_accel(scn.potential_V, scn.potential_W)
-    F, G = scn.coupling_F, scn.coupling_G
-    V = scn.potential_V
-
-    def accel(Q: float) -> float:
-        val = 0.0
-        if V is not None and not is_zero(V.expr):
-            val -= V.deriv(Q)
-        elif not is_zero(F.expr):
-            val -= Q * F(Q)
-        if scn.potential_W is not None and not is_zero(scn.potential_W.expr):
-            _guard("Q", Q, 0.0)
-            val += scn.potential_W.deriv(1.0 / Q) / (Q * Q)
-        elif not is_zero(G.expr):
-            _guard("Q", Q, 0.0)
-            val += G(1.0 / Q) / (Q ** 3)
-        return val
-    return accel
+    equivalent form Q'' = -Q F(Q) + G(1/Q)/Q^3."""
+    kernel = _qframe_kernel(scn.potential_V, scn.potential_W,
+                            scn.coupling_F, scn.coupling_G)
+    return lambda Q: kernel(Q, 0.0)
 
 
 def qframe_ode_from_scenario(scn: Scenario) -> Callable[[float, np.ndarray], np.ndarray]:
-    accel = qframe_accel_from_scenario(scn)
-
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        return np.array([y[1], accel(y[0])])
-    return rhs
+    return _qframe_ode(_qframe_kernel(scn.potential_V, scn.potential_W,
+                                      scn.coupling_F, scn.coupling_G))
 
 
 # --- Lagrangians and the gauge identity -------------------------------------

@@ -13,14 +13,21 @@ Built-in functions: sin, cos, exp, ln, sqrt.  The only other legal
 identifier is the declared variable.  Exponents are numeric literals, so
 the node set is closed under symbolic differentiation and derivatives
 stay exact (no finite differencing anywhere downstream).
+
+``evaluate`` walks the tree and is the reference semantics.  ``Func1``
+compiles each of its expressions, on first use, to straight-line Python
+doing the same floating-point operations in the same order, and hands
+every point the tree walk would reject back to ``evaluate`` so the
+domain error still names the offending subexpression.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
+from typing import Callable, Union
 
 from .errors import ExprDomainError, ExprSyntaxError
 
@@ -449,7 +456,90 @@ def parse(source: str, var_name: str) -> Expr:
     return _Parser(source, var_name).parse()
 
 
-# --- compiled function-of-one-variable ------------------------------------
+# --- compilation to straight-line Python ------------------------------------
+
+_MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+         "_ln": math.log, "_sqrt": math.sqrt, "_pow": math.pow}
+_UNARY_CODE = {"neg": "-{}", "sin": "_sin({})", "cos": "_cos({})",
+               "exp": "_exp({})", "ln": "_ln({})", "sqrt": "_sqrt({})"}
+
+
+def _compile_expr(e: Expr, at_zero: float | None = None) -> Callable[[float], float]:
+    """Compile ``e`` to a function of one variable equal to
+    ``lambda x: evaluate(e, x)``, bit for bit and error for error.
+
+    The generated code performs evaluate's operations in its order, one
+    temporary per operator node (a subtree shared by identity once).
+    Constants and exponents are bound by name, never printed (``1e400``
+    is ``Const(inf)``), and ``^`` is ``math.pow`` as in the tree walk.
+    The tree walk rejects a raise and a non-finite Binary or Pow result,
+    so the compiled value is returned only when nothing raised and the
+    sum of those intermediates is finite.  Otherwise ``evaluate`` runs
+    and raises, or returns, what it always does (the sum can overflow
+    on finite terms: that costs a redundant walk, never a wrong value).
+    ``at_zero`` short-circuits x == 0 as ``Func1.__call__`` defines.
+    """
+    consts: dict[str, float] = {}
+    lines: list[str] = []
+    checked: list[str] = []
+    names: dict[int, str] = {}
+
+    def bind(value: float) -> str:
+        name = f"c{len(consts)}"
+        consts[name] = value
+        return name
+
+    def emit(node: Expr) -> str:
+        if isinstance(node, Var):
+            return "x"
+        name = names.get(id(node))
+        if name is not None:
+            return name
+        if isinstance(node, Const):
+            name = bind(node.value)
+        else:
+            if isinstance(node, Unary):
+                if node.op not in _UNARY_CODE:
+                    raise AssertionError(f"unknown unary op {node.op!r}")
+                code = _UNARY_CODE[node.op].format(emit(node.arg))
+            elif isinstance(node, Binary):
+                if node.op not in ("+", "-", "*", "/"):
+                    raise AssertionError(f"unknown binary op {node.op!r}")
+                code = f"{emit(node.left)} {node.op} {emit(node.right)}"
+            elif isinstance(node, Pow):
+                code = f"_pow({emit(node.base)}, {bind(node.exponent)})"
+            else:
+                raise TypeError(f"not an Expr node: {node!r}")
+            name = f"t{len(lines)}"
+            lines.append(f"{name} = {code}")
+            if not isinstance(node, Unary):
+                checked.append(name)
+        names[id(node)] = name
+        return name
+
+    result = emit(e)
+    body = []
+    if at_zero is not None:
+        body += [f"if x == 0.0: return {bind(at_zero)}"]
+    if lines:
+        body += ["try:", *(f"    {ln}" for ln in lines),
+                 "except (ZeroDivisionError, ValueError, OverflowError):",
+                 "    return _slow(x)"]
+    if checked:
+        body += [f"s = {' + '.join(checked)}",
+                 f"if s - s == 0.0: return {result}",
+                 "return _slow(x)"]
+    else:
+        body += [f"return {result}"]
+    bound = {"_slow": partial(evaluate, e), **_MATH, **consts}
+    src = (f"def _factory({', '.join(bound)}):\n"
+           "    def fn(x):\n"
+           + "".join(f"        {ln}\n" for ln in body)
+           + "    return fn\n")
+    namespace: dict[str, object] = {}
+    exec(compile(src, "<ermakov.expr>", "exec"), namespace)
+    return namespace["_factory"](**bound)
+
 
 @dataclass(frozen=True)
 class Func1:
@@ -459,6 +549,10 @@ class Func1:
     functions with a removable singularity there (the coupling
     conversions create these: V'(u)/u is 0/0 at the origin for even
     potentials, but the limit V''(0) exists).
+
+    Each of f, f' and f'' is compiled on its first call (see
+    ``_compile_expr``); equality, hashing and pickling see only the
+    fields, so a Func1 stays a plain value that crosses process borders.
     """
 
     expr: Expr
@@ -468,15 +562,29 @@ class Func1:
     at_zero: float | None = None
 
     def __call__(self, x: float) -> float:
-        if x == 0.0 and self.at_zero is not None:
-            return self.at_zero
-        return evaluate(self.expr, x)
+        return self._f(x)
 
     def deriv(self, x: float) -> float:
-        return evaluate(self.d1, x)
+        return self._d1(x)
 
     def deriv2(self, x: float) -> float:
-        return evaluate(self.d2, x)
+        return self._d2(x)
+
+    @cached_property
+    def _f(self) -> Callable[[float], float]:
+        return _compile_expr(self.expr, self.at_zero)
+
+    @cached_property
+    def _d1(self) -> Callable[[float], float]:
+        return _compile_expr(self.d1)
+
+    @cached_property
+    def _d2(self) -> Callable[[float], float]:
+        return _compile_expr(self.d2)
+
+    def __getstate__(self) -> dict:
+        # the compiled callables are closures; they are rebuilt on use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def source(self) -> str:

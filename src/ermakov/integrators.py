@@ -196,21 +196,21 @@ def integrate_fixed_rk4(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
 
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
+# Dormand-Prince tableau.  c6 = c7 = 1; a72 = e2 = 0, and the loop below
+# omits those terms.
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
+                          64448.0 / 6561.0, -212.0 / 729.0)
+_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
+                                49.0 / 176.0, -5103.0 / 18656.0)
+_A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
+                                -2187.0 / 6784.0, 11.0 / 84.0)
 # b5 - b4: local truncation error weights
-_DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-         -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
+                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 # dense-output weights for the 4th-order-continuous interpolant
 _DP_D = (-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
          -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
@@ -288,16 +288,25 @@ def integrate_adaptive54(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
         if direction * (t + h - t_end) > 0.0:
             h = t_end - t
 
-        ks = [k1]
+        # Stage sums run left to right from 0.0, like sum() over the
+        # tableau row, so a leading -0.0 term still sums to +0.0.
         try:
-            for i in range(1, 7):
-                yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                ks.append(rhs(t + _DP_C[i] * h, yi))
+            k2 = rhs(t + _C2 * h, y + h * (0.0 + _A21 * k1))
+            k3 = rhs(t + _C3 * h, y + h * (0.0 + _A31 * k1 + _A32 * k2))
+            k4 = rhs(t + _C4 * h, y + h * (0.0 + _A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = rhs(t + _C5 * h, y + h * (0.0 + _A51 * k1 + _A52 * k2 + _A53 * k3
+                                           + _A54 * k4))
+            k6 = rhs(t + h, y + h * (0.0 + _A61 * k1 + _A62 * k2 + _A63 * k3
+                                     + _A64 * k4 + _A65 * k5))
+            # the 7th stage is evaluated at the 5th-order solution (FSAL)
+            y_new = y + h * (0.0 + _A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5
+                             + _A76 * k6)
+            k7 = rhs(t + h, y_new)
         except ErmakovError as err:
             _attach_partial(err, samples, "adaptive54", steps, rejected, t, y)
             raise
-        y_new = yi  # 7th stage is evaluated at the 5th-order solution (FSAL)
-        err_vec = h * sum(e * k for e, k in zip(_DP_E, ks))
+        err_vec = h * (0.0 + _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+                       + _E7 * k7)
 
         if np.all(np.isfinite(y_new)):
             scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -314,17 +323,18 @@ def integrate_adaptive54(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
                 if direction * (t_out - t_new) > eps_t:
                     break
                 if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):
-                    samples.add(t_out, y_new, ks[6])
+                    samples.add(t_out, y_new, k7)
                 else:
                     if seg is None:
-                        seg = _DenseSegment(t, h, y, y_new, ks)
+                        seg = _DenseSegment(t, h, y, y_new,
+                                            [k1, k2, k3, k4, k5, k6, k7])
                     y_out = seg.eval(t_out)
                     samples.add(t_out, y_out, rhs(t_out, y_out))
                 k_out += 1
             steps += 1
             t = t_new
             y = y_new
-            k1 = ks[6]
+            k1 = k7
             if err_norm == 0.0:
                 fac = _FAC_MAX
             else:

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import EPS_SING
 from .errors import ErmakovError, InvalidMassError, QuadratureError, SingularityError
 from .expr import Func1, is_zero
 from .integrators import Trajectory
@@ -41,7 +42,6 @@ __all__ = [
     "drift_report",
 ]
 
-_EPS_Q = 1e-10  # matches the dynamics singularity guard
 _REL_SUPPRESS = 1e-12  # |e0| below this: relative drift is meaningless
 
 
@@ -120,7 +120,7 @@ def energy_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     if V is not None and not is_zero(V.expr):
         val += V(state.Q)
     if W is not None and not is_zero(W.expr):
-        if abs(state.Q) < _EPS_Q:
+        if abs(state.Q) < EPS_SING:
             raise SingularityError(f"|Q| = {abs(state.Q):.3e} too close to zero "
                                    f"for the 1/Q potential", state.tau)
         val += W(1.0 / state.Q)
@@ -145,11 +145,11 @@ def ray_reid_invariant(state: PhysState, scn: Scenario, u_ref: float = 0.0,
     val = 0.5 * _wronskian(state, mv) ** 2
     F, G = scn.coupling_F, scn.coupling_G
     if not is_zero(F.expr):
-        if abs(state.f) < _EPS_Q:
+        if abs(state.f) < EPS_SING:
             raise SingularityError("f too close to zero", state.t)
         val += quad(lambda u: u * F(u), u_ref, state.q / state.f, tol)
     if not is_zero(G.expr):
-        if abs(state.q) < _EPS_Q:
+        if abs(state.q) < EPS_SING:
             raise SingularityError("q too close to zero", state.t)
         val += quad(lambda v: v * G(v), v_ref, state.f / state.q, tol)
     return val
@@ -268,11 +268,11 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
         w = mv * (q_dot * f - q * f_dot)
         pot_u = pot_v = 0.0
         if not u_side.zero:
-            if abs(f) < _EPS_Q:
+            if abs(f) < EPS_SING:
                 raise SingularityError("f too close to zero", t)
             pot_u = u_side.value(q / f)
         if not v_side.zero:
-            if abs(q) < _EPS_Q:
+            if abs(q) < EPS_SING:
                 raise SingularityError("q too close to zero", t)
             pot_v = v_side.value(f / q)
         # the kinetic terms are algebraically equal but deliberately keep

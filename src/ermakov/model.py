@@ -259,9 +259,12 @@ def _get_float(sections, sec, key, default=None):
             return default
         raise ConfigError(f"missing required key {key!r} in section [{sec}]")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{sec}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _compile_key(sections, sec, key, var) -> Func1:

@@ -80,6 +80,17 @@ class TestSimulate:
         assert manifest["exit_status"] == 4
         assert "positive" in manifest["error"]
 
+    @pytest.mark.parametrize("override", ["integration.t_end=nan",
+                                          "integration.t_end=inf",
+                                          "initial.q=nan"])
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys, override):
+        out = tmp_path / "run"
+        code = run("simulate", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", override)
+        assert code == 2
+        assert "is not a finite number" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
+
     def test_verlet_not_usable_for_physical_run(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run("simulate", "--config", scenario_path(S1), "--out", str(out),

@@ -83,6 +83,25 @@ class TestRhsPhys:
             dynamics.rhs_phys(_state(q=1.0, f=1e-12), scn)
 
 
+class TestOdeAdapters:
+    def test_overflowing_denominator_gives_ieee_values(self):
+        # q^3 overflows: G/(m^2 q^3) is 0 by IEEE arithmetic, as numpy
+        # scalars give it, rather than an OverflowError escaping the step
+        with np.errstate(over="ignore"):
+            dy = dynamics.phys_ode(_scn(F="4", G="1"))(
+                0.0, np.array([1e200, 0.0, 1.0, 0.0, 0.0]))
+            dQ = dynamics.qframe_ode_from_scenario(_scn(F="0", G="1"))(
+                0.0, np.array([1e200, 0.5]))
+        assert dy.tolist() == [0.0, -1e200, 0.0, 3.0, 1.0]
+        assert dQ.tolist() == [0.5, 0.0]
+
+    def test_qframe_guard_reports_tau(self):
+        for scn in (_scn(V="Q^4/4", W="s^2/2"), _scn(F="u^2", G="1")):
+            with pytest.raises(SingularityError) as exc:
+                dynamics.qframe_ode_from_scenario(scn)(2.5, np.array([1e-12, 0.0]))
+            assert exc.value.t == 2.5
+
+
 class TestRhsXRho:
     def test_linear_limit(self):
         g = compile_func("0", "v")

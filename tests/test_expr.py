@@ -13,9 +13,11 @@ from ermakov.expr import (
     compile_func,
     differentiate,
     evaluate,
+    func_from_expr,
     parse,
     to_source,
 )
+from ermakov.model import F_from_V
 
 
 class TestParse:
@@ -242,3 +244,95 @@ class TestCompile:
     def test_propagates_parse_error(self):
         with pytest.raises(ExprSyntaxError):
             compile_func("1 +", "t")
+
+
+def _outcome(fn, x):
+    """Bit pattern of the value (so -0.0 != 0.0), or the error message."""
+    try:
+        return "value", float(fn(x)).hex()
+    except ExprDomainError as err:
+        return "error", str(err)
+
+
+def _tree_walk(f):
+    """The reference semantics of a Func1's three evaluators."""
+    def call(x):
+        if x == 0.0 and f.at_zero is not None:
+            return f.at_zero
+        return evaluate(f.expr, x)
+    return ((call, f),
+            (lambda x: evaluate(f.d1, x), f.deriv),
+            (lambda x: evaluate(f.d2, x), f.deriv2))
+
+
+def _assert_agree(f, points):
+    for ref, fast in _tree_walk(f):
+        for x in points:
+            assert _outcome(fast, x) == _outcome(ref, x), (to_source(f.expr), x)
+
+
+class TestCompiledAgreement:
+    """Compiled Func1 evaluation against the tree walk, bit for bit and
+    error message for error message."""
+
+    SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-300, -1e-300, 1e300,
+               710.0, math.inf, -math.inf, math.nan)
+
+    def test_random_asts(self):
+        rng = np.random.default_rng(20261017)
+        errors = values = 0
+        for _ in range(400):
+            f = func_from_expr(random_expr(rng, 5), "t")
+            points = self.SPECIAL + tuple(float(x) for x in rng.uniform(-4.0, 4.0, 40))
+            _assert_agree(f, points)
+            for _ref, fast in _tree_walk(f):
+                kinds = [_outcome(fast, x)[0] for x in points]
+                errors += kinds.count("error")
+                values += kinds.count("value")
+        assert errors > 1000 and values > 10000  # both paths must bite
+
+    def test_overflow_inside_with_finite_result(self):
+        # u*1e308*10 overflows, 1/inf would be a finite 0: the tree walk
+        # rejects the intermediate, so the compiled call must too
+        f = compile_func("1/(u*1e308*10)", "u")
+        with pytest.raises(ExprDomainError, match="non-finite result"):
+            f(1.0)
+        _assert_agree(f, (1.0, 1e-300, 2.0))
+
+    def test_huge_literal(self):
+        f = compile_func("1e400", "u")
+        assert f(2.0) == math.inf == evaluate(f.expr, 2.0)
+        g = compile_func("u*1e400", "u")
+        with pytest.raises(ExprDomainError, match="non-finite result"):
+            g(1.0)
+        _assert_agree(g, (1.0, 0.0, -1.0))
+
+    def test_log_and_sqrt_of_negative(self):
+        for src in ("ln(u)", "sqrt(u)", "2*ln(u)+1", "sqrt(u)^2"):
+            f = compile_func(src, "u")
+            with pytest.raises(ExprDomainError, match="math domain error"):
+                f(-1.0)
+            _assert_agree(f, (-1.0, 0.0, 1.0, 4.0))
+
+    def test_division_by_zero(self):
+        f = compile_func("1/u", "u")
+        with pytest.raises(ExprDomainError, match="division by zero in '1.0/u'"):
+            f(0.0)
+        _assert_agree(f, (0.0, -0.0, 2.0))
+
+    def test_at_zero_patch(self):
+        F = F_from_V(compile_func("Q^4/4", "Q"))
+        assert F.at_zero is not None
+        assert _outcome(F, 0.0) == ("value", float(F.at_zero).hex())
+        with pytest.raises(ExprDomainError):
+            evaluate(F.expr, 0.0)  # the patch is what makes 0 evaluable
+        _assert_agree(F, (0.0, -0.0, 1e-3, -2.0))
+
+    def test_const_and_var_only(self):
+        c = compile_func("2.5", "t")
+        v = compile_func("t", "t")
+        assert c(7.0) == 2.5 and c.deriv(7.0) == 0.0 and c.deriv2(7.0) == 0.0
+        assert _outcome(v, -0.0) == ("value", (-0.0).hex())
+        assert v(math.inf) == math.inf and v.deriv(3.0) == 1.0
+        _assert_agree(c, self.SPECIAL)
+        _assert_agree(v, self.SPECIAL)

@@ -1,11 +1,12 @@
 """Coupling algebra, frequency shift, scenario construction."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from conftest import load_scenario, random_phys_states, S1
+from conftest import load_scenario, random_phys_states, S1, S3
 from ermakov import dynamics, model
 from ermakov.errors import ConfigError, ExprDomainError, InvalidMassError
 from ermakov.expr import compile_func, is_zero
@@ -319,3 +320,37 @@ output_stride = 0.1
             apply_overrides(doc, ["nonsense"])
         with pytest.raises(ConfigError, match="unknown key"):
             apply_overrides(doc, ["functions.mass=2"])
+
+
+class TestScenarioPickle:
+    """Scenarios are plain values that can be sent to worker processes,
+    also after their functions have been compiled by use."""
+
+    POINTS = (0.0, 0.7, 1.3, -2.0)
+
+    @classmethod
+    def _funcs(cls, scn):
+        return (scn.m, scn.omega_tilde_sq, scn.coupling_F, scn.coupling_G,
+                scn.potential_V, scn.potential_W)
+
+    @classmethod
+    def _values(cls, scn):
+        out = []
+        for f in cls._funcs(scn):
+            for fn in (f, f.deriv, f.deriv2):
+                for x in cls.POINTS:
+                    try:
+                        out.append(float(fn(x)).hex())
+                    except ExprDomainError as err:
+                        out.append(str(err))
+        return out
+
+    def test_round_trip_after_evaluation(self):
+        scn = load_scenario(S3)
+        before = self._values(scn)
+        assert all("_f" in vars(f) and "_d2" in vars(f) for f in self._funcs(scn))
+        back = pickle.loads(pickle.dumps(scn))
+        assert back == scn and hash(back) == hash(scn)
+        for f, g in zip(self._funcs(scn), self._funcs(back)):
+            assert g == f and hash(g) == hash(f)
+        assert self._values(back) == before
