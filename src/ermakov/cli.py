@@ -132,16 +132,21 @@ def _energy_columns(traj, scn, tol):
 
 
 def _write_trajectory_csv(path: Path, traj, scn, e_phys, e_q) -> None:
+    row_fmt = ",".join(["%.17g"] * 10) + "\n"  # same digits as _fmt
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for i in range(len(traj)):
-            t = traj.t[i]
-            q, q_dot, f, f_dot, tau = traj.y[i]
+        for t, (q, q_dot, f, f_dot, tau), ep, eq in zip(
+                traj.t.tolist(), traj.y.tolist(), e_phys.tolist(), e_q.tolist()):
             mv = scn.m(t)
-            Q = q / f
-            Q_prime = mv * (q_dot * f - q * f_dot)
-            row = (t, tau, q, q_dot, f, f_dot, Q, Q_prime, e_phys[i], e_q[i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(row_fmt % (t, tau, q, q_dot, f, f_dot, q / f,
+                                mv * (q_dot * f - q * f_dot), ep, eq))
+
+
+def _write_qframe_csv(path: Path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(QFRAME_HEADER + "\n")
+        for row in rows:
+            fh.write("%.17g,%.17g,%.17g\n" % row)
 
 
 def _report_payload(report: invariants.InvariantReport | None, meta: dict | None,
@@ -197,6 +202,11 @@ def _run_and_write(args, command: str) -> tuple[int, invariants.InvariantReport 
     report = None
     if series_err is None:
         report = invariants.report_from_series(e_phys, e_q)
+    elif exit_status == EXIT_OK:
+        # a complete trajectory whose invariant cannot be evaluated
+        exit_status = EXIT_INTEGRATOR
+        print(f"error: {series_err}", file=sys.stderr)
+        manifest["error"] = series_err
 
     traj_path = out_dir / "trajectory.csv"
     _write_trajectory_csv(traj_path, traj, scn, e_phys, e_q)
@@ -266,10 +276,8 @@ def cmd_map(args) -> int:
     Qp_mapped = m_vals * (q_dot * f - q * f_dot)
 
     mapped_path = out_dir / "qframe_mapped.csv"
-    with open(mapped_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(QFRAME_HEADER + "\n")
-        for i in range(len(traj)):
-            fh.write(",".join(_fmt(v) for v in (tau[i], Q_mapped[i], Qp_mapped[i])) + "\n")
+    _write_qframe_csv(mapped_path, zip(tau.tolist(), Q_mapped.tolist(),
+                                       Qp_mapped.tolist()))
 
     # direct transformed-frame run over the same tau span
     tau_end = float(tau[-1])
@@ -290,11 +298,8 @@ def cmd_map(args) -> int:
         return code
 
     direct_path = out_dir / "qframe_direct.csv"
-    with open(direct_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(QFRAME_HEADER + "\n")
-        for i in range(len(direct)):
-            fh.write(",".join(_fmt(v) for v in
-                              (direct.t[i], direct.y[i, 0], direct.y[i, 1])) + "\n")
+    _write_qframe_csv(direct_path, ((t, Q, Qp) for t, (Q, Qp) in
+                                    zip(direct.t.tolist(), direct.y.tolist())))
 
     gap = 0.0
     compared = 0
@@ -353,7 +358,7 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _bench_grid(args) -> list[tuple[str, float]]:
+def _bench_grid(args, scn: Scenario) -> list[tuple[str, float]]:
     methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
     dts = [float(v) for v in (args.dt or "").split(",") if v.strip()]
     tols = [float(v) for v in (args.tol or "").split(",") if v.strip()]
@@ -365,6 +370,10 @@ def _bench_grid(args) -> list[tuple[str, float]]:
         grid.extend((method, v) for v in values)
     if not grid:
         raise ConfigError("empty bench grid: give --methods plus --dt and/or --tol")
+    for method, value in grid:
+        if method != "adaptive54":
+            model.check_grid_size(scn.plan.t_end - scn.initial.t,
+                                  scn.plan.output_stride, value)
     return grid
 
 
@@ -409,7 +418,7 @@ def cmd_bench(args) -> int:
                 "overrides": list(args.set or []), "outputs": {}}
     try:
         doc, scn = _load(args)
-        grid = _bench_grid(args)
+        grid = _bench_grid(args, scn)
     except ErmakovError as err:
         print(f"error: {err}", file=sys.stderr)
         manifest.update(error=str(err), exit_status=EXIT_CONFIG)
@@ -499,7 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as err:  # noqa: BLE001 -- one line, never a traceback
+        print(f"error: internal failure: {type(err).__name__}: {err}",
+              file=sys.stderr)
+        return EXIT_INTEGRATOR
 
 
 if __name__ == "__main__":

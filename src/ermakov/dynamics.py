@@ -175,42 +175,45 @@ def rhs_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> tuple[float, 
 # State layouts: phys y = [q, q_dot, f, f_dot, tau];
 #                x-rho y = [x, x_dot, rho, rho_dot];
 #                Q-frame y = [Q, Q_prime].
+# Each adapter takes the state as a list of floats and returns a tuple.
 
-def _vector_rhs(kernel: Callable[..., tuple[float, ...]]
-                ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """rhs(t, y) = kernel(t, *y) as an array, computed on plain floats.
+_Ode = Callable[[float, list[float]], tuple[float, ...]]
+
+
+def _vector_rhs(kernel: Callable[..., tuple[float, ...]]) -> _Ode:
+    """rhs(t, y) = kernel(t, *y), computed on the state's plain floats.
 
     Plain floats raise where numpy scalars overflow to inf or divide by
     zero with a warning (``q ** 3`` for huge q, a product underflowing
-    to 0 in a denominator); such a call is redone on the numpy scalars,
-    so the inf/nan reaches the integrator's non-finite-state check
-    instead of escaping as an exception.
+    to 0 in a denominator); such a call is redone, without warnings, on
+    numpy scalars and its results converted back to floats, so the
+    inf/nan reaches the integrator's non-finite-state check instead of
+    escaping as an exception.
     """
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: list[float]) -> tuple[float, ...]:
         try:
-            return np.array(kernel(t, *y.tolist()))
+            return kernel(t, *y)
         except (ZeroDivisionError, OverflowError):
-            return np.array(kernel(t, *y))
+            with np.errstate(all="ignore"):
+                dy = kernel(t, *np.array(y, dtype=float))
+            return tuple(map(float, dy))
     return rhs
 
 
-def phys_ode(scn: Scenario) -> Callable[[float, np.ndarray], np.ndarray]:
+def phys_ode(scn: Scenario) -> _Ode:
     return _vector_rhs(_phys_kernel(scn))
 
 
-def xrho_ode(omega_sq: Callable[[float], float], g: Func1,
-             h: Func1) -> Callable[[float, np.ndarray], np.ndarray]:
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_xrho(y[0], y[1], y[2], y[3], t, omega_sq, g, h))
-    return rhs
+def xrho_ode(omega_sq: Callable[[float], float], g: Func1, h: Func1) -> _Ode:
+    return _vector_rhs(lambda t, x, x_dot, rho, rho_dot: rhs_xrho(
+        x, x_dot, rho, rho_dot, t, omega_sq, g, h))
 
 
-def _qframe_ode(kernel: Callable[[float, float], float]
-                ) -> Callable[[float, np.ndarray], np.ndarray]:
+def _qframe_ode(kernel: Callable[[float, float], float]) -> _Ode:
     return _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, kernel(Q, tau)))
 
 
-def qframe_ode(V: Func1 | None, W: Func1 | None) -> Callable[[float, np.ndarray], np.ndarray]:
+def qframe_ode(V: Func1 | None, W: Func1 | None) -> _Ode:
     return _qframe_ode(_qframe_kernel(V, W))
 
 
@@ -230,7 +233,7 @@ def qframe_accel_from_scenario(scn: Scenario) -> Callable[[float], float]:
     return lambda Q: kernel(Q, 0.0)
 
 
-def qframe_ode_from_scenario(scn: Scenario) -> Callable[[float, np.ndarray], np.ndarray]:
+def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
     return _qframe_ode(_qframe_kernel(scn.potential_V, scn.potential_W,
                                       scn.coupling_F, scn.coupling_G))
 

@@ -76,6 +76,10 @@ class QuadratureError(ErmakovError):
     converge within the recursion-depth budget."""
 
 
+class InvariantError(ErmakovError):
+    """The invariant evaluated to a non-finite value along a trajectory."""
+
+
 class PotentialsUnavailableError(ErmakovError):
     """Operation needs the potentials themselves, but the scenario was
     built from bare coupling functions."""

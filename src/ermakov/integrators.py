@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,12 @@ __all__ = [
     "interpolate",
 ]
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
+# rhs(t, y) receives the state y as a list of floats and returns dy/dt as
+# a sequence of floats.  The steppers keep states and stage slopes as
+# lists of floats, doing each component's arithmetic in the order an
+# elementwise numpy expression would; numpy arrays are built once, for
+# the finished Trajectory.
+Rhs = Callable[[float, list[float]], Sequence[float]]
 
 _STEP_FLOOR = 1e-14  # below this the adaptive controller gives up
 
@@ -102,35 +107,42 @@ def interpolate(traj: Trajectory, t_query: float) -> np.ndarray:
 
 
 class _Samples:
-    """Accumulates (t, y, dy) rows and hands partial results to errors."""
+    """Accumulates (t, y, dy) rows and hands partial results to errors.
+
+    Rows are kept by reference: the steppers never modify a state list
+    or a slope sequence once it exists."""
 
     def __init__(self):
         self.t: list[float] = []
-        self.y: list[np.ndarray] = []
-        self.dy: list[np.ndarray] = []
+        self.y: list[Sequence[float]] = []
+        self.dy: list[Sequence[float]] = []
 
-    def add(self, t: float, y: np.ndarray, dy: np.ndarray) -> None:
+    def add(self, t: float, y: Sequence[float], dy: Sequence[float]) -> None:
         self.t.append(float(t))
-        self.y.append(np.asarray(y, dtype=float).copy())
-        self.dy.append(np.asarray(dy, dtype=float).copy())
+        self.y.append(y)
+        self.dy.append(dy)
 
     def build(self, method: str, steps: int, rejected: int,
               dt: float | None = None, tol: float | None = None) -> Trajectory:
-        return Trajectory(t=np.array(self.t), y=np.array(self.y),
-                          dy=np.array(self.dy), method=method,
+        return Trajectory(t=np.array(self.t), y=np.array(self.y, dtype=float),
+                          dy=np.array(self.dy, dtype=float), method=method,
                           step_count=steps, rejected_steps=rejected,
                           dt=dt, tol=tol)
 
 
 def _attach_partial(err: ErmakovError, samples: _Samples, method: str,
                     steps: int, rejected: int, last_t: float,
-                    last_y: np.ndarray) -> None:
+                    last_y: Sequence[float]) -> None:
     err.last_t = last_t
-    err.last_state = np.asarray(last_y, dtype=float).copy()
+    err.last_state = np.array(last_y, dtype=float)
     try:
         err.partial = samples.build(method, steps, rejected)
     except ErmakovError:
         err.partial = None
+
+
+def _finite(y: Sequence[float]) -> bool:
+    return all(map(math.isfinite, y))
 
 
 def _stride_steps(output_stride: float, dt: float) -> int:
@@ -152,26 +164,19 @@ def _stride_count(t0: float, t_end: float, stride: float) -> int:
 
 # --- classical RK4 ----------------------------------------------------------
 
-def _rk4_step(rhs: Rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_fixed_rk4(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
+def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                         dt: float, output_stride: float) -> Trajectory:
     """Fixed-step RK4 with samples at t0 + k*output_stride."""
-    y0 = np.asarray(y0, dtype=float)
     k_per = _stride_steps(output_stride, dt)
     n_str = _stride_count(t0, t_end, output_stride)
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * dt
+    hh = 0.5 * h
+    h6 = h / 6.0
 
+    y = [float(v) for v in y0]
     samples = _Samples()
-    samples.add(t0, y0, rhs(t0, y0))
-    y = y0.copy()
+    samples.add(t0, y, rhs(t0, y))
     steps = 0
     t_last = t0
     for i in range(n_str):
@@ -179,12 +184,17 @@ def integrate_fixed_rk4(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
         for j in range(k_per):
             t = seg + j * h
             try:
-                y = _rk4_step(rhs, t, y, h)
+                k1 = rhs(t, y)
+                k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
+                k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
+                k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
             except ErmakovError as err:
                 _attach_partial(err, samples, "rk4", steps, 0, t_last, y)
                 raise
+            y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             steps += 1
-            if not np.all(np.isfinite(y)):
+            if not _finite(y):
                 err = IntegrationError(f"non-finite state after step at t={t + h!r}")
                 _attach_partial(err, samples, "rk4", steps, 0, t_last, y)
                 raise err
@@ -196,8 +206,10 @@ def integrate_fixed_rk4(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
 
-# Dormand-Prince tableau.  c6 = c7 = 1; a72 = e2 = 0, and the loop below
-# omits those terms.
+# Dormand-Prince tableau.  c6 = c7 = 1; a72 = e2 = d2 = 0, and the sums
+# below omit those terms.  Every sum runs left to right from 0.0, so a
+# leading -0.0 term still sums to +0.0 and an omitted 0*k term would not
+# have changed it.
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 _A21 = 1.0 / 5.0
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
@@ -212,9 +224,12 @@ _A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 # dense-output weights for the 4th-order-continuous interpolant
-_DP_D = (-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
-         -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-         -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
+_D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075.0 / 11282082432.0,
+                                87487479700.0 / 32700410799.0,
+                                -10690763975.0 / 1880347072.0,
+                                701980252875.0 / 199316789632.0,
+                                -1453857185.0 / 822651844.0,
+                                69997945.0 / 29380423.0)
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -223,30 +238,49 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
 
+def _error_norm(err: Sequence[float], y: Sequence[float], y_new: Sequence[float],
+                tol: float) -> float:
+    """RMS of err / (tol + tol*max(|y|, |y_new|)).
+
+    The squares are added left to right from 0.0, the order in which
+    ``np.mean`` sums fewer than 8 values (every state layout here has at
+    most 5; numpy sums 8 or more pairwise), and ``r * r`` gives inf where
+    ``r ** 2`` would raise OverflowError.
+    """
+    acc = 0.0
+    for e, a, b in zip(err, y, y_new):
+        r = e / (tol + tol * max(abs(a), abs(b)))
+        acc += r * r
+    return math.sqrt(acc / len(err))
+
+
 class _DenseSegment:
     """One accepted step's interpolant, evaluated at theta in [0, 1]."""
 
-    def __init__(self, t_old: float, h: float, y_old: np.ndarray,
-                 y_new: np.ndarray, ks: list[np.ndarray]):
-        ydiff = y_new - y_old
-        bspl = h * ks[0] - ydiff
+    def __init__(self, t_old: float, h: float, y_old: Sequence[float],
+                 y_new: Sequence[float], k1, k3, k4, k5, k6, k7):
         self.t_old = t_old
         self.h = h
-        self.r1 = y_old
-        self.r2 = ydiff
-        self.r3 = bspl
-        self.r4 = ydiff - h * ks[6] - bspl
-        self.r5 = h * sum(d * k for d, k in zip(_DP_D, ks))
+        self.coeffs = []
+        for a, b, b1, b3, b4, b5, b6, b7 in zip(y_old, y_new, k1, k3, k4, k5,
+                                                 k6, k7):
+            ydiff = b - a
+            bspl = h * b1 - ydiff
+            self.coeffs.append((
+                a, ydiff, bspl, ydiff - h * b7 - bspl,
+                h * (0.0 + _D1 * b1 + _D3 * b3 + _D4 * b4 + _D5 * b5 + _D6 * b6
+                     + _D7 * b7)))
 
-    def eval(self, t: float) -> np.ndarray:
+    def eval(self, t: float) -> list[float]:
         # t lies in [t_old, t_old + h] up to emission-window noise; the
         # polynomial extrapolates those few ulps harmlessly, so no clamping
         th = (t - self.t_old) / self.h
         th1 = 1.0 - th
-        return self.r1 + th * (self.r2 + th1 * (self.r3 + th * (self.r4 + th1 * self.r5)))
+        return [r1 + th * (r2 + th1 * (r3 + th * (r4 + th1 * r5)))
+                for r1, r2, r3, r4, r5 in self.coeffs]
 
 
-def integrate_adaptive54(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
+def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                          tol: float, output_stride: float) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with mixed error control
     (atol = rtol = tol) and dense output at t0 + k*output_stride."""
@@ -254,11 +288,11 @@ def integrate_adaptive54(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
         raise IntegrationError(f"tol must be positive, got {tol!r}")
     if not output_stride > 0.0:
         raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
-    y0 = np.asarray(y0, dtype=float)
 
+    y = [float(v) for v in y0]
     samples = _Samples()
-    k1 = rhs(t0, y0)
-    samples.add(t0, y0, k1)
+    k1 = rhs(t0, y)
+    samples.add(t0, y, k1)
     if t_end == t0:
         return samples.build("adaptive54", 0, 0, tol=tol)
 
@@ -268,7 +302,6 @@ def integrate_adaptive54(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
     eps_t = 1e-9 * max(1.0, abs(t0), abs(t_end), output_stride)
 
     t = t0
-    y = y0.copy()
     steps = 0
     rejected = 0
     err_prev = 1e-4
@@ -288,29 +321,34 @@ def integrate_adaptive54(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
         if direction * (t + h - t_end) > 0.0:
             h = t_end - t
 
-        # Stage sums run left to right from 0.0, like sum() over the
-        # tableau row, so a leading -0.0 term still sums to +0.0.
         try:
-            k2 = rhs(t + _C2 * h, y + h * (0.0 + _A21 * k1))
-            k3 = rhs(t + _C3 * h, y + h * (0.0 + _A31 * k1 + _A32 * k2))
-            k4 = rhs(t + _C4 * h, y + h * (0.0 + _A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = rhs(t + _C5 * h, y + h * (0.0 + _A51 * k1 + _A52 * k2 + _A53 * k3
-                                           + _A54 * k4))
-            k6 = rhs(t + h, y + h * (0.0 + _A61 * k1 + _A62 * k2 + _A63 * k3
-                                     + _A64 * k4 + _A65 * k5))
+            k2 = rhs(t + _C2 * h, [a + h * (0.0 + _A21 * b1)
+                                   for a, b1 in zip(y, k1)])
+            k3 = rhs(t + _C3 * h, [a + h * (0.0 + _A31 * b1 + _A32 * b2)
+                                   for a, b1, b2 in zip(y, k1, k2)])
+            k4 = rhs(t + _C4 * h, [a + h * (0.0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
+                                   for a, b1, b2, b3 in zip(y, k1, k2, k3)])
+            k5 = rhs(t + _C5 * h, [a + h * (0.0 + _A51 * b1 + _A52 * b2 + _A53 * b3
+                                            + _A54 * b4)
+                                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + h, [a + h * (0.0 + _A61 * b1 + _A62 * b2 + _A63 * b3
+                                      + _A64 * b4 + _A65 * b5)
+                             for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
             # the 7th stage is evaluated at the 5th-order solution (FSAL)
-            y_new = y + h * (0.0 + _A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5
-                             + _A76 * k6)
+            y_new = [a + h * (0.0 + _A71 * b1 + _A73 * b3 + _A74 * b4 + _A75 * b5
+                              + _A76 * b6)
+                     for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
             k7 = rhs(t + h, y_new)
         except ErmakovError as err:
             _attach_partial(err, samples, "adaptive54", steps, rejected, t, y)
             raise
-        err_vec = h * (0.0 + _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                       + _E7 * k7)
 
-        if np.all(np.isfinite(y_new)):
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if _finite(y_new):
+            err_norm = _error_norm(
+                [h * (0.0 + _E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
+                      + _E7 * b7)
+                 for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)],
+                y, y_new, tol)
         else:
             err_norm = 10.0
 
@@ -326,8 +364,7 @@ def integrate_adaptive54(rhs: Rhs, y0: np.ndarray, t0: float, t_end: float,
                     samples.add(t_out, y_new, k7)
                 else:
                     if seg is None:
-                        seg = _DenseSegment(t, h, y, y_new,
-                                            [k1, k2, k3, k4, k5, k6, k7])
+                        seg = _DenseSegment(t, h, y, y_new, k1, k3, k4, k5, k6, k7)
                     y_out = seg.eval(t_out)
                     samples.add(t_out, y_out, rhs(t_out, y_out))
                 k_out += 1
@@ -381,10 +418,9 @@ def integrate_verlet(accel: Callable[[float], float], initial: QFrameState,
     try:
         a = accel(Q)
     except ErmakovError as err:
-        _attach_partial(err, samples, "verlet", 0, 0, initial.tau,
-                        np.array([Q, P]))
+        _attach_partial(err, samples, "verlet", 0, 0, initial.tau, [Q, P])
         raise
-    samples.add(initial.tau, np.array([Q, P]), np.array([P, a]))
+    samples.add(initial.tau, [Q, P], [P, a])
     steps = 0
     tau_last = initial.tau
     for i in range(n_str):
@@ -396,10 +432,10 @@ def integrate_verlet(accel: Callable[[float], float], initial: QFrameState,
                 P = p_half + 0.5 * dt * a
             except ErmakovError as err:
                 _attach_partial(err, samples, "verlet", steps, 0, tau_last,
-                                np.array([Q, P]))
+                                [Q, P])
                 raise
             steps += 1
             tau_last = initial.tau + (i * k_per + j + 1) * dt
         tau_out = initial.tau + (i + 1) * stride
-        samples.add(tau_out, np.array([Q, P]), np.array([P, a]))
+        samples.add(tau_out, [Q, P], [P, a])
     return samples.build("verlet", steps, 0, dt=dt)

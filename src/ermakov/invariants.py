@@ -24,7 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import EPS_SING
-from .errors import ErmakovError, InvalidMassError, QuadratureError, SingularityError
+from .errors import (
+    ErmakovError,
+    InvalidMassError,
+    InvariantError,
+    QuadratureError,
+    SingularityError,
+)
 from .expr import Func1, is_zero
 from .integrators import Trajectory
 from .model import PhysState, QFrameState, Scenario, to_xrho
@@ -245,13 +251,15 @@ class _PotentialSide:
         return self.running.value(arg)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below
 def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
                      ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Physical-frame and transformed-frame energy at every sample of a
     physical trajectory (columns q, q_dot, f, f_dot, tau).
 
     Returns (e_phys, e_q, meta); meta records which evaluation path each
-    side used and the reference points of any quadrature.
+    side used and the reference points of any quadrature.  Raises
+    InvariantError at the first sample where either value is not finite.
     """
     u_side = _PotentialSide(scn.potential_V, scn.coupling_F, tol)
     v_side = _PotentialSide(scn.potential_W, scn.coupling_G, tol)
@@ -280,6 +288,10 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
         # exactly this evaluation difference
         e_phys[i] = 0.5 * mv * mv * (q_dot * f - q * f_dot) ** 2 + pot_u + pot_v
         e_q[i] = 0.5 * w * w + pot_u + pot_v
+        if not (math.isfinite(e_phys[i]) and math.isfinite(e_q[i])):
+            raise InvariantError(f"the invariant is not finite at t={float(t)!r} "
+                                 f"(E_phys = {float(e_phys[i])!r}, "
+                                 f"E_Q = {float(e_q[i])!r})")
 
     meta = {
         "u_side": u_side.path,

@@ -51,10 +51,17 @@ __all__ = [
     "load_config",
     "apply_overrides",
     "build_scenario",
+    "check_grid_size",
     "METHODS",
+    "MAX_GRID_POINTS",
 ]
 
 METHODS = ("rk4", "adaptive54", "verlet")
+
+# Largest number of output samples, and of fixed (rk4/verlet) steps, a run
+# may ask for.  A larger grid cannot finish in reasonable time or memory;
+# it is almost always a stride, dt or t_end off by orders of magnitude.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -232,8 +239,12 @@ def parse_config(text: str, path: str | None = None) -> ConfigDocument:
 
 
 def load_config(path: str) -> ConfigDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config {path!r}: {err}") from None
+    return parse_config(text, path)
 
 
 def apply_overrides(doc: ConfigDocument, overrides: list[str]) -> ConfigDocument:
@@ -297,6 +308,21 @@ def _coupling_side(sections, direct_key: str, potential_key: str,
     return constant_func(0.0, _COUPLING_VARS[direct_key]), None
 
 
+def check_grid_size(span: float, output_stride: float,
+                    dt: float | None = None) -> None:
+    """Reject a run over ``span`` that would take more than
+    MAX_GRID_POINTS output samples or, given a positive ``dt``, fixed
+    steps (counting at least one stride's worth)."""
+    if span / output_stride > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a span of {span!r} at output_stride={output_stride!r} asks for "
+            f"more than {MAX_GRID_POINTS} samples")
+    if dt is not None and dt > 0.0 and max(span, output_stride) / dt > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"dt={dt!r} asks for more than {MAX_GRID_POINTS} steps over a span "
+            f"of {max(span, output_stride)!r}")
+
+
 def build_scenario(doc: ConfigDocument) -> Scenario:
     """Validate a config document and materialize the Scenario.
 
@@ -339,6 +365,8 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         dt = _get_float(sections, "integration", "dt")
         if not dt > 0.0:
             raise ConfigError("dt must be positive")
+    check_grid_size(t_end - t0, output_stride, dt)
+    if dt is not None:
         k = round(output_stride / dt)
         if k < 1 or abs(k * dt - output_stride) > 1e-9 * output_stride:
             raise ConfigError(f"dt={dt} does not subdivide "
@@ -357,8 +385,9 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         m0 = m(t0)
     except ErmakovError as err:
         raise ConfigError(f"mass not evaluable at t0: {err}") from None
-    if not m0 > 0.0:
-        raise ConfigError(f"mass must be positive at t0, got m({t0}) = {m0}")
+    if not (m0 > 0.0 and math.isfinite(m0)):
+        raise ConfigError(f"mass must be positive and finite at t0, "
+                          f"got m({t0}) = {m0}")
 
     return Scenario(m=m, omega_tilde_sq=omega_tilde_sq,
                     coupling_F=coupling_F, coupling_G=coupling_G,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import S1, S2, S3, scenario_path
+from ermakov import model
 from ermakov.cli import main
 from ermakov.expr import evaluate, parse
 
@@ -90,6 +91,77 @@ class TestSimulate:
         assert code == 2
         assert "is not a finite number" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
+
+    @pytest.mark.parametrize("overrides", [
+        ["integration.output_stride=1e-300"],
+        ["integration.output_stride=1e-12"],
+        ["integration.t_end=1e300"],
+        ["integration.method=rk4", "integration.dt=1e-9"],
+        ["integration.method=rk4", "integration.dt=1e-320"],
+    ])
+    def test_absurd_grid_exit_2_before_integrating(self, tmp_path, capsys,
+                                                   overrides):
+        # each of these used to hang, crash or read as a singularity
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", scenario_path(S1), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert "more than 1000000" in err and "\n" not in err
+        assert not (out / "trajectory.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_non_finite_mass_exit_2(self, tmp_path, capsys, command):
+        # 1e400 parses to a constant inf
+        code = run(command, "--config", scenario_path(S1),
+                   "--out", str(tmp_path / "run"), "--set", "functions.m=1e400")
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_non_finite_invariant_exit_4(self, tmp_path, capsys, command):
+        # the run is fine, but (q'f - qf')^2 overflows: E = inf
+        out = tmp_path / "run"
+        code = run(command, "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "initial.q_dot=1e160",
+                   "--set", "integration.t_end=1")
+        assert code == 4
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: the invariant is not finite at t=0.0")
+        assert "\n" not in err
+        report = json.loads((out / "report.json").read_text())
+        assert "not finite" in report["error"]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 4
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        code = run("simulate", "--config", str(tmp_path / "absent.cfg"),
+                   "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_escaped_exception_exit_4_one_line(self, tmp_path, capsys,
+                                               monkeypatch):
+        def broken(doc):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(model, "build_scenario", broken)
+        code = run("simulate", "--config", scenario_path(S1),
+                   "--out", str(tmp_path / "run"))
+        assert code == 4
+        err = capsys.readouterr().err.strip()
+        assert err == "error: internal failure: RuntimeError: synthetic fault"
+
+    def test_overflow_message_shows_plain_float(self, tmp_path, capsys):
+        # the RHS redoes an overflowing call on numpy scalars; its results
+        # must come back as plain floats, or later messages show np.float64
+        code = run("simulate", "--config", scenario_path(S1),
+                   "--out", str(tmp_path / "run"), "--set", "initial.f=1e308")
+        assert code == 4
+        err = capsys.readouterr().err.strip()
+        assert err.endswith("at argument nan")
+        assert "np.float64" not in err and "\n" not in err
 
     def test_verlet_not_usable_for_physical_run(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -253,6 +325,13 @@ class TestBench:
         row = (out / "bench.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "verlet" and row[5] == "ok"
         assert float(row[2]) < 1e-3
+
+    def test_absurd_dt_exit_2_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--methods", "rk4", "--dt", "0.01,1e-320") == 2
+        assert "more than 1000000 steps" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
 
     def test_partial_failure_recorded_per_row(self, tmp_path):
         # verlet cannot run without potentials; rk4 still succeeds

@@ -92,8 +92,26 @@ class TestOdeAdapters:
                 0.0, np.array([1e200, 0.0, 1.0, 0.0, 0.0]))
             dQ = dynamics.qframe_ode_from_scenario(_scn(F="0", G="1"))(
                 0.0, np.array([1e200, 0.5]))
-        assert dy.tolist() == [0.0, -1e200, 0.0, 3.0, 1.0]
-        assert dQ.tolist() == [0.5, 0.0]
+        assert list(dy) == [0.0, -1e200, 0.0, 3.0, 1.0]
+        assert list(dQ) == [0.5, 0.0]
+
+    def test_float_state_gives_float_tuple(self):
+        # the steppers pass the state as a list of floats; the adapters
+        # hand back plain floats, also from the numpy-scalar redo
+        rhs = dynamics.phys_ode(_scn(F="4", G="1"))
+        for y in ([1.0, 0.5, 2.0, 0.0, 0.0], [1e200, 0.0, 1.0, 0.0, 0.0]):
+            dy = rhs(0.0, y)
+            assert type(dy) is tuple and all(type(v) is float for v in dy)
+        assert dy == (0.0, -1e200, 0.0, 3.0, 1.0)
+        s2 = _scn(m="1+0.1*sin(t)", V="2*Q^2")
+        om2 = lambda t: model.omega_sq_from_mass(s2.m, s2.omega_tilde_sq, t)  # noqa: E731
+        rhs = dynamics.xrho_ode(om2, model.g_from_G(s2.coupling_G),
+                                model.h_from_F(s2.coupling_F))
+        dx = rhs(0.3, [1.0, 0.1, 1.2, -0.1])
+        assert dx == dynamics.rhs_xrho(1.0, 0.1, 1.2, -0.1, 0.3, om2,
+                                       model.g_from_G(s2.coupling_G),
+                                       model.h_from_F(s2.coupling_F))
+        assert all(type(v) is float for v in dx)
 
     def test_qframe_guard_reports_tau(self):
         for scn in (_scn(V="Q^4/4", W="s^2/2"), _scn(F="u^2", G="1")):

@@ -1,10 +1,15 @@
-"""Golden outputs: sha256 of every data file the shipped runs write.
+"""Golden outputs: sha256 of every data file the shipped runs write,
+and of the raw arrays of two direct integrator runs.
 
 A speed-up that changes no arithmetic must leave these bytes alone, so
 this gate fails on any change to a trajectory, report, Q-frame CSV or
-gap file.  The digests are pinned to the environment recorded in
-``golden_digests.json`` (libm ``sin``/``exp`` may round differently
-elsewhere); on another environment the test is skipped.
+gap file.  The CLI runs cover state widths 5 (physical pair) and 2
+(transformed frame); the direct runs add widths 4 (unit-mass x-rho
+pair) and 1, because the step controller's error norm sums over the
+components and its rounding depends on their number.  The digests are
+pinned to the environment recorded in ``golden_digests.json`` (libm
+``sin``/``exp`` may round differently elsewhere); on another environment
+the test is skipped.
 
 Regenerate after a declared output change with
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -23,8 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import S1, S2, S3, scenario_path
+from conftest import S1, S2, S3, load_scenario, scenario_path
+from ermakov import dynamics, model
 from ermakov.cli import main
+from ermakov.integrators import integrate_adaptive54
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 
@@ -72,6 +80,24 @@ def _runs(work: Path):
     yield "check-bare_rk4", ["check", "--config", str(bare)], SIMULATE_FILES
 
 
+def _forced_cubic(t, y):
+    # y' = cos t - y^3, written with indexing so it accepts any sequence
+    return np.array([math.cos(t) - y[0] * y[0] * y[0]])
+
+
+def _direct_runs():
+    """(name, trajectory) of DP54 runs on state widths 4 and 1."""
+    s2 = load_scenario(S2)
+    om2 = lambda t: model.omega_sq_from_mass(s2.m, s2.omega_tilde_sq, t)  # noqa: E731
+    xrho = dynamics.xrho_ode(om2, model.g_from_G(s2.coupling_G),
+                             model.h_from_F(s2.coupling_F))
+    yield "direct-xrho_s2", integrate_adaptive54(
+        xrho, np.array(model.to_xrho(s2.initial, s2.m)), s2.initial.t, 20.0,
+        1e-10, 0.05)
+    yield "direct-forced_cubic", integrate_adaptive54(
+        _forced_cubic, np.array([0.5]), 0.0, 20.0, 1e-10, 0.05)
+
+
 def compute_digests(work: Path) -> dict[str, str]:
     digests = {}
     for name, argv, files in _runs(work):
@@ -82,6 +108,10 @@ def compute_digests(work: Path) -> dict[str, str]:
         for fname in files:
             data = (out / fname).read_bytes()
             digests[f"{name}/{fname}"] = hashlib.sha256(data).hexdigest()
+    for name, traj in _direct_runs():
+        for field in ("t", "y", "dy"):
+            data = getattr(traj, field).tobytes()
+            digests[f"{name}/{field}"] = hashlib.sha256(data).hexdigest()
     return digests
 
 

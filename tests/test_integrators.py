@@ -11,12 +11,13 @@ from ermakov.errors import IntegrationError, SingularityError
 from ermakov.expr import compile_func
 from ermakov.integrators import (
     Trajectory,
+    _error_norm,
     integrate_adaptive54,
     integrate_fixed_rk4,
     integrate_verlet_Q,
     interpolate,
 )
-from ermakov.model import QFrameState
+from ermakov.model import QFrameState, build_scenario, parse_config
 
 
 def harmonic(t, y):
@@ -131,16 +132,87 @@ class TestAdaptive54:
     def test_underflow_is_classified_singular(self):
         def blowup(t, y):
             # y' = y^2 from y(0) = 1 diverges at t = 1
-            return y * y
+            return [v * v for v in y]
 
         with pytest.raises(SingularityError, match="underflow") as exc:
             integrate_adaptive54(blowup, np.array([1.0]), 0.0, 2.0, 1e-10, 0.5)
         assert exc.value.partial is not None
 
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_error_norm_rounds_like_numpy(self, width):
+        # the step controller's accept/reject decisions, hence every output
+        # bit, depend on this norm; numpy sums fewer than 8 terms in order
+        rng = np.random.default_rng(width)
+        for tol in (1e-10, 1e-3, 1e-320):
+            for _ in range(200):
+                err = rng.normal(size=width) * 10.0 ** rng.uniform(-20, 5, width)
+                y = rng.normal(size=width) * 10.0 ** rng.uniform(-5, 5, width)
+                y_new = y + rng.normal(size=width)
+                scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+                with np.errstate(over="ignore"):
+                    want = float(np.sqrt(np.mean((err / scale) ** 2)))
+                got = _error_norm(err.tolist(), y.tolist(), y_new.tolist(), tol)
+                assert got.hex() == want.hex(), (tol, err, y, y_new)
+
     def test_single_sample_when_span_empty(self):
         traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0, 0.0,
                                     1e-10, 0.5)
         assert len(traj) == 1
+
+
+class TestPinneyClosedForm:
+    """Pinney (1950): with m = 1, w~2 = 1, G = 0 and F = k, the companion
+    f'' + f = k/f^3 from f(0) = f0, f'(0) = 0 has the closed form
+    f = sqrt(f0^2 cos^2 t + (k/f0^2) sin^2 t), and the clock
+    dtau/dt = 1/f^2 integrates to (1/sqrt k) arctan((sqrt k/f0^2) tan t),
+    unwrapped.  The oracle shares no code with the steppers."""
+
+    CASES = [(4.0, 1.0), (1.0, 0.5), (1.0, 2.0), (4.0, 0.7), (2.0, 1.3)]
+
+    @staticmethod
+    def _run(integrate, k, f0, t_end, step, stride):
+        scn = build_scenario(parse_config(f"""
+[functions]
+m = 1
+omega_tilde_sq = 1
+[coupling]
+F = {k!r}
+[initial]
+q = 1
+q_dot = 0
+f = {f0!r}
+f_dot = 0
+[integration]
+method = adaptive54
+t_end = {t_end!r}
+tol = 1e-10
+output_stride = {stride!r}
+"""))
+        st = scn.initial
+        y0 = [st.q, st.q_dot, st.f, st.f_dot, st.tau]
+        traj = integrate(dynamics.phys_ode(scn), y0, st.t, t_end, step, stride)
+        t = traj.t
+        f = np.sqrt(f0 ** 2 * np.cos(t) ** 2 + (k / f0 ** 2) * np.sin(t) ** 2)
+        turns = np.floor((t + math.pi) / (2.0 * math.pi))
+        tau = (np.arctan2(math.sqrt(k) * np.sin(t), f0 ** 2 * np.cos(t))
+               + 2.0 * math.pi * turns) / math.sqrt(k)
+        return (float(np.max(np.abs(traj.y[:, 2] - f))),
+                float(np.max(np.abs(traj.y[:, 4] - tau))))
+
+    @pytest.mark.parametrize("k,f0", CASES)
+    def test_dp54_matches_closed_form(self, k, f0):
+        # about 5e-10 on every case at tol 1e-10
+        f_err, tau_err = self._run(integrate_adaptive54, k, f0, 20.0, 1e-10, 0.05)
+        assert f_err < 5e-9 and tau_err < 5e-9, (f_err, tau_err)
+
+    @pytest.mark.parametrize("k,f0", CASES)
+    def test_rk4_fourth_order_on_f_and_tau(self, k, f0):
+        errs = [self._run(integrate_fixed_rk4, k, f0, 10.0, dt, 0.4)
+                for dt in (0.04, 0.02, 0.01)]
+        for (fa, ta), (fb, tb) in zip(errs, errs[1:]):
+            assert 12.0 < fa / fb < 20.0, errs
+            assert 12.0 < ta / tb < 20.0, errs
+        assert errs[-1][0] < 1e-6 and errs[-1][1] < 1e-6, errs
 
 
 class TestVerlet:
