@@ -35,7 +35,7 @@ from .dynamics import (
     gauge_residual,
     lagrangian_Q,
     lagrangian_q_tilde,
-    rhs_Q,
+    qframe_accel,
     rhs_phys,
     rhs_xrho,
 )

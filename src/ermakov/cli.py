@@ -10,8 +10,9 @@ Subcommands:
     bench      drift/cost table over a method x (dt|tol) grid
 
 Exit codes: 0 success, 1 drift threshold exceeded (check), 2 config
-error, 3 singularity abort (partial data still written), 4 integrator
-failure.  Every run with an output directory writes manifest.json.
+error, 3 singularity abort (simulate and check still write the partial
+trajectory), 4 integrator failure.  simulate, check, map and bench share
+one load -> run -> write path (_run), which writes manifest.json once.
 Simulation data files never contain timestamps or timings, so identical
 inputs give bit-identical output; run timing lives in the manifest (and,
 for bench, in the per-row wall_ms cost column).
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import dynamics, integrators, invariants, model
 from .errors import ConfigError, ErmakovError, ExprSyntaxError, SingularityError
-from .expr import compile_func, to_source
+from .expr import compile_func, is_zero, to_source
 from .model import ConfigDocument, QFrameState, Scenario
 
 EXIT_OK = 0
@@ -60,28 +62,50 @@ def _exit_code_for(err: ErmakovError) -> int:
 
 # --- shared plumbing ---------------------------------------------------------
 
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def _load(args) -> tuple[ConfigDocument, Scenario]:
+    _require_positive("--quad-tol", args.quad_tol)
+    if args.command == "check":
+        _require_positive("--max-drift", args.max_drift)
     doc = model.load_config(args.config)
     if args.set:
         doc = model.apply_overrides(doc, args.set)
     return doc, model.build_scenario(doc)
 
 
-def _integrate_phys(scn: Scenario) -> integrators.Trajectory:
+def _integrate_phys(scn: Scenario, method: str, step: float) -> integrators.Trajectory:
+    """Physical-frame run of ``scn`` by ``method`` at ``step`` (dt for rk4,
+    tol for adaptive54)."""
     plan = scn.plan
     st = scn.initial
-    y0 = np.array([st.q, st.q_dot, st.f, st.f_dot, st.tau])
+    y0 = [st.q, st.q_dot, st.f, st.f_dot, st.tau]
     rhs = dynamics.phys_ode(scn)
-    if plan.method == "rk4":
+    if method == "rk4":
         return integrators.integrate_fixed_rk4(rhs, y0, st.t, plan.t_end,
-                                               plan.dt, plan.output_stride)
-    if plan.method == "adaptive54":
+                                               step, plan.output_stride)
+    if method == "adaptive54":
         return integrators.integrate_adaptive54(rhs, y0, st.t, plan.t_end,
-                                                plan.tol, plan.output_stride)
+                                                step, plan.output_stride)
     raise ConfigError(
         "method 'verlet' integrates the transformed frame only and cannot "
         "produce a physical trajectory; use rk4 or adaptive54 (verlet is "
         "available through the bench subcommand)")
+
+
+def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
+    plan = scn.plan
+    # a plan sets dt (rk4, verlet) or tol (adaptive54), never both
+    return _integrate_phys(scn, plan.method, plan.tol if plan.dt is None else plan.dt)
+
+
+def _to_qframe(mv: float, q: float, q_dot: float, f: float,
+               f_dot: float) -> tuple[float, float]:
+    """(Q, Q') = (q/f, m (q'f - qf')): a physical state in the transformed frame."""
+    return q / f, mv * (q_dot * f - q * f_dot)
 
 
 def _scenario_echo(doc: ConfigDocument, scn: Scenario) -> dict:
@@ -100,12 +124,15 @@ def _scenario_echo(doc: ConfigDocument, scn: Scenario) -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, payload: dict, t_start: float) -> None:
-    payload = dict(payload)
-    payload["wall_ms"] = (time.perf_counter() - t_start) * 1e3
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_manifest(out_dir: Path, payload: dict, t_start: float) -> None:
+    _write_json(out_dir / "manifest.json",
+                {**payload, "wall_ms": (time.perf_counter() - t_start) * 1e3})
 
 
 def _singularity_info(err: ErmakovError) -> dict | None:
@@ -120,15 +147,51 @@ def _singularity_info(err: ErmakovError) -> dict | None:
     }
 
 
+def _record_error(manifest: dict, err: ErmakovError, singularity: bool = True) -> int:
+    """Print ``err`` as the run's one stderr line and record it in the
+    manifest (with the abort details once a scenario was loaded); returns
+    its exit code."""
+    print(f"error: {err}", file=sys.stderr)
+    manifest["error"] = str(err)
+    if singularity:
+        manifest["singularity"] = _singularity_info(err)
+    return _exit_code_for(err)
+
+
+def _run(args) -> int:
+    """The one path of simulate, check, map and bench: load the scenario
+    (and the bench grid), echo it into the manifest, run the subcommand's
+    body, and write manifest.json once, whatever the outcome."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t_start = time.perf_counter()
+    manifest = {"command": args.command, "config_path": args.config,
+                "overrides": list(args.set or []), "outputs": {}}
+    try:
+        doc, scn = _load(args)
+        extra = (_bench_grid(args, scn),) if args.command == "bench" else ()
+    except ErmakovError as err:
+        code = _record_error(manifest, err, singularity=False)
+    else:
+        manifest.update(_scenario_echo(doc, scn), config_text=doc.text)
+        try:
+            code = args.body(args, scn, out_dir, manifest, *extra)
+        except ErmakovError as err:
+            code = _record_error(manifest, err)
+    manifest["exit_status"] = code
+    _write_manifest(out_dir, manifest, t_start)
+    return code
+
+
 def _energy_columns(traj, scn, tol):
-    """Invariant series, or NaN columns if evaluation fails (possible on
-    a partial trajectory that stopped close to a singularity)."""
+    """Invariant series, or NaN columns and the error if evaluation fails
+    (possible on a partial trajectory that stopped close to a singularity)."""
     try:
         e_phys, e_q, meta = invariants.invariant_series(traj, scn, tol)
         return e_phys, e_q, meta, None
     except ErmakovError as err:
         n = len(traj)
-        return np.full(n, np.nan), np.full(n, np.nan), None, str(err)
+        return np.full(n, np.nan), np.full(n, np.nan), None, err
 
 
 def _write_trajectory_csv(path: Path, traj, scn, e_phys, e_q) -> None:
@@ -137,9 +200,8 @@ def _write_trajectory_csv(path: Path, traj, scn, e_phys, e_q) -> None:
         fh.write(TRAJECTORY_HEADER + "\n")
         for t, (q, q_dot, f, f_dot, tau), ep, eq in zip(
                 traj.t.tolist(), traj.y.tolist(), e_phys.tolist(), e_q.tolist()):
-            mv = scn.m(t)
-            fh.write(row_fmt % (t, tau, q, q_dot, f, f_dot, q / f,
-                                mv * (q_dot * f - q * f_dot), ep, eq))
+            Q, Q_prime = _to_qframe(scn.m(t), q, q_dot, f, f_dot)
+            fh.write(row_fmt % (t, tau, q, q_dot, f, f_dot, Q, Q_prime, ep, eq))
 
 
 def _write_qframe_csv(path: Path, rows) -> None:
@@ -150,9 +212,9 @@ def _write_qframe_csv(path: Path, rows) -> None:
 
 
 def _report_payload(report: invariants.InvariantReport | None, meta: dict | None,
-                    error: str | None) -> dict:
+                    error: ErmakovError | None) -> dict:
     if report is None:
-        return {"error": error or "invariant evaluation failed"}
+        return {"error": str(error)}
     payload = {
         "e0": report.e0,
         "max_abs_drift": report.max_abs_drift,
@@ -165,162 +227,157 @@ def _report_payload(report: invariants.InvariantReport | None, meta: dict | None
     return payload
 
 
-def _run_and_write(args, command: str) -> tuple[int, invariants.InvariantReport | None]:
-    """Shared body of simulate/check: integrate, write the three files,
-    map errors to exit codes."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-    manifest = {"command": command, "config_path": args.config,
-                "overrides": list(args.set or []), "outputs": {}}
+# --- subcommand bodies -------------------------------------------------------
+# body(args, scn, out_dir, manifest[, grid]) -> exit code; an ErmakovError
+# it raises is recorded by _run.
 
+def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
+    """simulate and check: integrate, then write trajectory.csv and
+    report.json, from the partial trajectory too when a run aborts; check
+    then gates on the invariant drift."""
+    code = EXIT_OK
     try:
-        doc, scn = _load(args)
+        traj = _integrate_plan(scn)
     except ErmakovError as err:
-        print(f"error: {err}", file=sys.stderr)
-        manifest.update(error=str(err), exit_status=EXIT_CONFIG)
-        _write_manifest(out_dir, manifest, t_start)
-        return EXIT_CONFIG, None
-
-    manifest.update(_scenario_echo(doc, scn), config_text=doc.text)
-    exit_status = EXIT_OK
-    traj = None
-    try:
-        traj = _integrate_phys(scn)
-    except ErmakovError as err:
-        exit_status = _exit_code_for(err)
-        print(f"error: {err}", file=sys.stderr)
-        manifest["error"] = str(err)
-        manifest["singularity"] = _singularity_info(err)
         traj = getattr(err, "partial", None)
-        if exit_status == EXIT_CONFIG or traj is None:
-            manifest["exit_status"] = exit_status or EXIT_INTEGRATOR
-            _write_manifest(out_dir, manifest, t_start)
-            return manifest["exit_status"], None
+        if traj is None:
+            raise
+        code = _record_error(manifest, err)
 
     e_phys, e_q, meta, series_err = _energy_columns(traj, scn, args.quad_tol)
     report = None
     if series_err is None:
         report = invariants.report_from_series(e_phys, e_q)
-    elif exit_status == EXIT_OK:
+    elif code == EXIT_OK:
         # a complete trajectory whose invariant cannot be evaluated
-        exit_status = EXIT_INTEGRATOR
-        print(f"error: {series_err}", file=sys.stderr)
-        manifest["error"] = series_err
+        code = _record_error(manifest, series_err, singularity=False)
 
     traj_path = out_dir / "trajectory.csv"
     _write_trajectory_csv(traj_path, traj, scn, e_phys, e_q)
     report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_report_payload(report, meta, series_err), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(report_path, _report_payload(report, meta, series_err))
     manifest["outputs"] = {"trajectory": str(traj_path), "report": str(report_path)}
     manifest["metadata"] = {"method": traj.method, "step_count": traj.step_count,
                             "rejected_steps": traj.rejected_steps}
-    manifest["exit_status"] = exit_status
-    _write_manifest(out_dir, manifest, t_start)
-    return exit_status, report
-
-
-# --- subcommands -------------------------------------------------------------
-
-def cmd_simulate(args) -> int:
-    code, _report = _run_and_write(args, "simulate")
+    if (code == EXIT_OK and args.command == "check"
+            and report.max_rel_drift > args.max_drift):
+        print(f"drift check failed: max_rel_drift = {report.max_rel_drift:.3e} "
+              f"> {args.max_drift:.3e}", file=sys.stderr)
+        code = EXIT_DRIFT
     return code
 
 
-def cmd_check(args) -> int:
-    code, report = _run_and_write(args, "check")
-    if code != EXIT_OK:
-        return code
-    if report is None:
-        return EXIT_INTEGRATOR
-    if report.max_rel_drift > args.max_drift:
-        print(f"drift check failed: max_rel_drift = {report.max_rel_drift:.3e} "
-              f"> {args.max_drift:.3e}", file=sys.stderr)
-        return EXIT_DRIFT
-    return EXIT_OK
-
-
-def cmd_map(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-    manifest = {"command": "map", "config_path": args.config,
-                "overrides": list(args.set or []), "outputs": {}}
-
-    try:
-        doc, scn = _load(args)
-    except ErmakovError as err:
-        print(f"error: {err}", file=sys.stderr)
-        manifest.update(error=str(err), exit_status=EXIT_CONFIG)
-        _write_manifest(out_dir, manifest, t_start)
-        return EXIT_CONFIG
-
-    manifest.update(_scenario_echo(doc, scn), config_text=doc.text)
-    try:
-        traj = _integrate_phys(scn)
-    except ErmakovError as err:
-        code = _exit_code_for(err)
-        print(f"error: {err}", file=sys.stderr)
-        manifest.update(error=str(err), exit_status=code,
-                        singularity=_singularity_info(err))
-        _write_manifest(out_dir, manifest, t_start)
-        return code
-
-    tau = traj.y[:, 4]
-    q, q_dot, f, f_dot = traj.y[:, 0], traj.y[:, 1], traj.y[:, 2], traj.y[:, 3]
-    m_vals = np.array([scn.m(t) for t in traj.t])
-    Q_mapped = q / f
-    Qp_mapped = m_vals * (q_dot * f - q * f_dot)
-
+def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
+    traj = _integrate_plan(scn)
+    mapped = [(tau, *_to_qframe(scn.m(t), q, q_dot, f, f_dot))
+              for t, (q, q_dot, f, f_dot, tau) in zip(traj.t.tolist(), traj.y.tolist())]
     mapped_path = out_dir / "qframe_mapped.csv"
-    _write_qframe_csv(mapped_path, zip(tau.tolist(), Q_mapped.tolist(),
-                                       Qp_mapped.tolist()))
+    _write_qframe_csv(mapped_path, mapped)
 
     # direct transformed-frame run over the same tau span
-    tau_end = float(tau[-1])
-    init = QFrameState(tau=float(tau[0]), Q=float(Q_mapped[0]),
-                       Q_prime=float(Qp_mapped[0]))
+    tau0, Q0, Q_prime0 = mapped[0]
+    tau_end = mapped[-1][0]
     tol = scn.plan.tol if scn.plan.tol is not None else 1e-10
-    try:
-        direct = integrators.integrate_adaptive54(
-            dynamics.qframe_ode_from_scenario(scn),
-            np.array([init.Q, init.Q_prime]), init.tau, tau_end,
-            tol, scn.plan.output_stride)
-    except ErmakovError as err:
-        code = _exit_code_for(err)
-        print(f"error: {err}", file=sys.stderr)
-        manifest.update(error=str(err), exit_status=code,
-                        singularity=_singularity_info(err))
-        _write_manifest(out_dir, manifest, t_start)
-        return code
-
+    direct = integrators.integrate_adaptive54(
+        dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0, tau_end,
+        tol, scn.plan.output_stride)
     direct_path = out_dir / "qframe_direct.csv"
     _write_qframe_csv(direct_path, ((t, Q, Qp) for t, (Q, Qp) in
                                     zip(direct.t.tolist(), direct.y.tolist())))
 
     gap = 0.0
     compared = 0
-    for i in range(len(traj)):
-        if tau[i] > direct.t[-1]:
+    for tau, Q, _ in mapped:
+        if tau > direct.t[-1]:
             break
-        Qd = integrators.interpolate(direct, float(tau[i]))[0]
-        gap = max(gap, abs(Qd - Q_mapped[i]))
+        Qd = integrators.interpolate(direct, tau)[0]
+        gap = max(gap, abs(Qd - Q))
         compared += 1
     gap_path = out_dir / "gap.json"
-    with open(gap_path, "w", encoding="utf-8") as fh:
-        json.dump({"max_abs_dQ": gap, "samples_compared": compared,
-                   "tau_end": tau_end}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(gap_path, {"max_abs_dQ": gap, "samples_compared": compared,
+                           "tau_end": tau_end})
 
     manifest["outputs"] = {"qframe_mapped": str(mapped_path),
                            "qframe_direct": str(direct_path),
                            "gap": str(gap_path)}
-    manifest["exit_status"] = EXIT_OK
-    _write_manifest(out_dir, manifest, t_start)
     return EXIT_OK
+
+
+def _bench_values(raw: str | None, name: str) -> list[float]:
+    """The comma-separated finite positive numbers of a bench flag."""
+    values = [model.parse_float(v, name) for v in (raw or "").split(",") if v.strip()]
+    for v in values:
+        _require_positive(name, v)
+    return values
+
+
+def _bench_grid(args, scn: Scenario) -> list[tuple[str, float]]:
+    methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
+    dts = _bench_values(args.dt, "--dt")
+    tols = _bench_values(args.tol, "--tol")
+    grid: list[tuple[str, float]] = []
+    for method in methods:
+        if method not in model.METHODS:
+            raise ConfigError(f"unknown method {method!r} in --methods")
+        values = tols if method == "adaptive54" else dts
+        grid.extend((method, v) for v in values)
+    if not grid:
+        raise ConfigError("empty bench grid: give --methods plus --dt and/or --tol")
+    for method, value in grid:
+        if method != "adaptive54":
+            model.check_grid_size(scn.plan.t_end - scn.initial.t,
+                                  scn.plan.output_stride, value)
+    return grid
+
+
+def _bench_row(scn: Scenario, method: str, step: float, quad_tol: float) -> tuple[float, int]:
+    """One bench run; returns (max_rel_drift, steps)."""
+    if method != "verlet":
+        traj = _integrate_phys(scn, method, step)
+        report = invariants.drift_report(traj, scn, quad_tol)
+        return report.max_rel_drift, traj.step_count
+
+    # the transformed frame over the physical run's span in tau; its energy
+    # is exact only when every nonzero coupling comes with its potential
+    V, W = scn.potential_V, scn.potential_W
+    if ((V is None and not is_zero(scn.coupling_F.expr))
+            or (W is None and not is_zero(scn.coupling_G.expr))):
+        raise ConfigError("verlet bench rows need the potential (V, W) of every "
+                          "nonzero coupling to evaluate the transformed-frame energy")
+    st = scn.initial
+    Q, Q_prime = _to_qframe(scn.m(st.t), st.q, st.q_dot, st.f, st.f_dot)
+    traj = integrators.integrate_verlet_Q(V, W, QFrameState(tau=0.0, Q=Q, Q_prime=Q_prime),
+                                          step, scn.plan.t_end - st.t,
+                                          scn.plan.output_stride)
+    e = np.array([invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
+                  for t, y in zip(traj.t, traj.y)])
+    return invariants.report_from_series(e, e).max_rel_drift, traj.step_count
+
+
+def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
+           grid: list[tuple[str, float]]) -> int:
+    rows = []
+    ok_count = 0
+    for method, value in grid:
+        row_start = time.perf_counter()
+        try:
+            drift, steps = _bench_row(scn, method, value, args.quad_tol)
+            wall = (time.perf_counter() - row_start) * 1e3
+            rows.append((method, value, _fmt(drift), str(steps), f"{wall:.3f}", "ok"))
+            ok_count += 1
+        except ErmakovError as err:
+            wall = (time.perf_counter() - row_start) * 1e3
+            rows.append((method, value, "", "", f"{wall:.3f}",
+                         f"error: {type(err).__name__}"))
+            print(f"bench row {method} {value}: {err}", file=sys.stderr)
+
+    bench_path = out_dir / "bench.csv"
+    with open(bench_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(BENCH_HEADER + "\n")
+        for method, value, drift, steps, wall, status in rows:
+            fh.write(f"{method},{_fmt(value)},{drift},{steps},{wall},{status}\n")
+    manifest["outputs"] = {"bench": str(bench_path)}
+    return EXIT_OK if ok_count > 0 else EXIT_INTEGRATOR
 
 
 def cmd_convert(args) -> int:
@@ -358,101 +415,6 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _bench_grid(args, scn: Scenario) -> list[tuple[str, float]]:
-    methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
-    dts = [float(v) for v in (args.dt or "").split(",") if v.strip()]
-    tols = [float(v) for v in (args.tol or "").split(",") if v.strip()]
-    grid: list[tuple[str, float]] = []
-    for method in methods:
-        if method not in model.METHODS:
-            raise ConfigError(f"unknown method {method!r} in --methods")
-        values = tols if method == "adaptive54" else dts
-        grid.extend((method, v) for v in values)
-    if not grid:
-        raise ConfigError("empty bench grid: give --methods plus --dt and/or --tol")
-    for method, value in grid:
-        if method != "adaptive54":
-            model.check_grid_size(scn.plan.t_end - scn.initial.t,
-                                  scn.plan.output_stride, value)
-    return grid
-
-
-def _bench_row(scn: Scenario, method: str, value: float, quad_tol: float) -> tuple[float, int]:
-    """One bench run; returns (max_rel_drift, steps)."""
-    st = scn.initial
-    plan = scn.plan
-    if method == "verlet":
-        if scn.potential_V is None and scn.potential_W is None:
-            raise ConfigError("verlet bench rows need V/W potentials to "
-                              "evaluate the transformed-frame energy")
-        accel = dynamics.qframe_accel_from_scenario(scn)
-        m0 = scn.m(st.t)
-        init = QFrameState(tau=0.0, Q=st.q / st.f,
-                           Q_prime=m0 * (st.q_dot * st.f - st.q * st.f_dot))
-        traj = integrators.integrate_verlet(accel, init, value,
-                                            plan.t_end - st.t, plan.output_stride)
-        e = np.array([invariants.energy_Q(
-            QFrameState(tau=t, Q=y[0], Q_prime=y[1]),
-            scn.potential_V, scn.potential_W) for t, y in zip(traj.t, traj.y)])
-        drift = float(np.max(np.abs(e - e[0])))
-        rel = drift / abs(e[0]) if abs(e[0]) >= 1e-12 else 0.0
-        return rel, traj.step_count
-
-    y0 = np.array([st.q, st.q_dot, st.f, st.f_dot, st.tau])
-    rhs = dynamics.phys_ode(scn)
-    if method == "rk4":
-        traj = integrators.integrate_fixed_rk4(rhs, y0, st.t, plan.t_end,
-                                               value, plan.output_stride)
-    else:
-        traj = integrators.integrate_adaptive54(rhs, y0, st.t, plan.t_end,
-                                                value, plan.output_stride)
-    report = invariants.drift_report(traj, scn, quad_tol)
-    return report.max_rel_drift, traj.step_count
-
-
-def cmd_bench(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-    manifest = {"command": "bench", "config_path": args.config,
-                "overrides": list(args.set or []), "outputs": {}}
-    try:
-        doc, scn = _load(args)
-        grid = _bench_grid(args, scn)
-    except ErmakovError as err:
-        print(f"error: {err}", file=sys.stderr)
-        manifest.update(error=str(err), exit_status=EXIT_CONFIG)
-        _write_manifest(out_dir, manifest, t_start)
-        return EXIT_CONFIG
-
-    manifest.update(_scenario_echo(doc, scn), config_text=doc.text)
-    rows = []
-    ok_count = 0
-    for method, value in grid:
-        row_start = time.perf_counter()
-        try:
-            drift, steps = _bench_row(scn, method, value, args.quad_tol)
-            wall = (time.perf_counter() - row_start) * 1e3
-            rows.append((method, value, _fmt(drift), str(steps), f"{wall:.3f}", "ok"))
-            ok_count += 1
-        except ErmakovError as err:
-            wall = (time.perf_counter() - row_start) * 1e3
-            rows.append((method, value, "", "", f"{wall:.3f}",
-                         f"error: {type(err).__name__}"))
-            print(f"bench row {method} {value}: {err}", file=sys.stderr)
-
-    bench_path = out_dir / "bench.csv"
-    with open(bench_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(BENCH_HEADER + "\n")
-        for method, value, drift, steps, wall, status in rows:
-            fh.write(f"{method},{_fmt(value)},{drift},{steps},{wall},{status}\n")
-    manifest["outputs"] = {"bench": str(bench_path)}
-    code = EXIT_OK if ok_count > 0 else EXIT_INTEGRATOR
-    manifest["exit_status"] = code
-    _write_manifest(out_dir, manifest, t_start)
-    return code
-
-
 # --- parser ------------------------------------------------------------------
 
 def _add_common(sub) -> None:
@@ -473,17 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="integrate and write trajectory + report")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=_run, body=_simulate)
 
     p = subs.add_parser("check", help="simulate and gate on invariant drift")
     _add_common(p)
     p.add_argument("--max-drift", type=float, default=1e-6,
                    help="maximum tolerated relative drift (default 1e-6)")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=_run, body=_simulate)
 
     p = subs.add_parser("map", help="compare mapped vs direct transformed-frame runs")
     _add_common(p)
-    p.set_defaults(func=cmd_map)
+    p.set_defaults(func=_run, body=_map)
 
     p = subs.add_parser("convert", help="convert coupling representations")
     p.add_argument("--V", help="potential V(Q); prints F(u) = V'(u)/u")
@@ -501,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", help="comma-separated: rk4,adaptive54,verlet")
     p.add_argument("--dt", help="comma-separated dt values for fixed-step methods")
     p.add_argument("--tol", help="comma-separated tolerances for adaptive54")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=_run, body=_bench)
 
     return parser
 

@@ -32,21 +32,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidMassError, PotentialsUnavailableError, SingularityError
+from .errors import PotentialsUnavailableError, SingularityError
 from .expr import Func1, is_zero
-from .model import PhysState, QFrameState, Scenario
+from .model import PhysState, QFrameState, Scenario, mass_at
 
 __all__ = [
     "EPS_SING",
     "DerivPhys",
+    "guard",
     "rhs_phys",
     "rhs_xrho",
-    "rhs_Q",
     "phys_ode",
     "xrho_ode",
-    "qframe_ode",
     "qframe_accel",
-    "qframe_accel_from_scenario",
     "qframe_ode_from_scenario",
     "lagrangian_Q",
     "lagrangian_q_tilde",
@@ -69,24 +67,19 @@ class DerivPhys:
     dtau: float
 
 
-def _guard(name: str, value: float, t: float) -> None:
+def guard(name: str, value: float, t: float) -> None:
+    """Raise SingularityError (at time ``t``) when the coordinate ``name``
+    has fallen below EPS_SING in magnitude."""
     if abs(value) < EPS_SING:
         raise SingularityError(f"|{name}| = {abs(value):.3e} fell below the "
                                f"singularity guard {EPS_SING:g}", t)
-
-
-def _mass_at(scn: Scenario, t: float) -> float:
-    mv = scn.m(t)
-    if not mv > 0.0:
-        raise InvalidMassError(t, mv)
-    return mv
 
 
 # --- kernels ------------------------------------------------------------------
 # Each equation is written once, as a kernel on scalars built per Scenario
 # (which couplings are structurally zero is decided there, not per call).
 # The integrators' vector adapters feed them plain floats; the pointwise
-# rhs_phys and rhs_Q are thin users of the same kernels.
+# rhs_phys is a thin user of the same kernel.
 
 def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
     """(t, q, q_dot, f, f_dot, tau) -> (dq, dq_dot, df, df_dot, dtau)."""
@@ -95,13 +88,13 @@ def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
     has_F, has_G = not is_zero(F.expr), not is_zero(G.expr)
 
     def kernel(t, q, q_dot, f, f_dot, tau):
-        mv = _mass_at(scn, t)
+        mv = mass_at(m, t)
         md = m.deriv(t)
         omt2 = omega_tilde_sq(t)
-        _guard("f", f, t)  # dtau = 1/(m f^2) needs f regardless of couplings
+        guard("f", f, t)  # dtau = 1/(m f^2) needs f regardless of couplings
         g_term = 0.0
         if has_G:
-            _guard("q", q, t)
+            guard("q", q, t)
             g_term = G(f / q) / (mv * mv * q ** 3)
         f_term = 0.0
         if has_F:
@@ -113,9 +106,10 @@ def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
     return kernel
 
 
-def _qframe_kernel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
-                   G: Func1 | None = None) -> Callable[[float, float], float]:
-    """(Q, tau) -> Q'' = -V'(Q) + W'(1/Q)/Q^2.
+def qframe_accel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
+                 G: Func1 | None = None) -> Callable[..., float]:
+    """Transformed-frame acceleration Q'' = -V'(Q) + W'(1/Q)/Q^2, as a
+    function (Q, tau=0.0) -> Q''; tau only labels a singularity-guard error.
 
     A side without a (nonzero) potential falls back to its bare coupling,
     V'(Q) = Q F(Q) and W'(1/Q)/Q^2 = G(1/Q)/Q^3: the same algebra that
@@ -126,17 +120,17 @@ def _qframe_kernel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
     use_W = W is not None and not is_zero(W.expr)
     use_G = not use_W and G is not None and not is_zero(G.expr)
 
-    def kernel(Q, tau):
+    def kernel(Q, tau=0.0):
         accel = 0.0
         if use_V:
             accel -= V.deriv(Q)
         elif use_F:
             accel -= Q * F(Q)
         if use_W:
-            _guard("Q", Q, tau)
+            guard("Q", Q, tau)
             accel += W.deriv(1.0 / Q) / (Q * Q)
         elif use_G:
-            _guard("Q", Q, tau)
+            guard("Q", Q, tau)
             accel += G(1.0 / Q) / (Q ** 3)
         return accel
     return kernel
@@ -155,20 +149,15 @@ def rhs_xrho(x: float, x_dot: float, rho: float, rho_dot: float, t: float,
     om2 = omega_sq(t)
     g_term = 0.0
     if not is_zero(g.expr):
-        _guard("x", x, t)
-        _guard("rho", rho, t)
+        guard("x", x, t)
+        guard("rho", rho, t)
         g_term = g(rho / x) / (rho * x * x)
     h_term = 0.0
     if not is_zero(h.expr):
-        _guard("x", x, t)
-        _guard("rho", rho, t)
+        guard("x", x, t)
+        guard("rho", rho, t)
         h_term = h(x / rho) / (rho * rho * x)
     return x_dot, -om2 * x + g_term, rho_dot, -om2 * rho + h_term
-
-
-def rhs_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> tuple[float, float]:
-    """Autonomous transformed-frame equation of motion."""
-    return state.Q_prime, _qframe_kernel(V, W)(state.Q, state.tau)
 
 
 # --- vector adapters for the integrators -----------------------------------
@@ -209,33 +198,12 @@ def xrho_ode(omega_sq: Callable[[float], float], g: Func1, h: Func1) -> _Ode:
         x, x_dot, rho, rho_dot, t, omega_sq, g, h))
 
 
-def _qframe_ode(kernel: Callable[[float, float], float]) -> _Ode:
-    return _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, kernel(Q, tau)))
-
-
-def qframe_ode(V: Func1 | None, W: Func1 | None) -> _Ode:
-    return _qframe_ode(_qframe_kernel(V, W))
-
-
-def qframe_accel(V: Func1 | None, W: Func1 | None) -> Callable[[float], float]:
-    """Position-only acceleration Q -> Q'' for the symplectic stepper."""
-    kernel = _qframe_kernel(V, W)
-    return lambda Q: kernel(Q, 0.0)
-
-
-def qframe_accel_from_scenario(scn: Scenario) -> Callable[[float], float]:
-    """Transformed-frame acceleration for any scenario.
-
-    Prefers the potentials; scenarios built from bare couplings use the
-    equivalent form Q'' = -Q F(Q) + G(1/Q)/Q^3."""
-    kernel = _qframe_kernel(scn.potential_V, scn.potential_W,
-                            scn.coupling_F, scn.coupling_G)
-    return lambda Q: kernel(Q, 0.0)
-
-
 def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
-    return _qframe_ode(_qframe_kernel(scn.potential_V, scn.potential_W,
-                                      scn.coupling_F, scn.coupling_G))
+    """Transformed-frame ODE in tau for any scenario: the potentials where
+    given, else the bare couplings (see qframe_accel)."""
+    accel = qframe_accel(scn.potential_V, scn.potential_W,
+                         scn.coupling_F, scn.coupling_G)
+    return _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, accel(Q, tau)))
 
 
 # --- Lagrangians and the gauge identity -------------------------------------
@@ -246,7 +214,7 @@ def lagrangian_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     if V is not None and not is_zero(V.expr):
         val -= V(state.Q)
     if W is not None and not is_zero(W.expr):
-        _guard("Q", state.Q, state.tau)
+        guard("Q", state.Q, state.tau)
         val -= W(1.0 / state.Q)
     return val
 
@@ -254,8 +222,8 @@ def lagrangian_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
 def _ddt_m_fdot(state: PhysState, scn: Scenario) -> float:
     """d/dt(m f') eliminated through the auxiliary equation of motion:
     -m w~2 f + F(q/f)/(m f^3).  Keeps every consumer step-size free."""
-    mv = _mass_at(scn, state.t)
-    _guard("f", state.f, state.t)
+    mv = mass_at(scn.m, state.t)
+    guard("f", state.f, state.t)
     val = -mv * scn.omega_tilde_sq(state.t) * state.f
     if not is_zero(scn.coupling_F.expr):
         val += scn.coupling_F(state.q / state.f) / (mv * state.f ** 3)
@@ -278,13 +246,13 @@ def lagrangian_q_tilde(state: PhysState, scn: Scenario) -> float:
     """
     V, W = _require_potentials(scn)
     t, q, q_dot, f = state.t, state.q, state.q_dot, state.f
-    mv = _mass_at(scn, t)
-    _guard("f", f, t)
+    mv = mass_at(scn.m, t)
+    guard("f", f, t)
     val = 0.5 * mv * q_dot ** 2 + 0.5 * (q * q / f) * _ddt_m_fdot(state, scn)
     if not is_zero(V.expr):
         val -= V(q / f) / (mv * f * f)
     if not is_zero(W.expr):
-        _guard("q", q, t)
+        guard("q", q, t)
         val -= W(f / q) / (mv * f * f)
     return val
 
@@ -302,8 +270,8 @@ def gauge_residual(state: PhysState, scn: Scenario) -> float:
     """
     _require_potentials(scn)
     t, q, q_dot, f, f_dot = state.t, state.q, state.q_dot, state.f, state.f_dot
-    mv = _mass_at(scn, t)
-    _guard("f", f, t)
+    mv = mass_at(scn.m, t)
+    guard("f", f, t)
     Q = q / f
     Q_prime = mv * (q_dot * f - q * f_dot)
     l_q = lagrangian_Q(QFrameState(tau=state.tau, Q=Q, Q_prime=Q_prime),

@@ -35,12 +35,14 @@ class ConfigError(ErmakovError):
 
 
 class InvalidMassError(ErmakovError):
-    """The mass function evaluated to a non-positive value."""
+    """The mass function evaluated to a value that is not positive and
+    finite."""
 
     def __init__(self, t: float, value: float):
         self.t = t
         self.value = value
-        super().__init__(f"mass m(t) must be positive, got m({t!r}) = {value!r}")
+        super().__init__(f"mass m(t) must be positive and finite, "
+                         f"got m({t!r}) = {value!r}")
 
 
 class SingularityError(ErmakovError):

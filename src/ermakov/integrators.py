@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import qframe_accel
 from .errors import ErmakovError, IntegrationError, SingularityError
 from .expr import Func1
-from .model import QFrameState
+from .model import QFrameState, stride_steps
 
 __all__ = [
     "Trajectory",
@@ -150,8 +150,8 @@ def _stride_steps(output_stride: float, dt: float) -> int:
         raise IntegrationError(f"dt must be positive, got {dt!r}")
     if not output_stride > 0.0:
         raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
-    k = round(output_stride / dt)
-    if k < 1 or abs(k * dt - output_stride) > 1e-9 * output_stride:
+    k = stride_steps(output_stride, dt)
+    if k is None:
         raise IntegrationError(
             f"dt={dt!r} does not subdivide output_stride={output_stride!r} exactly")
     return k
@@ -181,26 +181,26 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     t_last = t0
     for i in range(n_str):
         seg = t0 + i * direction * output_stride
-        for j in range(k_per):
-            t = seg + j * h
-            try:
+        try:
+            for j in range(k_per):
+                t = seg + j * h
                 k1 = rhs(t, y)
                 k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
                 k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
                 k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-            except ErmakovError as err:
-                _attach_partial(err, samples, "rk4", steps, 0, t_last, y)
-                raise
-            y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            steps += 1
-            if not _finite(y):
-                err = IntegrationError(f"non-finite state after step at t={t + h!r}")
-                _attach_partial(err, samples, "rk4", steps, 0, t_last, y)
-                raise err
-            t_last = t + h
-        t_out = t0 + (i + 1) * direction * output_stride
-        samples.add(t_out, y, rhs(t_out, y))
+                y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                steps += 1
+                if not _finite(y):
+                    raise IntegrationError(f"non-finite state after step at t={t + h!r}")
+                t_last = t + h
+            t_out = t0 + (i + 1) * direction * output_stride
+            samples.add(t_out, y, rhs(t_out, y))
+        except ErmakovError as err:
+            # a stage or output-sample RHS call failed (y is the state it
+            # was called at), or the step left y non-finite
+            _attach_partial(err, samples, "rk4", steps, 0, t_last, y)
+            raise
     return samples.build("rk4", steps, 0, dt=dt)
 
 
@@ -309,19 +309,17 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     n_out = _stride_count(t0, t_end, output_stride)
 
     while direction * (t_end - t) > eps_t:
-        if abs(h) < _STEP_FLOOR:
-            # classify as singular: in this problem family the step
-            # collapse is the practical signature of falling into a
-            # 1/q^3-type pole (plain stiffness reads the same way)
-            err = SingularityError(
-                f"step size underflow ({h!r}): the system is stiff or "
-                f"approaching a singularity", t)
-            _attach_partial(err, samples, "adaptive54", steps, rejected, t, y)
-            raise err
-        if direction * (t + h - t_end) > 0.0:
-            h = t_end - t
-
         try:
+            if abs(h) < _STEP_FLOOR:
+                # classify as singular: in this problem family the step
+                # collapse is the practical signature of falling into a
+                # 1/q^3-type pole (plain stiffness reads the same way)
+                raise SingularityError(
+                    f"step size underflow ({h!r}): the system is stiff or "
+                    f"approaching a singularity", t)
+            if direction * (t + h - t_end) > 0.0:
+                h = t_end - t
+
             k2 = rhs(t + _C2 * h, [a + h * (0.0 + _A21 * b1)
                                    for a, b1 in zip(y, k1)])
             k3 = rhs(t + _C3 * h, [a + h * (0.0 + _A31 * b1 + _A32 * b2)
@@ -339,49 +337,51 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                               + _A76 * b6)
                      for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
             k7 = rhs(t + h, y_new)
+
+            if _finite(y_new):
+                err_norm = _error_norm(
+                    [h * (0.0 + _E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
+                          + _E7 * b7)
+                     for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)],
+                    y, y_new, tol)
+            else:
+                err_norm = 10.0
+
+            if err_norm <= 1.0:
+                t_new = t + h
+                # emit dense-output samples inside (t, t_new]
+                seg = None
+                while k_out <= n_out:
+                    t_out = t0 + k_out * direction * output_stride
+                    if direction * (t_out - t_new) > eps_t:
+                        break
+                    if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):
+                        samples.add(t_out, y_new, k7)
+                    else:
+                        if seg is None:
+                            seg = _DenseSegment(t, h, y, y_new, k1, k3, k4, k5, k6, k7)
+                        y_out = seg.eval(t_out)
+                        samples.add(t_out, y_out, rhs(t_out, y_out))
+                    k_out += 1
+                steps += 1
+                t = t_new
+                y = y_new
+                k1 = k7
+                if err_norm == 0.0:
+                    fac = _FAC_MAX
+                else:
+                    fac = _SAFETY * err_norm ** -_PI_ALPHA * err_prev ** _PI_BETA
+                h *= min(_FAC_MAX, max(_FAC_MIN, fac))
+                err_prev = max(err_norm, 1e-4)
+            else:
+                rejected += 1
+                fac = _SAFETY * err_norm ** -0.2
+                h *= min(1.0, max(_FAC_MIN, fac))
         except ErmakovError as err:
+            # the step size collapsed, or a stage or dense-output sample
+            # failed: t, y are the end of the last accepted step
             _attach_partial(err, samples, "adaptive54", steps, rejected, t, y)
             raise
-
-        if _finite(y_new):
-            err_norm = _error_norm(
-                [h * (0.0 + _E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
-                      + _E7 * b7)
-                 for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)],
-                y, y_new, tol)
-        else:
-            err_norm = 10.0
-
-        if err_norm <= 1.0:
-            t_new = t + h
-            # emit dense-output samples inside (t, t_new]
-            seg = None
-            while k_out <= n_out:
-                t_out = t0 + k_out * direction * output_stride
-                if direction * (t_out - t_new) > eps_t:
-                    break
-                if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):
-                    samples.add(t_out, y_new, k7)
-                else:
-                    if seg is None:
-                        seg = _DenseSegment(t, h, y, y_new, k1, k3, k4, k5, k6, k7)
-                    y_out = seg.eval(t_out)
-                    samples.add(t_out, y_out, rhs(t_out, y_out))
-                k_out += 1
-            steps += 1
-            t = t_new
-            y = y_new
-            k1 = k7
-            if err_norm == 0.0:
-                fac = _FAC_MAX
-            else:
-                fac = _SAFETY * err_norm ** -_PI_ALPHA * err_prev ** _PI_BETA
-            h *= min(_FAC_MAX, max(_FAC_MIN, fac))
-            err_prev = max(err_norm, 1e-4)
-        else:
-            rejected += 1
-            fac = _SAFETY * err_norm ** -0.2
-            h *= min(1.0, max(_FAC_MIN, fac))
 
     return samples.build("adaptive54", steps, rejected, tol=tol)
 
@@ -404,13 +404,11 @@ def integrate_verlet(accel: Callable[[float], float], initial: QFrameState,
                      dt: float, tau_end: float,
                      output_stride: float | None = None) -> Trajectory:
     """Kick-drift-kick leapfrog for a position-only acceleration law."""
-    if not dt > 0.0:
-        raise IntegrationError(f"dt must be positive, got {dt!r}")
     if tau_end < initial.tau:
         raise IntegrationError(f"tau_end ({tau_end!r}) precedes the initial "
                                f"tau ({initial.tau!r})")
     stride = dt if output_stride is None else output_stride
-    k_per = _stride_steps(stride, dt)
+    k_per = _stride_steps(stride, dt)  # also rejects dt <= 0
     n_str = _stride_count(initial.tau, tau_end, stride)
 
     samples = _Samples()

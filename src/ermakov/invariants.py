@@ -23,17 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import EPS_SING
-from .errors import (
-    ErmakovError,
-    InvalidMassError,
-    InvariantError,
-    QuadratureError,
-    SingularityError,
-)
+from .dynamics import guard
+from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, is_zero
 from .integrators import Trajectory
-from .model import PhysState, QFrameState, Scenario, to_xrho
+from .model import PhysState, QFrameState, Scenario, mass_at, to_xrho
 
 __all__ = [
     "InvariantReport",
@@ -126,9 +120,7 @@ def energy_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     if V is not None and not is_zero(V.expr):
         val += V(state.Q)
     if W is not None and not is_zero(W.expr):
-        if abs(state.Q) < EPS_SING:
-            raise SingularityError(f"|Q| = {abs(state.Q):.3e} too close to zero "
-                                   f"for the 1/Q potential", state.tau)
+        guard("Q", state.Q, state.tau)
         val += W(1.0 / state.Q)
     return val
 
@@ -145,18 +137,14 @@ def ray_reid_invariant(state: PhysState, scn: Scenario, u_ref: float = 0.0,
     Structurally-zero couplings contribute nothing and do not constrain
     q or f.
     """
-    mv = scn.m(state.t)
-    if not mv > 0.0:
-        raise InvalidMassError(state.t, mv)
+    mv = mass_at(scn.m, state.t)
     val = 0.5 * _wronskian(state, mv) ** 2
     F, G = scn.coupling_F, scn.coupling_G
     if not is_zero(F.expr):
-        if abs(state.f) < EPS_SING:
-            raise SingularityError("f too close to zero", state.t)
+        guard("f", state.f, state.t)
         val += quad(lambda u: u * F(u), u_ref, state.q / state.f, tol)
     if not is_zero(G.expr):
-        if abs(state.q) < EPS_SING:
-            raise SingularityError("q too close to zero", state.t)
+        guard("q", state.q, state.t)
         val += quad(lambda v: v * G(v), v_ref, state.f / state.q, tol)
     return val
 
@@ -170,9 +158,7 @@ def ermakov_lewis(state: PhysState, m_val: float, Omega: float) -> float:
 def wronskian_identity_check(state: PhysState, m: Func1) -> tuple[float, float]:
     """Both sides of m^2 (q'f - qf')^2 == (x'rho - x rho')^2 under the
     x = q sqrt(m), rho = f sqrt(m) rescaling; equal to round-off."""
-    mv = m(state.t)
-    if not mv > 0.0:
-        raise InvalidMassError(state.t, mv)
+    mv = mass_at(m, state.t)
     lhs = _wronskian(state, mv) ** 2
     x, x_dot, rho, rho_dot = to_xrho(state, m)
     rhs = (x_dot * rho - x * rho_dot) ** 2
@@ -267,21 +253,16 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
     n = len(traj)
     e_phys = np.empty(n)
     e_q = np.empty(n)
-    for i in range(n):
-        t = traj.t[i]
+    for i, t in enumerate(traj.t.tolist()):  # float t: messages show plain numbers
         q, q_dot, f, f_dot, _tau = traj.y[i]
-        mv = scn.m(t)
-        if not mv > 0.0:
-            raise InvalidMassError(t, mv)
+        mv = mass_at(scn.m, t)
         w = mv * (q_dot * f - q * f_dot)
         pot_u = pot_v = 0.0
         if not u_side.zero:
-            if abs(f) < EPS_SING:
-                raise SingularityError("f too close to zero", t)
+            guard("f", f, t)
             pot_u = u_side.value(q / f)
         if not v_side.zero:
-            if abs(q) < EPS_SING:
-                raise SingularityError("q too close to zero", t)
+            guard("q", q, t)
             pot_v = v_side.value(f / q)
         # the kinetic terms are algebraically equal but deliberately keep
         # their own arithmetic (m^2 (q'f-qf')^2 vs Q'^2): frame_gap measures
@@ -289,7 +270,7 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
         e_phys[i] = 0.5 * mv * mv * (q_dot * f - q * f_dot) ** 2 + pot_u + pot_v
         e_q[i] = 0.5 * w * w + pot_u + pot_v
         if not (math.isfinite(e_phys[i]) and math.isfinite(e_q[i])):
-            raise InvariantError(f"the invariant is not finite at t={float(t)!r} "
+            raise InvariantError(f"the invariant is not finite at t={t!r} "
                                  f"(E_phys = {float(e_phys[i])!r}, "
                                  f"E_Q = {float(e_q[i])!r})")
 
@@ -305,7 +286,10 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
 
 def report_from_series(e_phys: np.ndarray, e_q: np.ndarray) -> InvariantReport:
     """Summarize precomputed energy series.  Relative drift is suppressed
-    (reported 0) when the initial value is numerically zero."""
+    (reported 0) when the initial value is numerically zero.  Raises
+    InvariantError when a value is not finite."""
+    if not (np.all(np.isfinite(e_phys)) and np.all(np.isfinite(e_q))):
+        raise InvariantError("the invariant is not finite along the trajectory")
     e0 = float(e_phys[0])
     max_abs = float(np.max(np.abs(e_phys - e0)))
     max_rel = max_abs / abs(e0) if abs(e0) >= _REL_SUPPRESS else 0.0

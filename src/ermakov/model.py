@@ -52,6 +52,9 @@ __all__ = [
     "apply_overrides",
     "build_scenario",
     "check_grid_size",
+    "mass_at",
+    "parse_float",
+    "stride_steps",
     "METHODS",
     "MAX_GRID_POINTS",
 ]
@@ -166,6 +169,14 @@ def g_from_G(G: Func1) -> Func1:
 
 # --- mass-induced frequency shift ------------------------------------------
 
+def mass_at(m: Func1, t: float) -> float:
+    """m(t), which must be positive and finite (InvalidMassError otherwise)."""
+    mv = m(t)
+    if not 0.0 < mv < math.inf:
+        raise InvalidMassError(t, mv)
+    return mv
+
+
 def omega_sq_from_mass(m: Func1, omega_tilde_sq: Func1, t: float) -> float:
     """Effective frequency squared after scaling the mass away:
 
@@ -173,9 +184,7 @@ def omega_sq_from_mass(m: Func1, omega_tilde_sq: Func1, t: float) -> float:
 
     May legitimately be negative (inverted oscillator).
     """
-    mv = m(t)
-    if not mv > 0.0:
-        raise InvalidMassError(t, mv)
+    mv = mass_at(m, t)
     md = m.deriv(t)
     mdd = m.deriv2(t)
     return 0.25 * (md / mv) ** 2 - 0.5 * mdd / mv + omega_tilde_sq(t)
@@ -184,9 +193,7 @@ def omega_sq_from_mass(m: Func1, omega_tilde_sq: Func1, t: float) -> float:
 def to_xrho(state: PhysState, m: Func1) -> tuple[float, float, float, float]:
     """Map (q, q_dot, f, f_dot) to the unit-mass pair via x = q sqrt(m),
     rho = f sqrt(m); velocities pick up the (1/2) q m'/sqrt(m) term."""
-    mv = m(state.t)
-    if not mv > 0.0:
-        raise InvalidMassError(state.t, mv)
+    mv = mass_at(m, state.t)
     s = math.sqrt(mv)
     md = m.deriv(state.t)
     x = state.q * s
@@ -263,19 +270,24 @@ def apply_overrides(doc: ConfigDocument, overrides: list[str]) -> ConfigDocument
     return ConfigDocument(sections, doc.text, doc.path)
 
 
+def parse_float(raw: str, name: str) -> float:
+    """A finite float from the text ``raw`` of the value called ``name``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{name} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} = {raw!r} is not a finite number")
+    return value
+
+
 def _get_float(sections, sec, key, default=None):
     raw = sections.get(sec, {}).get(key)
     if raw is None:
         if default is not None:
             return default
         raise ConfigError(f"missing required key {key!r} in section [{sec}]")
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a finite number")
-    return value
+    return parse_float(raw, f"[{sec}] {key}")
 
 
 def _compile_key(sections, sec, key, var) -> Func1:
@@ -323,6 +335,15 @@ def check_grid_size(span: float, output_stride: float,
             f"of {max(span, output_stride)!r}")
 
 
+def stride_steps(output_stride: float, dt: float) -> int | None:
+    """Number of dt steps per output stride, or None when dt (positive)
+    does not subdivide the stride exactly."""
+    k = round(output_stride / dt)
+    if k < 1 or abs(k * dt - output_stride) > 1e-9 * output_stride:
+        return None
+    return k
+
+
 def build_scenario(doc: ConfigDocument) -> Scenario:
     """Validate a config document and materialize the Scenario.
 
@@ -366,11 +387,9 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         if not dt > 0.0:
             raise ConfigError("dt must be positive")
     check_grid_size(t_end - t0, output_stride, dt)
-    if dt is not None:
-        k = round(output_stride / dt)
-        if k < 1 or abs(k * dt - output_stride) > 1e-9 * output_stride:
-            raise ConfigError(f"dt={dt} does not subdivide "
-                              f"output_stride={output_stride} exactly")
+    if dt is not None and stride_steps(output_stride, dt) is None:
+        raise ConfigError(f"dt={dt} does not subdivide "
+                          f"output_stride={output_stride} exactly")
     if method == "adaptive54":
         tol = _get_float(sections, "integration", "tol")
         if not tol > 0.0:
@@ -382,12 +401,9 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
                            output_stride=output_stride)
 
     try:
-        m0 = m(t0)
+        mass_at(m, t0)
     except ErmakovError as err:
-        raise ConfigError(f"mass not evaluable at t0: {err}") from None
-    if not (m0 > 0.0 and math.isfinite(m0)):
-        raise ConfigError(f"mass must be positive and finite at t0, "
-                          f"got m({t0}) = {m0}")
+        raise ConfigError(f"mass not usable at t0: {err}") from None
 
     return Scenario(m=m, omega_tilde_sq=omega_tilde_sq,
                     coupling_F=coupling_F, coupling_G=coupling_G,

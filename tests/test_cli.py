@@ -11,6 +11,11 @@ from ermakov.cli import main
 from ermakov.expr import evaluate, parse
 
 
+def scenario_text(name: str) -> str:
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def run(*argv) -> int:
     return main(list(argv))
 
@@ -194,6 +199,8 @@ class TestCheck:
         # report is still written on drift failure
         assert (tmp_path / "c" / "report.json").exists()
         assert (tmp_path / "c" / "trajectory.csv").exists()
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1
 
     def test_vacuous_threshold_always_passes(self, tmp_path):
         code = run("check", "--config", scenario_path(S1),
@@ -203,6 +210,29 @@ class TestCheck:
                    "--set", "integration.output_stride=0.5",
                    "--max-drift", "1e300")
         assert code == 0
+
+
+    @pytest.mark.parametrize("cfg,command,flags", [
+        (S1, "check", ["--max-drift", "nan"]),
+        (S1, "check", ["--max-drift", "0"]),
+        (S1, "check", ["--max-drift", "inf"]),
+        (S1, "simulate", ["--quad-tol", "-1"]),
+        (S1, "map", ["--quad-tol", "inf"]),
+        ("bare", "simulate", ["--quad-tol", "nan"]),
+        ("bare", "bench", ["--quad-tol", "0", "--methods", "rk4", "--dt", "0.1"]),
+    ])
+    def test_threshold_flags_must_be_finite_positive(self, tmp_path, capsys, cfg,
+                                                     command, flags):
+        bare = tmp_path / "bare.cfg"
+        bare.write_text(BARE_F4)
+        out = tmp_path / "c"
+        config = str(bare) if cfg == "bare" else scenario_path(cfg)
+        assert run(command, "--config", config, "--out", str(out), *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {flags[0]} must be a finite positive number, "
+                       f"got {float(flags[1])!r}"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
 
 
 class TestMap:
@@ -333,6 +363,41 @@ class TestBench:
         assert "more than 1000000 steps" in capsys.readouterr().err
         assert not (out / "bench.csv").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--methods", "rk4", "--dt", "abc"], "--dt = 'abc' is not a number"),
+        (["--methods", "rk4", "--dt", "0.05,0"],
+         "--dt must be a finite positive number, got 0.0"),
+        (["--methods", "verlet", "--dt", "-0.05"],
+         "--dt must be a finite positive number, got -0.05"),
+        (["--methods", "adaptive54", "--tol", "nan"], "--tol = 'nan' is not a finite number"),
+        (["--methods", "adaptive54", "--tol", "1e-8,inf"],
+         "--tol = 'inf' is not a finite number"),
+    ])
+    def test_bad_grid_value_exit_2_before_any_row(self, tmp_path, capsys, flags,
+                                                  message):
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   *flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("coupling,code,status", [
+        ("V = Q^4/4\nW = s^2/2", 0, "ok"),
+        ("V = Q^4/4\nG = 1", 4, "error: ConfigError"),  # W missing: energy wrong
+        ("", 0, "ok"),                                     # free particle
+    ])
+    def test_verlet_row_needs_the_potential_of_every_coupling(
+            self, tmp_path, coupling, code, status):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(scenario_text(S3).replace("V = Q^4/4\nW = s^2/2", coupling))
+        out = tmp_path / "b"
+        assert run("bench", "--config", str(cfg), "--out", str(out),
+                   "--methods", "verlet", "--dt", "0.01") == code
+        row = (out / "bench.csv").read_text().splitlines()[1].split(",")
+        assert row[5] == status
+        if status == "ok":
+            assert float(row[2]) < 1e-3
+
     def test_partial_failure_recorded_per_row(self, tmp_path):
         # verlet cannot run without potentials; rk4 still succeeds
         out = tmp_path / "b"
@@ -360,3 +425,105 @@ output_stride = 0.5
         statuses = {ln.split(",")[0]: ln.split(",")[5] for ln in lines[1:]}
         assert statuses["rk4"] == "ok"
         assert statuses["verlet"].startswith("error")
+
+
+# --- exit paths ---------------------------------------------------------------
+# One row per subcommand x exit path: exit code, stderr line count, manifest
+# keys and the files left in --out.
+
+BARE_F4 = """
+[functions]
+m = 1
+omega_tilde_sq = 1
+[coupling]
+F = 4
+[initial]
+q = 1
+q_dot = 0
+f = 1.4142135623730951
+f_dot = 0
+[integration]
+method = adaptive54
+t_end = 5
+tol = 1e-8
+output_stride = 0.5
+"""
+
+_BASE = {"command", "config_path", "overrides", "outputs", "exit_status", "wall_ms"}
+_LOAD_ERROR = _BASE | {"error"}
+_ECHO = _BASE | {"config", "resolved", "config_text"}
+_RUN_ERROR = _ECHO | {"error", "singularity"}
+_SIMULATED = _ECHO | {"metadata"}
+_PARTIAL = _SIMULATED | {"error", "singularity"}
+_INVARIANT_ERROR = _SIMULATED | {"error"}
+
+_SIM_FILES = {"manifest.json", "report.json", "trajectory.csv"}
+_MAP_FILES = {"manifest.json", "qframe_mapped.csv", "qframe_direct.csv", "gap.json"}
+_MANIFEST_ONLY = {"manifest.json"}
+
+_SHORT = ["--set", "integration.t_end=1"]
+_CONFLICT = ["--set", "coupling.F=4"]
+_VERLET = ["--set", "integration.method=verlet", "--set", "integration.dt=0.01"]
+_POLE = ["--set", "coupling.W=-(s^2)/2"]
+_MASS_ZERO = ["--set", "functions.m=1-0.6*t", "--set", "integration.method=rk4",
+              "--set", "integration.dt=0.05", "--set", "integration.output_stride=0.5",
+              "--set", "integration.t_end=5"]
+_INF_ENERGY = ["--set", "initial.q_dot=1e160"] + _SHORT
+_COARSE = ["--set", "integration.method=rk4", "--set", "integration.dt=0.5",
+           "--set", "integration.output_stride=0.5"]
+
+EXIT_PATHS = [
+    # (id, argv after --config/--out, code, stderr lines, manifest keys, files)
+    ("simulate-0", ["simulate", S1] + _SHORT, 0, 0, _SIMULATED, _SIM_FILES),
+    ("simulate-2-load", ["simulate", S1] + _CONFLICT, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
+    ("simulate-2-verlet", ["simulate", S1] + _VERLET, 2, 1, _RUN_ERROR, _MANIFEST_ONLY),
+    ("simulate-3", ["simulate", S1] + _POLE, 3, 1, _PARTIAL, _SIM_FILES),
+    ("simulate-4-mass", ["simulate", S1] + _MASS_ZERO, 4, 1, _PARTIAL, _SIM_FILES),
+    ("simulate-4-invariant", ["simulate", S1] + _INF_ENERGY, 4, 1, _INVARIANT_ERROR,
+     _SIM_FILES),
+    ("check-0", ["check", S1] + _SHORT, 0, 0, _SIMULATED, _SIM_FILES),
+    ("check-1", ["check", S1] + _COARSE, 1, 1, _SIMULATED, _SIM_FILES),
+    ("check-2-load", ["check", S1] + _CONFLICT, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
+    ("check-2-verlet", ["check", S1] + _VERLET, 2, 1, _RUN_ERROR, _MANIFEST_ONLY),
+    ("check-3", ["check", S1] + _POLE, 3, 1, _PARTIAL, _SIM_FILES),
+    ("check-4", ["check", S1] + _INF_ENERGY, 4, 1, _INVARIANT_ERROR, _SIM_FILES),
+    ("map-0", ["map", S1] + _SHORT, 0, 0, _ECHO, _MAP_FILES),
+    ("map-2-load", ["map", S1, "--set", "integration.tol=0"], 2, 1, _LOAD_ERROR,
+     _MANIFEST_ONLY),
+    ("map-2-verlet", ["map", S1] + _VERLET, 2, 1, _RUN_ERROR, _MANIFEST_ONLY),
+    ("map-3", ["map", S1] + _POLE, 3, 1, _RUN_ERROR, _MANIFEST_ONLY),
+    ("map-4", ["map", S1] + _MASS_ZERO, 4, 1, _RUN_ERROR, _MANIFEST_ONLY),
+    ("bench-0", ["bench", S1, "--methods", "rk4", "--dt", "0.05"] + _SHORT, 0, 0,
+     _ECHO, {"manifest.json", "bench.csv"}),
+    ("bench-2", ["bench", S1, "--methods", "rk4"], 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
+    ("bench-4", ["bench", "bare", "--methods", "verlet", "--dt", "0.1"], 4, 1, _ECHO,
+     {"manifest.json", "bench.csv"}),
+]
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize("argv,code,lines,keys,files",
+                             [case[1:] for case in EXIT_PATHS],
+                             ids=[case[0] for case in EXIT_PATHS])
+    def test_exit_path(self, tmp_path, capsys, argv, code, lines, keys, files):
+        command, cfg, *rest = argv
+        bare = tmp_path / "bare.cfg"
+        bare.write_text(BARE_F4)
+        out = tmp_path / "out"
+        config = str(bare) if cfg == "bare" else scenario_path(cfg)
+        assert run(command, "--config", config, "--out", str(out), *rest) == code
+        assert len(capsys.readouterr().err.splitlines()) == lines
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == keys
+        assert {p.name for p in out.iterdir()} == files
+
+    @pytest.mark.parametrize("argv,code", [
+        (["convert", "--V", "2*Q^2"], 0),
+        (["convert", "--V", "2*Q^"], 2),
+    ])
+    def test_convert_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == (0 if code == 0 else 1)
+        assert list(tmp_path.iterdir()) == []

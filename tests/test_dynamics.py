@@ -145,34 +145,32 @@ class TestRhsXRho:
 
 
 class TestRhsQ:
+    """The transformed-frame equation of motion, through qframe_accel."""
+
     def test_equilibrium_of_mixed_potential(self):
         V = compile_func("2*Q^2", "Q")      # (1/2) Omega^2 Q^2, Omega = 2
         W = compile_func("2*s^2", "s")      # (1/2) k s^2, k = 4
-        dQ, dQp = dynamics.rhs_Q(QFrameState(tau=0.0, Q=1.0, Q_prime=0.0), V, W)
-        assert (dQ, dQp) == (0.0, pytest.approx(0.0, abs=1e-14))
+        assert dynamics.qframe_accel(V, W)(1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_harmonic_frequency(self):
         V = compile_func("2*Q^2", "Q")
         W = compile_func("0", "s")
         for Q in (-1.0, 0.3, 2.0):
-            _, dQp = dynamics.rhs_Q(QFrameState(tau=0.0, Q=Q, Q_prime=0.0), V, W)
-            assert dQp == pytest.approx(-4.0 * Q, rel=1e-14)
+            assert dynamics.qframe_accel(V, W)(Q) == pytest.approx(-4.0 * Q, rel=1e-14)
 
     def test_free_particle(self):
         V = compile_func("0", "Q")
         W = compile_func("0", "s")
-        _, dQp = dynamics.rhs_Q(QFrameState(tau=0.0, Q=0.5, Q_prime=2.0), V, W)
-        assert dQp == 0.0
+        assert dynamics.qframe_accel(V, W)(0.5) == 0.0
 
     def test_zero_crossing_allowed_without_barrier(self):
         V = compile_func("2*Q^2", "Q")
-        _, dQp = dynamics.rhs_Q(QFrameState(tau=0.0, Q=0.0, Q_prime=1.0), V, None)
-        assert dQp == 0.0
+        assert dynamics.qframe_accel(V, None)(0.0) == 0.0
 
     def test_barrier_guard(self):
         W = compile_func("s^2/2", "s")
         with pytest.raises(SingularityError):
-            dynamics.rhs_Q(QFrameState(tau=0.0, Q=1e-12, Q_prime=0.0), None, W)
+            dynamics.qframe_accel(None, W)(1e-12)
 
 
 class TestLagrangians:
@@ -297,7 +295,7 @@ class TestFrameEquivalence:
                                                 st.t, 30.0, 1e-10, 0.05)
         tau = traj.y[:, 4]
         direct = integrators.integrate_adaptive54(
-            dynamics.qframe_ode(s1.potential_V, s1.potential_W),
+            dynamics.qframe_ode_from_scenario(s1),
             np.array([st.q / st.f, st.q_dot * st.f - st.q * st.f_dot]),
             0.0, float(tau[-1]), 1e-10, 0.01)
         worst = 0.0

@@ -1,15 +1,17 @@
 """Golden outputs: sha256 of every data file the shipped runs write,
-and of the raw arrays of two direct integrator runs.
+of the cost-free columns of two bench tables, and of the raw arrays of
+two direct integrator runs.
 
 A speed-up that changes no arithmetic must leave these bytes alone, so
 this gate fails on any change to a trajectory, report, Q-frame CSV or
-gap file.  The CLI runs cover state widths 5 (physical pair) and 2
-(transformed frame); the direct runs add widths 4 (unit-mass x-rho
-pair) and 1, because the step controller's error norm sums over the
-components and its rounding depends on their number.  The digests are
-pinned to the environment recorded in ``golden_digests.json`` (libm
-``sin``/``exp`` may round differently elsewhere); on another environment
-the test is skipped.
+gap file, and on any change to a bench row other than its ``wall_ms``
+timing (dropped before hashing).  The CLI runs cover state widths 5
+(physical pair) and 2 (transformed frame); the direct runs add widths 4
+(unit-mass x-rho pair) and 1, because the step controller's error
+norm sums over the components and its rounding depends on their number.
+The digests are pinned to the environment recorded in
+``golden_digests.json`` (libm ``sin``/``exp`` may round differently
+elsewhere); on another environment the test is skipped.
 
 Regenerate after a declared output change with
 
@@ -62,6 +64,7 @@ output_stride = 0.01
 
 SIMULATE_FILES = ("trajectory.csv", "report.json")
 MAP_FILES = ("qframe_mapped.csv", "qframe_direct.csv", "gap.json")
+BENCH_GRID = ["--methods", "rk4,adaptive54,verlet", "--dt", "0.1,0.05", "--tol", "1e-8"]
 
 
 def _environment() -> dict:
@@ -78,6 +81,16 @@ def _runs(work: Path):
                SIMULATE_FILES)
         yield f"map-{label}", ["map", "--config", scenario_path(cfg)], MAP_FILES
     yield "check-bare_rk4", ["check", "--config", str(bare)], SIMULATE_FILES
+    for label, cfg in (("s1", S1), ("s3", S3)):
+        yield (f"bench-{label}", ["bench", "--config", scenario_path(cfg)] + BENCH_GRID,
+               ("bench.csv",))
+
+
+def _without_wall_ms(data: bytes) -> bytes:
+    """bench.csv with its wall_ms column (the 5th) removed."""
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    return "".join(",".join(line.split(",")[:4] + line.split(",")[5:])
+                   for line in lines).encode("utf-8")
 
 
 def _forced_cubic(t, y):
@@ -107,6 +120,8 @@ def compute_digests(work: Path) -> dict[str, str]:
             raise AssertionError(f"{name} exited with {code}")
         for fname in files:
             data = (out / fname).read_bytes()
+            if fname == "bench.csv":
+                data = _without_wall_ms(data)
             digests[f"{name}/{fname}"] = hashlib.sha256(data).hexdigest()
     for name, traj in _direct_runs():
         for field in ("t", "y", "dy"):

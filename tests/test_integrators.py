@@ -86,6 +86,26 @@ class TestFixedRK4:
         assert err.last_state is not None
 
 
+    def test_partial_trajectory_attached_on_output_sample_failure(self):
+        # calls: 1 initial sample, then per stride 5 steps x 4 stages + 1
+        # sample, so call 64 is the sample at t = 0.75 alone
+        calls = []
+
+        def pole_at_sample(t, y):
+            calls.append(t)
+            if len(calls) == 1 + 3 * (5 * 4 + 1):
+                raise SingularityError("synthetic pole", t)
+            return harmonic(t, y)
+
+        with pytest.raises(SingularityError) as exc:
+            integrate_fixed_rk4(pole_at_sample, np.array([1.0, 0.0]), 0.0, 2.0,
+                                0.05, 0.25)
+        err = exc.value
+        assert err.t == 0.75
+        assert err.partial is not None and err.last_state is not None
+        assert err.partial.t.tolist() == [0.0, 0.25, 0.5]
+
+
 class TestAdaptive54:
     def test_long_harmonic_phase_error(self):
         traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0,
@@ -137,6 +157,23 @@ class TestAdaptive54:
         with pytest.raises(SingularityError, match="underflow") as exc:
             integrate_adaptive54(blowup, np.array([1.0]), 0.0, 2.0, 1e-10, 0.5)
         assert exc.value.partial is not None
+
+
+    def test_partial_trajectory_attached_on_dense_output_failure(self):
+        # the guard trips only in the RHS call of the dense-output sample
+        # at t = 0.75, which falls strictly inside an accepted step
+        def pole_at_sample(t, y):
+            if t == 0.75:
+                raise SingularityError("synthetic pole", t)
+            return harmonic(t, y)
+
+        with pytest.raises(SingularityError) as exc:
+            integrate_adaptive54(pole_at_sample, np.array([1.0, 0.0]), 0.0, 2.0,
+                                 1e-8, 0.25)
+        err = exc.value
+        assert err.partial is not None and err.last_state is not None
+        assert err.partial.t.tolist() == [0.0, 0.25, 0.5]
+        assert err.last_t < 0.75
 
     @pytest.mark.parametrize("width", range(1, 8))
     def test_error_norm_rounds_like_numpy(self, width):

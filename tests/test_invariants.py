@@ -7,7 +7,7 @@ import pytest
 
 from conftest import S1, S3, load_scenario, random_phys_states
 from ermakov import dynamics, integrators, model
-from ermakov.errors import QuadratureError, SingularityError
+from ermakov.errors import InvariantError, QuadratureError, SingularityError
 from ermakov.expr import compile_func
 from ermakov.invariants import (
     InvariantReport,
@@ -18,6 +18,7 @@ from ermakov.invariants import (
     invariant_series,
     quad,
     ray_reid_invariant,
+    report_from_series,
     wronskian_identity_check,
 )
 from ermakov.model import PhysState, QFrameState
@@ -212,6 +213,12 @@ class TestDriftReport:
         rep = drift_report(traj, scn)
         assert rep.max_abs_drift == 0.0
         assert rep.max_rel_drift == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_series_rejected(self, bad):
+        e = np.array([1.0, bad, 1.0])
+        with pytest.raises(InvariantError):
+            report_from_series(e, e)
 
     def test_single_sample(self, s1):
         traj = _traj(s1, t_end=s1.initial.t)

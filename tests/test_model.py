@@ -18,6 +18,7 @@ from ermakov.model import (
     build_scenario,
     g_from_G,
     h_from_F,
+    mass_at,
     omega_sq_from_mass,
     parse_config,
     to_xrho,
@@ -143,6 +144,11 @@ class TestOmegaSqFromMass:
         mdd = (m(h) - 2 * m(0.0) + m(-h)) / h**2
         assert got == pytest.approx(0.25 * md**2 - 0.5 * mdd, abs=1e-5)
         assert got == pytest.approx(0.0625, abs=1e-12)
+
+    @pytest.mark.parametrize("source", ["0", "-1", "1e400"])
+    def test_mass_at_rejects_nonpositive_or_non_finite(self, source):
+        with pytest.raises(InvalidMassError):
+            mass_at(compile_func(source, "t"), 0.5)
 
     def test_nonpositive_mass_rejected(self):
         m = compile_func("t", "t")
