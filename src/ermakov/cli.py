@@ -67,10 +67,22 @@ def _require_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def _threshold(raw: str, name: str) -> float:
+    """The finite positive number a threshold flag's text ``raw`` names."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{name} = {raw!r} is not a number") from None
+    _require_positive(name, value)
+    return value
+
+
 def _load(args) -> tuple[ConfigDocument, Scenario]:
-    _require_positive("--quad-tol", args.quad_tol)
-    if args.command == "check":
-        _require_positive("--max-drift", args.max_drift)
+    """Parse the threshold flags in place, then load and build the scenario."""
+    if hasattr(args, "quad_tol"):
+        args.quad_tol = _threshold(args.quad_tol, "--quad-tol")
+    if hasattr(args, "max_drift"):
+        args.max_drift = _threshold(args.max_drift, "--max-drift")
     doc = model.load_config(args.config)
     if args.set:
         doc = model.apply_overrides(doc, args.set)
@@ -422,7 +434,11 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                      help="override a config value (repeatable)")
-    sub.add_argument("--quad-tol", type=float, default=1e-10,
+
+
+def _add_quad_tol(sub) -> None:
+    # a string, parsed by _load, so a malformed value is a config error
+    sub.add_argument("--quad-tol", default="1e-10",
                      help="quadrature tolerance for invariant evaluation")
 
 
@@ -435,11 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="integrate and write trajectory + report")
     _add_common(p)
+    _add_quad_tol(p)
     p.set_defaults(func=_run, body=_simulate)
 
     p = subs.add_parser("check", help="simulate and gate on invariant drift")
     _add_common(p)
-    p.add_argument("--max-drift", type=float, default=1e-6,
+    _add_quad_tol(p)
+    p.add_argument("--max-drift", default="1e-6",
                    help="maximum tolerated relative drift (default 1e-6)")
     p.set_defaults(func=_run, body=_simulate)
 
@@ -460,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="drift/cost table over a method grid")
     _add_common(p)
+    _add_quad_tol(p)
     p.add_argument("--methods", help="comma-separated: rk4,adaptive54,verlet")
     p.add_argument("--dt", help="comma-separated dt values for fixed-step methods")
     p.add_argument("--tol", help="comma-separated tolerances for adaptive54")

@@ -27,13 +27,14 @@ harmonic q(t) may pass through zero when G = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import PotentialsUnavailableError, SingularityError
-from .expr import Func1, is_zero
+from .expr import Func1, Inliner, is_zero
 from .model import PhysState, QFrameState, Scenario, mass_at
 
 __all__ = [
@@ -106,6 +107,17 @@ def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
     return kernel
 
 
+def _qframe_side(potential: Func1 | None, coupling: Func1 | None
+                 ) -> tuple[Func1 | None, bool]:
+    """(function, is_potential) for one side of Q'': the nonzero
+    potential, else the nonzero bare coupling, else (None, False)."""
+    if potential is not None and not is_zero(potential.expr):
+        return potential, True
+    if coupling is not None and not is_zero(coupling.expr):
+        return coupling, False
+    return None, False
+
+
 def qframe_accel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
                  G: Func1 | None = None) -> Callable[..., float]:
     """Transformed-frame acceleration Q'' = -V'(Q) + W'(1/Q)/Q^2, as a
@@ -115,23 +127,17 @@ def qframe_accel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
     V'(Q) = Q F(Q) and W'(1/Q)/Q^2 = G(1/Q)/Q^3: the same algebra that
     defines F and G from V' and W'.
     """
-    use_V = V is not None and not is_zero(V.expr)
-    use_F = not use_V and F is not None and not is_zero(F.expr)
-    use_W = W is not None and not is_zero(W.expr)
-    use_G = not use_W and G is not None and not is_zero(G.expr)
+    u_fn, u_pot = _qframe_side(V, F)
+    s_fn, s_pot = _qframe_side(W, G)
 
     def kernel(Q, tau=0.0):
         accel = 0.0
-        if use_V:
-            accel -= V.deriv(Q)
-        elif use_F:
-            accel -= Q * F(Q)
-        if use_W:
+        if u_fn is not None:
+            accel -= u_fn.deriv(Q) if u_pot else Q * u_fn(Q)
+        if s_fn is not None:
             guard("Q", Q, tau)
-            accel += W.deriv(1.0 / Q) / (Q * Q)
-        elif use_G:
-            guard("Q", Q, tau)
-            accel += G(1.0 / Q) / (Q ** 3)
+            accel += (s_fn.deriv(1.0 / Q) / (Q * Q) if s_pot
+                      else s_fn(1.0 / Q) / (Q ** 3))
         return accel
     return kernel
 
@@ -189,8 +195,39 @@ def _vector_rhs(kernel: Callable[..., tuple[float, ...]]) -> _Ode:
     return rhs
 
 
+# --- generated right-hand sides ---------------------------------------------
+# phys_ode and qframe_ode_from_scenario, which the integrators call tens of
+# thousands of times per run, are each one function generated per scenario
+# (expr.Inliner): the inlined expressions, then the reference kernel's own
+# arithmetic, term for term.  A call that raises, meets a non-finite
+# expression intermediate, an invalid mass, a tripped guard or an at_zero
+# point returns the reference adapter's result instead, so values, errors
+# and the numpy-scalar redo are the reference's.  rhs_phys, qframe_accel and
+# xrho_ode stay on the reference kernels.
+
 def phys_ode(scn: Scenario) -> _Ode:
-    return _vector_rhs(_phys_kernel(scn))
+    m, F, G = scn.m, scn.coupling_F, scn.coupling_G
+    em = Inliner()
+    eps = em.bind(EPS_SING)
+    em.let("y", "q, q_dot, f, f_dot, tau")
+    mv = em.call(m, "t")
+    md = em.inline(m.d1, "t")
+    omt2 = em.call(scn.omega_tilde_sq, "t")
+    em.require(f"0.0 < {mv} < {em.bind(math.inf)}")
+    em.require(f"abs(f) >= {eps}")
+    g_term = f_term = "0.0"
+    if not is_zero(G.expr):
+        em.require(f"abs(q) >= {eps}")
+        g_val = em.call(G, em.let("f / q"))
+        g_term = em.let(f"{g_val} / ({mv} * {mv} * q ** 3)")
+    if not is_zero(F.expr):
+        f_val = em.call(F, em.let("q / f"))
+        f_term = em.let(f"{f_val} / ({mv} * {mv} * f ** 3)")
+    drag = em.let(f"{md} / {mv}")
+    dy = em.let(f"(q_dot, -{drag} * q_dot - {omt2} * q + {g_term}, "
+                f"f_dot, -{drag} * f_dot - {omt2} * f + {f_term}, "
+                f"1.0 / ({mv} * f * f))")
+    return em.build("t, y", dy, _vector_rhs(_phys_kernel(scn)))
 
 
 def xrho_ode(omega_sq: Callable[[float], float], g: Func1, h: Func1) -> _Ode:
@@ -201,9 +238,25 @@ def xrho_ode(omega_sq: Callable[[float], float], g: Func1, h: Func1) -> _Ode:
 def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
     """Transformed-frame ODE in tau for any scenario: the potentials where
     given, else the bare couplings (see qframe_accel)."""
-    accel = qframe_accel(scn.potential_V, scn.potential_W,
-                         scn.coupling_F, scn.coupling_G)
-    return _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, accel(Q, tau)))
+    u_fn, u_pot = _qframe_side(scn.potential_V, scn.coupling_F)
+    s_fn, s_pot = _qframe_side(scn.potential_W, scn.coupling_G)
+    em = Inliner()
+    em.let("y", "Q, Q_prime")
+    accel = "0.0"
+    if u_fn is not None:
+        u_term = (em.inline(u_fn.d1, "Q") if u_pot
+                  else em.let(f"Q * {em.call(u_fn, 'Q')}"))
+        accel = em.let(f"{accel} - {u_term}")
+    if s_fn is not None:
+        em.require(f"abs(Q) >= {em.bind(EPS_SING)}")
+        s = em.let("1.0 / Q")
+        s_term = (em.let(f"{em.inline(s_fn.d1, s)} / (Q * Q)") if s_pot
+                  else em.let(f"{em.call(s_fn, s)} / (Q ** 3)"))
+        accel = em.let(f"{accel} + {s_term}")
+    ref = qframe_accel(scn.potential_V, scn.potential_W,
+                       scn.coupling_F, scn.coupling_G)
+    return em.build("tau, y", em.let(f"(Q_prime, {accel})"),
+                    _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, ref(Q, tau))))
 
 
 # --- Lagrangians and the gauge identity -------------------------------------

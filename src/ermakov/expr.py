@@ -18,7 +18,10 @@ stay exact (no finite differencing anywhere downstream).
 compiles each of its expressions, on first use, to straight-line Python
 doing the same floating-point operations in the same order, and hands
 every point the tree walk would reject back to ``evaluate`` so the
-domain error still names the offending subexpression.
+domain error still names the offending subexpression.  The same code
+generator (``Inliner``) fuses several expressions and the arithmetic
+around them into one function, for the dynamics' right-hand sides and
+the invariant's quadrature integrands.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "is_zero",
     "compile_func",
     "func_from_expr",
+    "Inliner",
     "constant_func",
 ]
 
@@ -464,81 +468,123 @@ _UNARY_CODE = {"neg": "-{}", "sin": "_sin({})", "cos": "_cos({})",
                "exp": "_exp({})", "ln": "_ln({})", "sqrt": "_sqrt({})"}
 
 
+class Inliner:
+    """Straight-line Python for one function that inlines expressions.
+
+    ``inline(e, x)`` emits evaluate's operations on the variable named
+    ``x`` in its order, one temporary per operator node (a subtree shared
+    by identity once), and returns the name holding the value.  Constants
+    and exponents are bound by name, never printed (``1e400`` is
+    ``Const(inf)``), and ``^`` is ``math.pow`` as in the tree walk.
+    ``call`` inlines a Func1's f; ``let`` emits the caller's own
+    arithmetic around the expressions, and ``require`` a condition the
+    result needs.
+
+    ``build(params, result, slow)`` returns a function of ``params``
+    that returns ``result`` only when no emitted line raised, the sum of
+    every Binary/Pow intermediate (what the tree walk rejects when not
+    finite) is finite and every required condition holds.  Otherwise it
+    returns ``slow(*params)``, the reference computation, which raises or
+    returns what it always does (the sum can overflow on finite terms:
+    that costs a redundant slow call, never a wrong value).
+    """
+
+    def __init__(self):
+        self.bound: dict[str, object] = dict(_MATH)
+        self.lines: list[str] = []
+        self.checked: list[str] = []
+        self.conditions: list[str] = []
+
+    def bind(self, value: object) -> str:
+        name = f"c{len(self.bound)}"
+        self.bound[name] = value
+        return name
+
+    def let(self, code: str, target: str | None = None) -> str:
+        """Emit ``target = code`` (a fresh temporary by default)."""
+        target = target or f"r{len(self.lines)}"
+        self.lines.append(f"{target} = {code}")
+        return target
+
+    def require(self, condition: str) -> None:
+        self.conditions.append(condition)
+
+    def inline(self, e: Expr, x: str) -> str:
+        names: dict[int, str] = {}
+
+        def emit(node: Expr) -> str:
+            if isinstance(node, Var):
+                return x
+            name = names.get(id(node))
+            if name is not None:
+                return name
+            if isinstance(node, Const):
+                name = self.bind(node.value)
+            else:
+                if isinstance(node, Unary):
+                    if node.op not in _UNARY_CODE:
+                        raise AssertionError(f"unknown unary op {node.op!r}")
+                    code = _UNARY_CODE[node.op].format(emit(node.arg))
+                elif isinstance(node, Binary):
+                    if node.op not in ("+", "-", "*", "/"):
+                        raise AssertionError(f"unknown binary op {node.op!r}")
+                    code = f"{emit(node.left)} {node.op} {emit(node.right)}"
+                elif isinstance(node, Pow):
+                    code = f"_pow({emit(node.base)}, {self.bind(node.exponent)})"
+                else:
+                    raise TypeError(f"not an Expr node: {node!r}")
+                name = self.let(code)
+                if not isinstance(node, Unary):
+                    self.checked.append(name)
+            names[id(node)] = name
+            return name
+
+        return emit(e)
+
+    def call(self, fn: "Func1", x: str) -> str:
+        """Inline fn(x); the point x == 0.0 of an ``at_zero`` function is
+        left to the slow path."""
+        if fn.at_zero is not None:
+            self.require(f"{x} != 0.0")
+        return self.inline(fn.expr, x)
+
+    def build(self, params: str, result: str, slow: Callable,
+              head: tuple[str, ...] = ()) -> Callable:
+        """The generated function of ``params`` (source text, e.g.
+        ``"t, y"``) returning the emitted name ``result``; ``head`` lines
+        run first, outside the checks."""
+        fallback = f"return _slow({params})"
+        body = list(head)
+        if self.lines:
+            body += ["try:", *(f"    {ln}" for ln in self.lines),
+                     "except (ZeroDivisionError, ValueError, OverflowError):",
+                     f"    {fallback}"]
+        tests = list(self.conditions)
+        if self.checked:
+            body.append(f"s = {' + '.join(self.checked)}")
+            tests.append("s - s == 0.0")
+        if tests:
+            body += [f"if {' and '.join(tests)}: return {result}", fallback]
+        else:
+            body.append(f"return {result}")
+        bound = {"_slow": slow, **self.bound}
+        src = (f"def _factory({', '.join(bound)}):\n"
+               f"    def fn({params}):\n"
+               + "".join(f"        {ln}\n" for ln in body)
+               + "    return fn\n")
+        namespace: dict[str, object] = {}
+        exec(compile(src, "<ermakov.expr>", "exec"), namespace)
+        return namespace["_factory"](**bound)
+
+
 def _compile_expr(e: Expr, at_zero: float | None = None) -> Callable[[float], float]:
     """Compile ``e`` to a function of one variable equal to
-    ``lambda x: evaluate(e, x)``, bit for bit and error for error.
-
-    The generated code performs evaluate's operations in its order, one
-    temporary per operator node (a subtree shared by identity once).
-    Constants and exponents are bound by name, never printed (``1e400``
-    is ``Const(inf)``), and ``^`` is ``math.pow`` as in the tree walk.
-    The tree walk rejects a raise and a non-finite Binary or Pow result,
-    so the compiled value is returned only when nothing raised and the
-    sum of those intermediates is finite.  Otherwise ``evaluate`` runs
-    and raises, or returns, what it always does (the sum can overflow
-    on finite terms: that costs a redundant walk, never a wrong value).
-    ``at_zero`` short-circuits x == 0 as ``Func1.__call__`` defines.
-    """
-    consts: dict[str, float] = {}
-    lines: list[str] = []
-    checked: list[str] = []
-    names: dict[int, str] = {}
-
-    def bind(value: float) -> str:
-        name = f"c{len(consts)}"
-        consts[name] = value
-        return name
-
-    def emit(node: Expr) -> str:
-        if isinstance(node, Var):
-            return "x"
-        name = names.get(id(node))
-        if name is not None:
-            return name
-        if isinstance(node, Const):
-            name = bind(node.value)
-        else:
-            if isinstance(node, Unary):
-                if node.op not in _UNARY_CODE:
-                    raise AssertionError(f"unknown unary op {node.op!r}")
-                code = _UNARY_CODE[node.op].format(emit(node.arg))
-            elif isinstance(node, Binary):
-                if node.op not in ("+", "-", "*", "/"):
-                    raise AssertionError(f"unknown binary op {node.op!r}")
-                code = f"{emit(node.left)} {node.op} {emit(node.right)}"
-            elif isinstance(node, Pow):
-                code = f"_pow({emit(node.base)}, {bind(node.exponent)})"
-            else:
-                raise TypeError(f"not an Expr node: {node!r}")
-            name = f"t{len(lines)}"
-            lines.append(f"{name} = {code}")
-            if not isinstance(node, Unary):
-                checked.append(name)
-        names[id(node)] = name
-        return name
-
-    result = emit(e)
-    body = []
-    if at_zero is not None:
-        body += [f"if x == 0.0: return {bind(at_zero)}"]
-    if lines:
-        body += ["try:", *(f"    {ln}" for ln in lines),
-                 "except (ZeroDivisionError, ValueError, OverflowError):",
-                 "    return _slow(x)"]
-    if checked:
-        body += [f"s = {' + '.join(checked)}",
-                 f"if s - s == 0.0: return {result}",
-                 "return _slow(x)"]
-    else:
-        body += [f"return {result}"]
-    bound = {"_slow": partial(evaluate, e), **_MATH, **consts}
-    src = (f"def _factory({', '.join(bound)}):\n"
-           "    def fn(x):\n"
-           + "".join(f"        {ln}\n" for ln in body)
-           + "    return fn\n")
-    namespace: dict[str, object] = {}
-    exec(compile(src, "<ermakov.expr>", "exec"), namespace)
-    return namespace["_factory"](**bound)
+    ``lambda x: evaluate(e, x)``, bit for bit and error for error (see
+    Inliner; ``evaluate`` is the slow path).  ``at_zero`` short-circuits
+    x == 0 as ``Func1.__call__`` defines."""
+    em = Inliner()
+    head = () if at_zero is None else (f"if x == 0.0: return {em.bind(at_zero)}",)
+    return em.build("x", em.inline(e, "x"), partial(evaluate, e), head)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import guard
 from .errors import ErmakovError, InvariantError, QuadratureError
-from .expr import Func1, is_zero
+from .expr import Func1, Inliner, is_zero
 from .integrators import Trajectory
 from .model import PhysState, QFrameState, Scenario, mass_at, to_xrho
 
@@ -81,21 +81,30 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth, max_depth):
             + _adaptive(fn, m, b, fm, frm, fb, right, half, depth + 1, max_depth))
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise QuadratureError(f"tol must be positive, got {tol!r}")
+
+
 def quad(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-         max_depth: int = 50) -> float:
+         max_depth: int = 50, fa: float | None = None,
+         fb: float | None = None) -> float:
     """Adaptive Simpson integral of ``fn`` over [a, b].
 
     Absolute tolerance ``tol`` (stricter than the advertised mixed
-    bound); exactly antisymmetric under swapping the limits.
+    bound); exactly antisymmetric under swapping the limits.  ``fa`` and
+    ``fb``, when given, are fn(a) and fn(b) already sampled (finite), and
+    are not evaluated again; the result is the same bits.
     """
-    if not tol > 0.0:
-        raise QuadratureError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     if a == b:
         return 0.0
     if b < a:
-        return -quad(fn, b, a, tol, max_depth)
-    fa = _sample(fn, a)
-    fb = _sample(fn, b)
+        return -quad(fn, b, a, tol, max_depth, fb, fa)
+    if fa is None:
+        fa = _sample(fn, a)
+    if fb is None:
+        fb = _sample(fn, b)
     m = 0.5 * (a + b)
     fm = _sample(fn, m)
     whole = _simpson(fa, fm, fb, b - a)
@@ -194,6 +203,7 @@ class _RunningIntegral:
         self.fn = fn
         self.tol = tol
         self.last_x = ref
+        self.last_f: float | None = None  # fn(last_x), once sampled
         self.last_val = 0.0
         self.cache: dict[float, float] = {ref: 0.0}
 
@@ -201,11 +211,26 @@ class _RunningIntegral:
         hit = self.cache.get(x)
         if hit is not None:
             return hit
-        val = self.last_val + quad(self.fn, self.last_x, x, self.tol)
-        self.last_x = x
-        self.last_val = val
+        # each leg starts where the last one ended, so fn(last_x) is reused;
+        # the points are sampled in the order quad(fn, last_x, x) alone
+        # would sample them, so the first failure raises the same error
+        _check_tol(self.tol)
+        a, fa = self.last_x, self.last_f
+        if fa is None and not x < a:
+            fa = _sample(self.fn, a)
+        fx = _sample(self.fn, x)
+        val = self.last_val + quad(self.fn, a, x, self.tol, fa=fa, fb=fx)
+        self.last_x, self.last_f, self.last_val = x, fx, val
         self.cache[x] = val
         return val
+
+
+def _integrand(coupling: Func1) -> Callable[[float], float]:
+    """w -> w * coupling(w), generated as one function (expr.Inliner) with
+    the lambda as its reference and error path."""
+    em = Inliner()
+    value = em.call(coupling, "w")
+    return em.build("w", em.let(f"w * {value}"), lambda w: w * coupling(w))
 
 
 class _PotentialSide:
@@ -219,7 +244,7 @@ class _PotentialSide:
         self.ref: float | None = None
         self.running: _RunningIntegral | None = None
         if not self.zero and potential is None:
-            integrand = lambda w: w * coupling(w)  # noqa: E731
+            integrand = _integrand(coupling)
             self.ref = default_ref(integrand)
             self.running = _RunningIntegral(integrand, self.ref, tol)
 
@@ -237,7 +262,6 @@ class _PotentialSide:
         return self.running.value(arg)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below
 def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
                      ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Physical-frame and transformed-frame energy at every sample of a
@@ -250,11 +274,10 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
     u_side = _PotentialSide(scn.potential_V, scn.coupling_F, tol)
     v_side = _PotentialSide(scn.potential_W, scn.coupling_G, tol)
 
-    n = len(traj)
-    e_phys = np.empty(n)
-    e_q = np.empty(n)
-    for i, t in enumerate(traj.t.tolist()):  # float t: messages show plain numbers
-        q, q_dot, f, f_dot, _tau = traj.y[i]
+    e_phys: list[float] = []
+    e_q: list[float] = []
+    # plain floats: fast arithmetic, and messages show plain numbers
+    for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t.tolist(), traj.y.tolist()):
         mv = mass_at(scn.m, t)
         w = mv * (q_dot * f - q * f_dot)
         pot_u = pot_v = 0.0
@@ -267,12 +290,17 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
         # the kinetic terms are algebraically equal but deliberately keep
         # their own arithmetic (m^2 (q'f-qf')^2 vs Q'^2): frame_gap measures
         # exactly this evaluation difference
-        e_phys[i] = 0.5 * mv * mv * (q_dot * f - q * f_dot) ** 2 + pot_u + pot_v
-        e_q[i] = 0.5 * w * w + pot_u + pot_v
-        if not (math.isfinite(e_phys[i]) and math.isfinite(e_q[i])):
+        try:
+            kinetic = 0.5 * mv * mv * (q_dot * f - q * f_dot) ** 2
+        except OverflowError:  # where a numpy scalar's square overflowed to inf
+            kinetic = 0.5 * mv * mv * math.inf
+        ep = kinetic + pot_u + pot_v
+        eq = 0.5 * w * w + pot_u + pot_v
+        if not (math.isfinite(ep) and math.isfinite(eq)):
             raise InvariantError(f"the invariant is not finite at t={t!r} "
-                                 f"(E_phys = {float(e_phys[i])!r}, "
-                                 f"E_Q = {float(e_q[i])!r})")
+                                 f"(E_phys = {ep!r}, E_Q = {eq!r})")
+        e_phys.append(ep)
+        e_q.append(eq)
 
     meta = {
         "u_side": u_side.path,
@@ -281,7 +309,7 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
         "v_ref": v_side.ref,
         "quad_tol": tol,
     }
-    return e_phys, e_q, meta
+    return np.array(e_phys, dtype=float), np.array(e_q, dtype=float), meta
 
 
 def report_from_series(e_phys: np.ndarray, e_q: np.ndarray) -> InvariantReport:

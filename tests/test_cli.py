@@ -217,7 +217,7 @@ class TestCheck:
         (S1, "check", ["--max-drift", "0"]),
         (S1, "check", ["--max-drift", "inf"]),
         (S1, "simulate", ["--quad-tol", "-1"]),
-        (S1, "map", ["--quad-tol", "inf"]),
+        (S1, "check", ["--quad-tol", "inf"]),
         ("bare", "simulate", ["--quad-tol", "nan"]),
         ("bare", "bench", ["--quad-tol", "0", "--methods", "rk4", "--dt", "0.1"]),
     ])
@@ -233,6 +233,33 @@ class TestCheck:
                        f"got {float(flags[1])!r}"]
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
+
+    @pytest.mark.parametrize("command,flag,message", [
+        ("simulate", ["--quad-tol", "abc"], "--quad-tol = 'abc' is not a number"),
+        ("check", ["--quad-tol=nan"], "--quad-tol must be a finite positive number, got nan"),
+        ("check", ["--max-drift=-inf"],
+         "--max-drift must be a finite positive number, got -inf"),
+        ("bench", ["--quad-tol", "1e-3x", "--methods", "rk4", "--dt", "0.1"],
+         "--quad-tol = '1e-3x' is not a number"),
+    ])
+    def test_malformed_threshold_is_a_config_error(self, tmp_path, capsys, command,
+                                                   flag, message):
+        # parsed after argparse: one line, exit 2 and a manifest, like any
+        # other configuration error
+        out = tmp_path / "c"
+        assert run(command, "--config", scenario_path(S1), "--out", str(out),
+                   *flag) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"] == message
+
+    def test_map_has_no_quad_tol(self, tmp_path):
+        # map evaluates no invariant, so it offers no quadrature tolerance
+        with pytest.raises(SystemExit) as info:
+            run("map", "--config", scenario_path(S1), "--out", str(tmp_path / "m"),
+                "--quad-tol", "0.5")
+        assert info.value.code == 2
 
 
 class TestMap:

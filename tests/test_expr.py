@@ -8,7 +8,9 @@ import pytest
 from conftest import central_fd, random_expr
 from ermakov.errors import ExprDomainError, ExprSyntaxError
 from ermakov.expr import (
+    Binary,
     Const,
+    Unary,
     Var,
     compile_func,
     differentiate,
@@ -191,6 +193,55 @@ class TestDerivativeOracle:
                 assert rel < 1e-6, f"{to_source(e)} at {x}: {sym} vs {fd}"
                 total_points += 1
         assert total_points > 5000  # the property must actually bite
+
+
+def _to_sympy(e, sympy, x):
+    """The AST as a sympy expression; constants and exponents become the
+    exact rationals of their doubles."""
+    if isinstance(e, Const):
+        return sympy.Rational(e.value)
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Unary):
+        arg = _to_sympy(e.arg, sympy, x)
+        return -arg if e.op == "neg" else getattr(
+            sympy, {"ln": "log"}.get(e.op, e.op))(arg)
+    if isinstance(e, Binary):
+        a, b = _to_sympy(e.left, sympy, x), _to_sympy(e.right, sympy, x)
+        return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else a / b
+    return _to_sympy(e.base, sympy, x) ** sympy.Rational(e.exponent)
+
+
+class TestSympyDerivativeOracle:
+    """differentiate against sympy's diff of the same function, both
+    evaluated at 50 significant digits, so only the symbolic rule is
+    compared (not the rounding of a float evaluation)."""
+
+    def test_random_asts(self):
+        sympy = pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
+        x = sympy.Symbol("t")
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        with mpmath.workdps(50):
+            for _ in range(80):
+                e = random_expr(rng, 4)
+                ours = sympy.lambdify(x, _to_sympy(differentiate(e), sympy, x), "mpmath")
+                theirs = sympy.lambdify(x, sympy.diff(_to_sympy(e, sympy, x), x), "mpmath")
+                for xv in rng.uniform(-3.0, 3.0, 24):
+                    try:
+                        evaluate(e, float(xv))  # compare inside e's real domain
+                        a, b = ours(mpmath.mpf(float(xv))), theirs(mpmath.mpf(float(xv)))
+                    except (ExprDomainError, ZeroDivisionError, ValueError):
+                        continue
+                    if not all(isinstance(v, mpmath.mpf) and mpmath.isfinite(v)
+                               for v in (a, b)):
+                        continue
+                    # 1e-40 absolute: a cancelling difference at 50 digits
+                    assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)) + 1e-40, (
+                        to_source(e), xv, a, b)
+                    checked += 1
+        assert checked > 600  # the comparison must actually bite
 
 
 class TestPrintRoundTrip:

@@ -11,6 +11,7 @@ from ermakov.errors import InvariantError, QuadratureError, SingularityError
 from ermakov.expr import compile_func
 from ermakov.invariants import (
     InvariantReport,
+    _RunningIntegral,
     default_ref,
     drift_report,
     energy_Q,
@@ -65,6 +66,97 @@ class TestQuad:
     def test_default_ref(self):
         assert default_ref(lambda u: u * 4.0) == 0.0
         assert default_ref(lambda u: 1.0 / u) == 1.0
+
+
+def _counting(fn):
+    """``fn`` plus the list of points it was called at."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+    return counted, calls
+
+
+def _running_unassisted(fn, ref, tol, xs):
+    """What _RunningIntegral.value returns along ``xs`` when every leg is
+    a plain quad(fn, last_x, x): values as hex, then the first error."""
+    last_x, last_val, cache, out = ref, 0.0, {ref: 0.0}, []
+    for x in xs:
+        if x not in cache:
+            try:
+                cache[x] = last_val = last_val + quad(fn, last_x, x, tol)
+            except QuadratureError as err:
+                return out + [str(err)]
+            last_x = x
+        out.append(cache[x].hex())
+    return out
+
+
+def _running(fn, ref, tol, xs):
+    running, out = _RunningIntegral(fn, ref, tol), []
+    for x in xs:
+        try:
+            out.append(running.value(x).hex())
+        except QuadratureError as err:
+            return out + [str(err)]
+    return out
+
+
+class TestQuadEndpointReuse:
+    FUNCS = (lambda x: math.sin(3.0 * x) * x + 2.0, lambda x: math.exp(-x * x),
+             lambda x: 1.0 / (1.0 + x ** 4))
+
+    def test_known_endpoints_change_no_bit(self):
+        rng = np.random.default_rng(11)
+        for fn in self.FUNCS:
+            for _ in range(60):
+                a, b = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+                for lo, hi in ((a, b), (b, a), (a, a)):
+                    counted, calls = _counting(fn)
+                    got = quad(counted, lo, hi, 1e-10, fa=fn(lo), fb=fn(hi))
+                    assert got.hex() == quad(fn, lo, hi, 1e-10).hex()
+                    assert lo not in calls and hi not in calls
+
+    def test_legs_reuse_their_start(self):
+        rng = np.random.default_rng(12)
+        xs = [float(v) for v in rng.uniform(-2.0, 2.0, 40)]
+        xs += [xs[3], xs[-1], 0.0, xs[7]]  # cached points cost nothing
+        for fn in self.FUNCS:
+            counted, calls = _counting(fn)
+            running = _RunningIntegral(counted, 0.0, 1e-10)
+            for i, x in enumerate(xs):
+                start, cached = running.last_x, x in running.cache
+                calls.clear()
+                running.value(x)
+                if cached:
+                    assert calls == []
+                    continue
+                assert calls.count(x) == 1
+                assert calls.count(start) == (1 if i == 0 else 0)
+            assert _running(fn, 0.0, 1e-10, xs) == _running_unassisted(fn, 0.0, 1e-10, xs)
+
+    @pytest.mark.parametrize("ref,xs", [
+        (0.0, [0.5, -1.0, 2.5, 1.2]),   # fails at a new right end
+        (2.0, [2.1, 1.5]),              # fails at a new left end
+        (2.5, [3.0]),                   # first leg, both ends fail: start first
+        (3.0, [2.5]),                   # reversed first leg: the new end first
+        (0.0, [1.0, 2.0]),              # fails at a leg's midpoint
+    ])
+    def test_errors_unchanged(self, ref, xs):
+        def fn(x):  # not finite on (1.45, 1.55) and from 2.25 on
+            return math.nan if 1.45 < x < 1.55 or x >= 2.25 else x * x
+        got = _running(fn, ref, 1e-10, xs)
+        assert got == _running_unassisted(fn, ref, 1e-10, xs)
+        assert "not finite" in got[-1]
+
+    def test_tolerance_checked_before_sampling(self):
+        def fn(x):
+            raise ZeroDivisionError("integrand down")
+        for tol in (0.0, -1.0, math.nan):
+            got = _running(fn, 0.0, tol, [1.0])
+            assert got == _running_unassisted(fn, 0.0, tol, [1.0])
+            assert got[-1].startswith("tol must be positive")
 
 
 class TestEnergyQ:
