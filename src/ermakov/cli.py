@@ -78,7 +78,11 @@ def _threshold(raw: str, name: str) -> float:
 
 
 def _load(args) -> tuple[ConfigDocument, Scenario]:
-    """Parse the threshold flags in place, then load and build the scenario."""
+    """Parse the threshold flags in place, then load and build the scenario.
+
+    check and map compare samples, so they refuse a stride that leaves
+    fewer than 2 (a certificate over one sample says nothing); map keeps
+    its degenerate t_end == t0 run, one row per file."""
     if hasattr(args, "quad_tol"):
         args.quad_tol = _threshold(args.quad_tol, "--quad-tol")
     if hasattr(args, "max_drift"):
@@ -86,7 +90,13 @@ def _load(args) -> tuple[ConfigDocument, Scenario]:
     doc = model.load_config(args.config)
     if args.set:
         doc = model.apply_overrides(doc, args.set)
-    return doc, model.build_scenario(doc)
+    scn = model.build_scenario(doc)
+    span, stride = scn.plan.t_end - scn.initial.t, scn.plan.output_stride
+    if (args.command == "check" or (args.command == "map" and span > 0.0)) \
+            and model.stride_count(span, stride) + 1 < 2:
+        raise ConfigError(f"{args.command} needs at least 2 samples, but "
+                          f"output_stride={stride!r} exceeds the span {span!r}")
+    return doc, scn
 
 
 def _integrate_phys(scn: Scenario, method: str, step: float) -> integrators.Trajectory:

@@ -21,7 +21,8 @@ every point the tree walk would reject back to ``evaluate`` so the
 domain error still names the offending subexpression.  The same code
 generator (``Inliner``) fuses several expressions and the arithmetic
 around them into one function, for the dynamics' right-hand sides and
-the invariant's quadrature integrands.
+the invariant's quadrature integrands; its last step, ``make_function``,
+also builds the integrators' generated steps.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "compile_func",
     "func_from_expr",
     "Inliner",
+    "make_function",
     "constant_func",
 ]
 
@@ -567,14 +569,19 @@ class Inliner:
             body += [f"if {' and '.join(tests)}: return {result}", fallback]
         else:
             body.append(f"return {result}")
-        bound = {"_slow": slow, **self.bound}
-        src = (f"def _factory({', '.join(bound)}):\n"
-               f"    def fn({params}):\n"
-               + "".join(f"        {ln}\n" for ln in body)
-               + "    return fn\n")
-        namespace: dict[str, object] = {}
-        exec(compile(src, "<ermakov.expr>", "exec"), namespace)
-        return namespace["_factory"](**bound)
+        return make_function(params, body, {"_slow": slow, **self.bound})
+
+
+def make_function(params: str, body: list[str], bound: dict[str, object]) -> Callable:
+    """``def fn(params)`` with the source lines ``body``, each ``bound``
+    name a closure variable: the one code generator of the package."""
+    src = (f"def _factory({', '.join(bound)}):\n"
+           f"    def fn({params}):\n"
+           + "".join(f"        {ln}\n" for ln in body)
+           + "    return fn\n")
+    namespace: dict[str, object] = {}
+    exec(compile(src, "<ermakov.expr>", "exec"), namespace)
+    return namespace["_factory"](**bound)
 
 
 def _compile_expr(e: Expr, at_zero: float | None = None) -> Callable[[float], float]:

@@ -12,13 +12,19 @@ Three methods:
   separable autonomous transformed-frame system; symplectic, so energy
   errors stay bounded instead of drifting.
 
-All steppers abort on a singularity-guard trip or a domain error from
-the right-hand side, attaching the partial trajectory and last valid
-sample to the raised exception.
+The RK4 and DP54 steps, and DP54's dense output, are straight-line
+functions generated once per state width, on first use.  The right-hand
+side must return exactly one value per state component; each stepper
+checks this on its first call.  All steppers abort on a
+singularity-guard trip or a domain error from the right-hand side,
+attaching the partial trajectory and last valid sample to the raised
+exception; an error raised at a non-finite stage state is reported as
+that state (IntegrationError).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,8 +33,8 @@ import numpy as np
 
 from .dynamics import qframe_accel
 from .errors import ErmakovError, IntegrationError, SingularityError
-from .expr import Func1
-from .model import QFrameState, stride_steps
+from .expr import Func1, make_function
+from .model import QFrameState, stride_count, stride_steps
 
 __all__ = [
     "Trajectory",
@@ -40,10 +46,11 @@ __all__ = [
 ]
 
 # rhs(t, y) receives the state y as a list of floats and returns dy/dt as
-# a sequence of floats.  The steppers keep states and stage slopes as
-# lists of floats, doing each component's arithmetic in the order an
-# elementwise numpy expression would; numpy arrays are built once, for
-# the finished Trajectory.
+# a sequence of exactly len(y) floats (the generated steps unpack it).
+# The steppers keep states and stage slopes as lists of floats, doing
+# each component's arithmetic in the order an elementwise numpy
+# expression would; numpy arrays are built once, for the finished
+# Trajectory.
 Rhs = Callable[[float, list[float]], Sequence[float]]
 
 _STEP_FLOOR = 1e-14  # below this the adaptive controller gives up
@@ -157,26 +164,85 @@ def _stride_steps(output_stride: float, dt: float) -> int:
     return k
 
 
-def _stride_count(t0: float, t_end: float, stride: float) -> int:
-    span = abs(t_end - t0)
-    return int(math.floor(span / stride + 1e-9))
+def _first_slope(rhs: Rhs, t0: float, y: list[float]) -> Sequence[float]:
+    """rhs(t0, y), checked once to hold one value per state component."""
+    k = rhs(t0, y)
+    if not y or len(k) != len(y):
+        raise IntegrationError(f"rhs returned {len(k)} values for a state of "
+                               f"{len(y)} components")
+    return k
+
+
+# --- generated steps ---------------------------------------------------------
+# One straight-line function per method and state width n, made on first
+# use: the state and stage slopes are unpacked into named floats (a0.. the
+# state, bj_0.. stage j's slope, n0.. DP54's new state) and each
+# component's arithmetic is written out term for term, in the order the
+# elementwise loops it replaced used.  Only the rhs calls can raise.
+
+def _names(prefix: str, n: int) -> str:
+    """``"x0, x1, "``: an unpacking target for n components."""
+    return "".join(f"{prefix}{i}, " for i in range(n))
+
+
+def _stage_failed(err: ErmakovError, method: str, stage: int, t: float,
+                  state: Sequence[float]) -> None:
+    """Report an RHS error at a non-finite stage state as that state: the
+    expression the error names only met its NaN or inf."""
+    if not _finite(state):
+        raise IntegrationError(f"non-finite {method} stage {stage} state "
+                               f"at t={float(t)!r}") from err
+
+
+def _stage_call(stage: int, n: int, method: str, t: str, state: str) -> list[str]:
+    """Lines setting k<stage> = rhs(t, state), unpacked into b<stage>_0.."""
+    return ["try:", f"    k{stage} = {_names(f'b{stage}_', n)}= rhs({t}, {state})",
+            "except _Err as err:",
+            f"    _stage_failed(err, {method!r}, {stage}, {t}, {state})",
+            "    raise"]
+
+
+def _generate(params: str, body: list[str], weights: dict[float, str]) -> Callable:
+    return make_function(params, body, {
+        "_Err": ErmakovError, "_stage_failed": _stage_failed, "_sqrt": math.sqrt,
+        "_inf": math.inf, "_ninf": -math.inf, **{v: w for w, v in weights.items()}})
+
+
+def _weighted(weights: dict[float, str], row: Sequence[float], i: int) -> str:
+    """``0.0 + w1 * b1_i + ...`` over the nonzero weights, named in ``weights``."""
+    return " + ".join(["0.0"] + [
+        f"{weights.setdefault(w, f'w{len(weights)}')} * b{j}_{i}"
+        for j, w in enumerate(row, 1) if w != 0.0])
 
 
 # --- classical RK4 ----------------------------------------------------------
+
+@functools.cache
+def _rk4_step(n: int) -> Callable:
+    """step(rhs, t, h, y) -> the state one RK4 step of h after (t, y)."""
+    body = [f"{_names('a', n)}= y", "hh = 0.5 * h", "h6 = h / 6.0",
+            *_stage_call(1, n, "RK4", "t", "y")]
+    for j, (w, t_j) in enumerate((("hh", "t + hh"), ("hh", "t + hh"), ("h", "t + h")), 2):
+        body += [f"z = [{', '.join(f'a{i} + {w} * b{j - 1}_{i}' for i in range(n))}]",
+                 *_stage_call(j, n, "RK4", t_j, "z")]
+    body.append("return [" + ", ".join(
+        f"a{i} + h6 * (((b1_{i} + 2.0 * b2_{i}) + 2.0 * b3_{i}) + b4_{i})"
+        for i in range(n)) + "]")
+    return _generate("rhs, t, h, y", body, {})
+
 
 def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                         dt: float, output_stride: float) -> Trajectory:
     """Fixed-step RK4 with samples at t0 + k*output_stride."""
     k_per = _stride_steps(output_stride, dt)
-    n_str = _stride_count(t0, t_end, output_stride)
+    n_str = stride_count(abs(t_end - t0), output_stride)
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * dt
-    hh = 0.5 * h
-    h6 = h / 6.0
 
     y = [float(v) for v in y0]
     samples = _Samples()
-    samples.add(t0, y, rhs(t0, y))
+    samples.add(t0, y, _first_slope(rhs, t0, y))
+    step = _rk4_step(len(y))
     steps = 0
     t_last = t0
     for i in range(n_str):
@@ -184,12 +250,7 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         try:
             for j in range(k_per):
                 t = seg + j * h
-                k1 = rhs(t, y)
-                k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
-                k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
-                k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-                y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                y = step(rhs, t, h, y)
                 steps += 1
                 if not _finite(y):
                     raise IntegrationError(f"non-finite state after step at t={t + h!r}")
@@ -206,30 +267,26 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
 
-# Dormand-Prince tableau.  c6 = c7 = 1; a72 = e2 = d2 = 0, and the sums
-# below omit those terms.  Every sum runs left to right from 0.0, so a
-# leading -0.0 term still sums to +0.0 and an omitted 0*k term would not
-# have changed it.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                                49.0 / 176.0, -5103.0 / 18656.0)
-_A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                                -2187.0 / 6784.0, 11.0 / 84.0)
-# b5 - b4: local truncation error weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-# dense-output weights for the 4th-order-continuous interpolant
-_D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075.0 / 11282082432.0,
-                                87487479700.0 / 32700410799.0,
-                                -10690763975.0 / 1880347072.0,
-                                701980252875.0 / 199316789632.0,
-                                -1453857185.0 / 822651844.0,
-                                69997945.0 / 29380423.0)
+# Dormand-Prince tableau: c_j and a_j1.. of stages j = 2..7, the error
+# weights e = b5 - b4 (local truncation error) and the weights d of the
+# 4th-order-continuous dense output.  c6 = c7 = 1; a72 = e2 = d2 = 0,
+# and the generated sums omit zero terms.  Every sum runs left to right
+# from 0.0, so a leading -0.0 term still sums to +0.0 and an omitted 0*k
+# term would not have changed it.
+_DP_C = (1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = ((1.0 / 5.0,),
+         (3.0 / 40.0, 9.0 / 40.0),
+         (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+         (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+         (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+          -5103.0 / 18656.0),
+         (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+          11.0 / 84.0))
+_DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+         22.0 / 525.0, -1.0 / 40.0)
+_DP_D = (-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
+         -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+         -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -238,46 +295,54 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
 
-def _error_norm(err: Sequence[float], y: Sequence[float], y_new: Sequence[float],
-                tol: float) -> float:
-    """RMS of err / (tol + tol*max(|y|, |y_new|)).
+@functools.cache
+def _dp54_step(n: int) -> Callable:
+    """step(rhs, t, h, y, k1, tol) -> (err_norm, y_new, k3, k4, k5, k6, k7).
 
-    The squares are added left to right from 0.0, the order in which
-    ``np.mean`` sums fewer than 8 values (every state layout here has at
-    most 5; numpy sums 8 or more pairwise), and ``r * r`` gives inf where
-    ``r ** 2`` would raise OverflowError.
-    """
-    acc = 0.0
-    for e, a, b in zip(err, y, y_new):
-        r = e / (tol + tol * max(abs(a), abs(b)))
-        acc += r * r
-    return math.sqrt(acc / len(err))
+    err_norm is 10.0 when y_new is not finite, else the RMS of
+    err / (tol + tol*max(|y|, |y_new|)): the squares are added left to
+    right from 0.0, the order in which ``np.mean`` sums fewer than 8
+    values (numpy sums 8 or more pairwise), and ``r * r`` gives inf where
+    ``r ** 2`` would raise OverflowError."""
+    weights: dict[float, str] = {}
+    body = [f"{_names('a', n)}= y", f"{_names('b1_', n)}= k1"]
+    for j, (c, row) in enumerate(zip(_DP_C, _DP_A), 2):
+        sums = [f"a{i} + h * ({_weighted(weights, row, i)})" for i in range(n)]
+        if j < 7:
+            body.append(f"z = [{', '.join(sums)}]")
+        else:  # the 7th stage is evaluated at the 5th-order solution (FSAL)
+            body += [f"n{i} = {sums[i]}" for i in range(n)] + [f"z = [{_names('n', n)}]"]
+        t_j = ("t + h" if c == 1.0
+               else f"t + {weights.setdefault(c, f'w{len(weights)}')} * h")
+        body += _stage_call(j, n, "DP54", t_j, "z")
+    body += ["if " + " and ".join(f"_ninf < n{i} < _inf" for i in range(n)) + ":",
+             "    acc = 0.0"]
+    for i in range(n):
+        body += [f"    x = abs(a{i})", f"    m = abs(n{i})",
+                 f"    r = h * ({_weighted(weights, _DP_E, i)})"
+                 " / (tol + tol * (m if m > x else x))",
+                 "    acc += r * r"]
+    body += [f"    err = _sqrt(acc / {n})", "else:", "    err = 10.0",
+             "return err, z, k3, k4, k5, k6, k7"]
+    return _generate("rhs, t, h, y, k1, tol", body, weights)
 
 
-class _DenseSegment:
-    """One accepted step's interpolant, evaluated at theta in [0, 1]."""
-
-    def __init__(self, t_old: float, h: float, y_old: Sequence[float],
-                 y_new: Sequence[float], k1, k3, k4, k5, k6, k7):
-        self.t_old = t_old
-        self.h = h
-        self.coeffs = []
-        for a, b, b1, b3, b4, b5, b6, b7 in zip(y_old, y_new, k1, k3, k4, k5,
-                                                 k6, k7):
-            ydiff = b - a
-            bspl = h * b1 - ydiff
-            self.coeffs.append((
-                a, ydiff, bspl, ydiff - h * b7 - bspl,
-                h * (0.0 + _D1 * b1 + _D3 * b3 + _D4 * b4 + _D5 * b5 + _D6 * b6
-                     + _D7 * b7)))
-
-    def eval(self, t: float) -> list[float]:
-        # t lies in [t_old, t_old + h] up to emission-window noise; the
-        # polynomial extrapolates those few ulps harmlessly, so no clamping
-        th = (t - self.t_old) / self.h
-        th1 = 1.0 - th
-        return [r1 + th * (r2 + th1 * (r3 + th * (r4 + th1 * r5)))
-                for r1, r2, r3, r4, r5 in self.coeffs]
+@functools.cache
+def _dp54_dense(n: int) -> Callable:
+    """dense(t_out, t, h, y, y_new, k1, k3, k4, k5, k6, k7) -> the state at
+    t_out in [t, t + h] of the step to (t + h, y_new); the polynomial
+    extrapolates emission-window noise of a few ulps harmlessly."""
+    weights: dict[float, str] = {}
+    body = [f"{_names('a', n)}= y", f"{_names('n', n)}= y_new",
+            *(f"{_names(f'b{j}_', n)}= k{j}" for j in (1, 3, 4, 5, 6, 7)),
+            "th = (t_out - t) / h", "th1 = 1.0 - th"]
+    for i in range(n):
+        body += [f"d = n{i} - a{i}", f"p = h * b1_{i} - d",
+                 f"r = h * ({_weighted(weights, _DP_D, i)})",
+                 f"y{i} = a{i} + th * (d + th1 * (p + th * (d - h * b7_{i} - p"
+                 " + th1 * r)))"]
+    body.append(f"return [{_names('y', n)}]")
+    return _generate("t_out, t, h, y, y_new, k1, k3, k4, k5, k6, k7", body, weights)
 
 
 def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
@@ -291,7 +356,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
 
     y = [float(v) for v in y0]
     samples = _Samples()
-    k1 = rhs(t0, y)
+    k1 = _first_slope(rhs, t0, y)
     samples.add(t0, y, k1)
     if t_end == t0:
         return samples.build("adaptive54", 0, 0, tol=tol)
@@ -306,7 +371,8 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     rejected = 0
     err_prev = 1e-4
     k_out = 1
-    n_out = _stride_count(t0, t_end, output_stride)
+    n_out = stride_count(span, output_stride)
+    step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
 
     while direction * (t_end - t) > eps_t:
         try:
@@ -320,37 +386,11 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
             if direction * (t + h - t_end) > 0.0:
                 h = t_end - t
 
-            k2 = rhs(t + _C2 * h, [a + h * (0.0 + _A21 * b1)
-                                   for a, b1 in zip(y, k1)])
-            k3 = rhs(t + _C3 * h, [a + h * (0.0 + _A31 * b1 + _A32 * b2)
-                                   for a, b1, b2 in zip(y, k1, k2)])
-            k4 = rhs(t + _C4 * h, [a + h * (0.0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
-                                   for a, b1, b2, b3 in zip(y, k1, k2, k3)])
-            k5 = rhs(t + _C5 * h, [a + h * (0.0 + _A51 * b1 + _A52 * b2 + _A53 * b3
-                                            + _A54 * b4)
-                                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h, [a + h * (0.0 + _A61 * b1 + _A62 * b2 + _A63 * b3
-                                      + _A64 * b4 + _A65 * b5)
-                             for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
-            # the 7th stage is evaluated at the 5th-order solution (FSAL)
-            y_new = [a + h * (0.0 + _A71 * b1 + _A73 * b3 + _A74 * b4 + _A75 * b5
-                              + _A76 * b6)
-                     for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(t + h, y_new)
-
-            if _finite(y_new):
-                err_norm = _error_norm(
-                    [h * (0.0 + _E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
-                          + _E7 * b7)
-                     for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)],
-                    y, y_new, tol)
-            else:
-                err_norm = 10.0
+            err_norm, y_new, k3, k4, k5, k6, k7 = step(rhs, t, h, y, k1, tol)
 
             if err_norm <= 1.0:
                 t_new = t + h
                 # emit dense-output samples inside (t, t_new]
-                seg = None
                 while k_out <= n_out:
                     t_out = t0 + k_out * direction * output_stride
                     if direction * (t_out - t_new) > eps_t:
@@ -358,9 +398,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                     if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):
                         samples.add(t_out, y_new, k7)
                     else:
-                        if seg is None:
-                            seg = _DenseSegment(t, h, y, y_new, k1, k3, k4, k5, k6, k7)
-                        y_out = seg.eval(t_out)
+                        y_out = dense(t_out, t, h, y, y_new, k1, k3, k4, k5, k6, k7)
                         samples.add(t_out, y_out, rhs(t_out, y_out))
                     k_out += 1
                 steps += 1
@@ -409,7 +447,7 @@ def integrate_verlet(accel: Callable[[float], float], initial: QFrameState,
                                f"tau ({initial.tau!r})")
     stride = dt if output_stride is None else output_stride
     k_per = _stride_steps(stride, dt)  # also rejects dt <= 0
-    n_str = _stride_count(initial.tau, tau_end, stride)
+    n_str = stride_count(tau_end - initial.tau, stride)
 
     samples = _Samples()
     Q, P = initial.Q, initial.Q_prime

@@ -55,6 +55,7 @@ __all__ = [
     "mass_at",
     "parse_float",
     "stride_steps",
+    "stride_count",
     "METHODS",
     "MAX_GRID_POINTS",
 ]
@@ -342,6 +343,12 @@ def stride_steps(output_stride: float, dt: float) -> int | None:
     if k < 1 or abs(k * dt - output_stride) > 1e-9 * output_stride:
         return None
     return k
+
+
+def stride_count(span: float, output_stride: float) -> int:
+    """Number of whole output strides in ``span`` (>= 0): a run samples
+    its start and each of these."""
+    return int(math.floor(span / output_stride + 1e-9))
 
 
 def build_scenario(doc: ConfigDocument) -> Scenario:

@@ -160,13 +160,36 @@ class TestSimulate:
 
     def test_overflow_message_shows_plain_float(self, tmp_path, capsys):
         # the RHS redoes an overflowing call on numpy scalars; its results
-        # must come back as plain floats, or later messages show np.float64
+        # must come back as plain floats, or later messages show np.float64.
+        # The overflow makes a stage state NaN, and the message names it
         code = run("simulate", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "run"), "--set", "initial.f=1e308")
         assert code == 4
         err = capsys.readouterr().err.strip()
-        assert err.endswith("at argument nan")
+        assert err == "error: non-finite DP54 stage 5 state at t=0.044444444444444446"
         assert "np.float64" not in err and "\n" not in err
+
+    @pytest.mark.parametrize("overrides,message", [
+        (["functions.m=1e-300"], "DP54 stage 3 state at t=0.015"),
+        (["functions.omega_tilde_sq=1e300"], "DP54 stage 5 state at t=0.044444444444444446"),
+        (["functions.m=1e-300", "integration.method=rk4", "integration.dt=0.01"],
+         "RK4 stage 3 state at t=0.005"),
+    ])
+    def test_non_finite_stage_state_named(self, tmp_path, capsys, overrides, message):
+        # the RHS fails on a NaN stage state; the message names that state,
+        # not the expression that met it, and the partial trajectory stays
+        out = tmp_path / "run"
+        argv = ["check", "--config", scenario_path(S3), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run(*argv) == 4
+        message = f"non-finite {message}"
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 4
+        assert manifest["singularity"]["message"] == message
+        assert manifest["singularity"]["last_t"] == 0.0
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 2
 
     def test_verlet_not_usable_for_physical_run(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -520,6 +543,12 @@ EXIT_PATHS = [
     ("map-2-verlet", ["map", S1] + _VERLET, 2, 1, _RUN_ERROR, _MANIFEST_ONLY),
     ("map-3", ["map", S1] + _POLE, 3, 1, _RUN_ERROR, _MANIFEST_ONLY),
     ("map-4", ["map", S1] + _MASS_ZERO, 4, 1, _RUN_ERROR, _MANIFEST_ONLY),
+    ("check-2-one-sample", ["check", S3, "--set", "integration.output_stride=100"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("check-2-empty-span", ["check", S1, "--set", "integration.t_end=0"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("map-2-one-sample", ["map", S3, "--set", "integration.output_stride=100"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
     ("bench-0", ["bench", S1, "--methods", "rk4", "--dt", "0.05"] + _SHORT, 0, 0,
      _ECHO, {"manifest.json", "bench.csv"}),
     ("bench-2", ["bench", S1, "--methods", "rk4"], 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),

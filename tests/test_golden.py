@@ -1,14 +1,16 @@
 """Golden outputs: sha256 of every data file the shipped runs write,
 of the cost-free columns of two bench tables, and of the raw arrays of
-two direct integrator runs.
+direct integrator runs.
 
 A speed-up that changes no arithmetic must leave these bytes alone, so
 this gate fails on any change to a trajectory, report, Q-frame CSV or
 gap file, and on any change to a bench row other than its ``wall_ms``
 timing (dropped before hashing).  The CLI runs cover state widths 5
-(physical pair) and 2 (transformed frame); the direct runs add widths 4
-(unit-mass x-rho pair) and 1, because the step controller's error
-norm sums over the components and its rounding depends on their number.
+(physical pair) and 2 (transformed frame); the direct DP54 runs add
+widths 4 (unit-mass x-rho pair) and 1, because the step controller's
+error norm sums over the components and its rounding depends on their
+number, and the direct RK4 runs pin that stepper at widths 1, 2 and 4
+(the CLI runs it only at width 5).
 The digests are pinned to the environment recorded in
 ``golden_digests.json`` (libm ``sin``/``exp`` may round differently
 elsewhere); on another environment the test is skipped.
@@ -34,7 +36,7 @@ import pytest
 from conftest import S1, S2, S3, load_scenario, scenario_path
 from ermakov import dynamics, model
 from ermakov.cli import main
-from ermakov.integrators import integrate_adaptive54
+from ermakov.integrators import integrate_adaptive54, integrate_fixed_rk4
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 
@@ -99,16 +101,26 @@ def _forced_cubic(t, y):
 
 
 def _direct_runs():
-    """(name, trajectory) of DP54 runs on state widths 4 and 1."""
+    """(name, trajectory) of DP54 runs on state widths 4 and 1 and of RK4
+    runs on widths 4, 2 and 1."""
     s2 = load_scenario(S2)
     om2 = lambda t: model.omega_sq_from_mass(s2.m, s2.omega_tilde_sq, t)  # noqa: E731
     xrho = dynamics.xrho_ode(om2, model.g_from_G(s2.coupling_G),
                              model.h_from_F(s2.coupling_F))
+    xrho0 = np.array(model.to_xrho(s2.initial, s2.m))
     yield "direct-xrho_s2", integrate_adaptive54(
-        xrho, np.array(model.to_xrho(s2.initial, s2.m)), s2.initial.t, 20.0,
-        1e-10, 0.05)
+        xrho, xrho0, s2.initial.t, 20.0, 1e-10, 0.05)
     yield "direct-forced_cubic", integrate_adaptive54(
         _forced_cubic, np.array([0.5]), 0.0, 20.0, 1e-10, 0.05)
+    s3 = load_scenario(S3)
+    st = s3.initial
+    Q0 = [st.q / st.f, s3.m(st.t) * (st.q_dot * st.f - st.q * st.f_dot)]
+    yield "direct-rk4_xrho_s2", integrate_fixed_rk4(
+        xrho, xrho0, s2.initial.t, 20.0, 0.01, 0.05)
+    yield "direct-rk4_qframe_s3", integrate_fixed_rk4(
+        dynamics.qframe_ode_from_scenario(s3), Q0, 0.0, 20.0, 0.01, 0.05)
+    yield "direct-rk4_forced_cubic", integrate_fixed_rk4(
+        _forced_cubic, np.array([0.5]), 0.0, 20.0, 0.01, 0.05)
 
 
 def compute_digests(work: Path) -> dict[str, str]:

@@ -10,8 +10,10 @@ from ermakov import dynamics, invariants
 from ermakov.errors import IntegrationError, SingularityError
 from ermakov.expr import compile_func
 from ermakov.integrators import (
+    _DP_A,
+    _DP_E,
     Trajectory,
-    _error_norm,
+    _dp54_step,
     integrate_adaptive54,
     integrate_fixed_rk4,
     integrate_verlet_Q,
@@ -178,23 +180,52 @@ class TestAdaptive54:
     @pytest.mark.parametrize("width", range(1, 8))
     def test_error_norm_rounds_like_numpy(self, width):
         # the step controller's accept/reject decisions, hence every output
-        # bit, depend on this norm; numpy sums fewer than 8 terms in order
+        # bit, depend on this norm; numpy sums fewer than 8 terms in order.
+        # The generated step takes the norm of its own error estimate, so
+        # the slopes are drawn and err and y_new are recomputed elementwise
+        step = _dp54_step(width)
         rng = np.random.default_rng(width)
+
+        def weighted(weights, ks):  # 0.0 + w1*k1 + ..., zero weights omitted
+            acc = 0.0
+            for w, k in zip(weights, ks):
+                if w != 0.0:
+                    acc = acc + w * k
+            return acc
+
         for tol in (1e-10, 1e-3, 1e-320):
             for _ in range(200):
-                err = rng.normal(size=width) * 10.0 ** rng.uniform(-20, 5, width)
+                ks = [rng.normal(size=width) * 10.0 ** rng.uniform(-20, 5, width)
+                      for _ in range(7)]
                 y = rng.normal(size=width) * 10.0 ** rng.uniform(-5, 5, width)
-                y_new = y + rng.normal(size=width)
+                h = 10.0 ** rng.uniform(-3, 0)
+                slopes = iter([k.tolist() for k in ks[1:]])
+                got = step(lambda t, z: next(slopes), 0.0, h, y.tolist(),
+                           ks[0].tolist(), tol)[0]
+                err = h * weighted(_DP_E, ks)
+                y_new = y + h * weighted(_DP_A[-1], ks)
                 scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
                 with np.errstate(over="ignore"):
                     want = float(np.sqrt(np.mean((err / scale) ** 2)))
-                got = _error_norm(err.tolist(), y.tolist(), y_new.tolist(), tol)
                 assert got.hex() == want.hex(), (tol, err, y, y_new)
 
     def test_single_sample_when_span_empty(self):
         traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0, 0.0,
                                     1e-10, 0.5)
         assert len(traj) == 1
+
+
+@pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
+                                            (integrate_adaptive54, 1e-8)])
+def test_rhs_must_return_one_value_per_component(integrate, step):
+    # the generated steps unpack the slope; a loop over zip would have
+    # dropped the third value silently
+    def three_values(t, y):
+        return [y[1], -y[0], 0.0]
+
+    with pytest.raises(IntegrationError,
+                       match="rhs returned 3 values for a state of 2 components"):
+        integrate(three_values, [1.0, 0.0], 0.0, 1.0, step, 0.5)
 
 
 class TestPinneyClosedForm:
