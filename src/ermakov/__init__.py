@@ -28,6 +28,7 @@ from .model import (
     load_config,
     omega_sq_from_mass,
     parse_config,
+    to_qframe,
     to_xrho,
 )
 from .dynamics import (

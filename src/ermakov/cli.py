@@ -80,8 +80,8 @@ def _threshold(raw: str, name: str) -> float:
 def _load(args) -> tuple[ConfigDocument, Scenario]:
     """Parse the threshold flags in place, then load and build the scenario.
 
-    check and map compare samples, so they refuse a stride that leaves
-    fewer than 2 (a certificate over one sample says nothing); map keeps
+    check, bench and map compare samples, so they refuse a stride that
+    leaves fewer than 2 (a drift over one sample says nothing); map keeps
     its degenerate t_end == t0 run, one row per file."""
     if hasattr(args, "quad_tol"):
         args.quad_tol = _threshold(args.quad_tol, "--quad-tol")
@@ -92,8 +92,9 @@ def _load(args) -> tuple[ConfigDocument, Scenario]:
         doc = model.apply_overrides(doc, args.set)
     scn = model.build_scenario(doc)
     span, stride = scn.plan.t_end - scn.initial.t, scn.plan.output_stride
-    if (args.command == "check" or (args.command == "map" and span > 0.0)) \
-            and model.stride_count(span, stride) + 1 < 2:
+    compares = (args.command in ("check", "bench")
+                or (args.command == "map" and span > 0.0))
+    if compares and model.stride_count(span, stride) + 1 < 2:
         raise ConfigError(f"{args.command} needs at least 2 samples, but "
                           f"output_stride={stride!r} exceeds the span {span!r}")
     return doc, scn
@@ -122,12 +123,6 @@ def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
     plan = scn.plan
     # a plan sets dt (rk4, verlet) or tol (adaptive54), never both
     return _integrate_phys(scn, plan.method, plan.tol if plan.dt is None else plan.dt)
-
-
-def _to_qframe(mv: float, q: float, q_dot: float, f: float,
-               f_dot: float) -> tuple[float, float]:
-    """(Q, Q') = (q/f, m (q'f - qf')): a physical state in the transformed frame."""
-    return q / f, mv * (q_dot * f - q * f_dot)
 
 
 def _scenario_echo(doc: ConfigDocument, scn: Scenario) -> dict:
@@ -216,21 +211,13 @@ def _energy_columns(traj, scn, tol):
         return np.full(n, np.nan), np.full(n, np.nan), None, err
 
 
-def _write_trajectory_csv(path: Path, traj, scn, e_phys, e_q) -> None:
-    row_fmt = ",".join(["%.17g"] * 10) + "\n"  # same digits as _fmt
+def _write_rows(path: Path, header: str, rows) -> None:
+    """``header``, then one line per row of floats at %.17g (as _fmt)."""
+    row_fmt = ",".join(["%.17g"] * len(header.split(","))) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for t, (q, q_dot, f, f_dot, tau), ep, eq in zip(
-                traj.t.tolist(), traj.y.tolist(), e_phys.tolist(), e_q.tolist()):
-            Q, Q_prime = _to_qframe(scn.m(t), q, q_dot, f, f_dot)
-            fh.write(row_fmt % (t, tau, q, q_dot, f, f_dot, Q, Q_prime, ep, eq))
-
-
-def _write_qframe_csv(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(QFRAME_HEADER + "\n")
+        fh.write(header + "\n")
         for row in rows:
-            fh.write("%.17g,%.17g,%.17g\n" % row)
+            fh.write(row_fmt % row)
 
 
 def _report_payload(report: invariants.InvariantReport | None, meta: dict | None,
@@ -275,26 +262,30 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         code = _record_error(manifest, series_err, singularity=False)
 
     traj_path = out_dir / "trajectory.csv"
-    _write_trajectory_csv(traj_path, traj, scn, e_phys, e_q)
+    _write_rows(traj_path, TRAJECTORY_HEADER, (
+        (t, tau, q, q_dot, f, f_dot, *model.to_qframe(scn.m(t), q, q_dot, f, f_dot),
+         ep, eq) for t, (q, q_dot, f, f_dot, tau), ep, eq
+        in zip(traj.t.tolist(), traj.y.tolist(), e_phys.tolist(), e_q.tolist())))
     report_path = out_dir / "report.json"
     _write_json(report_path, _report_payload(report, meta, series_err))
     manifest["outputs"] = {"trajectory": str(traj_path), "report": str(report_path)}
     manifest["metadata"] = {"method": traj.method, "step_count": traj.step_count,
                             "rejected_steps": traj.rejected_steps}
-    if (code == EXIT_OK and args.command == "check"
-            and report.max_rel_drift > args.max_drift):
-        print(f"drift check failed: max_rel_drift = {report.max_rel_drift:.3e} "
-              f"> {args.max_drift:.3e}", file=sys.stderr)
-        code = EXIT_DRIFT
+    if code == EXIT_OK and args.command == "check":
+        name, drift = report.gated_drift()
+        if drift > args.max_drift:
+            print(f"drift check failed: {name} = {drift:.3e} "
+                  f"> {args.max_drift:.3e}", file=sys.stderr)
+            code = EXIT_DRIFT
     return code
 
 
 def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     traj = _integrate_plan(scn)
-    mapped = [(tau, *_to_qframe(scn.m(t), q, q_dot, f, f_dot))
+    mapped = [(tau, *model.to_qframe(scn.m(t), q, q_dot, f, f_dot))
               for t, (q, q_dot, f, f_dot, tau) in zip(traj.t.tolist(), traj.y.tolist())]
     mapped_path = out_dir / "qframe_mapped.csv"
-    _write_qframe_csv(mapped_path, mapped)
+    _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
     # direct transformed-frame run over the same tau span
     tau0, Q0, Q_prime0 = mapped[0]
@@ -304,8 +295,8 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0, tau_end,
         tol, scn.plan.output_stride)
     direct_path = out_dir / "qframe_direct.csv"
-    _write_qframe_csv(direct_path, ((t, Q, Qp) for t, (Q, Qp) in
-                                    zip(direct.t.tolist(), direct.y.tolist())))
+    _write_rows(direct_path, QFRAME_HEADER, ((t, Q, Qp) for t, (Q, Qp) in
+                                             zip(direct.t.tolist(), direct.y.tolist())))
 
     gap = 0.0
     compared = 0
@@ -367,9 +358,9 @@ def _bench_row(scn: Scenario, method: str, step: float, quad_tol: float) -> tupl
         raise ConfigError("verlet bench rows need the potential (V, W) of every "
                           "nonzero coupling to evaluate the transformed-frame energy")
     st = scn.initial
-    Q, Q_prime = _to_qframe(scn.m(st.t), st.q, st.q_dot, st.f, st.f_dot)
-    traj = integrators.integrate_verlet_Q(V, W, QFrameState(tau=0.0, Q=Q, Q_prime=Q_prime),
-                                          step, scn.plan.t_end - st.t,
+    start = QFrameState(0.0, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
+                                              st.f, st.f_dot))
+    traj = integrators.integrate_verlet_Q(V, W, start, step, scn.plan.t_end - st.t,
                                           scn.plan.output_stride)
     e = np.array([invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
                   for t, y in zip(traj.t, traj.y)])
@@ -403,17 +394,10 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
 
 
 def cmd_convert(args) -> int:
-    requested = []
-    if args.V is not None:
-        requested.append("V")
-    if args.W is not None:
-        requested.append("W")
-    if args.F is not None:
-        requested.append("F")
-    if args.G is not None:
-        requested.append("G")
+    requested = [key for key in model.COUPLING_VARS if getattr(args, key) is not None]
     if len(requested) != 1:
-        print("error: give exactly one of --V, --W, --F, --G", file=sys.stderr)
+        print("error: give exactly one of "
+              + ", ".join(f"--{key}" for key in model.COUPLING_VARS), file=sys.stderr)
         return EXIT_CONFIG
     if (args.F is not None) != args.h_from_F:
         print("error: --F and --h-from-F go together", file=sys.stderr)
@@ -421,15 +405,11 @@ def cmd_convert(args) -> int:
     if (args.G is not None) != args.g_from_G:
         print("error: --G and --g-from-G go together", file=sys.stderr)
         return EXIT_CONFIG
+    key = requested[0]
+    convert = {"V": model.F_from_V, "W": model.G_from_W,
+               "F": model.h_from_F, "G": model.g_from_G}[key]
     try:
-        if args.V is not None:
-            out = model.F_from_V(compile_func(args.V, "Q"))
-        elif args.W is not None:
-            out = model.G_from_W(compile_func(args.W, "s"))
-        elif args.F is not None:
-            out = model.h_from_F(compile_func(args.F, "u"))
-        else:
-            out = model.g_from_G(compile_func(args.G, "v"))
+        out = convert(compile_func(getattr(args, key), model.COUPLING_VARS[key]))
     except ErmakovError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

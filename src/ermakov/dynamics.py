@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import PotentialsUnavailableError, SingularityError
 from .expr import Func1, Inliner, is_zero
-from .model import PhysState, QFrameState, Scenario, mass_at
+from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
 
 __all__ = [
     "EPS_SING",
@@ -325,9 +325,7 @@ def gauge_residual(state: PhysState, scn: Scenario) -> float:
     t, q, q_dot, f, f_dot = state.t, state.q, state.q_dot, state.f, state.f_dot
     mv = mass_at(scn.m, t)
     guard("f", f, t)
-    Q = q / f
-    Q_prime = mv * (q_dot * f - q * f_dot)
-    l_q = lagrangian_Q(QFrameState(tau=state.tau, Q=Q, Q_prime=Q_prime),
+    l_q = lagrangian_Q(QFrameState(state.tau, *to_qframe(mv, q, q_dot, f, f_dot)),
                        scn.potential_V, scn.potential_W)
     dmf = _ddt_m_fdot(state, scn)
     dphi_dt = (mv * q * q_dot * f_dot / f

@@ -438,10 +438,13 @@ def integrate_verlet_Q(V: Func1 | None, W: Func1 | None, initial: QFrameState,
                             output_stride)
 
 
-def integrate_verlet(accel: Callable[[float], float], initial: QFrameState,
+def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameState,
                      dt: float, tau_end: float,
                      output_stride: float | None = None) -> Trajectory:
-    """Kick-drift-kick leapfrog for a position-only acceleration law."""
+    """Kick-drift-kick leapfrog for a position-only acceleration law.
+
+    ``accel(Q, tau)`` returns Q'' at position Q; tau, the time that Q is
+    reached, only labels the errors it raises (as in qframe_accel)."""
     if tau_end < initial.tau:
         raise IntegrationError(f"tau_end ({tau_end!r}) precedes the initial "
                                f"tau ({initial.tau!r})")
@@ -452,7 +455,7 @@ def integrate_verlet(accel: Callable[[float], float], initial: QFrameState,
     samples = _Samples()
     Q, P = initial.Q, initial.Q_prime
     try:
-        a = accel(Q)
+        a = accel(Q, initial.tau)
     except ErmakovError as err:
         _attach_partial(err, samples, "verlet", 0, 0, initial.tau, [Q, P])
         raise
@@ -461,17 +464,18 @@ def integrate_verlet(accel: Callable[[float], float], initial: QFrameState,
     tau_last = initial.tau
     for i in range(n_str):
         for j in range(k_per):
+            tau = initial.tau + (i * k_per + j + 1) * dt
             try:
                 p_half = P + 0.5 * dt * a
                 Q = Q + dt * p_half
-                a = accel(Q)
+                a = accel(Q, tau)
                 P = p_half + 0.5 * dt * a
             except ErmakovError as err:
                 _attach_partial(err, samples, "verlet", steps, 0, tau_last,
                                 [Q, P])
                 raise
             steps += 1
-            tau_last = initial.tau + (i * k_per + j + 1) * dt
+            tau_last = tau
         tau_out = initial.tau + (i + 1) * stride
         samples.add(tau_out, [Q, P], [P, a])
     return samples.build("verlet", steps, 0, dt=dt)

@@ -27,7 +27,7 @@ from .dynamics import guard
 from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, Inliner, is_zero
 from .integrators import Trajectory
-from .model import PhysState, QFrameState, Scenario, mass_at, to_xrho
+from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe, to_xrho
 
 __all__ = [
     "InvariantReport",
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _REL_SUPPRESS = 1e-12  # |e0| below this: relative drift is meaningless
+_MAX_DEPTH = 50  # bisections before quad gives up on an interval
 
 
 # --- adaptive Simpson quadrature --------------------------------------------
@@ -61,11 +62,11 @@ def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return (h / 6.0) * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth, max_depth):
-    if depth > max_depth:
+def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth):
+    if depth > _MAX_DEPTH:
         raise QuadratureError(
             f"quadrature did not converge on [{a!r}, {b!r}] within "
-            f"{max_depth} bisections")
+            f"{_MAX_DEPTH} bisections")
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -77,8 +78,8 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth, max_depth):
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     half = 0.5 * tol
-    return (_adaptive(fn, a, m, fa, flm, fm, left, half, depth + 1, max_depth)
-            + _adaptive(fn, m, b, fm, frm, fb, right, half, depth + 1, max_depth))
+    return (_adaptive(fn, a, m, fa, flm, fm, left, half, depth + 1)
+            + _adaptive(fn, m, b, fm, frm, fb, right, half, depth + 1))
 
 
 def _check_tol(tol: float) -> None:
@@ -87,8 +88,7 @@ def _check_tol(tol: float) -> None:
 
 
 def quad(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-         max_depth: int = 50, fa: float | None = None,
-         fb: float | None = None) -> float:
+         fa: float | None = None, fb: float | None = None) -> float:
     """Adaptive Simpson integral of ``fn`` over [a, b].
 
     Absolute tolerance ``tol`` (stricter than the advertised mixed
@@ -100,7 +100,7 @@ def quad(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
     if a == b:
         return 0.0
     if b < a:
-        return -quad(fn, b, a, tol, max_depth, fb, fa)
+        return -quad(fn, b, a, tol, fb, fa)
     if fa is None:
         fa = _sample(fn, a)
     if fb is None:
@@ -108,7 +108,7 @@ def quad(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
     m = 0.5 * (a + b)
     fm = _sample(fn, m)
     whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive(fn, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+    return _adaptive(fn, a, b, fa, fm, fb, whole, tol, 0)
 
 
 def default_ref(integrand: Callable[[float], float]) -> float:
@@ -134,44 +134,35 @@ def energy_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     return val
 
 
-def _wronskian(state: PhysState, m_val: float) -> float:
-    return m_val * (state.q_dot * state.f - state.q * state.f_dot)
-
-
 def ray_reid_invariant(state: PhysState, scn: Scenario, u_ref: float = 0.0,
                        v_ref: float = 0.0, tol: float = 1e-10) -> float:
-    """Physical-frame invariant via quadrature of the coupling integrands.
+    """Physical-frame invariant via quadrature of the coupling integrands
+    (never the potentials), at one state: the series' E_phys there.
 
     Defined up to the additive constant fixed by (u_ref, v_ref).
     Structurally-zero couplings contribute nothing and do not constrain
     q or f.
     """
-    mv = mass_at(scn.m, state.t)
-    val = 0.5 * _wronskian(state, mv) ** 2
-    F, G = scn.coupling_F, scn.coupling_G
-    if not is_zero(F.expr):
-        guard("f", state.f, state.t)
-        val += quad(lambda u: u * F(u), u_ref, state.q / state.f, tol)
-    if not is_zero(G.expr):
-        guard("q", state.q, state.t)
-        val += quad(lambda v: v * G(v), v_ref, state.f / state.q, tol)
-    return val
+    u_side = _PotentialSide(None, scn.coupling_F, tol, u_ref)
+    v_side = _PotentialSide(None, scn.coupling_G, tol, v_ref)
+    y = [state.q, state.q_dot, state.f, state.f_dot, state.tau]
+    return _energies([state.t], [y], scn.m, u_side, v_side)[0][0]
 
 
 def ermakov_lewis(state: PhysState, m_val: float, Omega: float) -> float:
     """Closed form of the invariant for the constant-coupling (harmonic)
     case: (1/2) m^2 (q'f - qf')^2 + (1/2) Omega^2 (q/f)^2."""
-    return 0.5 * _wronskian(state, m_val) ** 2 + 0.5 * (Omega * state.q / state.f) ** 2
+    _, Q_prime = to_qframe(m_val, state.q, state.q_dot, state.f, state.f_dot)
+    return 0.5 * Q_prime ** 2 + 0.5 * (Omega * state.q / state.f) ** 2
 
 
 def wronskian_identity_check(state: PhysState, m: Func1) -> tuple[float, float]:
     """Both sides of m^2 (q'f - qf')^2 == (x'rho - x rho')^2 under the
     x = q sqrt(m), rho = f sqrt(m) rescaling; equal to round-off."""
-    mv = mass_at(m, state.t)
-    lhs = _wronskian(state, mv) ** 2
+    _, Q_prime = to_qframe(mass_at(m, state.t), state.q, state.q_dot,
+                           state.f, state.f_dot)
     x, x_dot, rho, rho_dot = to_xrho(state, m)
-    rhs = (x_dot * rho - x * rho_dot) ** 2
-    return lhs, rhs
+    return Q_prime ** 2, (x_dot * rho - x * rho_dot) ** 2
 
 
 # --- drift reporting ---------------------------------------------------------
@@ -188,6 +179,13 @@ class InvariantReport:
         for name in ("e0", "max_abs_drift", "max_rel_drift", "frame_gap"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"InvariantReport.{name} must be finite")
+
+    def gated_drift(self) -> tuple[str, float]:
+        """(name, value) of the drift a threshold gates: the relative one,
+        or the absolute one where |e0| < _REL_SUPPRESS leaves it undefined."""
+        if abs(self.e0) < _REL_SUPPRESS:
+            return "max_abs_drift", self.max_abs_drift
+        return "max_rel_drift", self.max_rel_drift
 
 
 class _RunningIntegral:
@@ -237,7 +235,8 @@ class _PotentialSide:
     """One coupling's contribution to the energy, evaluated either from
     its exact potential or by running quadrature of the integrand."""
 
-    def __init__(self, potential: Func1 | None, coupling: Func1, tol: float):
+    def __init__(self, potential: Func1 | None, coupling: Func1, tol: float,
+                 ref: float | None = None):
         self.zero = is_zero(coupling.expr) and (
             potential is None or is_zero(potential.expr))
         self.potential = potential
@@ -245,7 +244,7 @@ class _PotentialSide:
         self.running: _RunningIntegral | None = None
         if not self.zero and potential is None:
             integrand = _integrand(coupling)
-            self.ref = default_ref(integrand)
+            self.ref = default_ref(integrand) if ref is None else ref
             self.running = _RunningIntegral(integrand, self.ref, tol)
 
     @property
@@ -262,6 +261,40 @@ class _PotentialSide:
         return self.running.value(arg)
 
 
+def _energies(ts: list[float], ys: list[list[float]], m: Func1,
+              u_side: _PotentialSide, v_side: _PotentialSide
+              ) -> tuple[list[float], list[float]]:
+    """(E_phys, E_Q) at each sample t, (q, q_dot, f, f_dot, tau) of ``ts``
+    and ``ys``; raises InvariantError at the first non-finite value."""
+    e_phys: list[float] = []
+    e_q: list[float] = []
+    for t, (q, q_dot, f, f_dot, _tau) in zip(ts, ys):
+        mv = mass_at(m, t)
+        if not u_side.zero:
+            guard("f", f, t)
+        Q, Q_prime = to_qframe(mv, q, q_dot, f, f_dot)
+        pot_u = u_side.value(Q)
+        pot_v = 0.0
+        if not v_side.zero:
+            guard("q", q, t)
+            pot_v = v_side.value(f / q)
+        # the kinetic terms are algebraically equal but deliberately keep
+        # their own arithmetic (m^2 (q'f-qf')^2 vs Q'^2): frame_gap measures
+        # exactly this evaluation difference
+        try:
+            kinetic = 0.5 * mv * mv * (q_dot * f - q * f_dot) ** 2
+        except OverflowError:  # where a float's square overflowed
+            kinetic = 0.5 * mv * mv * math.inf
+        ep = kinetic + pot_u + pot_v
+        eq = 0.5 * Q_prime * Q_prime + pot_u + pot_v
+        if not (math.isfinite(ep) and math.isfinite(eq)):
+            raise InvariantError(f"the invariant is not finite at t={t!r} "
+                                 f"(E_phys = {ep!r}, E_Q = {eq!r})")
+        e_phys.append(ep)
+        e_q.append(eq)
+    return e_phys, e_q
+
+
 def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
                      ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Physical-frame and transformed-frame energy at every sample of a
@@ -273,35 +306,9 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
     """
     u_side = _PotentialSide(scn.potential_V, scn.coupling_F, tol)
     v_side = _PotentialSide(scn.potential_W, scn.coupling_G, tol)
-
-    e_phys: list[float] = []
-    e_q: list[float] = []
     # plain floats: fast arithmetic, and messages show plain numbers
-    for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t.tolist(), traj.y.tolist()):
-        mv = mass_at(scn.m, t)
-        w = mv * (q_dot * f - q * f_dot)
-        pot_u = pot_v = 0.0
-        if not u_side.zero:
-            guard("f", f, t)
-            pot_u = u_side.value(q / f)
-        if not v_side.zero:
-            guard("q", q, t)
-            pot_v = v_side.value(f / q)
-        # the kinetic terms are algebraically equal but deliberately keep
-        # their own arithmetic (m^2 (q'f-qf')^2 vs Q'^2): frame_gap measures
-        # exactly this evaluation difference
-        try:
-            kinetic = 0.5 * mv * mv * (q_dot * f - q * f_dot) ** 2
-        except OverflowError:  # where a numpy scalar's square overflowed to inf
-            kinetic = 0.5 * mv * mv * math.inf
-        ep = kinetic + pot_u + pot_v
-        eq = 0.5 * w * w + pot_u + pot_v
-        if not (math.isfinite(ep) and math.isfinite(eq)):
-            raise InvariantError(f"the invariant is not finite at t={t!r} "
-                                 f"(E_phys = {ep!r}, E_Q = {eq!r})")
-        e_phys.append(ep)
-        e_q.append(eq)
-
+    e_phys, e_q = _energies(traj.t.tolist(), traj.y.tolist(), scn.m,
+                            u_side, v_side)
     meta = {
         "u_side": u_side.path,
         "v_side": v_side.path,

@@ -47,6 +47,7 @@ __all__ = [
     "g_from_G",
     "omega_sq_from_mass",
     "to_xrho",
+    "to_qframe",
     "parse_config",
     "load_config",
     "apply_overrides",
@@ -57,6 +58,7 @@ __all__ = [
     "stride_steps",
     "stride_count",
     "METHODS",
+    "COUPLING_VARS",
     "MAX_GRID_POINTS",
 ]
 
@@ -204,6 +206,13 @@ def to_xrho(state: PhysState, m: Func1) -> tuple[float, float, float, float]:
     return x, x_dot, rho, rho_dot
 
 
+def to_qframe(m: float, q: float, q_dot: float, f: float,
+              f_dot: float) -> tuple[float, float]:
+    """(Q, Q') = (q/f, m (q'f - qf')): a physical state, at mass value
+    ``m``, in the transformed frame."""
+    return q / f, m * (q_dot * f - q * f_dot)
+
+
 # --- config format ----------------------------------------------------------
 
 _SCHEMA = {
@@ -213,7 +222,7 @@ _SCHEMA = {
     "integration": ("method", "t_end", "dt", "tol", "output_stride"),
 }
 
-_COUPLING_VARS = {"V": "Q", "W": "s", "F": "u", "G": "v"}
+COUPLING_VARS = {"V": "Q", "W": "s", "F": "u", "G": "v"}
 
 
 @dataclass(frozen=True)
@@ -313,12 +322,12 @@ def _coupling_side(sections, direct_key: str, potential_key: str,
             f"give exactly one")
     if potential_key in coupling:
         pot = _compile_key(sections, "coupling", potential_key,
-                           _COUPLING_VARS[potential_key])
+                           COUPLING_VARS[potential_key])
         return derive(pot), pot
     if direct_key in coupling:
         return _compile_key(sections, "coupling", direct_key,
-                            _COUPLING_VARS[direct_key]), None
-    return constant_func(0.0, _COUPLING_VARS[direct_key]), None
+                            COUPLING_VARS[direct_key]), None
+    return constant_func(0.0, COUPLING_VARS[direct_key]), None
 
 
 def check_grid_size(span: float, output_stride: float,

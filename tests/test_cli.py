@@ -277,6 +277,47 @@ class TestCheck:
         assert manifest["exit_status"] == 2
         assert manifest["error"] == message
 
+    def test_undefined_relative_drift_gates_the_absolute_drift(self, tmp_path,
+                                                                capsys):
+        # e0 = 0 here, so max_rel_drift is reported as 0 and says nothing;
+        # check gates max_abs_drift (about 2e-3) instead
+        out = tmp_path / "c"
+        assert run("check", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "coupling.V=Q^2-1", "--set", "initial.q=1",
+                   "--set", "initial.f=1", "--set", "integration.tol=1e-4",
+                   "--max-drift", "1e-8") == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["e0"] == 0.0 and report["max_rel_drift"] == 0.0
+        assert set(report) == {"e0", "max_abs_drift", "max_rel_drift", "samples",
+                               "frame_gap", "convention"}
+        assert capsys.readouterr().err.splitlines() == [
+            f"drift check failed: max_abs_drift = {report['max_abs_drift']:.3e} "
+            f"> 1.000e-08"]
+
+    def test_exactly_conserved_zero_energy_passes(self, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("""
+[functions]
+m = 1
+omega_tilde_sq = 0
+[coupling]
+[initial]
+q = 1
+q_dot = 0
+f = 1
+f_dot = 0
+[integration]
+method = rk4
+t_end = 1
+dt = 0.1
+output_stride = 0.5
+""")
+        out = tmp_path / "c"
+        assert run("check", "--config", str(cfg), "--out", str(out),
+                   "--max-drift", "1e-300") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["e0"] == 0.0 and report["max_abs_drift"] == 0.0
+
     def test_map_has_no_quad_tol(self, tmp_path):
         # map evaluates no invariant, so it offers no quadrature tolerance
         with pytest.raises(SystemExit) as info:
@@ -377,6 +418,32 @@ class TestConvert:
     def test_no_conversion_requested(self):
         assert run("convert") == 2
 
+    @pytest.mark.parametrize("argv,code,out,err", [
+        ([], 2, "", "error: give exactly one of --V, --W, --F, --G"),
+        (["--V", "Q", "--W", "s"], 2, "", "error: give exactly one of --V, --W, --F, --G"),
+        (["--F", "u^2"], 2, "", "error: --F and --h-from-F go together"),
+        (["--V", "Q", "--h-from-F"], 2, "", "error: --F and --h-from-F go together"),
+        (["--G", "1"], 2, "", "error: --G and --g-from-G go together"),
+        (["--V", "2*Q^2"], 0, "2.0*(2.0*u)/u", ""),
+        (["--W", "s^2/2"], 0, "2.0*v*2.0/2.0^2.0/v", ""),
+        (["--F", "u^2", "--h-from-F"], 0, "u*u^2.0", ""),
+        (["--G", "1", "--g-from-G"], 0, "v*1.0", ""),
+        (["--V", "u"], 2, "",
+         "error: unknown identifier 'u' (declared variable is 'Q') (at offset 0 in 'u')"),
+        (["--W", "Q"], 2, "",
+         "error: unknown identifier 'Q' (declared variable is 's') (at offset 0 in 'Q')"),
+        (["--F", "v", "--h-from-F"], 2, "",
+         "error: unknown identifier 'v' (declared variable is 'u') (at offset 0 in 'v')"),
+        (["--G", "u", "--g-from-G"], 2, "",
+         "error: unknown identifier 'u' (declared variable is 'v') (at offset 0 in 'u')"),
+    ])
+    def test_messages(self, capsys, argv, code, out, err):
+        # each coupling is read in its own variable (model.COUPLING_VARS)
+        assert run("convert", *argv) == code
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ([out] if out else [])
+        assert captured.err.splitlines() == ([err] if err else [])
+
 
 class TestBench:
     def test_rk4_drift_convergence(self, tmp_path):
@@ -390,6 +457,18 @@ class TestBench:
         drifts = [float(ln.split(",")[2]) for ln in lines[1:]]
         for a, b in zip(drifts, drifts[1:]):
             assert 8.0 < a / b < 32.0, drifts
+
+    def test_stride_past_the_span_exit_2(self, tmp_path, capsys):
+        # one sample per row would read as zero drift while comparing nothing
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S3), "--out", str(out),
+                   "--methods", "adaptive54,rk4", "--tol", "1e-8", "--dt", "0.5",
+                   "--set", "integration.output_stride=100") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bench needs at least 2 samples, but output_stride=100.0 "
+            "exceeds the span 50.0"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
 
     def test_empty_grid_exit_2(self, tmp_path):
         assert run("bench", "--config", scenario_path(S1),
@@ -552,6 +631,9 @@ EXIT_PATHS = [
     ("bench-0", ["bench", S1, "--methods", "rk4", "--dt", "0.05"] + _SHORT, 0, 0,
      _ECHO, {"manifest.json", "bench.csv"}),
     ("bench-2", ["bench", S1, "--methods", "rk4"], 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
+    ("bench-2-one-sample", ["bench", S3, "--methods", "rk4", "--dt", "0.5",
+                            "--set", "integration.output_stride=100"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
     ("bench-4", ["bench", "bare", "--methods", "verlet", "--dt", "0.1"], 4, 1, _ECHO,
      {"manifest.json", "bench.csv"}),
 ]

@@ -16,6 +16,7 @@ from ermakov.integrators import (
     _dp54_step,
     integrate_adaptive54,
     integrate_fixed_rk4,
+    integrate_verlet,
     integrate_verlet_Q,
     interpolate,
 )
@@ -301,6 +302,21 @@ class TestVerlet:
                                   dt, math.pi, math.pi)
         assert abs(traj.y[-1, 0] - 1.0) < 1e-3
         assert abs(traj.y[-1, 1]) < 1e-3
+
+    def test_accel_receives_each_step_tau(self):
+        seen = []
+
+        def accel(Q, tau):
+            seen.append(tau)
+            return 0.0
+        integrate_verlet(accel, QFrameState(tau=5.0, Q=1.0, Q_prime=0.0), 0.25, 6.0)
+        assert seen == [5.0, 5.25, 5.5, 5.75, 6.0]
+
+    def test_guard_error_names_its_tau(self):
+        W = compile_func("s^2/2", "s")
+        with pytest.raises(SingularityError, match=r"\(at t=5\.0\)"):
+            integrate_verlet_Q(None, W, QFrameState(tau=5.0, Q=1e-11, Q_prime=0.0),
+                               0.01, 6.0)
 
     def test_zero_dt_rejected(self):
         V = compile_func("0", "Q")

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import S1, S3, load_scenario, random_phys_states
+from conftest import S1, S2, S3, load_scenario, random_phys_states
+from test_golden import BARE_RK4
 from ermakov import dynamics, integrators, model
 from ermakov.errors import InvariantError, QuadratureError, SingularityError
 from ermakov.expr import compile_func
@@ -222,6 +223,46 @@ class TestRayReidInvariant:
         a = ray_reid_invariant(st, s3, 0.0, 0.0, 1e-12)
         b = ray_reid_invariant(rev, s3, 0.0, 0.0, 1e-12)
         assert a == b
+
+
+class TestRayReidByHand:
+    """ray_reid_invariant against its sum written out here; the two share
+    nothing but quad and Func1 evaluation."""
+
+    @staticmethod
+    def _states(name):
+        if name == "bare":
+            scn = model.build_scenario(model.parse_config(BARE_RK4))
+            st = scn.initial
+            traj = integrators.integrate_fixed_rk4(
+                dynamics.phys_ode(scn), [st.q, st.q_dot, st.f, st.f_dot, st.tau],
+                st.t, 2.0, 0.01, 0.1)
+        else:
+            scn = load_scenario(name)
+            traj = _traj(scn, t_end=10.0, stride=0.5)
+        states = [PhysState(t, tau, q, q_dot, f, f_dot)
+                  for t, (q, q_dot, f, f_dot, tau) in zip(traj.t.tolist(),
+                                                          traj.y.tolist())]
+        return scn, states
+
+    @pytest.mark.parametrize("name", [S2, "bare"])
+    def test_matches_the_written_out_sum(self, name):
+        scn, states = self._states(name)
+        F, G = scn.coupling_F, scn.coupling_G
+        assert len(states) >= 20
+        for st in states:
+            m = scn.m(st.t)
+            q, q_dot, f, f_dot = st.q, st.q_dot, st.f, st.f_dot
+            want = (0.5 * (m * (q_dot * f - q * f_dot)) ** 2
+                    + quad(lambda u: u * F(u), 0.0, q / f, 1e-12)
+                    + quad(lambda v: v * G(v), 0.0, f / q, 1e-12))
+            got = ray_reid_invariant(st, scn, 0.0, 0.0, 1e-12)
+            assert got == pytest.approx(want, rel=1e-12), st
+
+    def test_non_finite_value_is_an_invariant_error(self, s1):
+        st = PhysState(t=0.0, tau=0.0, q=1.0, q_dot=1e160, f=1.0, f_dot=0.0)
+        with pytest.raises(InvariantError, match="not finite"):
+            ray_reid_invariant(st, s1)
 
 
 class TestErmakovLewis:
