@@ -56,7 +56,6 @@ from .invariants import (
     invariant_series,
     quad,
     ray_reid_invariant,
-    wronskian_identity_check,
 )
 
 __version__ = "0.1.0"

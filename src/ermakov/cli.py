@@ -30,8 +30,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import dynamics, integrators, invariants, model
 from .errors import ConfigError, ErmakovError, ExprSyntaxError, SingularityError
 from .expr import compile_func, is_zero, to_source
@@ -207,8 +205,8 @@ def _energy_columns(traj, scn, tol):
         e_phys, e_q, meta = invariants.invariant_series(traj, scn, tol)
         return e_phys, e_q, meta, None
     except ErmakovError as err:
-        n = len(traj)
-        return np.full(n, np.nan), np.full(n, np.nan), None, err
+        nan = [math.nan] * len(traj)
+        return nan, nan, None, err
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
@@ -265,7 +263,7 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     _write_rows(traj_path, TRAJECTORY_HEADER, (
         (t, tau, q, q_dot, f, f_dot, *model.to_qframe(scn.m(t), q, q_dot, f, f_dot),
          ep, eq) for t, (q, q_dot, f, f_dot, tau), ep, eq
-        in zip(traj.t.tolist(), traj.y.tolist(), e_phys.tolist(), e_q.tolist())))
+        in zip(traj.t, traj.y, e_phys, e_q)))
     report_path = out_dir / "report.json"
     _write_json(report_path, _report_payload(report, meta, series_err))
     manifest["outputs"] = {"trajectory": str(traj_path), "report": str(report_path)}
@@ -283,7 +281,7 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
 def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     traj = _integrate_plan(scn)
     mapped = [(tau, *model.to_qframe(scn.m(t), q, q_dot, f, f_dot))
-              for t, (q, q_dot, f, f_dot, tau) in zip(traj.t.tolist(), traj.y.tolist())]
+              for t, (q, q_dot, f, f_dot, tau) in zip(traj.t, traj.y)]
     mapped_path = out_dir / "qframe_mapped.csv"
     _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
@@ -295,8 +293,8 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0, tau_end,
         tol, scn.plan.output_stride)
     direct_path = out_dir / "qframe_direct.csv"
-    _write_rows(direct_path, QFRAME_HEADER, ((t, Q, Qp) for t, (Q, Qp) in
-                                             zip(direct.t.tolist(), direct.y.tolist())))
+    _write_rows(direct_path, QFRAME_HEADER,
+                ((t, Q, Qp) for t, (Q, Qp) in zip(direct.t, direct.y)))
 
     gap = 0.0
     compared = 0
@@ -362,8 +360,8 @@ def _bench_row(scn: Scenario, method: str, step: float, quad_tol: float) -> tupl
                                               st.f, st.f_dot))
     traj = integrators.integrate_verlet_Q(V, W, start, step, scn.plan.t_end - st.t,
                                           scn.plan.output_stride)
-    e = np.array([invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
-                  for t, y in zip(traj.t, traj.y)])
+    e = [invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
+         for t, y in zip(traj.t, traj.y)]
     return invariants.report_from_series(e, e).max_rel_drift, traj.step_count
 
 
@@ -448,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_quad_tol(p)
     p.add_argument("--max-drift", default="1e-6",
-                   help="maximum tolerated relative drift (default 1e-6)")
+                   help="maximum tolerated relative drift, or absolute drift "
+                        "where |e0| < 1e-12 (default 1e-6)")
     p.set_defaults(func=_run, body=_simulate)
 
     p = subs.add_parser("map", help="compare mapped vs direct transformed-frame runs")

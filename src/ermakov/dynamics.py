@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import PotentialsUnavailableError, SingularityError
 from .expr import Func1, Inliner, is_zero
 from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
@@ -189,6 +187,8 @@ def _vector_rhs(kernel: Callable[..., tuple[float, ...]]) -> _Ode:
         try:
             return kernel(t, *y)
         except (ZeroDivisionError, OverflowError):
+            import numpy as np  # imported here only: the redo is rare
+
             with np.errstate(all="ignore"):
                 dy = kernel(t, *np.array(y, dtype=float))
             return tuple(map(float, dy))

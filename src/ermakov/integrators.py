@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .dynamics import qframe_accel
 from .errors import ErmakovError, IntegrationError, SingularityError
@@ -47,10 +47,8 @@ __all__ = [
 
 # rhs(t, y) receives the state y as a list of floats and returns dy/dt as
 # a sequence of exactly len(y) floats (the generated steps unpack it).
-# The steppers keep states and stage slopes as lists of floats, doing
-# each component's arithmetic in the order an elementwise numpy
-# expression would; numpy arrays are built once, for the finished
-# Trajectory.
+# The steppers keep states and stage slopes as float sequences, and the
+# finished Trajectory holds those same rows.
 Rhs = Callable[[float, list[float]], Sequence[float]]
 
 _STEP_FLOOR = 1e-14  # below this the adaptive controller gives up
@@ -58,16 +56,17 @@ _STEP_FLOOR = 1e-14  # below this the adaptive controller gives up
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered samples of one integration run.
+    """Ordered samples of one integration run, as plain float lists.
 
     ``t`` is physical time for the q-f system and tau for the
-    transformed frame.  ``dy`` holds the right-hand side at each sample
-    so cubic-Hermite interpolation between samples is available.
+    transformed frame.  ``y[i]`` is the state at ``t[i]``, and ``dy[i]``
+    the right-hand side there, so cubic-Hermite interpolation between
+    samples is available.
     """
 
-    t: np.ndarray
-    y: np.ndarray
-    dy: np.ndarray
+    t: list[float]
+    y: list[Sequence[float]]
+    dy: list[Sequence[float]]
     method: str
     step_count: int
     rejected_steps: int
@@ -77,15 +76,15 @@ class Trajectory:
     def __post_init__(self):
         if len(self.t) == 0:
             raise IntegrationError("trajectory must contain at least one sample")
-        steps = np.diff(self.t)
-        if len(steps) and not (np.all(steps > 0) or np.all(steps < 0)):
+        pairs = list(zip(self.t, self.t[1:]))
+        if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
             raise IntegrationError("trajectory times must be strictly monotone")
 
     def __len__(self) -> int:
         return len(self.t)
 
 
-def interpolate(traj: Trajectory, t_query: float) -> np.ndarray:
+def interpolate(traj: Trajectory, t_query: float) -> list[float]:
     """Cubic-Hermite interpolation of a trajectory at one time.
 
     Uses the stored state and right-hand-side samples; O(h^4) accurate
@@ -93,14 +92,17 @@ def interpolate(traj: Trajectory, t_query: float) -> np.ndarray:
     """
     t = traj.t
     ascending = len(t) < 2 or t[1] > t[0]
-    tt = t if ascending else -t
+    key = None if ascending else operator.neg
     tq = t_query if ascending else -t_query
-    if tq < tt[0] - 1e-12 or tq > tt[-1] + 1e-12:
+    lo, hi = (t[0], t[-1]) if ascending else (-t[0], -t[-1])
+    if tq < lo - 1e-12 or tq > hi + 1e-12:
         raise ValueError(f"t={t_query!r} outside trajectory range "
                          f"[{t[0]!r}, {t[-1]!r}]")
-    i = int(np.searchsorted(tt, tq))
-    if i < len(t) and tt[i] == tq:
-        return traj.y[i].copy()
+    i = bisect_left(t, tq, key=key)
+    if i < len(t) and t[i] == t_query:
+        return list(traj.y[i])
+    if len(t) == 1:  # within the range check's slack of the one sample
+        return list(traj.y[0])
     i = max(1, min(i, len(t) - 1))
     t0, t1 = t[i - 1], t[i]
     h = t1 - t0
@@ -109,15 +111,17 @@ def interpolate(traj: Trajectory, t_query: float) -> np.ndarray:
     h10 = th * (1 - th) ** 2
     h01 = th * th * (3 - 2 * th)
     h11 = th * th * (th - 1)
-    return (h00 * traj.y[i - 1] + h10 * h * traj.dy[i - 1]
-            + h01 * traj.y[i] + h11 * h * traj.dy[i])
+    a, b = h10 * h, h11 * h
+    return [h00 * y0 + a * d0 + h01 * y1 + b * d1 for y0, d0, y1, d1
+            in zip(traj.y[i - 1], traj.dy[i - 1], traj.y[i], traj.dy[i])]
 
 
 class _Samples:
     """Accumulates (t, y, dy) rows and hands partial results to errors.
 
-    Rows are kept by reference: the steppers never modify a state list
-    or a slope sequence once it exists."""
+    Rows are kept by reference, and ``build`` hands these very lists to
+    the Trajectory: the steppers never modify a state list or a slope
+    sequence once it exists."""
 
     def __init__(self):
         self.t: list[float] = []
@@ -131,8 +135,7 @@ class _Samples:
 
     def build(self, method: str, steps: int, rejected: int,
               dt: float | None = None, tol: float | None = None) -> Trajectory:
-        return Trajectory(t=np.array(self.t), y=np.array(self.y, dtype=float),
-                          dy=np.array(self.dy, dtype=float), method=method,
+        return Trajectory(t=self.t, y=self.y, dy=self.dy, method=method,
                           step_count=steps, rejected_steps=rejected,
                           dt=dt, tol=tol)
 
@@ -141,7 +144,7 @@ def _attach_partial(err: ErmakovError, samples: _Samples, method: str,
                     steps: int, rejected: int, last_t: float,
                     last_y: Sequence[float]) -> None:
     err.last_t = last_t
-    err.last_state = np.array(last_y, dtype=float)
+    err.last_state = list(last_y)
     try:
         err.partial = samples.build(method, steps, rejected)
     except ErmakovError:

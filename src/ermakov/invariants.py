@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .dynamics import guard
 from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, Inliner, is_zero
 from .integrators import Trajectory
-from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe, to_xrho
+from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
 
 __all__ = [
     "InvariantReport",
@@ -35,7 +33,6 @@ __all__ = [
     "energy_Q",
     "ray_reid_invariant",
     "ermakov_lewis",
-    "wronskian_identity_check",
     "default_ref",
     "invariant_series",
     "report_from_series",
@@ -154,15 +151,6 @@ def ermakov_lewis(state: PhysState, m_val: float, Omega: float) -> float:
     case: (1/2) m^2 (q'f - qf')^2 + (1/2) Omega^2 (q/f)^2."""
     _, Q_prime = to_qframe(m_val, state.q, state.q_dot, state.f, state.f_dot)
     return 0.5 * Q_prime ** 2 + 0.5 * (Omega * state.q / state.f) ** 2
-
-
-def wronskian_identity_check(state: PhysState, m: Func1) -> tuple[float, float]:
-    """Both sides of m^2 (q'f - qf')^2 == (x'rho - x rho')^2 under the
-    x = q sqrt(m), rho = f sqrt(m) rescaling; equal to round-off."""
-    _, Q_prime = to_qframe(mass_at(m, state.t), state.q, state.q_dot,
-                           state.f, state.f_dot)
-    x, x_dot, rho, rho_dot = to_xrho(state, m)
-    return Q_prime ** 2, (x_dot * rho - x * rho_dot) ** 2
 
 
 # --- drift reporting ---------------------------------------------------------
@@ -296,7 +284,7 @@ def _energies(ts: list[float], ys: list[list[float]], m: Func1,
 
 
 def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
-                     ) -> tuple[np.ndarray, np.ndarray, dict]:
+                     ) -> tuple[list[float], list[float], dict]:
     """Physical-frame and transformed-frame energy at every sample of a
     physical trajectory (columns q, q_dot, f, f_dot, tau).
 
@@ -306,9 +294,7 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
     """
     u_side = _PotentialSide(scn.potential_V, scn.coupling_F, tol)
     v_side = _PotentialSide(scn.potential_W, scn.coupling_G, tol)
-    # plain floats: fast arithmetic, and messages show plain numbers
-    e_phys, e_q = _energies(traj.t.tolist(), traj.y.tolist(), scn.m,
-                            u_side, v_side)
+    e_phys, e_q = _energies(traj.t, traj.y, scn.m, u_side, v_side)
     meta = {
         "u_side": u_side.path,
         "v_side": v_side.path,
@@ -316,19 +302,20 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
         "v_ref": v_side.ref,
         "quad_tol": tol,
     }
-    return np.array(e_phys, dtype=float), np.array(e_q, dtype=float), meta
+    return e_phys, e_q, meta
 
 
-def report_from_series(e_phys: np.ndarray, e_q: np.ndarray) -> InvariantReport:
+def report_from_series(e_phys: Sequence[float], e_q: Sequence[float]
+                       ) -> InvariantReport:
     """Summarize precomputed energy series.  Relative drift is suppressed
     (reported 0) when the initial value is numerically zero.  Raises
     InvariantError when a value is not finite."""
-    if not (np.all(np.isfinite(e_phys)) and np.all(np.isfinite(e_q))):
+    if not (all(map(math.isfinite, e_phys)) and all(map(math.isfinite, e_q))):
         raise InvariantError("the invariant is not finite along the trajectory")
     e0 = float(e_phys[0])
-    max_abs = float(np.max(np.abs(e_phys - e0)))
+    max_abs = float(max(abs(e - e0) for e in e_phys))
     max_rel = max_abs / abs(e0) if abs(e0) >= _REL_SUPPRESS else 0.0
-    gap = float(np.max(np.abs(e_phys - e_q)))
+    gap = float(max(abs(ep - eq) for ep, eq in zip(e_phys, e_q)))
     return InvariantReport(e0=e0, max_abs_drift=max_abs, max_rel_drift=max_rel,
                            samples=len(e_phys), frame_gap=gap)
 

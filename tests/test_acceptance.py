@@ -58,7 +58,7 @@ def test_c01_s1_invariant_constancy():
     e_phys, _, _ = invariants.invariant_series(traj, scn)
     rep = invariants.drift_report(traj, scn)
     elapsed = time.perf_counter() - t0
-    worst = float(np.max(np.abs(e_phys - 1.0)))
+    worst = float(np.max(np.abs(np.array(e_phys) - 1.0)))
     ok = rep.max_rel_drift < 1e-8 and worst < 1e-6 and elapsed < 5.0
     _verdict("criterion 1: S1 invariant constancy", ok,
              f"max_rel_drift={rep.max_rel_drift:.3e}, max|E-1|={worst:.3e}, "
@@ -155,7 +155,7 @@ def test_c05_cross_frame_trajectory():
     trajectory over tau in [0, 20]."""
     scn = load_scenario(S3)
     traj = _integrate(scn)
-    tau = traj.y[:, 4]
+    tau = np.array(traj.y)[:, 4]
     assert tau[-1] >= 20.0, "S3 run must cover tau = 20"
     st = scn.initial
     direct = integrators.integrate_adaptive54(
@@ -168,7 +168,7 @@ def test_c05_cross_frame_trajectory():
         if tau[i] > 20.0:
             break
         Qd = integrators.interpolate(direct, float(tau[i]))[0]
-        worst = max(worst, abs(Qd - traj.y[i, 0] / traj.y[i, 2]))
+        worst = max(worst, abs(Qd - traj.y[i][0] / traj.y[i][2]))
         compared += 1
     ok = worst < 1e-5 and compared > 300
     _verdict("criterion 5: cross-frame trajectory", ok,
@@ -225,8 +225,8 @@ def test_c08_convergence_orders():
     for dt in (0.1, 0.05, 0.025):
         traj = integrators.integrate_fixed_rk4(dynamics.phys_ode(scn), y0,
                                                st.t, t_end, dt, t_end)
-        errs.append(abs(traj.y[-1, 0] - math.cos(t_end))
-                    + abs(traj.y[-1, 1] + math.sin(t_end)))
+        errs.append(abs(traj.y[-1][0] - math.cos(t_end))
+                    + abs(traj.y[-1][1] + math.sin(t_end)))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     rk4_ok = all(8.0 < r < 32.0 for r in ratios)
 
@@ -234,7 +234,7 @@ def test_c08_convergence_orders():
     for tol in (1e-6, 1e-8, 1e-10):
         traj = integrators.integrate_adaptive54(dynamics.phys_ode(scn), y0,
                                                 st.t, t_end, tol, t_end)
-        a_errs.append(abs(traj.y[-1, 0] - math.cos(t_end)))
+        a_errs.append(abs(traj.y[-1][0] - math.cos(t_end)))
     adaptive_ok = all(b <= 2.0 * a for a, b in zip(a_errs, a_errs[1:]))
     _verdict("criterion 8: convergence orders", rk4_ok and adaptive_ok,
              f"rk4 ratios={[f'{r:.1f}' for r in ratios]}, "

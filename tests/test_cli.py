@@ -1,11 +1,14 @@
 """Subcommand behavior: exit codes, file schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import S1, S2, S3, scenario_path
+from conftest import REPO, S1, S2, S3, scenario_path
 from ermakov import model
 from ermakov.cli import main
 from ermakov.expr import evaluate, parse
@@ -665,3 +668,35 @@ class TestExitPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == (0 if code == 0 else 1)
         assert list(tmp_path.iterdir()) == []
+
+
+# One fresh interpreter: `import ermakov`, then every subcommand through
+# cli.main; prints whether numpy was loaded after each stage.
+_NO_NUMPY_SCRIPT = """
+import json, sys
+import ermakov
+imported = "numpy" in sys.modules
+from ermakov.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"import": imported, "codes": codes,
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestNoNumpy:
+    def test_cli_runs_every_subcommand_without_numpy(self, tmp_path):
+        runs = [[command, "--config", scenario_path(cfg)]
+                for cfg in (S1, S2, S3) for command in ("simulate", "check")]
+        runs += [["map", "--config", scenario_path(S3)],
+                 ["bench", "--config", scenario_path(S3), "--methods",
+                  "rk4,adaptive54,verlet", "--dt", "0.05", "--tol", "1e-8"]]
+        runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+        runs.append(["convert", "--V", "2*Q^2"])
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * len(runs), proc.stderr
+        assert result["import"] is False
+        assert result["numpy"] is False

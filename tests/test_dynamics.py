@@ -293,7 +293,7 @@ class TestFrameEquivalence:
         y0 = np.array([st.q, st.q_dot, st.f, st.f_dot, st.tau])
         traj = integrators.integrate_adaptive54(dynamics.phys_ode(s1), y0,
                                                 st.t, 30.0, 1e-10, 0.05)
-        tau = traj.y[:, 4]
+        tau = np.array(traj.y)[:, 4]
         direct = integrators.integrate_adaptive54(
             dynamics.qframe_ode_from_scenario(s1),
             np.array([st.q / st.f, st.q_dot * st.f - st.q * st.f_dot]),
@@ -303,7 +303,7 @@ class TestFrameEquivalence:
             if tau[i] > direct.t[-1]:
                 break
             Qd = integrators.interpolate(direct, float(tau[i]))[0]
-            worst = max(worst, abs(Qd - traj.y[i, 0] / traj.y[i, 2]))
+            worst = max(worst, abs(Qd - traj.y[i][0] / traj.y[i][2]))
         assert worst < 1e-5, f"max cross-frame gap {worst}"
 
     def test_reversibility(self, s2):

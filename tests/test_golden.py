@@ -137,7 +137,7 @@ def compute_digests(work: Path) -> dict[str, str]:
             digests[f"{name}/{fname}"] = hashlib.sha256(data).hexdigest()
     for name, traj in _direct_runs():
         for field in ("t", "y", "dy"):
-            data = getattr(traj, field).tobytes()
+            data = np.array(getattr(traj, field), dtype=float).tobytes()
             digests[f"{name}/{field}"] = hashlib.sha256(data).hexdigest()
     return digests
 

@@ -37,7 +37,7 @@ class TestFixedRK4:
         dt = 2 * math.pi / 628
         traj = integrate_fixed_rk4(harmonic, np.array([1.0, 0.0]), 0.0,
                                    2 * math.pi, dt, 2 * math.pi)
-        assert abs(traj.y[-1, 0] - 1.0) < 1e-7
+        assert abs(traj.y[-1][0] - 1.0) < 1e-7
 
     def test_stride_mismatch_rejected(self):
         with pytest.raises(IntegrationError, match="subdivide"):
@@ -55,8 +55,8 @@ class TestFixedRK4:
         for dt in (0.1, 0.05, 0.025):
             traj = integrate_fixed_rk4(harmonic, np.array([1.0, 0.0]), 0.0,
                                        10.0, dt, 10.0)
-            errs.append(abs(traj.y[-1, 0] - math.cos(10.0))
-                        + abs(traj.y[-1, 1] + math.sin(10.0)))
+            errs.append(abs(traj.y[-1][0] - math.cos(10.0))
+                        + abs(traj.y[-1][1] + math.sin(10.0)))
         for a, b in zip(errs, errs[1:]):
             assert 12.0 < a / b < 20.0, errs
 
@@ -65,7 +65,7 @@ class TestFixedRK4:
         traj = integrate_fixed_rk4(harmonic, np.array([1.0, 0.0]), 2 * math.pi,
                                    0.0, dt, 2 * math.pi)
         assert traj.t[0] == 2 * math.pi and traj.t[-1] == 0.0
-        assert abs(traj.y[-1, 0] - 1.0) < 1e-7
+        assert abs(traj.y[-1][0] - 1.0) < 1e-7
 
     def test_first_sample_is_exact_initial(self):
         y0 = np.array([1.0, 1.0 / 3.0])
@@ -106,15 +106,15 @@ class TestFixedRK4:
         err = exc.value
         assert err.t == 0.75
         assert err.partial is not None and err.last_state is not None
-        assert err.partial.t.tolist() == [0.0, 0.25, 0.5]
+        assert err.partial.t == [0.0, 0.25, 0.5]
 
 
 class TestAdaptive54:
     def test_long_harmonic_phase_error(self):
         traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0,
                                     100 * math.pi, 1e-10, 100 * math.pi)
-        assert abs(traj.y[-1, 0] - 1.0) < 1e-6
-        assert abs(traj.y[-1, 1]) < 1e-6
+        assert abs(traj.y[-1][0] - 1.0) < 1e-6
+        assert abs(traj.y[-1][1]) < 1e-6
 
     def test_negative_tol_rejected(self):
         with pytest.raises(IntegrationError, match="tol"):
@@ -135,7 +135,7 @@ class TestAdaptive54:
         for tol in (1e-6, 1e-8, 1e-10):
             traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0,
                                         10.0, tol, 10.0)
-            errs.append(abs(traj.y[-1, 0] - math.cos(10.0)))
+            errs.append(abs(traj.y[-1][0] - math.cos(10.0)))
         assert errs[1] <= 2.0 * errs[0] and errs[2] <= 2.0 * errs[1], errs
 
     def test_dense_output_accuracy(self):
@@ -143,7 +143,7 @@ class TestAdaptive54:
         # the integration tolerance, not just cubic-Hermite accuracy
         traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0,
                                     20.0, 1e-10, 0.037)
-        err = np.max(np.abs(traj.y[:, 0] - np.cos(traj.t)))
+        err = np.max(np.abs(np.array(traj.y)[:, 0] - np.cos(traj.t)))
         assert err < 1e-8, err
 
     def test_stride_grid_hits_endpoint(self):
@@ -175,7 +175,7 @@ class TestAdaptive54:
                                  1e-8, 0.25)
         err = exc.value
         assert err.partial is not None and err.last_state is not None
-        assert err.partial.t.tolist() == [0.0, 0.25, 0.5]
+        assert err.partial.t == [0.0, 0.25, 0.5]
         assert err.last_t < 0.75
 
     @pytest.mark.parametrize("width", range(1, 8))
@@ -260,13 +260,13 @@ output_stride = {stride!r}
         st = scn.initial
         y0 = [st.q, st.q_dot, st.f, st.f_dot, st.tau]
         traj = integrate(dynamics.phys_ode(scn), y0, st.t, t_end, step, stride)
-        t = traj.t
+        t = np.array(traj.t)
         f = np.sqrt(f0 ** 2 * np.cos(t) ** 2 + (k / f0 ** 2) * np.sin(t) ** 2)
         turns = np.floor((t + math.pi) / (2.0 * math.pi))
         tau = (np.arctan2(math.sqrt(k) * np.sin(t), f0 ** 2 * np.cos(t))
                + 2.0 * math.pi * turns) / math.sqrt(k)
-        return (float(np.max(np.abs(traj.y[:, 2] - f))),
-                float(np.max(np.abs(traj.y[:, 4] - tau))))
+        return (float(np.max(np.abs(np.array(traj.y)[:, 2] - f))),
+                float(np.max(np.abs(np.array(traj.y)[:, 4] - tau))))
 
     @pytest.mark.parametrize("k,f0", CASES)
     def test_dp54_matches_closed_form(self, k, f0):
@@ -290,8 +290,8 @@ class TestVerlet:
         W = compile_func("2*s^2", "s")
         traj = integrate_verlet_Q(V, W, QFrameState(tau=0.0, Q=1.0, Q_prime=0.0),
                                   0.01, 10.0, 0.1)
-        assert np.max(np.abs(traj.y[:, 0] - 1.0)) < 1e-12
-        assert np.max(np.abs(traj.y[:, 1])) < 1e-12
+        assert np.max(np.abs(np.array(traj.y)[:, 0] - 1.0)) < 1e-12
+        assert np.max(np.abs(np.array(traj.y)[:, 1])) < 1e-12
 
     def test_harmonic_period(self):
         # V = 2 Q^2 oscillates at angular frequency 2: period pi
@@ -300,8 +300,8 @@ class TestVerlet:
         dt = math.pi / 314  # ~0.01, subdividing the period exactly
         traj = integrate_verlet_Q(V, W, QFrameState(tau=0.0, Q=1.0, Q_prime=0.0),
                                   dt, math.pi, math.pi)
-        assert abs(traj.y[-1, 0] - 1.0) < 1e-3
-        assert abs(traj.y[-1, 1]) < 1e-3
+        assert abs(traj.y[-1][0] - 1.0) < 1e-3
+        assert abs(traj.y[-1][1]) < 1e-3
 
     def test_accel_receives_each_step_tau(self):
         seen = []
@@ -362,7 +362,7 @@ class TestTrajectoryType:
         y0 = np.array([st.q, st.q_dot, st.f, st.f_dot, st.tau])
         traj = integrate_adaptive54(dynamics.phys_ode(s2), y0, st.t, 10.0,
                                     1e-8, 0.1)
-        assert np.all(np.diff(traj.y[:, 4]) > 0)
+        assert np.all(np.diff(np.array(traj.y)[:, 4]) > 0)
 
 
 class TestInterpolate:
@@ -378,7 +378,15 @@ class TestInterpolate:
         traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0,
                                     5.0, 1e-10, 0.5)
         got = interpolate(traj, float(traj.t[3]))
-        assert got[0] == traj.y[3, 0]
+        assert got[0] == traj.y[3][0]
+
+    def test_one_sample_returns_it_within_the_range_slack(self):
+        traj = integrate_adaptive54(harmonic, [1.0, 0.0], 0.0, 0.0, 1e-8, 0.1)
+        assert len(traj) == 1
+        assert interpolate(traj, 5e-13) == [1.0, 0.0]
+        assert interpolate(traj, -5e-13) == [1.0, 0.0]
+        with pytest.raises(ValueError):
+            interpolate(traj, 2e-12)
 
     def test_out_of_range_rejected(self):
         traj = integrate_fixed_rk4(harmonic, np.array([1.0, 0.0]), 0.0, 1.0,
