@@ -150,16 +150,15 @@ def _write_manifest(out_dir: Path, payload: dict, t_start: float) -> None:
                 {**payload, "wall_ms": (time.perf_counter() - t_start) * 1e3})
 
 
-def _singularity_info(err: ErmakovError) -> dict | None:
-    last_state = getattr(err, "last_state", None)
-    if last_state is None:
+def _singularity_info(err: ErmakovError) -> dict:
+    if err.last_state is None:
         return {"message": str(err)}
-    names = ("q", "q_dot", "f", "f_dot", "tau")[: len(last_state)]
-    return {
-        "message": str(err),
-        "last_t": getattr(err, "last_t", None),
-        "last_state": dict(zip(names, map(float, last_state))),
-    }
+    if len(err.last_state) == 2:  # a transformed-frame run: (Q, Q') at tau
+        names, time_key = ("Q", "Q_prime"), "last_tau"
+    else:
+        names, time_key = ("q", "q_dot", "f", "f_dot", "tau"), "last_t"
+    return {"message": str(err), time_key: err.last_t,
+            "last_state": dict(zip(names, map(float, err.last_state)))}
 
 
 def _record_error(manifest: dict, err: ErmakovError, singularity: bool = True) -> int:
@@ -246,7 +245,7 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     try:
         traj = _integrate_plan(scn)
     except ErmakovError as err:
-        traj = getattr(err, "partial", None)
+        traj = err.partial
         if traj is None:
             raise
         code = _record_error(manifest, err)

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 
 class ErmakovError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An error that aborts a stepper run carries the last valid state and
+    the trajectory sampled so far (``last_t``/``last_state`` and
+    ``partial``, None when no sample exists); the stepper sets them
+    before re-raising, so callers can persist what was computed.
+    """
+
+    last_t: float | None = None
+    last_state: list[float] | None = None
+    partial = None
 
 
 class ExprSyntaxError(ErmakovError):
@@ -47,30 +57,16 @@ class InvalidMassError(ErmakovError):
 
 class SingularityError(ErmakovError):
     """A state hit the singularity guard (a coordinate entering a
-    denominator fell below the guard threshold).
-
-    Integrators attach ``last_t``/``last_state`` (the last valid sample)
-    and ``partial`` (the trajectory accumulated so far) before
-    re-raising, so callers can persist what was computed.
-    """
+    denominator fell below the guard threshold) at time ``t``."""
 
     def __init__(self, message: str, t: float | None = None):
         self.t = t
-        self.last_t: float | None = None
-        self.last_state = None
-        self.partial = None
         super().__init__(message if t is None else f"{message} (at t={t!r})")
 
 
 class IntegrationError(ErmakovError):
     """An integrator could not continue (step-size underflow, invalid
     stride/step configuration, non-finite state)."""
-
-    def __init__(self, message: str):
-        self.last_t: float | None = None
-        self.last_state = None
-        self.partial = None
-        super().__init__(message)
 
 
 class QuadratureError(ErmakovError):

@@ -6,8 +6,8 @@ pow > unary minus > mul/div > add/sub):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' number)?
-    base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' number)?
+    base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 Built-in functions: sin, cos, exp, ln, sqrt.  The only other legal
 identifier is the declared variable.  Exponents are numeric literals, so
@@ -452,8 +452,6 @@ class _Parser:
             e = self.expr()
             self.expect_op(")")
             return e
-        if kind == "op" and text == "-":
-            return Unary("neg", self.base())
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", self.source, off)
 
 

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from .dynamics import qframe_accel
 from .errors import ErmakovError, IntegrationError, SingularityError
-from .expr import Func1, make_function
+from .expr import Func1, is_zero, make_function
 from .model import QFrameState, stride_count, stride_steps
 
 __all__ = [
@@ -70,8 +70,6 @@ class Trajectory:
     method: str
     step_count: int
     rejected_steps: int
-    dt: float | None = None
-    tol: float | None = None
 
     def __post_init__(self):
         if len(self.t) == 0:
@@ -116,14 +114,15 @@ def interpolate(traj: Trajectory, t_query: float) -> list[float]:
             in zip(traj.y[i - 1], traj.dy[i - 1], traj.y[i], traj.dy[i])]
 
 
-class _Samples:
-    """Accumulates (t, y, dy) rows and hands partial results to errors.
+class _Run:
+    """One stepper run's samples, handed to the Trajectory when it
+    finishes (``trajectory``) or to the error when it aborts (``fail``).
 
-    Rows are kept by reference, and ``build`` hands these very lists to
-    the Trajectory: the steppers never modify a state list or a slope
-    sequence once it exists."""
+    Rows are kept by reference: the steppers never modify a state list
+    or a slope sequence once it exists."""
 
-    def __init__(self):
+    def __init__(self, method: str):
+        self.method = method
         self.t: list[float] = []
         self.y: list[Sequence[float]] = []
         self.dy: list[Sequence[float]] = []
@@ -133,22 +132,15 @@ class _Samples:
         self.y.append(y)
         self.dy.append(dy)
 
-    def build(self, method: str, steps: int, rejected: int,
-              dt: float | None = None, tol: float | None = None) -> Trajectory:
-        return Trajectory(t=self.t, y=self.y, dy=self.dy, method=method,
-                          step_count=steps, rejected_steps=rejected,
-                          dt=dt, tol=tol)
+    def trajectory(self, steps: int, rejected: int = 0) -> Trajectory:
+        return Trajectory(self.t, self.y, self.dy, self.method, steps, rejected)
 
-
-def _attach_partial(err: ErmakovError, samples: _Samples, method: str,
-                    steps: int, rejected: int, last_t: float,
-                    last_y: Sequence[float]) -> None:
-    err.last_t = last_t
-    err.last_state = list(last_y)
-    try:
-        err.partial = samples.build(method, steps, rejected)
-    except ErmakovError:
-        err.partial = None
+    def fail(self, err: ErmakovError, steps: int, rejected: int, last_t: float,
+             last_y: Sequence[float]) -> None:
+        """Attach the last valid state (y at t) and the samples so far."""
+        err.last_t = last_t
+        err.last_state = list(last_y)
+        err.partial = self.trajectory(steps, rejected) if self.t else None
 
 
 def _finite(y: Sequence[float]) -> bool:
@@ -243,8 +235,8 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     h = direction * dt
 
     y = [float(v) for v in y0]
-    samples = _Samples()
-    samples.add(t0, y, _first_slope(rhs, t0, y))
+    run = _Run("rk4")
+    run.add(t0, y, _first_slope(rhs, t0, y))
     step = _rk4_step(len(y))
     steps = 0
     t_last = t0
@@ -259,13 +251,13 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                     raise IntegrationError(f"non-finite state after step at t={t + h!r}")
                 t_last = t + h
             t_out = t0 + (i + 1) * direction * output_stride
-            samples.add(t_out, y, rhs(t_out, y))
+            run.add(t_out, y, rhs(t_out, y))
         except ErmakovError as err:
             # a stage or output-sample RHS call failed (y is the state it
             # was called at), or the step left y non-finite
-            _attach_partial(err, samples, "rk4", steps, 0, t_last, y)
+            run.fail(err, steps, 0, t_last, y)
             raise
-    return samples.build("rk4", steps, 0, dt=dt)
+    return run.trajectory(steps)
 
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
@@ -358,11 +350,11 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
 
     y = [float(v) for v in y0]
-    samples = _Samples()
+    run = _Run("adaptive54")
     k1 = _first_slope(rhs, t0, y)
-    samples.add(t0, y, k1)
+    run.add(t0, y, k1)
     if t_end == t0:
-        return samples.build("adaptive54", 0, 0, tol=tol)
+        return run.trajectory(0)
 
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
@@ -399,10 +391,10 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                     if direction * (t_out - t_new) > eps_t:
                         break
                     if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):
-                        samples.add(t_out, y_new, k7)
+                        run.add(t_out, y_new, k7)
                     else:
                         y_out = dense(t_out, t, h, y, y_new, k1, k3, k4, k5, k6, k7)
-                        samples.add(t_out, y_out, rhs(t_out, y_out))
+                        run.add(t_out, y_out, rhs(t_out, y_out))
                     k_out += 1
                 steps += 1
                 t = t_new
@@ -421,10 +413,10 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         except ErmakovError as err:
             # the step size collapsed, or a stage or dense-output sample
             # failed: t, y are the end of the last accepted step
-            _attach_partial(err, samples, "adaptive54", steps, rejected, t, y)
+            run.fail(err, steps, rejected, t, y)
             raise
 
-    return samples.build("adaptive54", steps, rejected, tol=tol)
+    return run.trajectory(steps, rejected)
 
 
 # --- Stormer-Verlet for the transformed frame -------------------------------
@@ -435,10 +427,19 @@ def integrate_verlet_Q(V: Func1 | None, W: Func1 | None, initial: QFrameState,
     """Kick-drift-kick leapfrog for Q'' = -V'(Q) + W'(1/Q)/Q^2.
 
     Samples every ``output_stride`` (default: every step).  Forward in
-    tau only.
+    tau only.  With a nonzero W, Q must keep the sign it starts with: a
+    step that lands across the pole at Q = 0 raises SingularityError.
     """
-    return integrate_verlet(qframe_accel(V, W), initial, dt, tau_end,
-                            output_stride)
+    accel = guarded = qframe_accel(V, W)
+    if W is not None and not is_zero(W.expr):
+        side = initial.Q > 0.0
+
+        def accel(Q, tau):
+            if (Q > 0.0) != side:
+                raise SingularityError(f"Q = {Q!r} stepped across the pole "
+                                       f"at Q = 0", tau)
+            return guarded(Q, tau)
+    return integrate_verlet(accel, initial, dt, tau_end, output_stride)
 
 
 def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameState,
@@ -455,30 +456,23 @@ def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameStat
     k_per = _stride_steps(stride, dt)  # also rejects dt <= 0
     n_str = stride_count(tau_end - initial.tau, stride)
 
-    samples = _Samples()
-    Q, P = initial.Q, initial.Q_prime
-    try:
-        a = accel(Q, initial.tau)
-    except ErmakovError as err:
-        _attach_partial(err, samples, "verlet", 0, 0, initial.tau, [Q, P])
-        raise
-    samples.add(initial.tau, [Q, P], [P, a])
+    run = _Run("verlet")
+    tau, Q, P = initial.tau, initial.Q, initial.Q_prime
     steps = 0
-    tau_last = initial.tau
-    for i in range(n_str):
-        for j in range(k_per):
-            tau = initial.tau + (i * k_per + j + 1) * dt
-            try:
+    try:
+        a = accel(Q, tau)
+        run.add(tau, [Q, P], [P, a])
+        for i in range(n_str):
+            for j in range(k_per):
+                tau_new = initial.tau + (i * k_per + j + 1) * dt
                 p_half = P + 0.5 * dt * a
-                Q = Q + dt * p_half
-                a = accel(Q, tau)
-                P = p_half + 0.5 * dt * a
-            except ErmakovError as err:
-                _attach_partial(err, samples, "verlet", steps, 0, tau_last,
-                                [Q, P])
-                raise
-            steps += 1
-            tau_last = tau
-        tau_out = initial.tau + (i + 1) * stride
-        samples.add(tau_out, [Q, P], [P, a])
-    return samples.build("verlet", steps, 0, dt=dt)
+                Q_new = Q + dt * p_half
+                a = accel(Q_new, tau_new)
+                tau, Q, P = tau_new, Q_new, p_half + 0.5 * dt * a
+                steps += 1
+            run.add(initial.tau + (i + 1) * stride, [Q, P], [P, a])
+    except ErmakovError as err:
+        # (tau, Q, P) is the last state reached; a failed step commits nothing
+        run.fail(err, steps, 0, tau, [Q, P])
+        raise
+    return run.trajectory(steps)

@@ -374,6 +374,19 @@ output_stride = 0.1
             fit = np.polyfit(tau, Q, 1)
             assert np.max(np.abs(np.polyval(fit, tau) - Q)) < 1e-8, name
 
+    def test_direct_run_abort_names_the_transformed_state(self, tmp_path):
+        # G = 0 leaves q unguarded, so only the direct Q-frame run trips its
+        # |Q| guard; the manifest must name (Q, Q') and tau, not (q, q_dot), t
+        out = tmp_path / "m"
+        assert run("map", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "coupling.W=1", "--set", "initial.q=2e-10",
+                   "--set", "integration.t_end=5") == 3
+        info = json.loads((out / "manifest.json").read_text())["singularity"]
+        assert set(info) == {"message", "last_tau", "last_state"}
+        assert set(info["last_state"]) == {"Q", "Q_prime"}
+        assert info["last_tau"] == 0.3
+        assert "|Q|" in info["message"]
+
     def test_degenerate_span_single_rows(self, tmp_path):
         out = tmp_path / "m"
         assert run("map", "--config", scenario_path(S1), "--out", str(out),
@@ -487,6 +500,20 @@ class TestBench:
         row = (out / "bench.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "verlet" and row[5] == "ok"
         assert float(row[2]) < 1e-3
+
+    def test_verlet_row_fails_at_the_pole(self, tmp_path, capsys):
+        # W = -s^2/2 drives Q through 0 at tau ~ 0.5; a dt of 1e-3 steps over
+        # the guard band, so the row must fail on the sign change
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--methods", "verlet", "--dt", "0.001",
+                   "--set", "coupling.V=0", "--set", "coupling.W=-(s^2)/2",
+                   "--set", "initial.q=1", "--set", "initial.q_dot=-1",
+                   "--set", "initial.f=1", "--set", "integration.t_end=5") == 4
+        row = (out / "bench.csv").read_text().splitlines()[1].split(",")
+        assert row[:4] == ["verlet", "0.001", "", ""]
+        assert row[5] == "error: SingularityError"
+        assert "(at t=0.501)" in capsys.readouterr().err
 
     def test_absurd_dt_exit_2_before_any_row(self, tmp_path, capsys):
         out = tmp_path / "b"

@@ -318,6 +318,31 @@ class TestVerlet:
             integrate_verlet_Q(None, W, QFrameState(tau=5.0, Q=1e-11, Q_prime=0.0),
                                0.01, 6.0)
 
+    def test_failure_state_is_the_state_at_last_t(self):
+        # the step to tau = 0.5 fails; its position must not be reported
+        # with the momentum of tau = 0.4
+        def accel(Q, tau):
+            if Q > 1.5:
+                raise SingularityError("synthetic pole", tau)
+            return 0.0
+        with pytest.raises(SingularityError) as exc:
+            integrate_verlet(accel, QFrameState(0.0, 1.0, 1.0), 0.1, 2.0, 0.1)
+        err = exc.value
+        assert err.last_t == 0.4 == err.partial.t[-1]
+        assert err.last_state == err.partial.y[-1] == [1.4000000000000004, 1.0]
+
+    @pytest.mark.parametrize("Q0", [1.0, -1.0])
+    def test_step_across_the_pole_raises(self, Q0):
+        # W = -s^2/2 pulls Q through 0 near tau = 0.5; a step of 1e-3 never
+        # lands within the guard, so only the sign change can stop the run
+        W = compile_func("-(s^2)/2", "s")
+        with pytest.raises(SingularityError,
+                           match=r"across the pole .*\(at t=0\.501\)") as exc:
+            integrate_verlet_Q(None, W, QFrameState(0.0, Q0, -Q0), 0.001, 5.0, 0.05)
+        err = exc.value
+        assert err.partial.t[-1] <= 0.5
+        assert err.last_t == 0.5 and err.last_state[0] * Q0 > 0.0
+
     def test_zero_dt_rejected(self):
         V = compile_func("0", "Q")
         with pytest.raises(IntegrationError, match="dt"):
