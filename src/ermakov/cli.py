@@ -50,7 +50,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _exit_code_for(err: ErmakovError) -> int:
+def _message(err: Exception) -> str:
+    if isinstance(err, ErmakovError):
+        return str(err)
+    return f"internal failure: {type(err).__name__}: {err}"
+
+
+def _exit_code_for(err: Exception) -> int:
     if isinstance(err, (ConfigError, ExprSyntaxError)):
         return EXIT_CONFIG
     if isinstance(err, SingularityError):
@@ -161,13 +167,14 @@ def _singularity_info(err: ErmakovError) -> dict:
             "last_state": dict(zip(names, map(float, err.last_state)))}
 
 
-def _record_error(manifest: dict, err: ErmakovError, singularity: bool = True) -> int:
+def _record_error(manifest: dict, err: Exception, singularity: bool = True) -> int:
     """Print ``err`` as the run's one stderr line and record it in the
     manifest (with the abort details once a scenario was loaded); returns
     its exit code."""
-    print(f"error: {err}", file=sys.stderr)
-    manifest["error"] = str(err)
-    if singularity:
+    message = _message(err)
+    print(f"error: {message}", file=sys.stderr)
+    manifest["error"] = message
+    if singularity and isinstance(err, ErmakovError):
         manifest["singularity"] = _singularity_info(err)
     return _exit_code_for(err)
 
@@ -184,13 +191,13 @@ def _run(args) -> int:
     try:
         doc, scn = _load(args)
         extra = (_bench_grid(args, scn),) if args.command == "bench" else ()
-    except ErmakovError as err:
+    except Exception as err:  # noqa: BLE001 -- recorded, as in main
         code = _record_error(manifest, err, singularity=False)
     else:
         manifest.update(_scenario_echo(doc, scn), config_text=doc.text)
         try:
             code = args.body(args, scn, out_dir, manifest, *extra)
-        except ErmakovError as err:
+        except Exception as err:  # noqa: BLE001
             code = _record_error(manifest, err)
     manifest["exit_status"] = code
     _write_manifest(out_dir, manifest, t_start)
@@ -234,7 +241,7 @@ def _report_payload(report: invariants.InvariantReport | None, meta: dict | None
 
 
 # --- subcommand bodies -------------------------------------------------------
-# body(args, scn, out_dir, manifest[, grid]) -> exit code; an ErmakovError
+# body(args, scn, out_dir, manifest[, grid]) -> exit code; an exception
 # it raises is recorded by _run.
 
 def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
@@ -480,8 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as err:  # noqa: BLE001 -- one line, never a traceback
-        print(f"error: internal failure: {type(err).__name__}: {err}",
-              file=sys.stderr)
+        print(f"error: {_message(err)}", file=sys.stderr)
         return EXIT_INTEGRATOR
 
 

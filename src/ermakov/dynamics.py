@@ -196,14 +196,14 @@ def _vector_rhs(kernel: Callable[..., tuple[float, ...]]) -> _Ode:
 
 
 # --- generated right-hand sides ---------------------------------------------
-# phys_ode and qframe_ode_from_scenario, which the integrators call tens of
-# thousands of times per run, are each one function generated per scenario
-# (expr.Inliner): the inlined expressions, then the reference kernel's own
-# arithmetic, term for term.  A call that raises, meets a non-finite
-# expression intermediate, an invalid mass, a tripped guard or an at_zero
-# point returns the reference adapter's result instead, so values, errors
-# and the numpy-scalar redo are the reference's.  rhs_phys, qframe_accel and
-# xrho_ode stay on the reference kernels.
+# phys_ode and _qframe_ode (map's direct run and Stormer-Verlet), which the
+# integrators call tens of thousands of times per run, are each one function
+# generated per scenario (expr.Inliner): the inlined expressions, then the
+# reference kernel's own arithmetic, term for term.  A call that raises,
+# meets a non-finite expression intermediate, an invalid mass, a tripped
+# guard or an at_zero point returns the reference adapter's result instead,
+# so values, errors and the numpy-scalar redo are the reference's.  rhs_phys,
+# qframe_accel and xrho_ode stay on the reference kernels.
 
 def phys_ode(scn: Scenario) -> _Ode:
     m, F, G = scn.m, scn.coupling_F, scn.coupling_G
@@ -235,11 +235,12 @@ def xrho_ode(omega_sq: Callable[[float], float], g: Func1, h: Func1) -> _Ode:
         x, x_dot, rho, rho_dot, t, omega_sq, g, h))
 
 
-def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
-    """Transformed-frame ODE in tau for any scenario: the potentials where
-    given, else the bare couplings (see qframe_accel)."""
-    u_fn, u_pot = _qframe_side(scn.potential_V, scn.coupling_F)
-    s_fn, s_pot = _qframe_side(scn.potential_W, scn.coupling_G)
+def _qframe_ode(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
+                G: Func1 | None = None) -> _Ode:
+    """Transformed-frame ODE (tau, [Q, Q']) -> (Q', Q''), generated from
+    qframe_accel's arithmetic, which is its reference."""
+    u_fn, u_pot = _qframe_side(V, F)
+    s_fn, s_pot = _qframe_side(W, G)
     em = Inliner()
     em.let("y", "Q, Q_prime")
     accel = "0.0"
@@ -253,10 +254,15 @@ def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
         s_term = (em.let(f"{em.inline(s_fn.d1, s)} / (Q * Q)") if s_pot
                   else em.let(f"{em.call(s_fn, s)} / (Q ** 3)"))
         accel = em.let(f"{accel} + {s_term}")
-    ref = qframe_accel(scn.potential_V, scn.potential_W,
-                       scn.coupling_F, scn.coupling_G)
+    ref = qframe_accel(V, W, F, G)
     return em.build("tau, y", em.let(f"(Q_prime, {accel})"),
                     _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, ref(Q, tau))))
+
+
+def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
+    """Transformed-frame ODE in tau for any scenario: the potentials where
+    given, else the bare couplings (see qframe_accel)."""
+    return _qframe_ode(scn.potential_V, scn.potential_W, scn.coupling_F, scn.coupling_G)
 
 
 # --- Lagrangians and the gauge identity -------------------------------------

@@ -15,14 +15,15 @@ the node set is closed under symbolic differentiation and derivatives
 stay exact (no finite differencing anywhere downstream).
 
 ``evaluate`` walks the tree and is the reference semantics.  ``Func1``
-compiles each of its expressions, on first use, to straight-line Python
-doing the same floating-point operations in the same order, and hands
-every point the tree walk would reject back to ``evaluate`` so the
-domain error still names the offending subexpression.  The same code
-generator (``Inliner``) fuses several expressions and the arithmetic
-around them into one function, for the dynamics' right-hand sides and
-the invariant's quadrature integrands; its last step, ``make_function``,
-also builds the integrators' generated steps.
+compiles its f, on first use, to straight-line Python doing the same
+floating-point operations in the same order, and hands every point the
+tree walk would reject back to ``evaluate`` so the domain error still
+names the offending subexpression; f' and f'' are evaluated by the tree
+walk.  The same code generator (``Inliner``) fuses several expressions
+(derivative trees too) and the arithmetic around them into one function,
+for the dynamics' right-hand sides and the invariant's quadrature
+integrands; its last step, ``make_function``, also builds the
+integrators' generated steps.
 """
 
 from __future__ import annotations
@@ -292,11 +293,11 @@ def rename_var(e: Expr, new_name: str) -> Expr:
 
 def _fmt_number(v: float) -> str:
     # repr() round-trips doubles exactly and stays inside the number token
-    # ("1e-05", "0.25", "4.0" all re-parse).
+    # ("1e-05", "0.25", "4.0" all re-parse); inf has no such token, and
+    # 1e999 parses back to it.
     if v < 0:
         raise AssertionError("negative literal must be wrapped by the caller")
-    s = repr(float(v))
-    return s
+    return "1e999" if v == math.inf else repr(float(v))
 
 
 def to_source(e: Expr) -> str:
@@ -582,16 +583,6 @@ def make_function(params: str, body: list[str], bound: dict[str, object]) -> Cal
     return namespace["_factory"](**bound)
 
 
-def _compile_expr(e: Expr, at_zero: float | None = None) -> Callable[[float], float]:
-    """Compile ``e`` to a function of one variable equal to
-    ``lambda x: evaluate(e, x)``, bit for bit and error for error (see
-    Inliner; ``evaluate`` is the slow path).  ``at_zero`` short-circuits
-    x == 0 as ``Func1.__call__`` defines."""
-    em = Inliner()
-    head = () if at_zero is None else (f"if x == 0.0: return {em.bind(at_zero)}",)
-    return em.build("x", em.inline(e, "x"), partial(evaluate, e), head)
-
-
 @dataclass(frozen=True)
 class Func1:
     """An expression bundled with its first two exact derivatives.
@@ -601,9 +592,11 @@ class Func1:
     conversions create these: V'(u)/u is 0/0 at the origin for even
     potentials, but the limit V''(0) exists).
 
-    Each of f, f' and f'' is compiled on its first call (see
-    ``_compile_expr``); equality, hashing and pickling see only the
-    fields, so a Func1 stays a plain value that crosses process borders.
+    f is compiled on its first call, to a function equal to the tree
+    walk bit for bit and error for error (see Inliner); f' and f'' are
+    evaluated by the tree walk.  Equality, hashing and pickling see only
+    the fields, so a Func1 stays a plain value that crosses process
+    borders.
     """
 
     expr: Expr
@@ -616,25 +609,21 @@ class Func1:
         return self._f(x)
 
     def deriv(self, x: float) -> float:
-        return self._d1(x)
+        return evaluate(self.d1, x)
 
     def deriv2(self, x: float) -> float:
-        return self._d2(x)
+        return evaluate(self.d2, x)
 
     @cached_property
     def _f(self) -> Callable[[float], float]:
-        return _compile_expr(self.expr, self.at_zero)
-
-    @cached_property
-    def _d1(self) -> Callable[[float], float]:
-        return _compile_expr(self.d1)
-
-    @cached_property
-    def _d2(self) -> Callable[[float], float]:
-        return _compile_expr(self.d2)
+        em = Inliner()
+        head = (() if self.at_zero is None
+                else (f"if x == 0.0: return {em.bind(self.at_zero)}",))
+        return em.build("x", em.inline(self.expr, "x"),
+                        partial(evaluate, self.expr), head)
 
     def __getstate__(self) -> dict:
-        # the compiled callables are closures; they are rebuilt on use
+        # the compiled f is a closure; it is rebuilt on use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
@@ -648,8 +637,15 @@ def func_from_expr(e: Expr, var_name: str, at_zero: float | None = None) -> Func
 
 
 def compile_func(source: str, var_name: str) -> Func1:
-    """Parse ``source`` and attach its first and second derivatives."""
-    return func_from_expr(parse(source, var_name), var_name)
+    """Parse ``source`` and attach its first and second derivatives.
+
+    The parser and the derivative rules recurse once per nesting level,
+    so an expression nested past the interpreter's recursion limit is a
+    syntax error."""
+    try:
+        return func_from_expr(parse(source, var_name), var_name)
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply", source, 0) from None
 
 
 def constant_func(value: float, var_name: str) -> Func1:

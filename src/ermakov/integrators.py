@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dynamics import qframe_accel
+from .dynamics import _qframe_ode
 from .errors import ErmakovError, IntegrationError, SingularityError
 from .expr import Func1, is_zero, make_function
 from .model import QFrameState, stride_count, stride_steps
@@ -245,16 +245,16 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         try:
             for j in range(k_per):
                 t = seg + j * h
-                y = step(rhs, t, h, y)
+                y_new = step(rhs, t, h, y)
                 steps += 1
-                if not _finite(y):
+                if not _finite(y_new):
                     raise IntegrationError(f"non-finite state after step at t={t + h!r}")
-                t_last = t + h
+                y, t_last = y_new, t + h
             t_out = t0 + (i + 1) * direction * output_stride
             run.add(t_out, y, rhs(t_out, y))
         except ErmakovError as err:
-            # a stage or output-sample RHS call failed (y is the state it
-            # was called at), or the step left y non-finite
+            # a stage or output-sample RHS call failed, or the step left
+            # the state non-finite: y is the state at t_last
             run.fail(err, steps, 0, t_last, y)
             raise
     return run.trajectory(steps)
@@ -430,15 +430,15 @@ def integrate_verlet_Q(V: Func1 | None, W: Func1 | None, initial: QFrameState,
     tau only.  With a nonzero W, Q must keep the sign it starts with: a
     step that lands across the pole at Q = 0 raises SingularityError.
     """
-    accel = guarded = qframe_accel(V, W)
-    if W is not None and not is_zero(W.expr):
-        side = initial.Q > 0.0
+    rhs = _qframe_ode(V, W)
+    pole = W is not None and not is_zero(W.expr)
+    side = initial.Q > 0.0
 
-        def accel(Q, tau):
-            if (Q > 0.0) != side:
-                raise SingularityError(f"Q = {Q!r} stepped across the pole "
-                                       f"at Q = 0", tau)
-            return guarded(Q, tau)
+    def accel(Q, tau):
+        if pole and (Q > 0.0) != side:
+            raise SingularityError(f"Q = {Q!r} stepped across the pole "
+                                   f"at Q = 0", tau)
+        return rhs(tau, (Q, 0.0))[1]
     return integrate_verlet(accel, initial, dt, tau_end, output_stride)
 
 
@@ -448,7 +448,7 @@ def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameStat
     """Kick-drift-kick leapfrog for a position-only acceleration law.
 
     ``accel(Q, tau)`` returns Q'' at position Q; tau, the time that Q is
-    reached, only labels the errors it raises (as in qframe_accel)."""
+    reached, only labels the errors it raises (as in dynamics.qframe_accel)."""
     if tau_end < initial.tau:
         raise IntegrationError(f"tau_end ({tau_end!r}) precedes the initial "
                                f"tau ({initial.tau!r})")

@@ -122,7 +122,10 @@ def default_ref(integrand: Callable[[float], float]) -> float:
 
 def energy_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     """Transformed-frame energy (1/2) Q'^2 + V(Q) + W(1/Q)."""
-    val = 0.5 * state.Q_prime ** 2
+    try:
+        val = 0.5 * state.Q_prime ** 2
+    except OverflowError:  # where a float's square overflowed, as in _energies
+        val = math.inf
     if V is not None and not is_zero(V.expr):
         val += V(state.Q)
     if W is not None and not is_zero(W.expr):

@@ -117,10 +117,10 @@ class Scenario:
 
 # --- coupling-function algebra --------------------------------------------
 
-def _ratio_func(numerator_d1: Func1, new_var: str) -> Func1:
+def _ratio_func(potential: Func1, new_var: str) -> Func1:
     """Build x -> P'(x)/x from a potential P, patching the removable
     singularity at 0 with the limit P''(0) when P'(0) == 0."""
-    d1 = rename_var(numerator_d1.d1, new_var)
+    d1 = rename_var(potential.d1, new_var)
     if is_zero(d1):
         # keep derived zero couplings structurally zero so the dynamics
         # can drop the term (and its singularity guard) entirely
@@ -128,8 +128,8 @@ def _ratio_func(numerator_d1: Func1, new_var: str) -> Func1:
     expr = Binary("/", d1, Var(new_var))
     at_zero = None
     try:
-        if evaluate(numerator_d1.d1, 0.0) == 0.0:
-            at_zero = evaluate(numerator_d1.d2, 0.0)
+        if evaluate(potential.d1, 0.0) == 0.0:
+            at_zero = evaluate(potential.d2, 0.0)
     except ExprDomainError:
         pass
     return func_from_expr(expr, new_var, at_zero)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO, S1, S2, S3, scenario_path
-from ermakov import model
+from ermakov import cli, model
 from ermakov.cli import main
 from ermakov.expr import evaluate, parse
 
@@ -452,6 +452,7 @@ class TestConvert:
          "error: unknown identifier 'v' (declared variable is 'u') (at offset 0 in 'v')"),
         (["--G", "u", "--g-from-G"], 2, "",
          "error: unknown identifier 'u' (declared variable is 'v') (at offset 0 in 'u')"),
+        (["--V", "1e400*Q^2"], 0, "1e999*(2.0*u)/u", ""),
     ])
     def test_messages(self, capsys, argv, code, out, err):
         # each coupling is read in its own variable (model.COUPLING_VARS)
@@ -630,6 +631,19 @@ _MASS_ZERO = ["--set", "functions.m=1-0.6*t", "--set", "integration.method=rk4",
 _INF_ENERGY = ["--set", "initial.q_dot=1e160"] + _SHORT
 _COARSE = ["--set", "integration.method=rk4", "--set", "integration.dt=0.5",
            "--set", "integration.output_stride=0.5"]
+# nested past the recursion limit of the parser and of differentiation
+_DEEP_PARENS = "(" * 3000 + "Q" + ")" * 3000
+_DEEP_SUM = "+".join(["Q"] * 5000)
+# Q'' = -2Q at dt 3 is unstable: Q' overflows the energy's square first
+_UNSTABLE_VERLET = ["--methods", "verlet", "--dt", "3",
+                    "--set", "integration.output_stride=3", "--set", "coupling.W=0",
+                    "--set", "coupling.V=Q^2", "--set", "integration.t_end=600"]
+_RK4 = ["--set", "integration.method=rk4"]
+
+# configs written to --config by name, beside the shipped scenarios
+CONFIGS = {"bare": BARE_F4,
+           "no-method": BARE_F4.replace("method = adaptive54\n", ""),
+           "no-mass": BARE_F4.replace("\nm = 1\n", "\n", 1)}
 
 EXIT_PATHS = [
     # (id, argv after --config/--out, code, stderr lines, manifest keys, files)
@@ -666,6 +680,27 @@ EXIT_PATHS = [
      _LOAD_ERROR, _MANIFEST_ONLY),
     ("bench-4", ["bench", "bare", "--methods", "verlet", "--dt", "0.1"], 4, 1, _ECHO,
      {"manifest.json", "bench.csv"}),
+    ("bench-4-verlet-overflow", ["bench", S3] + _UNSTABLE_VERLET, 4, 1, _ECHO,
+     {"manifest.json", "bench.csv"}),
+    ("bench-2-method", ["bench", S1, "--methods", "foo", "--dt", "0.1"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("check-2-deep-parens", ["check", S1, "--set", f"coupling.V={_DEEP_PARENS}"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("check-2-deep-sum", ["check", S1, "--set", f"coupling.V={_DEEP_SUM}"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("simulate-2-no-method", ["simulate", "no-method"], 2, 1, _LOAD_ERROR,
+     _MANIFEST_ONLY),
+    ("simulate-2-no-mass", ["simulate", "no-mass"], 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
+    ("simulate-2-bad-mass", ["simulate", S1, "--set", "functions.m=1+"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("simulate-2-stride", ["simulate", S1, "--set", "integration.output_stride=0"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("simulate-2-dt", ["simulate", S1, *_RK4, "--set", "integration.dt=0"], 2, 1,
+     _LOAD_ERROR, _MANIFEST_ONLY),
+    ("simulate-2-dt-stride", ["simulate", S1, *_RK4, "--set", "integration.dt=0.03"], 2,
+     1, _LOAD_ERROR, _MANIFEST_ONLY),
+    ("simulate-2-set-no-dot", ["simulate", S1, "--set", "t_end=1"], 2, 1, _LOAD_ERROR,
+     _MANIFEST_ONLY),
 ]
 
 
@@ -675,19 +710,38 @@ class TestExitPaths:
                              ids=[case[0] for case in EXIT_PATHS])
     def test_exit_path(self, tmp_path, capsys, argv, code, lines, keys, files):
         command, cfg, *rest = argv
-        bare = tmp_path / "bare.cfg"
-        bare.write_text(BARE_F4)
+        if cfg in CONFIGS:
+            config = tmp_path / f"{cfg}.cfg"
+            config.write_text(CONFIGS[cfg])
+        else:
+            config = scenario_path(cfg)
         out = tmp_path / "out"
-        config = str(bare) if cfg == "bare" else scenario_path(cfg)
-        assert run(command, "--config", config, "--out", str(out), *rest) == code
+        assert run(command, "--config", str(config), "--out", str(out), *rest) == code
         assert len(capsys.readouterr().err.splitlines()) == lines
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == keys
         assert {p.name for p in out.iterdir()} == files
 
+    def test_escaped_exception_in_body_writes_manifest(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def broken(*args):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(cli, "_simulate", broken)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", scenario_path(S1), "--out", str(out)) == 4
+        message = "internal failure: RuntimeError: synthetic fault"
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == _ECHO | {"error"}
+        assert manifest["error"] == message and manifest["exit_status"] == 4
+        assert {p.name for p in out.iterdir()} == _MANIFEST_ONLY
+
     @pytest.mark.parametrize("argv,code", [
         (["convert", "--V", "2*Q^2"], 0),
         (["convert", "--V", "2*Q^"], 2),
+        (["convert", "--V", _DEEP_PARENS], 2),
+        (["convert", "--V", _DEEP_SUM], 2),
     ])
     def test_convert_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)

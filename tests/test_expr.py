@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, exact differentiation."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from ermakov.errors import ExprDomainError, ExprSyntaxError
 from ermakov.expr import (
     Binary,
     Const,
+    Inliner,
+    Pow,
     Unary,
     Var,
     compile_func,
@@ -275,6 +278,23 @@ class TestPrintRoundTrip:
                 assert abs(b - a) <= 1e-15 * (1.0 + abs(a)), to_source(e)
                 checked += 1
 
+    @pytest.mark.parametrize("e,var", [
+        (Const(math.inf), "t"), (Const(-math.inf), "t"),
+        (Binary("*", Const(math.inf), Var("t")), "t"),
+        (Binary("-", Var("t"), Const(-math.inf)), "t"),
+        (Pow(Var("t"), math.inf), "t"),
+        (F_from_V(compile_func("1e400*Q^2", "Q")).expr, "u"),  # convert --V
+    ])
+    def test_infinite_constants_round_trip(self, e, var):
+        # inf has no literal of its own; 1e999 parses back to it
+        back = parse(to_source(e), var)
+        assert "inf" not in to_source(e)
+        for x in (0.0, 0.5, 2.0):
+            ref = _outcome(partial(evaluate, e), x)
+            got = _outcome(partial(evaluate, back), x)
+            # an error names the re-parsed node, which may print differently
+            assert got == ref if ref[0] == "value" else got[0] == "error"
+
     def test_negative_exponent_printed_parseable(self):
         # derivative trees can contain negative exponents; the printer
         # must stay inside the grammar (no '^-' form)
@@ -296,6 +316,14 @@ class TestCompile:
         with pytest.raises(ExprSyntaxError):
             compile_func("1 +", "t")
 
+    @pytest.mark.parametrize("source", ["(" * 3000 + "t" + ")" * 3000,
+                                        "+".join(["t"] * 5000)],
+                             ids=["parens", "sum"])
+    def test_deep_nesting_is_a_syntax_error(self, source):
+        # past the recursion limit of the parser, or of differentiate
+        with pytest.raises(ExprSyntaxError, match="expression nests too deeply"):
+            compile_func(source, "t")
+
 
 def _outcome(fn, x):
     """Bit pattern of the value (so -0.0 != 0.0), or the error message."""
@@ -305,15 +333,23 @@ def _outcome(fn, x):
         return "error", str(err)
 
 
+def _inlined(e):
+    """``e`` through the code generator alone, as the right-hand sides
+    inline derivative trees."""
+    em = Inliner()
+    return em.build("x", em.inline(e, "x"), partial(evaluate, e))
+
+
 def _tree_walk(f):
-    """The reference semantics of a Func1's three evaluators."""
+    """(reference, generated) pairs: a Func1's compiled f, and the
+    generator's code for its derivative trees, against the tree walk."""
     def call(x):
         if x == 0.0 and f.at_zero is not None:
             return f.at_zero
         return evaluate(f.expr, x)
     return ((call, f),
-            (lambda x: evaluate(f.d1, x), f.deriv),
-            (lambda x: evaluate(f.d2, x), f.deriv2))
+            (lambda x: evaluate(f.d1, x), _inlined(f.d1)),
+            (lambda x: evaluate(f.d2, x), _inlined(f.d2)))
 
 
 def _assert_agree(f, points):
@@ -323,8 +359,9 @@ def _assert_agree(f, points):
 
 
 class TestCompiledAgreement:
-    """Compiled Func1 evaluation against the tree walk, bit for bit and
-    error message for error message."""
+    """Compiled Func1 evaluation, and generated code for its derivative
+    trees, against the tree walk, bit for bit and error message for error
+    message."""
 
     SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-300, -1e-300, 1e300,
                710.0, math.inf, -math.inf, math.nan)

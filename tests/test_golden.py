@@ -36,6 +36,7 @@ import pytest
 from conftest import S1, S2, S3, load_scenario, scenario_path
 from ermakov import dynamics, model
 from ermakov.cli import main
+from ermakov.expr import Func1
 from ermakov.integrators import integrate_adaptive54, integrate_fixed_rk4
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
@@ -151,6 +152,27 @@ def test_data_files_match_golden_digests(tmp_path):
     changed = sorted(k for k in pinned["digests"] if got.get(k) != pinned["digests"][k])
     assert got.keys() == pinned["digests"].keys()
     assert not changed, f"output bits changed: {changed}"
+
+
+@pytest.mark.parametrize("command,cfg", [("check", S3), ("check", "bare_rk4"),
+                                         ("map", S3)])
+def test_benchmark_traffic_walks_no_derivative_tree(tmp_path, monkeypatch, command, cfg):
+    # The benchmark's three runs inline every derivative they need into the
+    # generated right-hand sides; Func1.deriv/deriv2 walk the tree (a few
+    # times the cost of a compiled call), so a new caller on these paths
+    # fails here instead of slowing a workload silently.
+    calls = dict.fromkeys(("deriv", "deriv2"), 0)
+    for name in calls:
+        def counted(fn, x, _name=name, _method=getattr(Func1, name)):
+            calls[_name] += 1
+            return _method(fn, x)
+        monkeypatch.setattr(Func1, name, counted)
+    config = tmp_path / "bare_rk4.cfg"
+    config.write_text(BARE_RK4)
+    if cfg != "bare_rk4":
+        config = scenario_path(cfg)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"deriv": 0, "deriv2": 0}
 
 
 if __name__ == "__main__":

@@ -89,6 +89,13 @@ class TestFixedRK4:
         assert err.last_state is not None
 
 
+    def test_non_finite_state_after_step(self):
+        # every stage slope is finite; the step's weighted sum overflows
+        with pytest.raises(IntegrationError,
+                           match=r"non-finite state after step at t=1\.0") as exc:
+            integrate_fixed_rk4(lambda t, y: [1e308], [1e308], 0.0, 2.0, 1.0, 1.0)
+        assert exc.value.partial.t == [0.0] and exc.value.last_state == [1e308]
+
     def test_partial_trajectory_attached_on_output_sample_failure(self):
         # calls: 1 initial sample, then per stride 5 steps x 4 stages + 1
         # sample, so call 64 is the sample at t = 0.75 alone
@@ -229,6 +236,14 @@ def test_rhs_must_return_one_value_per_component(integrate, step):
         integrate(three_values, [1.0, 0.0], 0.0, 1.0, step, 0.5)
 
 
+@pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
+                                            (integrate_adaptive54, 1e-8)])
+@pytest.mark.parametrize("stride", [0.0, -0.5])
+def test_output_stride_must_be_positive(integrate, step, stride):
+    with pytest.raises(IntegrationError, match="output_stride must be positive"):
+        integrate(harmonic, [1.0, 0.0], 0.0, 1.0, step, stride)
+
+
 class TestPinneyClosedForm:
     """Pinney (1950): with m = 1, w~2 = 1, G = 0 and F = k, the companion
     f'' + f = k/f^3 from f(0) = f0, f'(0) = 0 has the closed form
@@ -342,6 +357,10 @@ class TestVerlet:
         err = exc.value
         assert err.partial.t[-1] <= 0.5
         assert err.last_t == 0.5 and err.last_state[0] * Q0 > 0.0
+
+    def test_tau_end_before_start_rejected(self):
+        with pytest.raises(IntegrationError, match="precedes the initial tau"):
+            integrate_verlet(lambda Q, tau: 0.0, QFrameState(1.0, 1.0, 0.0), 0.1, 0.5)
 
     def test_zero_dt_rejected(self):
         V = compile_func("0", "Q")

@@ -181,6 +181,11 @@ class TestEnergyQ:
             energy_Q(QFrameState(tau=0.0, Q=0.0, Q_prime=0.0),
                      compile_func("0", "Q"), compile_func("s^2/2", "s"))
 
+    def test_overflowing_kinetic_term_is_inf(self):
+        # Q'^2 raises OverflowError on floats; the energy reads inf instead
+        assert energy_Q(QFrameState(tau=0.0, Q=1.0, Q_prime=1e200), None, None) \
+            == math.inf
+
 
 class TestRayReidInvariant:
     def test_s1_initial_state_analytic(self, s1):
