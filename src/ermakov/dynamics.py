@@ -39,6 +39,8 @@ __all__ = [
     "EPS_SING",
     "DerivPhys",
     "guard",
+    "ieee_pow",
+    "ieee_div",
     "rhs_phys",
     "rhs_xrho",
     "phys_ode",
@@ -74,11 +76,30 @@ def guard(name: str, value: float, t: float) -> None:
                                f"singularity guard {EPS_SING:g}", t)
 
 
+def ieee_pow(x: float, n: int) -> float:
+    """x ** n for an integer n > 0, or the signed inf of an OverflowError."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
+def ieee_div(a: float, b: float) -> float:
+    """a / b, or IEEE's signed inf or nan where a zero b raises instead."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
 # --- kernels ------------------------------------------------------------------
 # Each equation is written once, as a kernel on scalars built per Scenario
 # (which couplings are structurally zero is decided there, not per call).
 # The integrators' vector adapters feed them plain floats; the pointwise
-# rhs_phys is a thin user of the same kernel.
+# rhs_phys is a thin user of the same kernel.  A power that can overflow or
+# a divisor that can vanish goes through ieee_pow/ieee_div (inf/nan, no raise).
 
 def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
     """(t, q, q_dot, f, f_dot, tau) -> (dq, dq_dot, df, df_dot, dtau)."""
@@ -94,14 +115,14 @@ def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
         g_term = 0.0
         if has_G:
             guard("q", q, t)
-            g_term = G(f / q) / (mv * mv * q ** 3)
+            g_term = ieee_div(G(f / q), mv * mv * ieee_pow(q, 3))
         f_term = 0.0
         if has_F:
-            f_term = F(q / f) / (mv * mv * f ** 3)
+            f_term = ieee_div(F(q / f), mv * mv * ieee_pow(f, 3))
         drag = md / mv
         return (q_dot, -drag * q_dot - omt2 * q + g_term,
                 f_dot, -drag * f_dot - omt2 * f + f_term,
-                1.0 / (mv * f * f))
+                ieee_div(1.0, mv * f * f))
     return kernel
 
 
@@ -135,7 +156,7 @@ def qframe_accel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
         if s_fn is not None:
             guard("Q", Q, tau)
             accel += (s_fn.deriv(1.0 / Q) / (Q * Q) if s_pot
-                      else s_fn(1.0 / Q) / (Q ** 3))
+                      else s_fn(1.0 / Q) / ieee_pow(Q, 3))
         return accel
     return kernel
 
@@ -174,25 +195,8 @@ _Ode = Callable[[float, list[float]], tuple[float, ...]]
 
 
 def _vector_rhs(kernel: Callable[..., tuple[float, ...]]) -> _Ode:
-    """rhs(t, y) = kernel(t, *y), computed on the state's plain floats.
-
-    Plain floats raise where numpy scalars overflow to inf or divide by
-    zero with a warning (``q ** 3`` for huge q, a product underflowing
-    to 0 in a denominator); such a call is redone, without warnings, on
-    numpy scalars and its results converted back to floats, so the
-    inf/nan reaches the integrator's non-finite-state check instead of
-    escaping as an exception.
-    """
-    def rhs(t: float, y: list[float]) -> tuple[float, ...]:
-        try:
-            return kernel(t, *y)
-        except (ZeroDivisionError, OverflowError):
-            import numpy as np  # imported here only: the redo is rare
-
-            with np.errstate(all="ignore"):
-                dy = kernel(t, *np.array(y, dtype=float))
-            return tuple(map(float, dy))
-    return rhs
+    """rhs(t, y) = kernel(t, *y), computed on the state's plain floats."""
+    return lambda t, y: kernel(t, *y)
 
 
 # --- generated right-hand sides ---------------------------------------------
@@ -202,8 +206,8 @@ def _vector_rhs(kernel: Callable[..., tuple[float, ...]]) -> _Ode:
 # reference kernel's own arithmetic, term for term.  A call that raises,
 # meets a non-finite expression intermediate, an invalid mass, a tripped
 # guard or an at_zero point returns the reference adapter's result instead,
-# so values, errors and the numpy-scalar redo are the reference's.  rhs_phys,
-# qframe_accel and xrho_ode stay on the reference kernels.
+# so values and errors, IEEE inf/nan included, are the reference's.
+# rhs_phys, qframe_accel and xrho_ode stay on the reference kernels.
 
 def phys_ode(scn: Scenario) -> _Ode:
     m, F, G = scn.m, scn.coupling_F, scn.coupling_G
@@ -269,7 +273,7 @@ def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
 
 def lagrangian_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     """L = (1/2) Q'^2 - V(Q) - W(1/Q)."""
-    val = 0.5 * state.Q_prime ** 2
+    val = 0.5 * ieee_pow(state.Q_prime, 2)
     if V is not None and not is_zero(V.expr):
         val -= V(state.Q)
     if W is not None and not is_zero(W.expr):

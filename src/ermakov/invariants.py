@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dynamics import guard
+from .dynamics import guard, ieee_pow
 from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, Inliner, is_zero
 from .integrators import Trajectory
@@ -122,10 +122,7 @@ def default_ref(integrand: Callable[[float], float]) -> float:
 
 def energy_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     """Transformed-frame energy (1/2) Q'^2 + V(Q) + W(1/Q)."""
-    try:
-        val = 0.5 * state.Q_prime ** 2
-    except OverflowError:  # where a float's square overflowed, as in _energies
-        val = math.inf
+    val = 0.5 * ieee_pow(state.Q_prime, 2)
     if V is not None and not is_zero(V.expr):
         val += V(state.Q)
     if W is not None and not is_zero(W.expr):
@@ -272,10 +269,7 @@ def _energies(ts: list[float], ys: list[list[float]], m: Func1,
         # the kinetic terms are algebraically equal but deliberately keep
         # their own arithmetic (m^2 (q'f-qf')^2 vs Q'^2): frame_gap measures
         # exactly this evaluation difference
-        try:
-            kinetic = 0.5 * mv * mv * (q_dot * f - q * f_dot) ** 2
-        except OverflowError:  # where a float's square overflowed
-            kinetic = 0.5 * mv * mv * math.inf
+        kinetic = 0.5 * mv * mv * ieee_pow(q_dot * f - q * f_dot, 2)
         ep = kinetic + pot_u + pot_v
         eq = 0.5 * Q_prime * Q_prime + pot_u + pot_v
         if not (math.isfinite(ep) and math.isfinite(eq)):

@@ -30,6 +30,10 @@ def read_csv(path):
     return header, rows
 
 
+# S3 with initial.q=1e120: q^3 overflows to inf, then F(q/f) meets (q/f)^3
+_CUBE_OVERFLOW = "math range error in 'u^3.0' at argument 1.111111111111111e+120"
+
+
 class TestSimulate:
     def test_s1_writes_constant_energy_column(self, tmp_path):
         out = tmp_path / "run"
@@ -162,15 +166,30 @@ class TestSimulate:
         assert err == "error: internal failure: RuntimeError: synthetic fault"
 
     def test_overflow_message_shows_plain_float(self, tmp_path, capsys):
-        # the RHS redoes an overflowing call on numpy scalars; its results
-        # must come back as plain floats, or later messages show np.float64.
-        # The overflow makes a stage state NaN, and the message names it
+        # f^3 overflows in the RHS, which carries on in IEEE floats; the
+        # overflow makes a stage state NaN, and the message names it
         code = run("simulate", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "run"), "--set", "initial.f=1e308")
         assert code == 4
         err = capsys.readouterr().err.strip()
         assert err == "error: non-finite DP54 stage 5 state at t=0.044444444444444446"
         assert "np.float64" not in err and "\n" not in err
+
+    @pytest.mark.parametrize("command", ["check", "map"])
+    def test_cube_overflow_message_shows_plain_float(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert run(command, "--config", scenario_path(S3), "--out", str(out),
+                   "--set", "initial.q=1e120") == 4
+        assert capsys.readouterr().err.splitlines() == [f"error: {_CUBE_OVERFLOW}"]
+        assert json.loads((out / "manifest.json").read_text())["error"] == \
+            _CUBE_OVERFLOW
+
+    def test_cube_overflow_bench_row_shows_plain_float(self, tmp_path, capsys):
+        assert run("bench", "--config", scenario_path(S3), "--out", str(tmp_path / "b"),
+                   "--set", "initial.q=1e120", "--methods", "adaptive54",
+                   "--tol", "1e-8") == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"bench row adaptive54 1e-08: {_CUBE_OVERFLOW}"]
 
     @pytest.mark.parametrize("overrides,message", [
         (["functions.m=1e-300"], "DP54 stage 3 state at t=0.015"),
@@ -763,6 +782,14 @@ print(json.dumps({"import": imported, "codes": codes,
                   "numpy": "numpy" in sys.modules}))
 """
 
+# The same, with any import of numpy failing.
+_NUMPY_BLOCKED_SCRIPT = """
+import json, sys
+sys.modules["numpy"] = None
+from ermakov.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
 
 class TestNoNumpy:
     def test_cli_runs_every_subcommand_without_numpy(self, tmp_path):
@@ -781,3 +808,16 @@ class TestNoNumpy:
         assert result["codes"] == [0] * len(runs), proc.stderr
         assert result["import"] is False
         assert result["numpy"] is False
+
+    def test_overflow_messages_with_numpy_blocked(self, tmp_path):
+        # an RHS call that overflows is finished in floats, never numpy
+        runs = [["simulate", "--config", scenario_path(S1), "--set", "initial.f=1e308"],
+                ["check", "--config", scenario_path(S3), "--set", "initial.q=1e120"]]
+        runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED_SCRIPT, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert json.loads(proc.stdout) == [4, 4], proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: non-finite DP54 stage 5 state at t=0.044444444444444446",
+            f"error: {_CUBE_OVERFLOW}"]

@@ -97,7 +97,7 @@ class TestOdeAdapters:
 
     def test_float_state_gives_float_tuple(self):
         # the steppers pass the state as a list of floats; the adapters
-        # hand back plain floats, also from the numpy-scalar redo
+        # hand back plain floats, also where q^3 overflows to inf
         rhs = dynamics.phys_ode(_scn(F="4", G="1"))
         for y in ([1.0, 0.5, 2.0, 0.0, 0.0], [1e200, 0.0, 1.0, 0.0, 0.0]):
             dy = rhs(0.0, y)
@@ -190,6 +190,12 @@ class TestLagrangians:
             QFrameState(tau=0.0, Q=1.0, Q_prime=math.sqrt(2.0)),
             compile_func("2*Q^2", "Q"), compile_func("0", "s"))
         assert val == pytest.approx(-1.0, rel=1e-14)
+
+    def test_overflowing_kinetic_term_is_inf(self):
+        # Q'^2 overflows: L reads inf, as energy_Q does, not OverflowError
+        val = dynamics.lagrangian_Q(QFrameState(tau=0.0, Q=1.0, Q_prime=1e200),
+                                    None, None)
+        assert val == math.inf
 
     def test_lagrangian_q_tilde_balanced_state(self):
         # at f = 1, f' = 0, the auxiliary acceleration term vanishes:

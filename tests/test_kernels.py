@@ -9,10 +9,12 @@ reference's exception type and message.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import S1, S2, S3, load_scenario, random_expr, random_phys_states
 from ermakov import dynamics, invariants, model
@@ -176,8 +178,8 @@ class TestErrorPaths:
             invariants._integrand(scn.coupling_F)(1.0)
 
     def test_cube_overflow_takes_the_numpy_redo(self):
-        # q ** 3 raises OverflowError on floats; the reference redoes the
-        # call on numpy scalars, where G/(m^2 q^3) is an IEEE 0
+        # q ** 3 raises OverflowError on floats; the reference's IEEE power
+        # gives inf instead, as numpy scalars do, so G/(m^2 q^3) is 0
         scn = replace(model.build_scenario(BARE), coupling_F=compile_func("4", "u"),
                       coupling_G=compile_func("1", "v"))
         got = self._both(scn, "phys", 0.5, [1e200, 0.0, 0.9, 0.0, 0.0])
@@ -200,3 +202,82 @@ class TestErrorPaths:
         fast = invariants._integrand(F)
         for w in (0.0, -0.0, 1e-3):
             assert _outcome(fast, w) == _outcome(lambda w: w * F(w), w)
+
+
+# --- the kernels' IEEE operators against numpy's ----------------------------
+# The reference kernels run on plain floats, where ``**`` overflow and a zero
+# divisor raise; dynamics.ieee_pow/ieee_div give the IEEE value instead.  The
+# oracle is the same kernel on numpy float64 scalars, which never raise there
+# (the helpers' fallbacks never run), converted back to floats.
+
+def _on_numpy(kernel):
+    def rhs(t, y):
+        with np.errstate(all="ignore"):
+            return tuple(map(float, kernel(t, *np.array(y, dtype=float))))
+    return rhs
+
+
+def _ieee_pairs(scn):
+    """{kernel name: (reference adapter, numpy oracle, state width)}."""
+    phys = dynamics._phys_kernel(scn)
+    accel = dynamics.qframe_accel(scn.potential_V, scn.potential_W,
+                                  scn.coupling_F, scn.coupling_G)
+    qframe = lambda tau, Q, Q_prime: (Q_prime, accel(Q, tau))  # noqa: E731
+    om2 = lambda t: model.omega_sq_from_mass(scn.m, scn.omega_tilde_sq, t)  # noqa: E731
+    g, h = model.g_from_G(scn.coupling_G), model.h_from_F(scn.coupling_F)
+    xrho = lambda t, x, x_dot, rho, rho_dot: dynamics.rhs_xrho(  # noqa: E731
+        x, x_dot, rho, rho_dot, t, om2, g, h)
+    return {"phys": (dynamics._vector_rhs(phys), _on_numpy(phys), 5),
+            "qframe": (dynamics._vector_rhs(qframe), _on_numpy(qframe), 2),
+            "xrho": (dynamics.xrho_ode(om2, g, h), _on_numpy(xrho), 4)}
+
+
+def _scaled_mass(scn, k):
+    return scn if k == 1.0 else replace(
+        scn, m=compile_func(f"{k!r}*({scn.m.source})", "t"))
+
+
+# a mass of 1e-170 squares to 0; one of 1e-320 makes m f^2 vanish too
+IEEE_SCENARIOS = {
+    (name, k): _ieee_pairs(_scaled_mass(scn, k))
+    for name, scn in [("s1", load_scenario(S1)), ("s2", load_scenario(S2)),
+                      ("s3", load_scenario(S3)), ("bare", model.build_scenario(BARE)),
+                      ("s3_W1", load_scenario(S3, ["coupling.W=1"]))]
+    for k in (1.0, 1e-170, 1e-300, 1e-320)}
+
+# |x| log-uniform in 1e-160..1e300 with either sign, or a special value
+coordinate = st.one_of(
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((1.0, -1.0)),
+              st.floats(-160.0, 300.0)),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=coordinate, n=st.sampled_from((2, 3)),
+       b=st.one_of(st.sampled_from((0.0, -0.0)), coordinate))
+def test_ieee_helpers_match_numpy(x, n, b):
+    with np.errstate(all="ignore"):
+        want_pow = float(np.float64(x) ** n)
+        want_div = float(np.float64(x) / np.float64(b))
+    assert dynamics.ieee_pow(x, n).hex() == want_pow.hex()
+    assert dynamics.ieee_div(x, b).hex() == want_div.hex()
+
+
+def _plain(outcome):
+    """``outcome`` with numpy's scalar repr np.float64(x) read as x."""
+    if outcome[0] == "error":
+        return outcome[:2] + (re.sub(r"np\.float64\(([^()]*)\)", r"\1", outcome[2]),)
+    return outcome
+
+
+@pytest.mark.parametrize("kernel", ["phys", "qframe", "xrho"])
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(IEEE_SCENARIOS)),
+       y=st.lists(coordinate, min_size=5, max_size=5))
+@example(key=("s3", 1.0), y=[1e120, 0.0, 0.9, 0.0, 0.0])
+@example(key=("s3", 1e-170), y=[-1e200, 0.0, 1e-5, 0.0, 0.0])
+@example(key=("s3_W1", 1e-320), y=[0.0, 0.0, -1e-10, 0.0, 0.0])
+def test_ieee_operators_match_numpy(kernel, key, y):
+    ref, oracle, width = IEEE_SCENARIOS[key][kernel]
+    state = y[:width]
+    assert _outcome(ref, 0.5, state) == _plain(_outcome(oracle, 0.5, state))
