@@ -205,14 +205,19 @@ def _run(args) -> int:
 
 
 def _energy_columns(traj, scn, tol):
-    """Invariant series, or NaN columns and the error if evaluation fails
-    (possible on a partial trajectory that stopped close to a singularity)."""
+    """Invariant series and each sample's (Q, Q', E_phys, E_Q), or, if
+    evaluation fails (possible on a partial trajectory that stopped close
+    to a singularity), NaN energies beside (Q, Q') mapped row by row as
+    they are written, and the error."""
     try:
-        e_phys, e_q, meta = invariants.invariant_series(traj, scn, tol)
-        return e_phys, e_q, meta, None
+        e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, tol,
+                                                                rows=True)
+        return e_phys, e_q, meta, series, None
     except ErmakovError as err:
         nan = [math.nan] * len(traj)
-        return nan, nan, None, err
+        series = ((*model.to_qframe(scn.m(t), q, q_dot, f, f_dot), math.nan, math.nan)
+                  for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t, traj.y))
+        return nan, nan, None, series, err
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
@@ -257,7 +262,7 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
             raise
         code = _record_error(manifest, err)
 
-    e_phys, e_q, meta, series_err = _energy_columns(traj, scn, args.quad_tol)
+    e_phys, e_q, meta, series, series_err = _energy_columns(traj, scn, args.quad_tol)
     report = None
     if series_err is None:
         report = invariants.report_from_series(e_phys, e_q)
@@ -267,9 +272,8 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
 
     traj_path = out_dir / "trajectory.csv"
     _write_rows(traj_path, TRAJECTORY_HEADER, (
-        (t, tau, q, q_dot, f, f_dot, *model.to_qframe(scn.m(t), q, q_dot, f, f_dot),
-         ep, eq) for t, (q, q_dot, f, f_dot, tau), ep, eq
-        in zip(traj.t, traj.y, e_phys, e_q)))
+        (t, tau, q, q_dot, f, f_dot, *row)
+        for t, (q, q_dot, f, f_dot, tau), row in zip(traj.t, traj.y, series)))
     report_path = out_dir / "report.json"
     _write_json(report_path, _report_payload(report, meta, series_err))
     manifest["outputs"] = {"trajectory": str(traj_path), "report": str(report_path)}
@@ -291,13 +295,14 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     mapped_path = out_dir / "qframe_mapped.csv"
     _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
-    # direct transformed-frame run over the same tau span
+    # direct transformed-frame run over the same tau span, sampled on its
+    # tau stride grid only (tau_end is almost never on it)
     tau0, Q0, Q_prime0 = mapped[0]
     tau_end = mapped[-1][0]
     tol = scn.plan.tol if scn.plan.tol is not None else 1e-10
     direct = integrators.integrate_adaptive54(
         dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0, tau_end,
-        tol, scn.plan.output_stride)
+        tol, scn.plan.output_stride, sample_end=False)
     direct_path = out_dir / "qframe_direct.csv"
     _write_rows(direct_path, QFRAME_HEADER,
                 ((t, Q, Qp) for t, (Q, Qp) in zip(direct.t, direct.y)))
@@ -375,6 +380,7 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
            grid: list[tuple[str, float]]) -> int:
     rows = []
     ok_count = 0
+    failures = []
     for method, value in grid:
         row_start = time.perf_counter()
         try:
@@ -386,7 +392,10 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
             wall = (time.perf_counter() - row_start) * 1e3
             rows.append((method, value, "", "", f"{wall:.3f}",
                          f"error: {type(err).__name__}"))
-            print(f"bench row {method} {value}: {err}", file=sys.stderr)
+            failures.append(f"bench row {method} {value}: {err}")
+            print(failures[-1], file=sys.stderr)
+    if failures:
+        manifest["error"] = "; ".join(failures)
 
     bench_path = out_dir / "bench.csv"
     with open(bench_path, "w", encoding="utf-8", newline="") as fh:

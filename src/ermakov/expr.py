@@ -29,6 +29,7 @@ integrators' generated steps.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -467,6 +468,8 @@ _MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
          "_ln": math.log, "_sqrt": math.sqrt, "_pow": math.pow}
 _UNARY_CODE = {"neg": "-{}", "sin": "_sin({})", "cos": "_cos({})",
                "exp": "_exp({})", "ln": "_ln({})", "sqrt": "_sqrt({})"}
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 
 
 class Inliner:
@@ -476,7 +479,10 @@ class Inliner:
     ``x`` in its order, one temporary per operator node (a subtree shared
     by identity once), and returns the name holding the value.  Constants
     and exponents are bound by name, never printed (``1e400`` is
-    ``Const(inf)``), and ``^`` is ``math.pow`` as in the tree walk.
+    ``Const(inf)``), and ``^`` is ``math.pow`` as in the tree walk.  A
+    Binary/Pow node whose operands are all constants is computed once,
+    here, by the same operation, and bound as a constant when the value
+    is finite (otherwise it is emitted like any other node).
     ``call`` inlines a Func1's f; ``let`` emits the caller's own
     arithmetic around the expressions, and ``require`` a condition the
     result needs.
@@ -484,10 +490,11 @@ class Inliner:
     ``build(params, result, slow)`` returns a function of ``params``
     that returns ``result`` only when no emitted line raised, the sum of
     every Binary/Pow intermediate (what the tree walk rejects when not
-    finite) is finite and every required condition holds.  Otherwise it
-    returns ``slow(*params)``, the reference computation, which raises or
-    returns what it always does (the sum can overflow on finite terms:
-    that costs a redundant slow call, never a wrong value).
+    finite; the ``checked`` names, to which a caller may add its own) is
+    finite and every required condition holds.  Otherwise it returns
+    ``slow(*params)``, the reference computation, which raises or returns
+    what it always does (the sum can overflow on finite terms: that costs
+    a redundant slow call, never a wrong value).
     """
 
     def __init__(self):
@@ -512,6 +519,7 @@ class Inliner:
 
     def inline(self, e: Expr, x: str) -> str:
         names: dict[int, str] = {}
+        constants: dict[str, float] = {}  # emitted name -> its value
 
         def emit(node: Expr) -> str:
             if isinstance(node, Var):
@@ -521,22 +529,35 @@ class Inliner:
                 return name
             if isinstance(node, Const):
                 name = self.bind(node.value)
+                constants[name] = node.value
+            elif isinstance(node, Unary):
+                if node.op not in _UNARY_CODE:
+                    raise AssertionError(f"unknown unary op {node.op!r}")
+                name = self.let(_UNARY_CODE[node.op].format(emit(node.arg)))
             else:
-                if isinstance(node, Unary):
-                    if node.op not in _UNARY_CODE:
-                        raise AssertionError(f"unknown unary op {node.op!r}")
-                    code = _UNARY_CODE[node.op].format(emit(node.arg))
-                elif isinstance(node, Binary):
-                    if node.op not in ("+", "-", "*", "/"):
+                if isinstance(node, Binary):
+                    if node.op not in _BINARY_OPS:
                         raise AssertionError(f"unknown binary op {node.op!r}")
-                    code = f"{emit(node.left)} {node.op} {emit(node.right)}"
+                    args = emit(node.left), emit(node.right)
+                    op, code = _BINARY_OPS[node.op], f"{args[0]} {node.op} {args[1]}"
                 elif isinstance(node, Pow):
-                    code = f"_pow({emit(node.base)}, {self.bind(node.exponent)})"
+                    args = emit(node.base), self.bind(node.exponent)
+                    constants[args[1]] = node.exponent
+                    op, code = math.pow, f"_pow({args[0]}, {args[1]})"
                 else:
                     raise TypeError(f"not an Expr node: {node!r}")
-                name = self.let(code)
-                if not isinstance(node, Unary):
-                    self.checked.append(name)
+                value = None
+                if all(a in constants for a in args):
+                    try:
+                        value = op(*(constants[a] for a in args))
+                    except (ZeroDivisionError, ValueError, OverflowError):
+                        pass
+                if value is not None and math.isfinite(value):
+                    name = self.bind(value)
+                    constants[name] = value
+                else:
+                    name = self.let(code)
+                self.checked.append(name)
             names[id(node)] = name
             return name
 
@@ -550,10 +571,11 @@ class Inliner:
         return self.inline(fn.expr, x)
 
     def build(self, params: str, result: str, slow: Callable,
-              head: tuple[str, ...] = ()) -> Callable:
+              head: tuple[str, ...] = (), tail: tuple[str, ...] = ()) -> Callable:
         """The generated function of ``params`` (source text, e.g.
         ``"t, y"``) returning the emitted name ``result``; ``head`` lines
-        run first, outside the checks."""
+        run first, outside the checks, and ``tail`` lines after every
+        check passed, right before the return."""
         fallback = f"return _slow({params})"
         body = list(head)
         if self.lines:
@@ -564,10 +586,12 @@ class Inliner:
         if self.checked:
             body.append(f"s = {' + '.join(self.checked)}")
             tests.append("s - s == 0.0")
+        done = [*tail, f"return {result}"]
         if tests:
-            body += [f"if {' and '.join(tests)}: return {result}", fallback]
+            body += [f"if {' and '.join(tests)}:", *(f"    {ln}" for ln in done),
+                     fallback]
         else:
-            body.append(f"return {result}")
+            body += done
         return make_function(params, body, {"_slow": slow, **self.bound})
 
 

@@ -12,6 +12,9 @@ Three methods:
   separable autonomous transformed-frame system; symplectic, so energy
   errors stay bounded instead of drifting.
 
+RK4 and DP54 also sample t_end when the span is not a whole number of
+strides (``sample_end``), so a run's samples reach the end of its span.
+
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
 side must return exactly one value per state component; each stepper
@@ -147,6 +150,16 @@ def _finite(y: Sequence[float]) -> bool:
     return all(map(math.isfinite, y))
 
 
+def _stride_tail(span: float, output_stride: float) -> float:
+    """What ``span`` (>= 0) leaves after its whole output strides: 0.0
+    when it is a whole number of them (as stride_count rounds), else the
+    positive remainder, which ends in one more sample at t_end."""
+    n = stride_count(span, output_stride)
+    if span / output_stride - n <= 1e-9:
+        return 0.0
+    return span - n * output_stride
+
+
 def _stride_steps(output_stride: float, dt: float) -> int:
     if not dt > 0.0:
         raise IntegrationError(f"dt must be positive, got {dt!r}")
@@ -227,10 +240,18 @@ def _rk4_step(n: int) -> Callable:
 
 
 def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
-                        dt: float, output_stride: float) -> Trajectory:
-    """Fixed-step RK4 with samples at t0 + k*output_stride."""
+                        dt: float, output_stride: float,
+                        sample_end: bool = True) -> Trajectory:
+    """Fixed-step RK4 with samples at t0 + k*output_stride.  With
+    ``sample_end``, a span that is not a whole number of strides goes on
+    by dt past the last stride sample, takes one shorter last step to
+    t_end and samples it."""
     k_per = _stride_steps(output_stride, dt)
-    n_str = stride_count(abs(t_end - t0), output_stride)
+    span = abs(t_end - t0)
+    n_str = stride_count(span, output_stride)
+    tail = _stride_tail(span, output_stride) if sample_end else 0.0
+    # steps in the tail: every one dt long but the last, which ends at t_end
+    k_tail = max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * dt
 
@@ -240,17 +261,19 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     step = _rk4_step(len(y))
     steps = 0
     t_last = t0
-    for i in range(n_str):
+    for i in range(n_str + (k_tail > 0)):
         seg = t0 + i * direction * output_stride
+        last = i == n_str
         try:
-            for j in range(k_per):
+            for j in range(k_tail if last else k_per):
                 t = seg + j * h
-                y_new = step(rhs, t, h, y)
+                h_j = t_end - t if last and j == k_tail - 1 else h
+                y_new = step(rhs, t, h_j, y)
                 steps += 1
                 if not _finite(y_new):
-                    raise IntegrationError(f"non-finite state after step at t={t + h!r}")
-                y, t_last = y_new, t + h
-            t_out = t0 + (i + 1) * direction * output_stride
+                    raise IntegrationError(f"non-finite state after step at t={t + h_j!r}")
+                y, t_last = y_new, t + h_j
+            t_out = t_end if last else t0 + (i + 1) * direction * output_stride
             run.add(t_out, y, rhs(t_out, y))
         except ErmakovError as err:
             # a stage or output-sample RHS call failed, or the step left
@@ -341,9 +364,12 @@ def _dp54_dense(n: int) -> Callable:
 
 
 def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
-                         tol: float, output_stride: float) -> Trajectory:
+                         tol: float, output_stride: float,
+                         sample_end: bool = True) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with mixed error control
-    (atol = rtol = tol) and dense output at t0 + k*output_stride."""
+    (atol = rtol = tol) and dense output at t0 + k*output_stride.  With
+    ``sample_end``, a span that is not a whole number of strides is also
+    sampled at t_end, where the last step ends."""
     if not tol > 0.0:
         raise IntegrationError(f"tol must be positive, got {tol!r}")
     if not output_stride > 0.0:
@@ -367,6 +393,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     err_prev = 1e-4
     k_out = 1
     n_out = stride_count(span, output_stride)
+    n_end = n_out + 1 if sample_end and _stride_tail(span, output_stride) else n_out
     step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
 
     while direction * (t_end - t) > eps_t:
@@ -386,8 +413,9 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
             if err_norm <= 1.0:
                 t_new = t + h
                 # emit dense-output samples inside (t, t_new]
-                while k_out <= n_out:
-                    t_out = t0 + k_out * direction * output_stride
+                while k_out <= n_end:
+                    t_out = (t_end if k_out > n_out
+                             else t0 + k_out * direction * output_stride)
                     if direction * (t_out - t_new) > eps_t:
                         break
                     if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):

@@ -13,6 +13,14 @@ the integrand is finite there, else 1).  When the couplings came from
 potentials, u F(u) = V'(u) exactly, so V and W are the exact
 antiderivatives and the drift evaluator uses them directly instead of
 quadrature; bare-coupling scenarios fall back to adaptive Simpson.
+
+A series is one generated function per run (expr.Inliner) called once
+per sample: m(t), the (Q, Q') map, the potentials and, on each
+quadrature side, the leg from the side's last point with the integrand
+inlined at its four new points and the first Simpson level.  Any sample
+it cannot finish that way (see ``_generated``) is the reference's
+(``_reference``: ``_RunningIntegral.value``, ``quad``, ``_adaptive``),
+with its values and its errors.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dynamics import guard, ieee_pow
+from .dynamics import EPS_SING, guard, ieee_pow
 from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, Inliner, is_zero
 from .integrators import Trajectory
@@ -142,8 +150,8 @@ def ray_reid_invariant(state: PhysState, scn: Scenario, u_ref: float = 0.0,
     """
     u_side = _PotentialSide(None, scn.coupling_F, tol, u_ref)
     v_side = _PotentialSide(None, scn.coupling_G, tol, v_ref)
-    y = [state.q, state.q_dot, state.f, state.f_dot, state.tau]
-    return _energies([state.t], [y], scn.m, u_side, v_side)[0][0]
+    return _reference(scn.m, u_side, v_side)(
+        state.t, state.q, state.q_dot, state.f, state.f_dot)[2]
 
 
 def ermakov_lewis(state: PhysState, m_val: float, Omega: float) -> float:
@@ -185,6 +193,8 @@ class _RunningIntegral:
     Single-trajectory use only (not shared across workers).
     """
 
+    __slots__ = ("fn", "tol", "last_x", "last_f", "last_val", "cache")
+
     def __init__(self, fn: Callable[[float], float], ref: float, tol: float):
         self.fn = fn
         self.tol = tol
@@ -215,8 +225,12 @@ def _integrand(coupling: Func1) -> Callable[[float], float]:
     """w -> w * coupling(w), generated as one function (expr.Inliner) with
     the lambda as its reference and error path."""
     em = Inliner()
-    value = em.call(coupling, "w")
-    return em.build("w", em.let(f"w * {value}"), lambda w: w * coupling(w))
+    return em.build("w", _emit_integrand(em, coupling, "w"),
+                    lambda w: w * coupling(w))
+
+
+def _emit_integrand(em: Inliner, coupling: Func1, w: str) -> str:
+    return em.let(f"{w} * {em.call(coupling, w)}")
 
 
 class _PotentialSide:
@@ -228,6 +242,7 @@ class _PotentialSide:
         self.zero = is_zero(coupling.expr) and (
             potential is None or is_zero(potential.expr))
         self.potential = potential
+        self.coupling = coupling
         self.ref: float | None = None
         self.running: _RunningIntegral | None = None
         if not self.zero and potential is None:
@@ -249,14 +264,16 @@ class _PotentialSide:
         return self.running.value(arg)
 
 
-def _energies(ts: list[float], ys: list[list[float]], m: Func1,
-              u_side: _PotentialSide, v_side: _PotentialSide
-              ) -> tuple[list[float], list[float]]:
-    """(E_phys, E_Q) at each sample t, (q, q_dot, f, f_dot, tau) of ``ts``
-    and ``ys``; raises InvariantError at the first non-finite value."""
-    e_phys: list[float] = []
-    e_q: list[float] = []
-    for t, (q, q_dot, f, f_dot, _tau) in zip(ts, ys):
+_PARAMS = "t, q, q_dot, f, f_dot"
+
+
+def _reference(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
+               ) -> Callable[..., tuple[float, float, float, float]]:
+    """sample(t, q, q_dot, f, f_dot) -> (Q, Q', E_phys, E_Q) at one sample,
+    advancing the sides' running integrals; raises InvariantError when
+    either energy is not finite.  The reference of ``_generated``."""
+
+    def sample(t, q, q_dot, f, f_dot):
         mv = mass_at(m, t)
         if not u_side.zero:
             guard("f", f, t)
@@ -275,23 +292,105 @@ def _energies(ts: list[float], ys: list[list[float]], m: Func1,
         if not (math.isfinite(ep) and math.isfinite(eq)):
             raise InvariantError(f"the invariant is not finite at t={t!r} "
                                  f"(E_phys = {ep!r}, E_Q = {eq!r})")
-        e_phys.append(ep)
-        e_q.append(eq)
-    return e_phys, e_q
+        return Q, Q_prime, ep, eq
+    return sample
 
 
-def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
-                     ) -> tuple[list[float], list[float], dict]:
+def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
+               ) -> Callable[..., tuple[float, float, float, float]]:
+    """``_reference(m, u_side, v_side)`` as one generated function: the
+    same operations in the same order.  A sample goes to the reference
+    whole when an emitted line raises or meets a non-finite value (an
+    expression intermediate, an integrand point or an energy), the mass
+    or a guard fails, or a quadrature side cannot take the leg from its
+    last point in one Simpson level: its last point was never sampled,
+    the new point is already cached, or the leg misses 15*tol.  (With a
+    tolerance that is not positive the reference fails every leg, so no
+    side's last point is ever sampled.)"""
+    em = Inliner()
+    head: list[str] = []
+    tail: list[str] = []
+    eps = em.bind(EPS_SING)
+    mv = em.call(m, "t")
+    em.require(f"0.0 < {mv} < {em.bind(math.inf)}")
+    if not u_side.zero:
+        em.require(f"abs(f) >= {eps}")
+    Q = em.let("q / f")
+    wr = em.let("q_dot * f - q * f_dot")
+    Q_prime = em.let(f"{mv} * {wr}")
+    pot_u = _emit_side(em, u_side, Q, "u", head, tail)
+    pot_v = "0.0"
+    if not v_side.zero:
+        em.require(f"abs(q) >= {eps}")
+        pot_v = _emit_side(em, v_side, em.let("f / q"), "v", head, tail)
+    # ``wr ** 2`` is ieee_pow's power: its OverflowError takes the reference
+    ep = em.let(f"0.5 * {mv} * {mv} * {wr} ** 2 + {pot_u} + {pot_v}")
+    eq = em.let(f"0.5 * {Q_prime} * {Q_prime} + {pot_u} + {pot_v}")
+    em.checked += [ep, eq]
+    return em.build(_PARAMS, f"{Q}, {Q_prime}, {ep}, {eq}",
+                    _reference(m, u_side, v_side), tuple(head), tuple(tail))
+
+
+def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str,
+               head: list[str], tail: list[str]) -> str:
+    """The name of one side's value at the emitted point ``x``; a
+    quadrature side's names start with ``p``."""
+    if side.zero:
+        return "0.0"
+    if side.potential is not None:
+        return em.call(side.potential, x)
+    # _RunningIntegral.value's leg (a, x) from its last point a, which
+    # holds fa = fn(a) and the value va: quad(fn, a, x) with both ends
+    # known, a reversed leg as the negated swapped one, and _adaptive's
+    # first level on [lo, hi]; the state is committed after the checks
+    run, cache = em.bind(side.running), em.bind(side.running.cache)
+    coupling = side.coupling
+    head += [f"{p}a, {p}fa, {p}va = {run}.last_x, {run}.last_f, {run}.last_val",
+             f"if {p}fa is None: return _slow({_PARAMS})"]
+    em.require(f"{x} not in {cache}")
+
+    def integrand(w: str) -> str:
+        value = _emit_integrand(em, coupling, w)
+        em.checked.append(value)  # _sample's test
+        return value
+
+    fx = integrand(x)
+    em.let(f"({x}, {p}a, {fx}, {p}fa) if {x} < {p}a else ({p}a, {x}, {p}fa, {fx})",
+           f"{p}lo, {p}hi, {p}flo, {p}fhi")
+    mid = em.let(f"0.5 * ({p}a + {x})")  # == 0.5 * (lo + hi): + commutes
+    fm = integrand(mid)
+    whole = em.let(f"({p}hi - {p}lo) / 6.0 * ({p}flo + 4.0 * {fm} + {p}fhi)")
+    flm = integrand(em.let(f"0.5 * ({p}lo + {mid})"))
+    frm = integrand(em.let(f"0.5 * ({mid} + {p}hi)"))
+    left = em.let(f"({mid} - {p}lo) / 6.0 * ({p}flo + 4.0 * {flm} + {fm})")
+    right = em.let(f"({p}hi - {mid}) / 6.0 * ({fm} + 4.0 * {frm} + {p}fhi)")
+    delta = em.let(f"{left} + {right} - {whole}")
+    em.require(f"abs({delta}) <= {em.bind(15.0 * side.running.tol)}")
+    res = em.let(f"{left} + {right} + {delta} / 15.0")
+    val = em.let(f"{p}va + (-{res} if {x} < {p}a else {res})")
+    tail += [f"{run}.last_x, {run}.last_f, {run}.last_val = {x}, {fx}, {val}",
+             f"{cache}[{x}] = {val}"]
+    return val
+
+
+def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10,
+                     rows: bool = False) -> tuple:
     """Physical-frame and transformed-frame energy at every sample of a
     physical trajectory (columns q, q_dot, f, f_dot, tau).
 
     Returns (e_phys, e_q, meta); meta records which evaluation path each
-    side used and the reference points of any quadrature.  Raises
-    InvariantError at the first sample where either value is not finite.
+    side used and the reference points of any quadrature.  With
+    ``rows``, a fourth element holds each sample's (Q, Q', E_phys, E_Q).
+    Raises InvariantError at the first sample where either value is not
+    finite.
     """
     u_side = _PotentialSide(scn.potential_V, scn.coupling_F, tol)
     v_side = _PotentialSide(scn.potential_W, scn.coupling_G, tol)
-    e_phys, e_q = _energies(traj.t, traj.y, scn.m, u_side, v_side)
+    sample = _generated(scn.m, u_side, v_side)
+    series = [sample(t, q, q_dot, f, f_dot)
+              for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t, traj.y)]
+    e_phys = [row[2] for row in series]
+    e_q = [row[3] for row in series]
     meta = {
         "u_side": u_side.path,
         "v_side": v_side.path,
@@ -299,7 +398,7 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10
         "v_ref": v_side.ref,
         "quad_tol": tol,
     }
-    return e_phys, e_q, meta
+    return (e_phys, e_q, meta, series) if rows else (e_phys, e_q, meta)
 
 
 def report_from_series(e_phys: Sequence[float], e_q: Sequence[float]

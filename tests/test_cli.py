@@ -247,6 +247,17 @@ class TestCheck:
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest["exit_status"] == 1
 
+    @pytest.mark.parametrize("stride,times", [("30", [0.0, 30.0, 50.0]),
+                                              ("25", [0.0, 25.0, 50.0])])
+    def test_span_tail_is_certified(self, tmp_path, stride, times):
+        # 50 is no multiple of 30: the stretch (30, 50] is sampled at t_end too
+        out = tmp_path / "c"
+        assert run("check", "--config", scenario_path(S3), "--out", str(out),
+                   "--set", f"integration.output_stride={stride}") == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        assert list(rows[:, 0]) == times
+        assert json.loads((out / "report.json").read_text())["samples"] == 3
+
     def test_vacuous_threshold_always_passes(self, tmp_path):
         code = run("check", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "c"),
@@ -577,6 +588,20 @@ class TestBench:
         if status == "ok":
             assert float(row[2]) < 1e-3
 
+    def test_failed_row_message_in_manifest(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S3), "--out", str(out),
+                   "--set", "initial.q=1e120", "--methods", "adaptive54,rk4",
+                   "--tol", "1e-8", "--dt", "0.01") == 4
+        printed = capsys.readouterr().err.splitlines()
+        assert printed == [f"bench row adaptive54 1e-08: {_CUBE_OVERFLOW}",
+                           f"bench row rk4 0.01: {_CUBE_OVERFLOW}"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == "; ".join(printed)
+        assert [row.split(",")[-1] for row in
+                (out / "bench.csv").read_text().splitlines()[1:]] == [
+            "error: ExprDomainError"] * 2
+
     def test_partial_failure_recorded_per_row(self, tmp_path):
         # verlet cannot run without potentials; rk4 still succeeds
         out = tmp_path / "b"
@@ -635,6 +660,7 @@ _RUN_ERROR = _ECHO | {"error", "singularity"}
 _SIMULATED = _ECHO | {"metadata"}
 _PARTIAL = _SIMULATED | {"error", "singularity"}
 _INVARIANT_ERROR = _SIMULATED | {"error"}
+_ROW_ERROR = _ECHO | {"error"}  # bench rows failed: their messages
 
 _SIM_FILES = {"manifest.json", "report.json", "trajectory.csv"}
 _MAP_FILES = {"manifest.json", "qframe_mapped.csv", "qframe_direct.csv", "gap.json"}
@@ -697,9 +723,9 @@ EXIT_PATHS = [
     ("bench-2-one-sample", ["bench", S3, "--methods", "rk4", "--dt", "0.5",
                             "--set", "integration.output_stride=100"], 2, 1,
      _LOAD_ERROR, _MANIFEST_ONLY),
-    ("bench-4", ["bench", "bare", "--methods", "verlet", "--dt", "0.1"], 4, 1, _ECHO,
-     {"manifest.json", "bench.csv"}),
-    ("bench-4-verlet-overflow", ["bench", S3] + _UNSTABLE_VERLET, 4, 1, _ECHO,
+    ("bench-4", ["bench", "bare", "--methods", "verlet", "--dt", "0.1"], 4, 1,
+     _ROW_ERROR, {"manifest.json", "bench.csv"}),
+    ("bench-4-verlet-overflow", ["bench", S3] + _UNSTABLE_VERLET, 4, 1, _ROW_ERROR,
      {"manifest.json", "bench.csv"}),
     ("bench-2-method", ["bench", S1, "--methods", "foo", "--dt", "0.1"], 2, 1,
      _LOAD_ERROR, _MANIFEST_ONLY),

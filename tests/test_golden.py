@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from conftest import S1, S2, S3, load_scenario, scenario_path
-from ermakov import dynamics, model
+from ermakov import dynamics, invariants, model
 from ermakov.cli import main
 from ermakov.expr import Func1
 from ermakov.integrators import integrate_adaptive54, integrate_fixed_rk4
@@ -173,6 +173,46 @@ def test_benchmark_traffic_walks_no_derivative_tree(tmp_path, monkeypatch, comma
         config = scenario_path(cfg)
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert calls == {"deriv": 0, "deriv2": 0}
+
+
+# (command, config, overrides, Func1.__call__ bound, quad bound); before the
+# generated invariant pass these runs made 10,003 / 15,002 calls (bare, the
+# benchmark's bare_dense_rk4 at seed 0), 4,005 / 0 (check S3) and 1,002 / 0
+# (map S3)
+TRAFFIC_BOUNDS = [
+    ("check", "bare_rk4", ["--set", "integration.t_end=50"], 5, 5),
+    ("check", S3, [], 5, 0),
+    ("map", S3, [], 1002, 0),
+]
+
+
+@pytest.mark.parametrize("command,cfg,overrides,func_calls,quad_calls", TRAFFIC_BOUNDS)
+def test_benchmark_traffic_calls_no_per_sample_function(tmp_path, monkeypatch, command,
+                                                        cfg, overrides, func_calls,
+                                                        quad_calls):
+    # The invariant series is one generated pass per sample: m(t), the
+    # potentials and the quadrature legs' integrand are inlined, so a
+    # compiled Func1 or quad is called only where a sample falls back to
+    # the reference (the first one of a quadrature side).
+    calls = {"call": 0, "quad": 0}
+
+    def counted_call(fn, x, _call=Func1.__call__):
+        calls["call"] += 1
+        return _call(fn, x)
+
+    def counted_quad(*args, _quad=invariants.quad, **kwargs):
+        calls["quad"] += 1
+        return _quad(*args, **kwargs)
+
+    monkeypatch.setattr(Func1, "__call__", counted_call)
+    monkeypatch.setattr(invariants, "quad", counted_quad)
+    config = tmp_path / "bare_rk4.cfg"
+    config.write_text(BARE_RK4)
+    if cfg != "bare_rk4":
+        config = scenario_path(cfg)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out"),
+                 *overrides]) == 0
+    assert calls["call"] <= func_calls and calls["quad"] <= quad_calls, calls
 
 
 if __name__ == "__main__":

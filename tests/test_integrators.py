@@ -244,6 +244,49 @@ def test_output_stride_must_be_positive(integrate, step, stride):
         integrate(harmonic, [1.0, 0.0], 0.0, 1.0, step, stride)
 
 
+class TestSpanTail:
+    """A span that is not a whole number of strides is also sampled at its
+    end; a whole number of strides is sampled on the grid alone."""
+
+    @pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.01),
+                                                (integrate_adaptive54, 1e-10)])
+    @pytest.mark.parametrize("t_end,grid", [(1.0, [0.0, 0.3, 0.6, 0.9]),
+                                            (1.2, [0.0, 0.3, 0.6, 0.9, 1.2]),
+                                            (-1.0, [0.0, -0.3, -0.6, -0.9])])
+    def test_samples_reach_t_end(self, integrate, step, t_end, grid):
+        traj = integrate(harmonic, [1.0, 0.0], 0.0, t_end, step, 0.3)
+        assert traj.t[:len(grid)] == pytest.approx(grid, abs=1e-12)
+        assert len(traj) == len(grid) + (t_end != 1.2)
+        assert traj.t[-1] == pytest.approx(t_end, abs=1e-12)
+        assert traj.y[-1] == pytest.approx([math.cos(t_end), -math.sin(t_end)],
+                                           abs=1e-8)
+        grid_only = integrate(harmonic, [1.0, 0.0], 0.0, t_end, step, 0.3,
+                              sample_end=False)
+        assert grid_only.t == pytest.approx(grid, abs=1e-12)
+
+    def test_rk4_tail_steps_on_by_dt_then_ends_short(self):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return harmonic(t, y)
+
+        traj = integrate_fixed_rk4(counted, [1.0, 0.0], 0.0, 1.03, 0.05, 0.4)
+        # 2 strides of 8 steps, then 4 steps of 0.05 and one of 0.03
+        assert traj.t == pytest.approx([0.0, 0.4, 0.8, 1.03], abs=1e-15)
+        assert traj.t[-1] == 1.03 and traj.step_count == 21
+        # the benchmark's traced RK4 identity: 4 calls a step, 1 a sample
+        assert len(calls) == 4 * traj.step_count + len(traj)
+        assert calls[-5] == pytest.approx(1.0, abs=1e-15)  # the last step's start
+        assert calls[-2] == pytest.approx(1.03, abs=1e-15)  # ... and its end
+
+    def test_dp54_tail_is_the_last_step_end(self):
+        traj = integrate_adaptive54(harmonic, [1.0, 0.0], 0.0, 1.0, 1e-10, 0.3)
+        assert traj.t[-1] == 1.0
+        assert list(traj.dy[-1]) == pytest.approx(harmonic(1.0, traj.y[-1]),
+                                                  abs=1e-15)
+
+
 class TestPinneyClosedForm:
     """Pinney (1950): with m = 1, w~2 = 1, G = 0 and F = k, the companion
     f'' + f = k/f^3 from f(0) = f0, f'(0) = 0 has the closed form
