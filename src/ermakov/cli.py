@@ -207,17 +207,16 @@ def _run(args) -> int:
 def _energy_columns(traj, scn, tol):
     """Invariant series and each sample's (Q, Q', E_phys, E_Q), or, if
     evaluation fails (possible on a partial trajectory that stopped close
-    to a singularity), NaN energies beside (Q, Q') mapped row by row as
-    they are written, and the error."""
+    to a singularity), no series but (Q, Q') mapped row by row as they
+    are written beside NaN energies, and the error."""
     try:
         e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, tol,
                                                                 rows=True)
         return e_phys, e_q, meta, series, None
     except ErmakovError as err:
-        nan = [math.nan] * len(traj)
         series = ((*model.to_qframe(scn.m(t), q, q_dot, f, f_dot), math.nan, math.nan)
                   for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t, traj.y))
-        return nan, nan, None, series, err
+        return None, None, None, series, err
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
