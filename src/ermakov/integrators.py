@@ -13,7 +13,8 @@ Three methods:
   errors stay bounded instead of drifting.
 
 RK4 and DP54 also sample t_end when the span is not a whole number of
-strides (``sample_end``), so a run's samples reach the end of its span.
+strides, so a run's samples reach the end of its span (DP54's
+``sample_end=False`` keeps the stride grid alone).
 
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
@@ -240,16 +241,14 @@ def _rk4_step(n: int) -> Callable:
 
 
 def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
-                        dt: float, output_stride: float,
-                        sample_end: bool = True) -> Trajectory:
-    """Fixed-step RK4 with samples at t0 + k*output_stride.  With
-    ``sample_end``, a span that is not a whole number of strides goes on
-    by dt past the last stride sample, takes one shorter last step to
-    t_end and samples it."""
+                        dt: float, output_stride: float) -> Trajectory:
+    """Fixed-step RK4 with samples at t0 + k*output_stride.  A span that
+    is not a whole number of strides goes on by dt past the last stride
+    sample, takes one shorter last step to t_end and samples it."""
     k_per = _stride_steps(output_stride, dt)
     span = abs(t_end - t0)
     n_str = stride_count(span, output_stride)
-    tail = _stride_tail(span, output_stride) if sample_end else 0.0
+    tail = _stride_tail(span, output_stride)
     # steps in the tail: every one dt long but the last, which ends at t_end
     k_tail = max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
     direction = 1.0 if t_end >= t0 else -1.0

@@ -355,8 +355,10 @@ def stride_steps(output_stride: float, dt: float) -> int | None:
 
 
 def stride_count(span: float, output_stride: float) -> int:
-    """Number of whole output strides in ``span`` (>= 0): a run samples
-    its start and each of these."""
+    """Number of whole output strides in ``span`` (>= 0).  A run samples
+    its start and each of these; the RK4 and DP54 steppers add one more
+    sample at t_end when the span leaves a remainder
+    (``integrators._stride_tail``)."""
     return int(math.floor(span / output_stride + 1e-9))
 
 

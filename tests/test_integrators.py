@@ -260,9 +260,13 @@ class TestSpanTail:
         assert traj.t[-1] == pytest.approx(t_end, abs=1e-12)
         assert traj.y[-1] == pytest.approx([math.cos(t_end), -math.sin(t_end)],
                                            abs=1e-8)
-        grid_only = integrate(harmonic, [1.0, 0.0], 0.0, t_end, step, 0.3,
-                              sample_end=False)
-        assert grid_only.t == pytest.approx(grid, abs=1e-12)
+
+    @pytest.mark.parametrize("t_end,grid", [(1.0, [0.0, 0.3, 0.6, 0.9]),
+                                            (-1.0, [0.0, -0.3, -0.6, -0.9])])
+    def test_dp54_grid_only(self, t_end, grid):
+        traj = integrate_adaptive54(harmonic, [1.0, 0.0], 0.0, t_end, 1e-10, 0.3,
+                                    sample_end=False)
+        assert traj.t == pytest.approx(grid, abs=1e-12)
 
     def test_rk4_tail_steps_on_by_dt_then_ends_short(self):
         calls = []
