@@ -98,7 +98,7 @@ def _load(args) -> tuple[ConfigDocument, Scenario]:
     span, stride = scn.plan.t_end - scn.initial.t, scn.plan.output_stride
     compares = (args.command in ("check", "bench")
                 or (args.command == "map" and span > 0.0))
-    if compares and model.stride_count(span, stride) + 1 < 2:
+    if compares and model.stride_count(span, stride)[0] < 1:
         raise ConfigError(f"{args.command} needs at least 2 samples, but "
                           f"output_stride={stride!r} exceeds the span {span!r}")
     return doc, scn
@@ -210,8 +210,7 @@ def _energy_columns(traj, scn, tol):
     to a singularity), no series but (Q, Q') mapped row by row as they
     are written beside NaN energies, and the error."""
     try:
-        e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, tol,
-                                                                rows=True)
+        e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, tol)
         return e_phys, e_q, meta, series, None
     except ErmakovError as err:
         series = ((*model.to_qframe(scn.m(t), q, q_dot, f, f_dot), math.nan, math.nan)
@@ -294,14 +293,16 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     mapped_path = out_dir / "qframe_mapped.csv"
     _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
-    # direct transformed-frame run over the same tau span, sampled on its
-    # tau stride grid only (tau_end is almost never on it)
+    # direct transformed-frame run over the whole tau strides of the same
+    # span: it ends at its last grid time, so it samples the stride grid
+    # only (tau_end is almost never on it)
     tau0, Q0, Q_prime0 = mapped[0]
     tau_end = mapped[-1][0]
+    stride = scn.plan.output_stride
     tol = scn.plan.tol if scn.plan.tol is not None else 1e-10
     direct = integrators.integrate_adaptive54(
-        dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0, tau_end,
-        tol, scn.plan.output_stride, sample_end=False)
+        dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0,
+        tau0 + model.stride_count(tau_end - tau0, stride)[0] * stride, tol, stride)
     direct_path = out_dir / "qframe_direct.csv"
     _write_rows(direct_path, QFRAME_HEADER,
                 ((t, Q, Qp) for t, (Q, Qp) in zip(direct.t, direct.y)))

@@ -485,7 +485,8 @@ class Inliner:
     is finite (otherwise it is emitted like any other node).
     ``call`` inlines a Func1's f; ``let`` emits the caller's own
     arithmetic around the expressions, and ``require`` a condition the
-    result needs.
+    result needs.  ``head`` lines run first, outside the checks, and
+    ``tail`` lines after every check passed, right before the return.
 
     ``build(params, result, slow)`` returns a function of ``params``
     that returns ``result`` only when no emitted line raised, the sum of
@@ -502,6 +503,8 @@ class Inliner:
         self.lines: list[str] = []
         self.checked: list[str] = []
         self.conditions: list[str] = []
+        self.head: list[str] = []
+        self.tail: list[str] = []
 
     def bind(self, value: object) -> str:
         name = f"c{len(self.bound)}"
@@ -570,14 +573,11 @@ class Inliner:
             self.require(f"{x} != 0.0")
         return self.inline(fn.expr, x)
 
-    def build(self, params: str, result: str, slow: Callable,
-              head: tuple[str, ...] = (), tail: tuple[str, ...] = ()) -> Callable:
+    def build(self, params: str, result: str, slow: Callable) -> Callable:
         """The generated function of ``params`` (source text, e.g.
-        ``"t, y"``) returning the emitted name ``result``; ``head`` lines
-        run first, outside the checks, and ``tail`` lines after every
-        check passed, right before the return."""
+        ``"t, y"``) returning the emitted name ``result``."""
         fallback = f"return _slow({params})"
-        body = list(head)
+        body = list(self.head)
         if self.lines:
             body += ["try:", *(f"    {ln}" for ln in self.lines),
                      "except (ZeroDivisionError, ValueError, OverflowError):",
@@ -586,7 +586,7 @@ class Inliner:
         if self.checked:
             body.append(f"s = {' + '.join(self.checked)}")
             tests.append("s - s == 0.0")
-        done = [*tail, f"return {result}"]
+        done = [*self.tail, f"return {result}"]
         if tests:
             body += [f"if {' and '.join(tests)}:", *(f"    {ln}" for ln in done),
                      fallback]
@@ -641,10 +641,9 @@ class Func1:
     @cached_property
     def _f(self) -> Callable[[float], float]:
         em = Inliner()
-        head = (() if self.at_zero is None
-                else (f"if x == 0.0: return {em.bind(self.at_zero)}",))
-        return em.build("x", em.inline(self.expr, "x"),
-                        partial(evaluate, self.expr), head)
+        if self.at_zero is not None:
+            em.head.append(f"if x == 0.0: return {em.bind(self.at_zero)}")
+        return em.build("x", em.inline(self.expr, "x"), partial(evaluate, self.expr))
 
     def __getstate__(self) -> dict:
         # the compiled f is a closure; it is rebuilt on use

@@ -9,12 +9,15 @@ Three methods:
   pair with FSAL, proportional-integral step control and the pair's own
   4th-order-continuous dense output for stride sampling.
 * ``integrate_verlet_Q`` -- Stormer-Verlet (kick-drift-kick) for the
-  separable autonomous transformed-frame system; symplectic, so energy
-  errors stay bounded instead of drifting.
+  separable autonomous transformed-frame system, at fixed dt like RK4;
+  symplectic, so energy errors stay bounded instead of drifting.
 
-RK4 and DP54 also sample t_end when the span is not a whole number of
-strides, so a run's samples reach the end of its span (DP54's
-``sample_end=False`` keeps the stride grid alone).
+Every stepper samples its start and t0 + k*output_stride for each whole
+stride of the span, and also t_end when the span leaves a remainder
+after them (``model.stride_count``), so a run's samples reach the end of
+its span.  The fixed-step methods share one stride plan
+(``_stride_plan``): steps of dt, then one shorter step that ends at
+t_end.
 
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
@@ -151,26 +154,20 @@ def _finite(y: Sequence[float]) -> bool:
     return all(map(math.isfinite, y))
 
 
-def _stride_tail(span: float, output_stride: float) -> float:
-    """What ``span`` (>= 0) leaves after its whole output strides: 0.0
-    when it is a whole number of them (as stride_count rounds), else the
-    positive remainder, which ends in one more sample at t_end."""
-    n = stride_count(span, output_stride)
-    if span / output_stride - n <= 1e-9:
-        return 0.0
-    return span - n * output_stride
-
-
-def _stride_steps(output_stride: float, dt: float) -> int:
+def _stride_plan(span: float, output_stride: float, dt: float) -> tuple[int, int, int]:
+    """(steps per stride, whole strides, tail steps) of a fixed-step run
+    over ``span`` (>= 0).  dt must subdivide the stride exactly; the tail
+    steps are each dt long but the last, which ends at t_end."""
     if not dt > 0.0:
         raise IntegrationError(f"dt must be positive, got {dt!r}")
     if not output_stride > 0.0:
         raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
-    k = stride_steps(output_stride, dt)
-    if k is None:
+    k_per = stride_steps(output_stride, dt)
+    if k_per is None:
         raise IntegrationError(
             f"dt={dt!r} does not subdivide output_stride={output_stride!r} exactly")
-    return k
+    n_str, tail = stride_count(span, output_stride)
+    return k_per, n_str, max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
 
 
 def _first_slope(rhs: Rhs, t0: float, y: list[float]) -> Sequence[float]:
@@ -245,12 +242,7 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     """Fixed-step RK4 with samples at t0 + k*output_stride.  A span that
     is not a whole number of strides goes on by dt past the last stride
     sample, takes one shorter last step to t_end and samples it."""
-    k_per = _stride_steps(output_stride, dt)
-    span = abs(t_end - t0)
-    n_str = stride_count(span, output_stride)
-    tail = _stride_tail(span, output_stride)
-    # steps in the tail: every one dt long but the last, which ends at t_end
-    k_tail = max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
+    k_per, n_str, k_tail = _stride_plan(abs(t_end - t0), output_stride, dt)
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * dt
 
@@ -363,16 +355,21 @@ def _dp54_dense(n: int) -> Callable:
 
 
 def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
-                         tol: float, output_stride: float,
-                         sample_end: bool = True) -> Trajectory:
+                         tol: float, output_stride: float) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with mixed error control
-    (atol = rtol = tol) and dense output at t0 + k*output_stride.  With
-    ``sample_end``, a span that is not a whole number of strides is also
-    sampled at t_end, where the last step ends."""
+    (atol = rtol = tol) and dense output at t0 + k*output_stride.  A span
+    that is not a whole number of strides is also sampled at t_end, where
+    the last step ends.  A nonzero span within the time tolerance, which
+    no step could resolve, raises IntegrationError."""
     if not tol > 0.0:
         raise IntegrationError(f"tol must be positive, got {tol!r}")
     if not output_stride > 0.0:
         raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
+    span = abs(t_end - t0)
+    eps_t = 1e-9 * max(1.0, abs(t0), abs(t_end), output_stride)
+    if 0.0 < span <= eps_t:
+        raise IntegrationError(f"the span {span!r} from t0={t0!r} to t_end={t_end!r} is "
+                               f"within the time tolerance {eps_t!r}: no step resolves it")
 
     y = [float(v) for v in y0]
     run = _Run("adaptive54")
@@ -382,17 +379,15 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         return run.trajectory(0)
 
     direction = 1.0 if t_end > t0 else -1.0
-    span = abs(t_end - t0)
     h = direction * min(output_stride, span / 10.0)
-    eps_t = 1e-9 * max(1.0, abs(t0), abs(t_end), output_stride)
 
     t = t0
     steps = 0
     rejected = 0
     err_prev = 1e-4
     k_out = 1
-    n_out = stride_count(span, output_stride)
-    n_end = n_out + 1 if sample_end and _stride_tail(span, output_stride) else n_out
+    n_out, tail = stride_count(span, output_stride)
+    n_end = n_out + 1 if tail else n_out
     step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
 
     while direction * (t_end - t) > eps_t:
@@ -449,13 +444,12 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
 # --- Stormer-Verlet for the transformed frame -------------------------------
 
 def integrate_verlet_Q(V: Func1 | None, W: Func1 | None, initial: QFrameState,
-                       dt: float, tau_end: float,
-                       output_stride: float | None = None) -> Trajectory:
+                       dt: float, tau_end: float, output_stride: float) -> Trajectory:
     """Kick-drift-kick leapfrog for Q'' = -V'(Q) + W'(1/Q)/Q^2.
 
-    Samples every ``output_stride`` (default: every step).  Forward in
-    tau only.  With a nonzero W, Q must keep the sign it starts with: a
-    step that lands across the pole at Q = 0 raises SingularityError.
+    Forward in tau only.  With a nonzero W, Q must keep the sign it
+    starts with: a step that lands across the pole at Q = 0 raises
+    SingularityError.
     """
     rhs = _qframe_ode(V, W)
     pole = W is not None and not is_zero(W.expr)
@@ -470,18 +464,16 @@ def integrate_verlet_Q(V: Func1 | None, W: Func1 | None, initial: QFrameState,
 
 
 def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameState,
-                     dt: float, tau_end: float,
-                     output_stride: float | None = None) -> Trajectory:
-    """Kick-drift-kick leapfrog for a position-only acceleration law.
+                     dt: float, tau_end: float, output_stride: float) -> Trajectory:
+    """Kick-drift-kick leapfrog for a position-only acceleration law,
+    stepped and sampled on RK4's stride plan.
 
     ``accel(Q, tau)`` returns Q'' at position Q; tau, the time that Q is
     reached, only labels the errors it raises (as in dynamics.qframe_accel)."""
     if tau_end < initial.tau:
         raise IntegrationError(f"tau_end ({tau_end!r}) precedes the initial "
                                f"tau ({initial.tau!r})")
-    stride = dt if output_stride is None else output_stride
-    k_per = _stride_steps(stride, dt)  # also rejects dt <= 0
-    n_str = stride_count(tau_end - initial.tau, stride)
+    k_per, n_str, k_tail = _stride_plan(tau_end - initial.tau, output_stride, dt)
 
     run = _Run("verlet")
     tau, Q, P = initial.tau, initial.Q, initial.Q_prime
@@ -489,15 +481,19 @@ def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameStat
     try:
         a = accel(Q, tau)
         run.add(tau, [Q, P], [P, a])
-        for i in range(n_str):
-            for j in range(k_per):
-                tau_new = initial.tau + (i * k_per + j + 1) * dt
-                p_half = P + 0.5 * dt * a
-                Q_new = Q + dt * p_half
+        for i in range(n_str + (k_tail > 0)):
+            last = i == n_str
+            for j in range(k_tail if last else k_per):
+                h, tau_new = dt, initial.tau + (i * k_per + j + 1) * dt
+                if last and j == k_tail - 1:
+                    h, tau_new = tau_end - tau, tau_end
+                p_half = P + 0.5 * h * a
+                Q_new = Q + h * p_half
                 a = accel(Q_new, tau_new)
-                tau, Q, P = tau_new, Q_new, p_half + 0.5 * dt * a
+                tau, Q, P = tau_new, Q_new, p_half + 0.5 * h * a
                 steps += 1
-            run.add(initial.tau + (i + 1) * stride, [Q, P], [P, a])
+            tau_out = tau_end if last else initial.tau + (i + 1) * output_stride
+            run.add(tau_out, [Q, P], [P, a])
     except ErmakovError as err:
         # (tau, Q, P) is the last state reached; a failed step commits nothing
         run.fail(err, steps, 0, tau, [Q, P])

@@ -87,29 +87,20 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth):
             + _adaptive(fn, m, b, fm, frm, fb, right, half, depth + 1))
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0.0:
-        raise QuadratureError(f"tol must be positive, got {tol!r}")
-
-
-def quad(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-         fa: float | None = None, fb: float | None = None) -> float:
+def quad(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Simpson integral of ``fn`` over [a, b].
 
     Absolute tolerance ``tol`` (stricter than the advertised mixed
-    bound); exactly antisymmetric under swapping the limits.  ``fa`` and
-    ``fb``, when given, are fn(a) and fn(b) already sampled (finite), and
-    are not evaluated again; the result is the same bits.
+    bound); exactly antisymmetric under swapping the limits.
     """
-    _check_tol(tol)
+    if not tol > 0.0:
+        raise QuadratureError(f"tol must be positive, got {tol!r}")
     if a == b:
         return 0.0
     if b < a:
-        return -quad(fn, b, a, tol, fb, fa)
-    if fa is None:
-        fa = _sample(fn, a)
-    if fb is None:
-        fb = _sample(fn, b)
+        return -quad(fn, b, a, tol)
+    fa = _sample(fn, a)
+    fb = _sample(fn, b)
     m = 0.5 * (a + b)
     fm = _sample(fn, m)
     whole = _simpson(fa, fm, fb, b - a)
@@ -207,16 +198,10 @@ class _RunningIntegral:
         hit = self.cache.get(x)
         if hit is not None:
             return hit
-        # each leg starts where the last one ended, so fn(last_x) is reused;
-        # the points are sampled in the order quad(fn, last_x, x) alone
-        # would sample them, so the first failure raises the same error
-        _check_tol(self.tol)
-        a, fa = self.last_x, self.last_f
-        if fa is None and not x < a:
-            fa = _sample(self.fn, a)
-        fx = _sample(self.fn, x)
-        val = self.last_val + quad(self.fn, a, x, self.tol, fa=fa, fb=fx)
-        self.last_x, self.last_f, self.last_val = x, fx, val
+        val = self.last_val + quad(self.fn, self.last_x, x, self.tol)
+        # the generated pass takes the next leg from x, knowing fn(x): quad
+        # sampled it, so it is finite
+        self.last_x, self.last_f, self.last_val = x, self.fn(x), val
         self.cache[x] = val
         return val
 
@@ -308,8 +293,6 @@ def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
     tolerance that is not positive the reference fails every leg, so no
     side's last point is ever sampled.)"""
     em = Inliner()
-    head: list[str] = []
-    tail: list[str] = []
     eps = em.bind(EPS_SING)
     mv = em.call(m, "t")
     em.require(f"0.0 < {mv} < {em.bind(math.inf)}")
@@ -318,21 +301,20 @@ def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
     Q = em.let("q / f")
     wr = em.let("q_dot * f - q * f_dot")
     Q_prime = em.let(f"{mv} * {wr}")
-    pot_u = _emit_side(em, u_side, Q, "u", head, tail)
+    pot_u = _emit_side(em, u_side, Q, "u")
     pot_v = "0.0"
     if not v_side.zero:
         em.require(f"abs(q) >= {eps}")
-        pot_v = _emit_side(em, v_side, em.let("f / q"), "v", head, tail)
+        pot_v = _emit_side(em, v_side, em.let("f / q"), "v")
     # ``wr ** 2`` is ieee_pow's power: its OverflowError takes the reference
     ep = em.let(f"0.5 * {mv} * {mv} * {wr} ** 2 + {pot_u} + {pot_v}")
     eq = em.let(f"0.5 * {Q_prime} * {Q_prime} + {pot_u} + {pot_v}")
     em.checked += [ep, eq]
     return em.build(_PARAMS, f"{Q}, {Q_prime}, {ep}, {eq}",
-                    _reference(m, u_side, v_side), tuple(head), tuple(tail))
+                    _reference(m, u_side, v_side))
 
 
-def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str,
-               head: list[str], tail: list[str]) -> str:
+def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:
     """The name of one side's value at the emitted point ``x``; a
     quadrature side's names start with ``p``."""
     if side.zero:
@@ -345,8 +327,8 @@ def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str,
     # first level on [lo, hi]; the state is committed after the checks
     run, cache = em.bind(side.running), em.bind(side.running.cache)
     coupling = side.coupling
-    head += [f"{p}a, {p}fa, {p}va = {run}.last_x, {run}.last_f, {run}.last_val",
-             f"if {p}fa is None: return _slow({_PARAMS})"]
+    em.head += [f"{p}a, {p}fa, {p}va = {run}.last_x, {run}.last_f, {run}.last_val",
+                f"if {p}fa is None: return _slow({_PARAMS})"]
     em.require(f"{x} not in {cache}")
 
     def integrand(w: str) -> str:
@@ -368,21 +350,19 @@ def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str,
     em.require(f"abs({delta}) <= {em.bind(15.0 * side.running.tol)}")
     res = em.let(f"{left} + {right} + {delta} / 15.0")
     val = em.let(f"{p}va + (-{res} if {x} < {p}a else {res})")
-    tail += [f"{run}.last_x, {run}.last_f, {run}.last_val = {x}, {fx}, {val}",
-             f"{cache}[{x}] = {val}"]
+    em.tail += [f"{run}.last_x, {run}.last_f, {run}.last_val = {x}, {fx}, {val}",
+                f"{cache}[{x}] = {val}"]
     return val
 
 
-def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10,
-                     rows: bool = False) -> tuple:
+def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10) -> tuple:
     """Physical-frame and transformed-frame energy at every sample of a
     physical trajectory (columns q, q_dot, f, f_dot, tau).
 
-    Returns (e_phys, e_q, meta); meta records which evaluation path each
-    side used and the reference points of any quadrature.  With
-    ``rows``, a fourth element holds each sample's (Q, Q', E_phys, E_Q).
-    Raises InvariantError at the first sample where either value is not
-    finite.
+    Returns (e_phys, e_q, meta, rows); meta records which evaluation path
+    each side used and the reference points of any quadrature, and rows
+    holds each sample's (Q, Q', E_phys, E_Q).  Raises InvariantError at
+    the first sample where either value is not finite.
     """
     u_side = _PotentialSide(scn.potential_V, scn.coupling_F, tol)
     v_side = _PotentialSide(scn.potential_W, scn.coupling_G, tol)
@@ -398,7 +378,7 @@ def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10,
         "v_ref": v_side.ref,
         "quad_tol": tol,
     }
-    return (e_phys, e_q, meta, series) if rows else (e_phys, e_q, meta)
+    return e_phys, e_q, meta, series
 
 
 def report_from_series(e_phys: Sequence[float], e_q: Sequence[float]
@@ -420,5 +400,5 @@ def drift_report(traj: Trajectory, scn: Scenario, tol: float = 1e-10
                  ) -> InvariantReport:
     """Evaluate the invariant along a physical trajectory and summarize
     its drift."""
-    e_phys, e_q, _meta = invariant_series(traj, scn, tol)
+    e_phys, e_q, _meta, _rows = invariant_series(traj, scn, tol)
     return report_from_series(e_phys, e_q)

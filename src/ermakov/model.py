@@ -354,12 +354,15 @@ def stride_steps(output_stride: float, dt: float) -> int | None:
     return k
 
 
-def stride_count(span: float, output_stride: float) -> int:
-    """Number of whole output strides in ``span`` (>= 0).  A run samples
-    its start and each of these; the RK4 and DP54 steppers add one more
-    sample at t_end when the span leaves a remainder
-    (``integrators._stride_tail``)."""
-    return int(math.floor(span / output_stride + 1e-9))
+def stride_count(span: float, output_stride: float) -> tuple[int, float]:
+    """(whole output strides in ``span`` (>= 0), what the span leaves
+    after them): the tail is 0.0 when the span is a whole number of
+    strides to within 1e-9 of one, else the positive remainder.  A run
+    samples its start, each whole stride and, after a tail, t_end."""
+    n = int(math.floor(span / output_stride + 1e-9))
+    if span / output_stride - n <= 1e-9:
+        return n, 0.0
+    return n, span - n * output_stride
 
 
 def build_scenario(doc: ConfigDocument) -> Scenario:

@@ -55,7 +55,7 @@ def test_c01_s1_invariant_constancy():
     scn = load_scenario(S1)
     t0 = time.perf_counter()
     traj = _integrate(scn)  # tol 1e-10, t in [0, 50] from the config
-    e_phys, _, _ = invariants.invariant_series(traj, scn)
+    e_phys, _, _, _ = invariants.invariant_series(traj, scn)
     rep = invariants.drift_report(traj, scn)
     elapsed = time.perf_counter() - t0
     worst = float(np.max(np.abs(np.array(e_phys) - 1.0)))

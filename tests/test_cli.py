@@ -1,6 +1,7 @@
 """Subcommand behavior: exit codes, file schemas, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import REPO, S1, S2, S3, scenario_path
+from conftest import REPO, S1, S2, S3, load_scenario, scenario_path
 from ermakov import cli, model
 from ermakov.cli import main
 from ermakov.expr import evaluate, parse
@@ -258,6 +259,19 @@ class TestCheck:
         assert list(rows[:, 0]) == times
         assert json.loads((out / "report.json").read_text())["samples"] == 3
 
+    def test_span_within_time_tolerance_exits_4(self, tmp_path, capsys):
+        # 2,000 strides of 0.05 that DP54 cannot step at t0 = 1e16 are an
+        # integration error, not a certificate over the start sample alone
+        out = tmp_path / "c"
+        assert run("check", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "initial.t0=1e16",
+                   "--set", "integration.t_end=1.00000000000001e16") == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "time tolerance" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 4 and "time tolerance" in manifest["error"]
+        assert not (out / "report.json").exists()
+
     def test_vacuous_threshold_always_passes(self, tmp_path):
         code = run("check", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "c"),
@@ -375,6 +389,23 @@ class TestMap:
         assert gap["samples_compared"] > 900
         header, rows = read_csv(out / "qframe_mapped.csv")
         assert header == ["tau", "Q", "Q_prime"]
+
+    @pytest.mark.parametrize("overrides", [[], ["integration.output_stride=30"]])
+    def test_direct_rows_are_the_stride_grid(self, tmp_path, overrides):
+        # the benchmark checker's map rule: the direct run has one row per
+        # whole stride of the tau span plus its start, and every mapped row
+        # up to the last direct tau is compared
+        out = tmp_path / "m"
+        assert run("map", "--config", scenario_path(S3), "--out", str(out),
+                   *(a for o in overrides for a in ("--set", o))) == 0
+        step = load_scenario(S3, overrides).plan.output_stride
+        _, mapped = read_csv(out / "qframe_mapped.csv")
+        _, direct = read_csv(out / "qframe_direct.csv")
+        gap = json.loads((out / "gap.json").read_text())
+        assert gap["tau_end"] == mapped[-1, 0]
+        tau_span = mapped[-1, 0] - mapped[0, 0]
+        assert len(direct) == math.floor(tau_span / step + 1e-9) + 1
+        assert gap["samples_compared"] == np.sum(mapped[:, 0] <= direct[-1, 0])
 
     def test_free_scenario_is_linear_in_tau(self, tmp_path):
         out = tmp_path / "m"
@@ -531,6 +562,15 @@ class TestBench:
         row = (out / "bench.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "verlet" and row[5] == "ok"
         assert float(row[2]) < 1e-3
+
+    def test_verlet_row_steps_the_whole_span(self, tmp_path):
+        # 50 is no multiple of 30: both fixed-step rows go on past tau = 30
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S3), "--out", str(out),
+                   "--methods", "verlet,rk4", "--dt", "0.1",
+                   "--set", "integration.output_stride=30") == 0
+        rows = [ln.split(",") for ln in (out / "bench.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[3]) for r in rows] == [("verlet", "500"), ("rk4", "500")]
 
     def test_verlet_row_fails_at_the_pole(self, tmp_path, capsys):
         # W = -s^2/2 drives Q through 0 at tau ~ 0.5; a dt of 1e-3 steps over

@@ -128,6 +128,13 @@ class TestAdaptive54:
             integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0, 1.0,
                                  -1.0, 0.5)
 
+    def test_span_within_time_tolerance_rejected(self):
+        # at t0 = 1e16 the time tolerance is 1e7: no step resolves a span of
+        # 100, which would otherwise end in the start sample alone
+        with pytest.raises(IntegrationError, match="within the time tolerance"):
+            integrate_adaptive54(harmonic, [1.0, 0.0], 1e16, 1.00000000000001e16,
+                                 1e-10, 0.05)
+
     def test_rejected_steps_recorded(self, s2):
         st = s2.initial
         y0 = np.array([st.q, st.q_dot, st.f, st.f_dot, st.tau])
@@ -246,7 +253,9 @@ def test_output_stride_must_be_positive(integrate, step, stride):
 
 class TestSpanTail:
     """A span that is not a whole number of strides is also sampled at its
-    end; a whole number of strides is sampled on the grid alone."""
+    end; a whole number of strides is sampled on the grid alone.  The
+    fixed-step methods reach the end with steps of dt and one shorter
+    last step."""
 
     @pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.01),
                                                 (integrate_adaptive54, 1e-10)])
@@ -260,13 +269,6 @@ class TestSpanTail:
         assert traj.t[-1] == pytest.approx(t_end, abs=1e-12)
         assert traj.y[-1] == pytest.approx([math.cos(t_end), -math.sin(t_end)],
                                            abs=1e-8)
-
-    @pytest.mark.parametrize("t_end,grid", [(1.0, [0.0, 0.3, 0.6, 0.9]),
-                                            (-1.0, [0.0, -0.3, -0.6, -0.9])])
-    def test_dp54_grid_only(self, t_end, grid):
-        traj = integrate_adaptive54(harmonic, [1.0, 0.0], 0.0, t_end, 1e-10, 0.3,
-                                    sample_end=False)
-        assert traj.t == pytest.approx(grid, abs=1e-12)
 
     def test_rk4_tail_steps_on_by_dt_then_ends_short(self):
         calls = []
@@ -289,6 +291,33 @@ class TestSpanTail:
         assert traj.t[-1] == 1.0
         assert list(traj.dy[-1]) == pytest.approx(harmonic(1.0, traj.y[-1]),
                                                   abs=1e-15)
+
+    @pytest.mark.parametrize("tau_end,grid", [(1.0, [0.0, 0.3, 0.6, 0.9]),
+                                              (1.2, [0.0, 0.3, 0.6, 0.9, 1.2])])
+    def test_verlet_samples_reach_tau_end(self, tau_end, grid):
+        # V = Q^2/2: Q'' = -Q, so Q = cos(tau) from (1, 0)
+        V = compile_func("Q^2/2", "Q")
+        traj = integrate_verlet_Q(V, None, QFrameState(0.0, 1.0, 0.0), 0.001,
+                                  tau_end, 0.3)
+        assert traj.t[:len(grid)] == pytest.approx(grid, abs=1e-12)
+        assert len(traj) == len(grid) + (tau_end != 1.2)
+        assert traj.t[-1] == tau_end and traj.step_count == 1000 * tau_end
+        assert traj.y[-1] == pytest.approx([math.cos(tau_end), -math.sin(tau_end)],
+                                           abs=1e-6)
+
+    def test_verlet_tail_steps_on_by_dt_then_ends_short(self):
+        seen = []
+
+        def accel(Q, tau):
+            seen.append(tau)
+            return 0.0
+        traj = integrate_verlet(accel, QFrameState(0.0, 1.0, 1.0), 0.05, 1.03, 0.4)
+        # 2 strides of 8 steps, then 4 steps of 0.05 and one of 0.03
+        assert traj.t == pytest.approx([0.0, 0.4, 0.8, 1.03], abs=1e-15)
+        assert traj.t[-1] == 1.03 and traj.step_count == 21
+        assert seen[-2:] == pytest.approx([1.0, 1.03], abs=1e-15)
+        # free flight at Q' = 1: Q = 1 + tau, the short step included
+        assert traj.y[-1] == pytest.approx([2.03, 1.0], abs=1e-14)
 
 
 class TestPinneyClosedForm:
@@ -371,14 +400,15 @@ class TestVerlet:
         def accel(Q, tau):
             seen.append(tau)
             return 0.0
-        integrate_verlet(accel, QFrameState(tau=5.0, Q=1.0, Q_prime=0.0), 0.25, 6.0)
+        integrate_verlet(accel, QFrameState(tau=5.0, Q=1.0, Q_prime=0.0), 0.25, 6.0,
+                         0.25)
         assert seen == [5.0, 5.25, 5.5, 5.75, 6.0]
 
     def test_guard_error_names_its_tau(self):
         W = compile_func("s^2/2", "s")
         with pytest.raises(SingularityError, match=r"\(at t=5\.0\)"):
             integrate_verlet_Q(None, W, QFrameState(tau=5.0, Q=1e-11, Q_prime=0.0),
-                               0.01, 6.0)
+                               0.01, 6.0, 0.01)
 
     def test_failure_state_is_the_state_at_last_t(self):
         # the step to tau = 0.5 fails; its position must not be reported
@@ -407,13 +437,14 @@ class TestVerlet:
 
     def test_tau_end_before_start_rejected(self):
         with pytest.raises(IntegrationError, match="precedes the initial tau"):
-            integrate_verlet(lambda Q, tau: 0.0, QFrameState(1.0, 1.0, 0.0), 0.1, 0.5)
+            integrate_verlet(lambda Q, tau: 0.0, QFrameState(1.0, 1.0, 0.0), 0.1, 0.5,
+                             0.1)
 
     def test_zero_dt_rejected(self):
         V = compile_func("0", "Q")
         with pytest.raises(IntegrationError, match="dt"):
             integrate_verlet_Q(V, None, QFrameState(tau=0.0, Q=1.0, Q_prime=0.0),
-                               0.0, 1.0)
+                               0.0, 1.0, 1.0)
 
     def test_energy_bounded_no_secular_trend(self, s3):
         st = s3.initial
