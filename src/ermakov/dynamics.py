@@ -47,6 +47,7 @@ __all__ = [
     "xrho_ode",
     "qframe_accel",
     "qframe_ode_from_scenario",
+    "qframe_terms",
     "lagrangian_Q",
     "lagrangian_q_tilde",
     "gauge_residual",
@@ -271,15 +272,26 @@ def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
 
 # --- Lagrangians and the gauge identity -------------------------------------
 
-def lagrangian_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
-    """L = (1/2) Q'^2 - V(Q) - W(1/Q)."""
-    val = 0.5 * ieee_pow(state.Q_prime, 2)
+def qframe_terms(state: QFrameState, V: Func1 | None,
+                 W: Func1 | None) -> tuple[float, float, float]:
+    """The transformed frame's (1/2) Q'^2, V(Q) and W(1/Q), each side 0.0
+    when absent or structurally zero; an active W guards Q.  The kinetic
+    term is +0.0 or more, so adding or subtracting 0.0 for an absent side
+    changes no bit."""
+    k = 0.5 * ieee_pow(state.Q_prime, 2)
+    v = w = 0.0
     if V is not None and not is_zero(V.expr):
-        val -= V(state.Q)
+        v = V(state.Q)
     if W is not None and not is_zero(W.expr):
         guard("Q", state.Q, state.tau)
-        val -= W(1.0 / state.Q)
-    return val
+        w = W(1.0 / state.Q)
+    return k, v, w
+
+
+def lagrangian_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
+    """L = (1/2) Q'^2 - V(Q) - W(1/Q)."""
+    k, v, w = qframe_terms(state, V, W)
+    return k - v - w
 
 
 def _ddt_m_fdot(state: PhysState, scn: Scenario) -> float:

@@ -14,7 +14,9 @@ identifier is the declared variable.  Exponents are numeric literals, so
 the node set is closed under symbolic differentiation and derivatives
 stay exact (no finite differencing anywhere downstream).
 
-``evaluate`` walks the tree and is the reference semantics.  ``Func1``
+Each operator's arithmetic is written once, in the operator tables
+(``_UNARY``, ``_BINARY``; ``^`` is ``math.pow``).  ``evaluate`` walks the
+tree through them and is the reference semantics.  ``Func1``
 compiles its f, on first use, to straight-line Python doing the same
 floating-point operations in the same order, and hands every point the
 tree walk would reject back to ``evaluate`` so the domain error still
@@ -22,7 +24,8 @@ names the offending subexpression; f' and f'' are evaluated by the tree
 walk.  The same code generator (``Inliner``) fuses several expressions
 (derivative trees too) and the arithmetic around them into one function,
 for the dynamics' right-hand sides and the invariant's quadrature
-integrands; its last step, ``make_function``, also builds the
+integrands, and folds an all-constant Binary/Pow node by calling
+``evaluate`` on it; its last step, ``make_function``, also builds the
 integrators' generated steps.
 """
 
@@ -92,7 +95,16 @@ class Pow:
 
 Expr = Union[Const, Var, Unary, Binary, Pow]
 
-_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
+# Each operator's arithmetic, once: the tree walk applies these, the
+# generated code calls them by the names in _BOUND (``-x`` and ``a / b``
+# are the same operations), and the parser's functions are the unary
+# table's named entries.
+_UNARY = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
+          "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+_FUNCTIONS = tuple(op for op in _UNARY if op != "neg")
+_BOUND = {**{f"_{op}": _UNARY[op] for op in _FUNCTIONS}, "_pow": math.pow}
 
 
 def is_zero(e: Expr) -> bool:
@@ -106,7 +118,7 @@ def evaluate(e: Expr, x: float) -> float:
     """Evaluate ``e`` at the point ``x``.
 
     Raises ExprDomainError for division by zero, ln/sqrt of a negative
-    argument, or any non-finite intermediate, naming the offending
+    argument, or any non-finite Binary/Pow result, naming the offending
     subexpression.
     """
     if isinstance(e, Const):
@@ -114,52 +126,22 @@ def evaluate(e: Expr, x: float) -> float:
     if isinstance(e, Var):
         return x
     if isinstance(e, Unary):
-        v = evaluate(e.arg, x)
-        try:
-            if e.op == "neg":
-                return -v
-            if e.op == "sin":
-                return math.sin(v)
-            if e.op == "cos":
-                return math.cos(v)
-            if e.op == "exp":
-                return math.exp(v)
-            if e.op == "ln":
-                return math.log(v)
-            if e.op == "sqrt":
-                return math.sqrt(v)
-        except (ValueError, OverflowError) as err:
-            raise ExprDomainError(str(err), _clip(to_source(e)), x) from None
-        raise AssertionError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        a = evaluate(e.left, x)
-        b = evaluate(e.right, x)
-        try:
-            if e.op == "+":
-                r = a + b
-            elif e.op == "-":
-                r = a - b
-            elif e.op == "*":
-                r = a * b
-            elif e.op == "/":
-                r = a / b
-            else:
-                raise AssertionError(f"unknown binary op {e.op!r}")
-        except ZeroDivisionError:
-            raise ExprDomainError("division by zero", _clip(to_source(e)), x) from None
-        if not math.isfinite(r):
-            raise ExprDomainError("non-finite result", _clip(to_source(e)), x)
-        return r
-    if isinstance(e, Pow):
-        b = evaluate(e.base, x)
-        try:
-            r = math.pow(b, e.exponent)
-        except (ValueError, OverflowError) as err:
-            raise ExprDomainError(str(err), _clip(to_source(e)), x) from None
-        if not math.isfinite(r):
-            raise ExprDomainError("non-finite result", _clip(to_source(e)), x)
-        return r
-    raise TypeError(f"not an Expr node: {e!r}")
+        fn, args = _UNARY[e.op], (evaluate(e.arg, x),)
+    elif isinstance(e, Binary):
+        fn, args = _BINARY[e.op], (evaluate(e.left, x), evaluate(e.right, x))
+    elif isinstance(e, Pow):
+        fn, args = math.pow, (evaluate(e.base, x), e.exponent)
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    try:
+        r = fn(*args)
+    except ZeroDivisionError:
+        raise ExprDomainError("division by zero", _clip(to_source(e)), x) from None
+    except (ValueError, OverflowError) as err:
+        raise ExprDomainError(str(err), _clip(to_source(e)), x) from None
+    if not (isinstance(e, Unary) or math.isfinite(r)):
+        raise ExprDomainError("non-finite result", _clip(to_source(e)), x)
+    return r
 
 
 def _clip(s: str, n: int = 60) -> str:
@@ -464,14 +446,6 @@ def parse(source: str, var_name: str) -> Expr:
 
 # --- compilation to straight-line Python ------------------------------------
 
-_MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-         "_ln": math.log, "_sqrt": math.sqrt, "_pow": math.pow}
-_UNARY_CODE = {"neg": "-{}", "sin": "_sin({})", "cos": "_cos({})",
-               "exp": "_exp({})", "ln": "_ln({})", "sqrt": "_sqrt({})"}
-_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}
-
-
 class Inliner:
     """Straight-line Python for one function that inlines expressions.
 
@@ -479,10 +453,11 @@ class Inliner:
     ``x`` in its order, one temporary per operator node (a subtree shared
     by identity once), and returns the name holding the value.  Constants
     and exponents are bound by name, never printed (``1e400`` is
-    ``Const(inf)``), and ``^`` is ``math.pow`` as in the tree walk.  A
-    Binary/Pow node whose operands are all constants is computed once,
-    here, by the same operation, and bound as a constant when the value
-    is finite (otherwise it is emitted like any other node).
+    ``Const(inf)``), and the functions are the operator tables' under
+    the names ``_sin`` .. ``_pow``.  A Binary/Pow node whose operands are
+    all constants is folded: its ``evaluate`` value is bound as a
+    constant, unless evaluate rejects it (then it is emitted like any
+    other node).
     ``call`` inlines a Func1's f; ``let`` emits the caller's own
     arithmetic around the expressions, and ``require`` a condition the
     result needs.  ``head`` lines run first, outside the checks, and
@@ -499,7 +474,7 @@ class Inliner:
     """
 
     def __init__(self):
-        self.bound: dict[str, object] = dict(_MATH)
+        self.bound: dict[str, object] = dict(_BOUND)
         self.lines: list[str] = []
         self.checked: list[str] = []
         self.conditions: list[str] = []
@@ -522,7 +497,7 @@ class Inliner:
 
     def inline(self, e: Expr, x: str) -> str:
         names: dict[int, str] = {}
-        constants: dict[str, float] = {}  # emitted name -> its value
+        constants: set[str] = set()  # emitted names bound to a constant
 
         def emit(node: Expr) -> str:
             if isinstance(node, Var):
@@ -532,34 +507,27 @@ class Inliner:
                 return name
             if isinstance(node, Const):
                 name = self.bind(node.value)
-                constants[name] = node.value
+                constants.add(name)
             elif isinstance(node, Unary):
-                if node.op not in _UNARY_CODE:
-                    raise AssertionError(f"unknown unary op {node.op!r}")
-                name = self.let(_UNARY_CODE[node.op].format(emit(node.arg)))
+                arg = emit(node.arg)
+                name = self.let(f"-{arg}" if node.op == "neg" else f"_{node.op}({arg})")
             else:
                 if isinstance(node, Binary):
-                    if node.op not in _BINARY_OPS:
-                        raise AssertionError(f"unknown binary op {node.op!r}")
                     args = emit(node.left), emit(node.right)
-                    op, code = _BINARY_OPS[node.op], f"{args[0]} {node.op} {args[1]}"
+                    code = f"{args[0]} {node.op} {args[1]}"
                 elif isinstance(node, Pow):
-                    args = emit(node.base), self.bind(node.exponent)
-                    constants[args[1]] = node.exponent
-                    op, code = math.pow, f"_pow({args[0]}, {args[1]})"
+                    args = (emit(node.base),)
+                    code = f"_pow({args[0]}, {self.bind(node.exponent)})"
                 else:
                     raise TypeError(f"not an Expr node: {node!r}")
-                value = None
-                if all(a in constants for a in args):
+                name = None
+                if constants.issuperset(args):
                     try:
-                        value = op(*(constants[a] for a in args))
-                    except (ZeroDivisionError, ValueError, OverflowError):
+                        name = self.bind(evaluate(node, 0.0))
+                        constants.add(name)
+                    except ExprDomainError:
                         pass
-                if value is not None and math.isfinite(value):
-                    name = self.bind(value)
-                    constants[name] = value
-                else:
-                    name = self.let(code)
+                name = name or self.let(code)
                 self.checked.append(name)
             names[id(node)] = name
             return name

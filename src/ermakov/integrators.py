@@ -17,7 +17,8 @@ stride of the span, and also t_end when the span leaves a remainder
 after them (``model.stride_count``), so a run's samples reach the end of
 its span.  The fixed-step methods share one stride plan
 (``_stride_plan``): steps of dt, then one shorter step that ends at
-t_end.
+t_end; it rejects a dt at or below the float spacing of the span's
+times, where a step would not advance the time.
 
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
@@ -154,19 +155,26 @@ def _finite(y: Sequence[float]) -> bool:
     return all(map(math.isfinite, y))
 
 
-def _stride_plan(span: float, output_stride: float, dt: float) -> tuple[int, int, int]:
+def _stride_plan(t0: float, t_end: float, output_stride: float,
+                 dt: float) -> tuple[int, int, int]:
     """(steps per stride, whole strides, tail steps) of a fixed-step run
-    over ``span`` (>= 0).  dt must subdivide the stride exactly; the tail
-    steps are each dt long but the last, which ends at t_end."""
+    from t0 to t_end.  dt must exceed the float spacing at the span's
+    larger end, so that every step advances the time, and subdivide the
+    stride exactly; the tail steps are each dt long but the last, which
+    ends at t_end."""
     if not dt > 0.0:
         raise IntegrationError(f"dt must be positive, got {dt!r}")
+    resolution = math.ulp(max(abs(t0), abs(t_end)))
+    if dt <= resolution:
+        raise IntegrationError(f"dt={dt!r} does not exceed the time resolution "
+                               f"{resolution!r} of the span [{t0!r}, {t_end!r}]")
     if not output_stride > 0.0:
         raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
     k_per = stride_steps(output_stride, dt)
     if k_per is None:
         raise IntegrationError(
             f"dt={dt!r} does not subdivide output_stride={output_stride!r} exactly")
-    n_str, tail = stride_count(span, output_stride)
+    n_str, tail = stride_count(abs(t_end - t0), output_stride)
     return k_per, n_str, max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
 
 
@@ -242,7 +250,7 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     """Fixed-step RK4 with samples at t0 + k*output_stride.  A span that
     is not a whole number of strides goes on by dt past the last stride
     sample, takes one shorter last step to t_end and samples it."""
-    k_per, n_str, k_tail = _stride_plan(abs(t_end - t0), output_stride, dt)
+    k_per, n_str, k_tail = _stride_plan(t0, t_end, output_stride, dt)
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * dt
 
@@ -473,7 +481,7 @@ def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameStat
     if tau_end < initial.tau:
         raise IntegrationError(f"tau_end ({tau_end!r}) precedes the initial "
                                f"tau ({initial.tau!r})")
-    k_per, n_str, k_tail = _stride_plan(tau_end - initial.tau, output_stride, dt)
+    k_per, n_str, k_tail = _stride_plan(initial.tau, tau_end, output_stride, dt)
 
     run = _Run("verlet")
     tau, Q, P = initial.tau, initial.Q, initial.Q_prime

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dynamics import EPS_SING, guard, ieee_pow
+from .dynamics import EPS_SING, guard, ieee_pow, qframe_terms
 from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, Inliner, is_zero
 from .integrators import Trajectory
@@ -121,13 +121,8 @@ def default_ref(integrand: Callable[[float], float]) -> float:
 
 def energy_Q(state: QFrameState, V: Func1 | None, W: Func1 | None) -> float:
     """Transformed-frame energy (1/2) Q'^2 + V(Q) + W(1/Q)."""
-    val = 0.5 * ieee_pow(state.Q_prime, 2)
-    if V is not None and not is_zero(V.expr):
-        val += V(state.Q)
-    if W is not None and not is_zero(W.expr):
-        guard("Q", state.Q, state.tau)
-        val += W(1.0 / state.Q)
-    return val
+    k, v, w = qframe_terms(state, V, W)
+    return k + v + w
 
 
 def ray_reid_invariant(state: PhysState, scn: Scenario, u_ref: float = 0.0,

@@ -96,9 +96,9 @@ class QFrameState:
 class IntegrationPlan:
     method: str
     t_end: float
-    dt: float | None = None          # fixed-step methods
-    tol: float | None = None         # adaptive method
-    output_stride: float = 0.1
+    dt: float | None          # fixed-step methods
+    tol: float | None         # adaptive method
+    output_stride: float
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,22 @@ class TestCheck:
         assert manifest["exit_status"] == 4 and "time tolerance" in manifest["error"]
         assert not (out / "report.json").exists()
 
+    def test_dt_below_time_resolution_exits_4(self, tmp_path, capsys):
+        # steps of 0.05 at t0 = 1e16, where the float spacing is 2.0, fail
+        # before the first step instead of after 2,000 steps that never
+        # advance the time
+        out = tmp_path / "c"
+        assert run("check", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "initial.t0=1e16",
+                   "--set", "integration.t_end=1.00000000000001e16",
+                   "--set", "integration.method=rk4",
+                   "--set", "integration.dt=0.05") == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "time resolution 2.0" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 4 and "time resolution" in manifest["error"]
+        assert not (out / "trajectory.csv").exists()
+
     def test_vacuous_threshold_always_passes(self, tmp_path):
         code = run("check", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "c"),

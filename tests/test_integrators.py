@@ -88,6 +88,27 @@ class TestFixedRK4:
         assert err.partial.t[-1] <= 0.5
         assert err.last_state is not None
 
+    def test_dt_below_time_resolution_rejected(self):
+        # the float spacing at 1e16 is 2.0: steps of 0.05 would not advance t
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return harmonic(t, y)
+
+        with pytest.raises(IntegrationError, match=r"time resolution 2\.0"):
+            integrate_fixed_rk4(rhs, [1.0, 0.0], 1e16, 1.00000000000001e16, 0.05, 0.05)
+        assert calls == []
+
+    def test_large_start_time_with_resolved_dt_runs(self):
+        # at t0 = 1e6 the spacing is 1.2e-10, far below dt: an autonomous
+        # system steps exactly as it does from t0 = 0
+        late = integrate_fixed_rk4(harmonic, [1.0, 0.0], 1e6, 1e6 + 0.5, 1e-4, 0.05)
+        early = integrate_fixed_rk4(harmonic, [1.0, 0.0], 0.0, 0.5, 1e-4, 0.05)
+        assert late.step_count == 5000 and late.t[-1] == 1e6 + 0.5
+        assert [y.hex() for y in late.y[-1]] == ["0x1.c1528065b7d49p-1",
+                                                 "-0x1.eaee8744b05e7p-2"]
+        assert np.array_equal(late.y, early.y) and np.array_equal(late.dy, early.dy)
 
     def test_non_finite_state_after_step(self):
         # every stage slope is finite; the step's weighted sum overflows
@@ -439,6 +460,18 @@ class TestVerlet:
         with pytest.raises(IntegrationError, match="precedes the initial tau"):
             integrate_verlet(lambda Q, tau: 0.0, QFrameState(1.0, 1.0, 0.0), 0.1, 0.5,
                              0.1)
+
+    def test_dt_below_time_resolution_rejected(self):
+        calls = []
+
+        def accel(Q, tau):
+            calls.append(tau)
+            return -Q
+
+        with pytest.raises(IntegrationError, match=r"time resolution 2\.0"):
+            integrate_verlet(accel, QFrameState(1e16, 1.0, 0.0), 0.05,
+                             1.00000000000001e16, 0.05)
+        assert calls == []
 
     def test_zero_dt_rejected(self):
         V = compile_func("0", "Q")
