@@ -43,7 +43,7 @@ EXIT_INTEGRATOR = 4
 
 TRAJECTORY_HEADER = "t,tau,q,q_dot,f,f_dot,Q,Q_prime,E_phys,E_Q"
 QFRAME_HEADER = "tau,Q,Q_prime"
-BENCH_HEADER = "method,dt_or_tol,max_rel_drift,steps,wall_ms,status"
+BENCH_HEADER = "method,dt_or_tol,max_rel_drift,max_abs_drift,steps,wall_ms,status"
 
 
 def _fmt(x: float) -> str:
@@ -98,7 +98,7 @@ def _load(args) -> tuple[ConfigDocument, Scenario]:
     span, stride = scn.plan.t_end - scn.initial.t, scn.plan.output_stride
     compares = (args.command in ("check", "bench")
                 or (args.command == "map" and span > 0.0))
-    if compares and model.stride_count(span, stride)[0] < 1:
+    if compares and model.stride_count(scn.initial.t, scn.plan.t_end, stride)[0] < 1:
         raise ConfigError(f"{args.command} needs at least 2 samples, but "
                           f"output_stride={stride!r} exceeds the span {span!r}")
     return doc, scn
@@ -231,13 +231,7 @@ def _report_payload(report: invariants.InvariantReport | None, meta: dict | None
                     error: ErmakovError | None) -> dict:
     if report is None:
         return {"error": str(error)}
-    payload = {
-        "e0": report.e0,
-        "max_abs_drift": report.max_abs_drift,
-        "max_rel_drift": report.max_rel_drift,
-        "samples": report.samples,
-        "frame_gap": report.frame_gap,
-    }
+    payload = {name: getattr(report, name) for name in report._fields}
     if meta:
         payload["convention"] = meta
     return payload
@@ -302,7 +296,7 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     tol = scn.plan.tol if scn.plan.tol is not None else 1e-10
     direct = integrators.integrate_adaptive54(
         dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0,
-        tau0 + model.stride_count(tau_end - tau0, stride)[0] * stride, tol, stride)
+        tau0 + model.stride_count(tau0, tau_end, stride)[0] * stride, tol, stride)
     direct_path = out_dir / "qframe_direct.csv"
     _write_rows(direct_path, QFRAME_HEADER,
                 ((t, Q, Qp) for t, (Q, Qp) in zip(direct.t, direct.y)))
@@ -352,12 +346,12 @@ def _bench_grid(args, scn: Scenario) -> list[tuple[str, float]]:
     return grid
 
 
-def _bench_row(scn: Scenario, method: str, step: float, quad_tol: float) -> tuple[float, int]:
-    """One bench run; returns (max_rel_drift, steps)."""
+def _bench_row(scn: Scenario, method: str, step: float,
+               quad_tol: float) -> tuple[invariants.InvariantReport, int]:
+    """One bench run; returns (its drift report, steps)."""
     if method != "verlet":
         traj = _integrate_phys(scn, method, step)
-        report = invariants.drift_report(traj, scn, quad_tol)
-        return report.max_rel_drift, traj.step_count
+        return invariants.drift_report(traj, scn, quad_tol), traj.step_count
 
     # the transformed frame over the physical run's span in tau; its energy
     # is exact only when every nonzero coupling comes with its potential
@@ -373,7 +367,7 @@ def _bench_row(scn: Scenario, method: str, step: float, quad_tol: float) -> tupl
                                           scn.plan.output_stride)
     e = [invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
          for t, y in zip(traj.t, traj.y)]
-    return invariants.report_from_series(e, e).max_rel_drift, traj.step_count
+    return invariants.report_from_series(e, e), traj.step_count
 
 
 def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
@@ -384,13 +378,14 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
     for method, value in grid:
         row_start = time.perf_counter()
         try:
-            drift, steps = _bench_row(scn, method, value, args.quad_tol)
+            report, steps = _bench_row(scn, method, value, args.quad_tol)
             wall = (time.perf_counter() - row_start) * 1e3
-            rows.append((method, value, _fmt(drift), str(steps), f"{wall:.3f}", "ok"))
+            rows.append((method, value, _fmt(report.max_rel_drift),
+                         _fmt(report.max_abs_drift), str(steps), f"{wall:.3f}", "ok"))
             ok_count += 1
         except ErmakovError as err:
             wall = (time.perf_counter() - row_start) * 1e3
-            rows.append((method, value, "", "", f"{wall:.3f}",
+            rows.append((method, value, "", "", "", f"{wall:.3f}",
                          f"error: {type(err).__name__}"))
             failures.append(f"bench row {method} {value}: {err}")
             print(failures[-1], file=sys.stderr)
@@ -400,8 +395,8 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
     bench_path = out_dir / "bench.csv"
     with open(bench_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(BENCH_HEADER + "\n")
-        for method, value, drift, steps, wall, status in rows:
-            fh.write(f"{method},{_fmt(value)},{drift},{steps},{wall},{status}\n")
+        for method, value, *cells in rows:
+            fh.write(",".join((method, _fmt(value), *cells)) + "\n")
     manifest["outputs"] = {"bench": str(bench_path)}
     return EXIT_OK if ok_count > 0 else EXIT_INTEGRATOR
 
@@ -412,12 +407,11 @@ def cmd_convert(args) -> int:
         print("error: give exactly one of "
               + ", ".join(f"--{key}" for key in model.COUPLING_VARS), file=sys.stderr)
         return EXIT_CONFIG
-    if (args.F is not None) != args.h_from_F:
-        print("error: --F and --h-from-F go together", file=sys.stderr)
-        return EXIT_CONFIG
-    if (args.G is not None) != args.g_from_G:
-        print("error: --G and --g-from-G go together", file=sys.stderr)
-        return EXIT_CONFIG
+    for key, flag in (("F", "h_from_F"), ("G", "g_from_G")):
+        if (getattr(args, key) is not None) != getattr(args, flag):
+            print(f"error: --{key} and --{flag.replace('_', '-')} go together",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     key = requested[0]
     convert = {"V": model.F_from_V, "W": model.G_from_W,
                "F": model.h_from_F, "G": model.g_from_G}[key]

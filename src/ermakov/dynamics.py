@@ -28,8 +28,7 @@ harmonic q(t) may pass through zero when G = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import PotentialsUnavailableError, SingularityError
 from .expr import Func1, Inliner, is_zero
@@ -58,8 +57,7 @@ __all__ = [
 EPS_SING = 1e-10
 
 
-@dataclass(frozen=True)
-class DerivPhys:
+class DerivPhys(NamedTuple):
     """Time derivatives of the physical-frame state components."""
 
     dq: float
@@ -173,15 +171,13 @@ def rhs_xrho(x: float, x_dot: float, rho: float, rho_dot: float, t: float,
              g: Func1, h: Func1) -> tuple[float, float, float, float]:
     """Accelerations of the unit-mass x-rho pair."""
     om2 = omega_sq(t)
-    g_term = 0.0
+    g_term = h_term = 0.0
+    if not (is_zero(g.expr) and is_zero(h.expr)):
+        guard("x", x, t)
+        guard("rho", rho, t)
     if not is_zero(g.expr):
-        guard("x", x, t)
-        guard("rho", rho, t)
         g_term = g(rho / x) / (rho * x * x)
-    h_term = 0.0
     if not is_zero(h.expr):
-        guard("x", x, t)
-        guard("rho", rho, t)
         h_term = h(x / rho) / (rho * rho * x)
     return x_dot, -om2 * x + g_term, rho_dot, -om2 * rho + h_term
 

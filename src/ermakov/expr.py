@@ -25,8 +25,8 @@ walk.  The same code generator (``Inliner``) fuses several expressions
 (derivative trees too) and the arithmetic around them into one function,
 for the dynamics' right-hand sides and the invariant's quadrature
 integrands, and folds an all-constant Binary/Pow node by calling
-``evaluate`` on it; its last step, ``make_function``, also builds the
-integrators' generated steps.
+``evaluate`` on the node over its operands' values; its last step,
+``make_function``, also builds the integrators' generated steps.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import ExprDomainError, ExprSyntaxError
 
@@ -48,6 +47,7 @@ __all__ = [
     "Binary",
     "Pow",
     "Func1",
+    "Record",
     "parse",
     "evaluate",
     "differentiate",
@@ -64,31 +64,26 @@ __all__ = [
 
 # --- AST -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # one of: neg sin cos exp ln sqrt
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # one of: + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exponent: float  # literal constant, keeps the derivative rule exact
 
@@ -455,9 +450,9 @@ class Inliner:
     and exponents are bound by name, never printed (``1e400`` is
     ``Const(inf)``), and the functions are the operator tables' under
     the names ``_sin`` .. ``_pow``.  A Binary/Pow node whose operands are
-    all constants is folded: its ``evaluate`` value is bound as a
-    constant, unless evaluate rejects it (then it is emitted like any
-    other node).
+    all constants is folded: ``evaluate`` of it over its operands' bound
+    values (no subtree is walked twice) is bound as a constant, unless
+    evaluate rejects it (then it is emitted like any other node).
     ``call`` inlines a Func1's f; ``let`` emits the caller's own
     arithmetic around the expressions, and ``require`` a condition the
     result needs.  ``head`` lines run first, outside the checks, and
@@ -522,8 +517,11 @@ class Inliner:
                     raise TypeError(f"not an Expr node: {node!r}")
                 name = None
                 if constants.issuperset(args):
+                    a = [Const(self.bound[arg]) for arg in args]
+                    one = (Binary(node.op, *a) if isinstance(node, Binary)
+                           else Pow(a[0], node.exponent))
                     try:
-                        name = self.bind(evaluate(node, 0.0))
+                        name = self.bind(evaluate(one, 0.0))
                         constants.add(name)
                     except ExprDomainError:
                         pass
@@ -575,8 +573,41 @@ def make_function(params: str, body: list[str], bound: dict[str, object]) -> Cal
     return namespace["_factory"](**bound)
 
 
-@dataclass(frozen=True)
-class Func1:
+class Record:
+    """An immutable record that a tuple would not fit: a subclass names its
+    fields in ``_fields`` and its ``__init__`` stores them through ``_set``.
+    Equal, hashed, pickled and printed by its class and field values."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return (self._values() == other._values() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Func1(Record):
     """An expression bundled with its first two exact derivatives.
 
     ``at_zero`` optionally supplies the value at exactly x == 0 for
@@ -591,11 +622,11 @@ class Func1:
     borders.
     """
 
-    expr: Expr
-    d1: Expr
-    d2: Expr
-    var_name: str
-    at_zero: float | None = None
+    _fields = ("expr", "d1", "d2", "var_name", "at_zero")
+
+    def __init__(self, expr: Expr, d1: Expr, d2: Expr, var_name: str,
+                 at_zero: float | None = None):
+        self._set(expr, d1, d2, var_name, at_zero)
 
     def __call__(self, x: float) -> float:
         return self._f(x)
@@ -612,10 +643,6 @@ class Func1:
         if self.at_zero is not None:
             em.head.append(f"if x == 0.0: return {em.bind(self.at_zero)}")
         return em.build("x", em.inline(self.expr, "x"), partial(evaluate, self.expr))
-
-    def __getstate__(self) -> dict:
-        # the compiled f is a closure; it is rebuilt on use
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def source(self) -> str:

@@ -36,12 +36,11 @@ import functools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dynamics import _qframe_ode
 from .errors import ErmakovError, IntegrationError, SingularityError
-from .expr import Func1, is_zero, make_function
+from .expr import Func1, Record, is_zero, make_function
 from .model import QFrameState, stride_count, stride_steps
 
 __all__ = [
@@ -62,29 +61,25 @@ Rhs = Callable[[float, list[float]], Sequence[float]]
 _STEP_FLOOR = 1e-14  # below this the adaptive controller gives up
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Ordered samples of one integration run, as plain float lists.
 
     ``t`` is physical time for the q-f system and tau for the
     transformed frame.  ``y[i]`` is the state at ``t[i]``, and ``dy[i]``
     the right-hand side there, so cubic-Hermite interpolation between
-    samples is available.
+    samples is available.  Its length is the number of samples.
     """
 
-    t: list[float]
-    y: list[Sequence[float]]
-    dy: list[Sequence[float]]
-    method: str
-    step_count: int
-    rejected_steps: int
+    _fields = ("t", "y", "dy", "method", "step_count", "rejected_steps")
 
-    def __post_init__(self):
-        if len(self.t) == 0:
+    def __init__(self, t: list[float], y: list[Sequence[float]], dy: list[Sequence[float]],
+                 method: str, step_count: int, rejected_steps: int):
+        if len(t) == 0:
             raise IntegrationError("trajectory must contain at least one sample")
-        pairs = list(zip(self.t, self.t[1:]))
+        pairs = list(zip(t, t[1:]))
         if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
             raise IntegrationError("trajectory times must be strictly monotone")
+        self._set(t, y, dy, method, step_count, rejected_steps)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -174,7 +169,7 @@ def _stride_plan(t0: float, t_end: float, output_stride: float,
     if k_per is None:
         raise IntegrationError(
             f"dt={dt!r} does not subdivide output_stride={output_stride!r} exactly")
-    n_str, tail = stride_count(abs(t_end - t0), output_stride)
+    n_str, tail = stride_count(t0, t_end, output_stride)
     return k_per, n_str, max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
 
 
@@ -394,7 +389,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     rejected = 0
     err_prev = 1e-4
     k_out = 1
-    n_out, tail = stride_count(span, output_stride)
+    n_out, tail = stride_count(t0, t_end, output_stride)
     n_end = n_out + 1 if tail else n_out
     step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
 

@@ -26,12 +26,11 @@ with its values and its errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dynamics import EPS_SING, guard, ieee_pow, qframe_terms
 from .errors import ErmakovError, InvariantError, QuadratureError
-from .expr import Func1, Inliner, is_zero
+from .expr import Func1, Inliner, Record, is_zero
 from .integrators import Trajectory
 from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
 
@@ -149,15 +148,14 @@ def ermakov_lewis(state: PhysState, m_val: float, Omega: float) -> float:
 
 # --- drift reporting ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantReport:
-    e0: float
-    max_abs_drift: float
-    max_rel_drift: float
-    samples: int
-    frame_gap: float
+class InvariantReport(Record):
+    """Drift of an invariant series; every float field must be finite."""
 
-    def __post_init__(self):
+    _fields = ("e0", "max_abs_drift", "max_rel_drift", "samples", "frame_gap")
+
+    def __init__(self, e0: float, max_abs_drift: float, max_rel_drift: float,
+                 samples: int, frame_gap: float):
+        self._set(e0, max_abs_drift, max_rel_drift, samples, frame_gap)
         for name in ("e0", "max_abs_drift", "max_rel_drift", "frame_gap"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"InvariantReport.{name} must be finite")

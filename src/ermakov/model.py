@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, ErmakovError, ExprDomainError, InvalidMassError
 from .expr import (
@@ -70,8 +70,7 @@ METHODS = ("rk4", "adaptive54", "verlet")
 MAX_GRID_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class PhysState:
+class PhysState(NamedTuple):
     """Physical-frame state: oscillator q and auxiliary f at time t,
     plus the accumulated transformed time tau (dtau = dt / (m f^2))."""
 
@@ -83,8 +82,7 @@ class PhysState:
     f_dot: float
 
 
-@dataclass(frozen=True)
-class QFrameState:
+class QFrameState(NamedTuple):
     """Transformed-frame state: Q = q/f against the reparametrized time tau."""
 
     tau: float
@@ -92,8 +90,7 @@ class QFrameState:
     Q_prime: float
 
 
-@dataclass(frozen=True)
-class IntegrationPlan:
+class IntegrationPlan(NamedTuple):
     method: str
     t_end: float
     dt: float | None          # fixed-step methods
@@ -101,8 +98,7 @@ class IntegrationPlan:
     output_stride: float
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Immutable, validated problem definition; safe to share across workers."""
 
     m: Func1                      # mass m(t), must stay positive
@@ -225,8 +221,7 @@ _SCHEMA = {
 COUPLING_VARS = {"V": "Q", "W": "s", "F": "u", "G": "v"}
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
+class ConfigDocument(NamedTuple):
     """Parsed config: section -> key -> raw string value."""
 
     sections: dict[str, dict[str, str]]
@@ -269,10 +264,8 @@ def apply_overrides(doc: ConfigDocument, overrides: list[str]) -> ConfigDocument
     sections = {sec: dict(kv) for sec, kv in doc.sections.items()}
     for item in overrides:
         head, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override {item!r} is not of the form section.key=value")
         sec, dot, key = head.strip().partition(".")
-        if not dot:
+        if not (sep and dot):
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         if sec not in _SCHEMA or key not in _SCHEMA[sec]:
             raise ConfigError(f"override targets unknown key [{sec}] {key!r}")
@@ -354,13 +347,17 @@ def stride_steps(output_stride: float, dt: float) -> int | None:
     return k
 
 
-def stride_count(span: float, output_stride: float) -> tuple[int, float]:
-    """(whole output strides in ``span`` (>= 0), what the span leaves
-    after them): the tail is 0.0 when the span is a whole number of
-    strides to within 1e-9 of one, else the positive remainder.  A run
-    samples its start, each whole stride and, after a tail, t_end."""
+def stride_count(t0: float, t_end: float, output_stride: float) -> tuple[int, float]:
+    """(whole output strides from t0 to t_end (>= 0), what the span
+    leaves after them): the tail is 0.0 when the span is a whole number
+    of strides to within 1e-9 of one, or when the last stride sample's
+    time t0 +- n*output_stride already is t_end in floats; else the
+    positive remainder.  A run samples its start, each whole stride and,
+    after a tail, t_end."""
+    span = abs(t_end - t0)
     n = int(math.floor(span / output_stride + 1e-9))
-    if span / output_stride - n <= 1e-9:
+    if (span / output_stride - n <= 1e-9
+            or t0 + math.copysign(n * output_stride, t_end - t0) == t_end):
         return n, 0.0
     return n, span - n * output_stride
 
@@ -380,18 +377,11 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     coupling_G, potential_W = _coupling_side(sections, "G", "W", G_from_W)
 
     t0 = _get_float(sections, "initial", "t0", default=0.0)
-    initial = PhysState(
-        t=t0,
-        tau=0.0,
-        q=_get_float(sections, "initial", "q"),
-        q_dot=_get_float(sections, "initial", "q_dot"),
-        f=_get_float(sections, "initial", "f"),
-        f_dot=_get_float(sections, "initial", "f_dot"),
-    )
-    if initial.q == 0.0:
-        raise ConfigError("initial q must be nonzero")
-    if initial.f == 0.0:
-        raise ConfigError("initial f must be nonzero")
+    initial = PhysState(t0, 0.0, *(_get_float(sections, "initial", key)
+                                   for key in ("q", "q_dot", "f", "f_dot")))
+    for name in ("q", "f"):
+        if getattr(initial, name) == 0.0:
+            raise ConfigError(f"initial {name} must be nonzero")
 
     method = sections.get("integration", {}).get("method")
     if method is None:

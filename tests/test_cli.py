@@ -259,6 +259,19 @@ class TestCheck:
         assert list(rows[:, 0]) == times
         assert json.loads((out / "report.json").read_text())["samples"] == 3
 
+    @pytest.mark.parametrize("method", [[], ["--set", "integration.method=rk4",
+                                             "--set", "integration.dt=1e-4"]])
+    def test_tail_below_the_time_resolution_is_no_tail(self, tmp_path, method):
+        # 1e6 + 10 * 1e-3 is t_end in floats; the float span's 9.3e-12
+        # remainder is no eleventh stretch to sample
+        out = tmp_path / "c"
+        assert run("check", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "initial.t0=1e6", "--set", "integration.t_end=1000000.01",
+                   "--set", "integration.output_stride=1e-3", *method) == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        assert len(rows) == 11 and rows[-1, 0] == 1000000.01
+        assert json.loads((out / "report.json").read_text())["samples"] == 11
+
     def test_span_within_time_tolerance_exits_4(self, tmp_path, capsys):
         # 2,000 strides of 0.05 that DP54 cannot step at t0 = 1e16 are an
         # integration error, not a certificate over the start sample alone
@@ -547,7 +560,7 @@ class TestBench:
                    "--set", "integration.t_end=20",
                    "--set", "integration.output_stride=20") == 0
         lines = (out / "bench.csv").read_text().splitlines()
-        assert lines[0] == "method,dt_or_tol,max_rel_drift,steps,wall_ms,status"
+        assert lines[0] == "method,dt_or_tol,max_rel_drift,max_abs_drift,steps,wall_ms,status"
         drifts = [float(ln.split(",")[2]) for ln in lines[1:]]
         for a, b in zip(drifts, drifts[1:]):
             assert 8.0 < a / b < 32.0, drifts
@@ -576,7 +589,7 @@ class TestBench:
                    "--methods", "verlet", "--dt", "0.01",
                    "--set", "integration.t_end=100") == 0
         row = (out / "bench.csv").read_text().splitlines()[1].split(",")
-        assert row[0] == "verlet" and row[5] == "ok"
+        assert row[0] == "verlet" and row[6] == "ok"
         assert float(row[2]) < 1e-3
 
     def test_verlet_row_steps_the_whole_span(self, tmp_path):
@@ -586,7 +599,7 @@ class TestBench:
                    "--methods", "verlet,rk4", "--dt", "0.1",
                    "--set", "integration.output_stride=30") == 0
         rows = [ln.split(",") for ln in (out / "bench.csv").read_text().splitlines()[1:]]
-        assert [(r[0], r[3]) for r in rows] == [("verlet", "500"), ("rk4", "500")]
+        assert [(r[0], r[4]) for r in rows] == [("verlet", "500"), ("rk4", "500")]
 
     def test_verlet_row_fails_at_the_pole(self, tmp_path, capsys):
         # W = -s^2/2 drives Q through 0 at tau ~ 0.5; a dt of 1e-3 steps over
@@ -598,9 +611,22 @@ class TestBench:
                    "--set", "initial.q=1", "--set", "initial.q_dot=-1",
                    "--set", "initial.f=1", "--set", "integration.t_end=5") == 4
         row = (out / "bench.csv").read_text().splitlines()[1].split(",")
-        assert row[:4] == ["verlet", "0.001", "", ""]
-        assert row[5] == "error: SingularityError"
+        assert row[:5] == ["verlet", "0.001", "", "", ""]
+        assert row[6] == "error: SingularityError"
         assert "(at t=0.501)" in capsys.readouterr().err
+
+    def test_rk4_row_shows_the_absolute_drift_across_the_pole(self, tmp_path):
+        # RK4 steps over the q = 0 pole without a guard trip; e0 = 0, so the
+        # relative drift reads 0 and only the absolute one shows the damage
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--methods", "rk4", "--dt", "0.001",
+                   "--set", "coupling.V=0", "--set", "coupling.W=-(s^2)/2",
+                   "--set", "initial.q=1", "--set", "initial.q_dot=-1",
+                   "--set", "initial.f=1", "--set", "integration.t_end=5") == 0
+        row = (out / "bench.csv").read_text().splitlines()[1].split(",")
+        assert row[:3] == ["rk4", "0.001", "0"] and row[6] == "ok"
+        assert float(row[3]) > 1.0
 
     def test_absurd_dt_exit_2_before_any_row(self, tmp_path, capsys):
         out = tmp_path / "b"
@@ -640,7 +666,7 @@ class TestBench:
         assert run("bench", "--config", str(cfg), "--out", str(out),
                    "--methods", "verlet", "--dt", "0.01") == code
         row = (out / "bench.csv").read_text().splitlines()[1].split(",")
-        assert row[5] == status
+        assert row[6] == status
         if status == "ok":
             assert float(row[2]) < 1e-3
 
@@ -682,7 +708,7 @@ output_stride = 0.5
         assert run("bench", "--config", str(cfg), "--out", str(out),
                    "--methods", "rk4,verlet", "--dt", "0.1") == 0
         lines = (out / "bench.csv").read_text().splitlines()
-        statuses = {ln.split(",")[0]: ln.split(",")[5] for ln in lines[1:]}
+        statuses = {ln.split(",")[0]: ln.split(",")[6] for ln in lines[1:]}
         assert statuses["rk4"] == "ok"
         assert statuses["verlet"].startswith("error")
 
@@ -856,12 +882,17 @@ class TestExitPaths:
 # cli.main; prints whether numpy was loaded after each stage.
 _NO_NUMPY_SCRIPT = """
 import json, sys
+SLOW = ("dataclasses", "inspect", "ast")  # slow imports no run needs
 import ermakov
 imported = "numpy" in sys.modules
+slow = [[m for m in SLOW if m in sys.modules]]
 from ermakov.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(main(argv))
+    slow.append([m for m in SLOW if m in sys.modules])
 print(json.dumps({"import": imported, "codes": codes,
-                  "numpy": "numpy" in sys.modules}))
+                  "numpy": "numpy" in sys.modules, "slow": slow}))
 """
 
 # The same, with any import of numpy failing.
@@ -890,6 +921,8 @@ class TestNoNumpy:
         assert result["codes"] == [0] * len(runs), proc.stderr
         assert result["import"] is False
         assert result["numpy"] is False
+        # after the import and after every subcommand
+        assert result["slow"] == [[]] * (len(runs) + 1)
 
     def test_overflow_messages_with_numpy_blocked(self, tmp_path):
         # an RHS call that overflows is finished in floats, never numpy

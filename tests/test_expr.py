@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, exact differentiation."""
 
 import math
+import time
 from functools import partial
 
 import numpy as np
@@ -441,3 +442,12 @@ class TestCompiledAgreement:
         em.inline(e, "u")
         assert (len(em.lines), len(em.checked)) == (lines, checked), em.lines
         _assert_agree(func_from_expr(e, "u"), (0.0, 1.0, -2.5, 1e300))
+
+    def test_folding_a_long_constant_chain_is_linear(self):
+        # 1.5+...+1.5+x folds each level on its operands' bound values; an
+        # evaluate of every folded subtree took 0.3 s at 900 terms
+        src = "+".join(["1.5"] * 899 + ["x"])
+        start = time.perf_counter()
+        f = compile_func(src, "x")
+        assert f(0.5) == 1349.0
+        assert time.perf_counter() - start <= 0.15

@@ -90,9 +90,9 @@ def _runs(work: Path):
 
 
 def _without_wall_ms(data: bytes) -> bytes:
-    """bench.csv with its wall_ms column (the 5th) removed."""
+    """bench.csv with its wall_ms column (the 6th) removed."""
     lines = data.decode("utf-8").splitlines(keepends=True)
-    return "".join(",".join(line.split(",")[:4] + line.split(",")[5:])
+    return "".join(",".join(line.split(",")[:5] + line.split(",")[6:])
                    for line in lines).encode("utf-8")
 
 

@@ -340,6 +340,25 @@ class TestSpanTail:
         # free flight at Q' = 1: Q = 1 + tau, the short step included
         assert traj.y[-1] == pytest.approx([2.03, 1.0], abs=1e-14)
 
+    # 1e6 + 10 * 1e-3 rounds to 1000000.01, but the float span leaves a
+    # 9.3e-12 tail after 10 strides, below the 1.2e-10 spacing at 1e6:
+    # sampling it would repeat the last stride sample's time
+    T0, T_END = 1e6, 1000000.01
+
+    @pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 1e-4),
+                                                (integrate_adaptive54, 1e-10)])
+    def test_tail_below_the_time_resolution_is_no_tail(self, integrate, step):
+        traj = integrate(harmonic, [1.0, 0.0], self.T0, self.T_END, step, 1e-3)
+        assert traj.t == [self.T0 + k * 1e-3 for k in range(11)]
+        assert traj.t[-1] == self.T_END
+        assert traj.y[-1] == pytest.approx([math.cos(0.01), -math.sin(0.01)], abs=1e-8)
+
+    def test_verlet_tail_below_the_time_resolution_is_no_tail(self):
+        traj = integrate_verlet(lambda Q, tau: 0.0, QFrameState(self.T0, 1.0, 1.0),
+                                1e-4, self.T_END, 1e-3)
+        assert traj.t == [self.T0 + k * 1e-3 for k in range(11)]
+        assert traj.t[-1] == self.T_END and traj.step_count == 100
+
 
 class TestPinneyClosedForm:
     """Pinney (1950): with m = 1, w~2 = 1, G = 0 and F = k, the companion

@@ -10,7 +10,6 @@ reference's exception type and message.
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,12 +98,12 @@ def _random_scenario(rng, potentials: bool):
     if potentials:
         V = func_from_expr(random_expr(rng, 3, "Q"), "Q")
         W = func_from_expr(random_expr(rng, 3, "s"), "s")
-        return replace(base, coupling_F=model.F_from_V(V),
-                       coupling_G=model.G_from_W(W), potential_V=V,
-                       potential_W=W, **kw)
-    return replace(base, coupling_F=func_from_expr(random_expr(rng, 3, "u"), "u"),
-                   coupling_G=func_from_expr(random_expr(rng, 3, "v"), "v"),
-                   potential_V=None, potential_W=None, **kw)
+        return base._replace(coupling_F=model.F_from_V(V),
+                             coupling_G=model.G_from_W(W), potential_V=V,
+                             potential_W=W, **kw)
+    return base._replace(coupling_F=func_from_expr(random_expr(rng, 3, "u"), "u"),
+                         coupling_G=func_from_expr(random_expr(rng, 3, "v"), "v"),
+                         potential_V=None, potential_W=None, **kw)
 
 
 class TestAgreement:
@@ -152,12 +151,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("m,t", [("1-t", 2.0), ("1-t", 1.0), ("1e400", 0.5),
                                      ("sqrt(t)", 0.0)])
     def test_invalid_mass(self, m, t):
-        scn = replace(load_scenario(S3), m=compile_func(m, "t"))
+        scn = load_scenario(S3)._replace(m=compile_func(m, "t"))
         got = self._both(scn, "phys", t, [1.2, 0.0, 0.9, 0.0, 0.0])
         assert got[1] == InvalidMassError.__name__
 
     def test_ln_of_negative(self):
-        scn = replace(model.build_scenario(BARE), coupling_F=compile_func("ln(u)", "u"))
+        scn = model.build_scenario(BARE)._replace(coupling_F=compile_func("ln(u)", "u"))
         got = self._both(scn, "phys", 0.5, [-1.2, 0.0, 0.9, 0.0, 0.0])
         assert got[1] == ExprDomainError.__name__ and "math domain error" in got[2]
         got = self._both(scn, "qframe", 0.5, [-1.2, 0.0])
@@ -169,8 +168,8 @@ class TestErrorPaths:
         # u*1e308*10 overflows to inf with no exception and 1/inf is a
         # finite 0: only the finiteness check of the intermediates sends
         # this to the reference, which rejects it
-        scn = replace(model.build_scenario(BARE),
-                      coupling_F=compile_func("1/(u*1e308*10)", "u"))
+        scn = model.build_scenario(BARE)._replace(
+            coupling_F=compile_func("1/(u*1e308*10)", "u"))
         got = self._both(scn, "phys", 0.5, [1.2, 0.0, 0.9, 0.0, 0.0])
         assert got[1] == ExprDomainError.__name__ and "non-finite" in got[2]
         assert self._both(scn, "qframe", 0.5, [1.2, 0.0])[1] == ExprDomainError.__name__
@@ -180,8 +179,8 @@ class TestErrorPaths:
     def test_cube_overflow_takes_the_numpy_redo(self):
         # q ** 3 raises OverflowError on floats; the reference's IEEE power
         # gives inf instead, as numpy scalars do, so G/(m^2 q^3) is 0
-        scn = replace(model.build_scenario(BARE), coupling_F=compile_func("4", "u"),
-                      coupling_G=compile_func("1", "v"))
+        scn = model.build_scenario(BARE)._replace(coupling_F=compile_func("4", "u"),
+                                                  coupling_G=compile_func("1", "v"))
         got = self._both(scn, "phys", 0.5, [1e200, 0.0, 0.9, 0.0, 0.0])
         assert got[0] == "value" and float.fromhex(got[1][1]) == -1e200
         assert self._both(scn, "qframe", 0.5, [1e200, 0.3])[0] == "value"
@@ -194,8 +193,9 @@ class TestErrorPaths:
     ])
     def test_at_zero_points(self, F):
         # with G = 0 the state may sit at q = 0 and Q = 0
-        scn = replace(load_scenario(S1), coupling_F=F, potential_V=None,
-                      coupling_G=compile_func("0", "v"), potential_W=None)
+        scn = load_scenario(S1)._replace(coupling_F=F, potential_V=None,
+                                         coupling_G=compile_func("0", "v"),
+                                         potential_W=None)
         for q in (0.0, -0.0):
             assert self._both(scn, "phys", 0.5, [q, 0.4, 0.9, 0.0, 0.0])[0] == "value"
             assert self._both(scn, "qframe", 0.5, [q, 0.4])[0] == "value"
@@ -233,8 +233,8 @@ def _ieee_pairs(scn):
 
 
 def _scaled_mass(scn, k):
-    return scn if k == 1.0 else replace(
-        scn, m=compile_func(f"{k!r}*({scn.m.source})", "t"))
+    return scn if k == 1.0 else scn._replace(
+        m=compile_func(f"{k!r}*({scn.m.source})", "t"))
 
 
 # a mass of 1e-170 squares to 0; one of 1e-320 makes m f^2 vanish too
