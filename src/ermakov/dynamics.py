@@ -31,7 +31,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import PotentialsUnavailableError, SingularityError
-from .expr import Func1, Inliner, is_zero
+from .expr import Expr, Func1, Inliner, evaluate, is_zero, make_function
 from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
 
 __all__ = [
@@ -93,71 +93,140 @@ def ieee_div(a: float, b: float) -> float:
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-# --- kernels ------------------------------------------------------------------
-# Each equation is written once, as a kernel on scalars built per Scenario
-# (which couplings are structurally zero is decided there, not per call).
-# The integrators' vector adapters feed them plain floats; the pointwise
-# rhs_phys is a thin user of the same kernel.  A power that can overflow or
-# a divisor that can vanish goes through ieee_pow/ieee_div (inf/nan, no raise).
+# --- one program per equation, built twice ----------------------------------
+# Each equation is written once, as a program: a function that emits its
+# lines into ``em`` and returns its result, deciding per Scenario which
+# couplings are structurally zero.  It writes a / or ** that can raise on
+# floats as em.div/em.pow, and states each condition the result needs:
+# em.guard (singularity guard), em.mass (m(t) positive and finite) and
+# em.finite (raise error(t, *names) unless every name is finite).
+# _Fast (expr.Inliner) builds the function the integrators call: inlined
+# expressions, raw / and **, the conditions tested at the end, and any
+# call that raises, meets a non-finite intermediate or an at_zero point,
+# or fails a condition handed to its fallback.  _Checked builds that
+# fallback, the reference: Func1 calls and evaluate where _Fast inlines,
+# ieee_div/ieee_pow (inf/nan, no raise), and each condition's own error.
+
+
+class _Fast(Inliner):
+    div, pow = "{} / ({})".format, "{} ** {}".format
+
+    def guard(self, var: str, t: str, eps: str) -> None:
+        self.require(f"abs({var}) >= {eps}")
+
+    def mass(self, mv: str, t: str) -> None:
+        self.require(f"0.0 < {mv} < {self.bind(math.inf)}")
+
+    def finite(self, error: Callable, t: str, *names: str) -> None:
+        self.checked += names
+
+
+class _Checked(Inliner):
+    div, pow = "ieee_div({}, {})".format, "ieee_pow({}, {})".format
+
+    def __init__(self):
+        super().__init__()
+        self.bound.update(evaluate=evaluate, guard=guard, ieee_div=ieee_div,
+                          ieee_pow=ieee_pow, isfinite=math.isfinite, mass_at=mass_at)
+
+    def call(self, fn: Func1, x: str) -> str:
+        return self.let(f"{self.bind(fn)}({x})")
+
+    def inline(self, e: Expr, x: str) -> str:
+        return self.let(f"evaluate({self.bind(e)}, {x})")
+
+    def guard(self, var: str, t: str, eps: str) -> None:
+        self.lines.append(f"guard({var!r}, {var}, {t})")
+
+    def mass(self, mv: str, t: str) -> None:
+        # mv = m(t) becomes mass_at(m, t); rN is line N (only appended)
+        fn = self.lines[int(mv[1:])].split(" = ")[1].split("(")[0]
+        self.lines[int(mv[1:])] = f"{mv} = mass_at({fn}, {t})"
+
+    def finite(self, error: Callable, t: str, *names: str) -> None:
+        args = ", ".join(names)
+        self.lines.append(f"if not all(map(isfinite, ({args},))): "
+                          f"raise {self.bind(error)}({t}, {args})")
+
+    def build(self, params: str, result: str) -> Callable:
+        return make_function(params, [*self.lines, f"return {result}"], self.bound)
+
+
+def _build_checked(params: str, program: Callable, *args) -> Callable:
+    em = _Checked()
+    return em.build(params, program(em, *args))
+
+
+def _build_fast(params: str, program: Callable, *args,
+                slow: Callable | None = None) -> Callable:
+    """The generated function; ``slow`` defaults to the checked build."""
+    em = _Fast()
+    return em.build(params, program(em, *args),
+                    slow or _build_checked(params, program, *args))
+
+
+def _emit_phys(em: Inliner, scn: Scenario) -> str:
+    """(dq, dq_dot, df, df_dot, dtau) at (t, y = [q, q_dot, f, f_dot, tau])."""
+    m, F, G = scn.m, scn.coupling_F, scn.coupling_G
+    eps = em.bind(EPS_SING)
+    em.let("y", "q, q_dot, f, f_dot, tau")
+    mv = em.call(m, "t")
+    md = em.inline(m.d1, "t")
+    omt2 = em.call(scn.omega_tilde_sq, "t")
+    em.mass(mv, "t")
+    em.guard("f", "t", eps)  # dtau = 1/(m f^2) needs f regardless of couplings
+    g_term = f_term = "0.0"
+    if not is_zero(G.expr):
+        em.guard("q", "t", eps)
+        g_val = em.call(G, em.let("f / q"))
+        g_term = em.let(em.div(g_val, f"{mv} * {mv} * {em.pow('q', 3)}"))
+    if not is_zero(F.expr):
+        f_val = em.call(F, em.let("q / f"))
+        f_term = em.let(em.div(f_val, f"{mv} * {mv} * {em.pow('f', 3)}"))
+    drag = em.let(f"{md} / {mv}")
+    return em.let(f"(q_dot, -{drag} * q_dot - {omt2} * q + {g_term}, "
+                  f"f_dot, -{drag} * f_dot - {omt2} * f + {f_term}, "
+                  f"{em.div('1.0', f'{mv} * f * f')})")
+
 
 def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
     """(t, q, q_dot, f, f_dot, tau) -> (dq, dq_dot, df, df_dot, dtau)."""
-    m, omega_tilde_sq = scn.m, scn.omega_tilde_sq
-    F, G = scn.coupling_F, scn.coupling_G
-    has_F, has_G = not is_zero(F.expr), not is_zero(G.expr)
-
-    def kernel(t, q, q_dot, f, f_dot, tau):
-        mv = mass_at(m, t)
-        md = m.deriv(t)
-        omt2 = omega_tilde_sq(t)
-        guard("f", f, t)  # dtau = 1/(m f^2) needs f regardless of couplings
-        g_term = 0.0
-        if has_G:
-            guard("q", q, t)
-            g_term = ieee_div(G(f / q), mv * mv * ieee_pow(q, 3))
-        f_term = 0.0
-        if has_F:
-            f_term = ieee_div(F(q / f), mv * mv * ieee_pow(f, 3))
-        drag = md / mv
-        return (q_dot, -drag * q_dot - omt2 * q + g_term,
-                f_dot, -drag * f_dot - omt2 * f + f_term,
-                ieee_div(1.0, mv * f * f))
-    return kernel
+    return _build_checked("t, *y", _emit_phys, scn)
 
 
-def _qframe_side(potential: Func1 | None, coupling: Func1 | None
-                 ) -> tuple[Func1 | None, bool]:
-    """(function, is_potential) for one side of Q'': the nonzero
-    potential, else the nonzero bare coupling, else (None, False)."""
-    if potential is not None and not is_zero(potential.expr):
-        return potential, True
-    if coupling is not None and not is_zero(coupling.expr):
-        return coupling, False
-    return None, False
+def _active(fn: Func1 | None) -> bool:
+    return fn is not None and not is_zero(fn.expr)
+
+
+def _emit_qframe(em: Inliner, V: Func1 | None, W: Func1 | None,
+                 F: Func1 | None, G: Func1 | None) -> str:
+    """Q'' at (Q, tau).  A side without a (nonzero) potential falls back to
+    its bare coupling, V'(Q) = Q F(Q) and W'(1/Q)/Q^2 = G(1/Q)/Q^3: the
+    same algebra that defines F and G from V' and W'."""
+    accel = "0.0"
+    if _active(V) or _active(F):
+        u_term = (em.inline(V.d1, "Q") if _active(V)
+                  else em.let(f"Q * {em.call(F, 'Q')}"))
+        accel = em.let(f"{accel} - {u_term}")
+    if _active(W) or _active(G):
+        em.guard("Q", "tau", em.bind(EPS_SING))
+        s = em.let("1.0 / Q")
+        s_term = (em.let(f"{em.inline(W.d1, s)} / (Q * Q)") if _active(W)
+                  else em.let(f"{em.call(G, s)} / ({em.pow('Q', 3)})"))
+        accel = em.let(f"{accel} + {s_term}")
+    return accel
+
+
+def _emit_qframe_ode(em: Inliner, *sides: Func1 | None) -> str:
+    em.let("y", "Q, Q_prime")
+    return em.let(f"(Q_prime, {_emit_qframe(em, *sides)})")
 
 
 def qframe_accel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
                  G: Func1 | None = None) -> Callable[..., float]:
     """Transformed-frame acceleration Q'' = -V'(Q) + W'(1/Q)/Q^2, as a
-    function (Q, tau=0.0) -> Q''; tau only labels a singularity-guard error.
-
-    A side without a (nonzero) potential falls back to its bare coupling,
-    V'(Q) = Q F(Q) and W'(1/Q)/Q^2 = G(1/Q)/Q^3: the same algebra that
-    defines F and G from V' and W'.
-    """
-    u_fn, u_pot = _qframe_side(V, F)
-    s_fn, s_pot = _qframe_side(W, G)
-
-    def kernel(Q, tau=0.0):
-        accel = 0.0
-        if u_fn is not None:
-            accel -= u_fn.deriv(Q) if u_pot else Q * u_fn(Q)
-        if s_fn is not None:
-            guard("Q", Q, tau)
-            accel += (s_fn.deriv(1.0 / Q) / (Q * Q) if s_pot
-                      else s_fn(1.0 / Q) / ieee_pow(Q, 3))
-        return accel
-    return kernel
+    function (Q, tau=0.0) -> Q''; tau only labels a singularity-guard error."""
+    return _build_checked("Q, tau=0.0", _emit_qframe, V, W, F, G)
 
 
 def rhs_phys(state: PhysState, scn: Scenario) -> DerivPhys:
@@ -182,87 +251,33 @@ def rhs_xrho(x: float, x_dot: float, rho: float, rho_dot: float, t: float,
     return x_dot, -om2 * x + g_term, rho_dot, -om2 * rho + h_term
 
 
-# --- vector adapters for the integrators -----------------------------------
+# --- ODEs for the integrators -------------------------------------------------
 # State layouts: phys y = [q, q_dot, f, f_dot, tau];
 #                x-rho y = [x, x_dot, rho, rho_dot];
 #                Q-frame y = [Q, Q_prime].
-# Each adapter takes the state as a list of floats and returns a tuple.
+# Each ODE takes the state as a list of floats and returns a tuple.
 
 _Ode = Callable[[float, list[float]], tuple[float, ...]]
 
 
-def _vector_rhs(kernel: Callable[..., tuple[float, ...]]) -> _Ode:
-    """rhs(t, y) = kernel(t, *y), computed on the state's plain floats."""
-    return lambda t, y: kernel(t, *y)
-
-
-# --- generated right-hand sides ---------------------------------------------
-# phys_ode and _qframe_ode (map's direct run and Stormer-Verlet), which the
-# integrators call tens of thousands of times per run, are each one function
-# generated per scenario (expr.Inliner): the inlined expressions, then the
-# reference kernel's own arithmetic, term for term.  A call that raises,
-# meets a non-finite expression intermediate, an invalid mass, a tripped
-# guard or an at_zero point returns the reference adapter's result instead,
-# so values and errors, IEEE inf/nan included, are the reference's.
-# rhs_phys, qframe_accel and xrho_ode stay on the reference kernels.
-
 def phys_ode(scn: Scenario) -> _Ode:
-    m, F, G = scn.m, scn.coupling_F, scn.coupling_G
-    em = Inliner()
-    eps = em.bind(EPS_SING)
-    em.let("y", "q, q_dot, f, f_dot, tau")
-    mv = em.call(m, "t")
-    md = em.inline(m.d1, "t")
-    omt2 = em.call(scn.omega_tilde_sq, "t")
-    em.require(f"0.0 < {mv} < {em.bind(math.inf)}")
-    em.require(f"abs(f) >= {eps}")
-    g_term = f_term = "0.0"
-    if not is_zero(G.expr):
-        em.require(f"abs(q) >= {eps}")
-        g_val = em.call(G, em.let("f / q"))
-        g_term = em.let(f"{g_val} / ({mv} * {mv} * q ** 3)")
-    if not is_zero(F.expr):
-        f_val = em.call(F, em.let("q / f"))
-        f_term = em.let(f"{f_val} / ({mv} * {mv} * f ** 3)")
-    drag = em.let(f"{md} / {mv}")
-    dy = em.let(f"(q_dot, -{drag} * q_dot - {omt2} * q + {g_term}, "
-                f"f_dot, -{drag} * f_dot - {omt2} * f + {f_term}, "
-                f"1.0 / ({mv} * f * f))")
-    return em.build("t, y", dy, _vector_rhs(_phys_kernel(scn)))
+    return _build_fast("t, y", _emit_phys, scn)
 
 
 def xrho_ode(omega_sq: Callable[[float], float], g: Func1, h: Func1) -> _Ode:
-    return _vector_rhs(lambda t, x, x_dot, rho, rho_dot: rhs_xrho(
-        x, x_dot, rho, rho_dot, t, omega_sq, g, h))
+    return lambda t, y: rhs_xrho(*y, t, omega_sq, g, h)
 
 
 def _qframe_ode(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
                 G: Func1 | None = None) -> _Ode:
-    """Transformed-frame ODE (tau, [Q, Q']) -> (Q', Q''), generated from
-    qframe_accel's arithmetic, which is its reference."""
-    u_fn, u_pot = _qframe_side(V, F)
-    s_fn, s_pot = _qframe_side(W, G)
-    em = Inliner()
-    em.let("y", "Q, Q_prime")
-    accel = "0.0"
-    if u_fn is not None:
-        u_term = (em.inline(u_fn.d1, "Q") if u_pot
-                  else em.let(f"Q * {em.call(u_fn, 'Q')}"))
-        accel = em.let(f"{accel} - {u_term}")
-    if s_fn is not None:
-        em.require(f"abs(Q) >= {em.bind(EPS_SING)}")
-        s = em.let("1.0 / Q")
-        s_term = (em.let(f"{em.inline(s_fn.d1, s)} / (Q * Q)") if s_pot
-                  else em.let(f"{em.call(s_fn, s)} / (Q ** 3)"))
-        accel = em.let(f"{accel} + {s_term}")
-    ref = qframe_accel(V, W, F, G)
-    return em.build("tau, y", em.let(f"(Q_prime, {accel})"),
-                    _vector_rhs(lambda tau, Q, Q_prime: (Q_prime, ref(Q, tau))))
+    """Transformed-frame ODE (tau, [Q, Q']) -> (Q', Q''), the generated
+    build of qframe_accel's program."""
+    return _build_fast("tau, y", _emit_qframe_ode, V, W, F, G)
 
 
 def qframe_ode_from_scenario(scn: Scenario) -> _Ode:
     """Transformed-frame ODE in tau for any scenario: the potentials where
-    given, else the bare couplings (see qframe_accel)."""
+    given, else the bare couplings (see _emit_qframe)."""
     return _qframe_ode(scn.potential_V, scn.potential_W, scn.coupling_F, scn.coupling_G)
 
 

@@ -15,18 +15,14 @@ the node set is closed under symbolic differentiation and derivatives
 stay exact (no finite differencing anywhere downstream).
 
 Each operator's arithmetic is written once, in the operator tables
-(``_UNARY``, ``_BINARY``; ``^`` is ``math.pow``).  ``evaluate`` walks the
-tree through them and is the reference semantics.  ``Func1``
-compiles its f, on first use, to straight-line Python doing the same
-floating-point operations in the same order, and hands every point the
-tree walk would reject back to ``evaluate`` so the domain error still
-names the offending subexpression; f' and f'' are evaluated by the tree
-walk.  The same code generator (``Inliner``) fuses several expressions
-(derivative trees too) and the arithmetic around them into one function,
-for the dynamics' right-hand sides and the invariant's quadrature
-integrands, and folds an all-constant Binary/Pow node by calling
-``evaluate`` on the node over its operands' values; its last step,
-``make_function``, also builds the integrators' generated steps.
+(``_UNARY``, ``_BINARY``; ``^`` is ``math.pow``), and its derivative in
+``_D_UNARY``/``_D_BINARY``.  ``evaluate`` walks the tree through them and
+is the reference semantics.  ``Func1`` compiles its f, on first use, to
+straight-line Python doing the same operations in the same order, equal
+to the tree walk bit for bit and error for error (a point the tree walk
+rejects goes back to it); f' and f'' are evaluated by the tree walk.
+The same code generator, ``Inliner``, builds the dynamics' equation
+programs; ``make_function`` also builds the integrators' steps.
 """
 
 from __future__ import annotations
@@ -207,64 +203,81 @@ def _pow(base: Expr, exponent: float) -> Expr:
     return Pow(base, float(exponent))
 
 
+# Each operator's derivative, from its operands and theirs (the chain rule)
+_D_UNARY = {
+    "neg": lambda a, da: _neg(da),
+    "sin": lambda a, da: _mul(Unary("cos", a), da),
+    "cos": lambda a, da: _neg(_mul(Unary("sin", a), da)),
+    "exp": lambda a, da: _mul(Unary("exp", a), da),
+    "ln": lambda a, da: _div(da, a),
+    "sqrt": lambda a, da: _div(da, _mul(_const(2.0), Unary("sqrt", a))),
+}
+_D_BINARY = {
+    "+": lambda a, b, da, db: _add(da, db),
+    "-": lambda a, b, da, db: _sub(da, db),
+    "*": lambda a, b, da, db: _add(_mul(da, b), _mul(a, db)),
+    "/": lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2.0)),
+}
+
+
 def differentiate(e: Expr) -> Expr:
     """Exact symbolic derivative with respect to the expression's variable.
 
     The grammar is closed under this operation, so the result can be
     differentiated again (second derivatives of the mass function are
-    needed by the frequency-shift formula).
+    needed by the frequency-shift formula).  A shared subtree is
+    differentiated once.
     """
+    return _derivative(e, {})
+
+
+def _derivative(e: Expr, memo: dict[int, Expr]) -> Expr:
+    # one frame per tree level: a rule runs after the recursion
     if isinstance(e, Const):
         return _const(0.0)
     if isinstance(e, Var):
         return _const(1.0)
-    if isinstance(e, Unary):
-        da = differentiate(e.arg)
-        if e.op == "neg":
-            return _neg(da)
-        if e.op == "sin":
-            return _mul(Unary("cos", e.arg), da)
-        if e.op == "cos":
-            return _neg(_mul(Unary("sin", e.arg), da))
-        if e.op == "exp":
-            return _mul(Unary("exp", e.arg), da)
-        if e.op == "ln":
-            return _div(da, e.arg)
-        if e.op == "sqrt":
-            return _div(da, _mul(_const(2.0), Unary("sqrt", e.arg)))
-        raise AssertionError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        da = differentiate(e.left)
-        db = differentiate(e.right)
-        if e.op == "+":
-            return _add(da, db)
-        if e.op == "-":
-            return _sub(da, db)
-        if e.op == "*":
-            return _add(_mul(da, e.right), _mul(e.left, db))
-        if e.op == "/":
-            return _div(_sub(_mul(da, e.right), _mul(e.left, db)), _pow(e.right, 2.0))
-        raise AssertionError(f"unknown binary op {e.op!r}")
-    if isinstance(e, Pow):
-        # d(u^c) = c * u^(c-1) * u'
-        return _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1.0)),
-                    differentiate(e.base))
-    raise TypeError(f"not an Expr node: {e!r}")
+    d = memo.get(id(e))
+    if d is None:
+        if isinstance(e, Unary):
+            d = _D_UNARY[e.op](e.arg, _derivative(e.arg, memo))
+        elif isinstance(e, Binary):
+            d = _D_BINARY[e.op](e.left, e.right, _derivative(e.left, memo),
+                                _derivative(e.right, memo))
+        elif isinstance(e, Pow):
+            # d(u^c) = c * u^(c-1) * u'
+            d = _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1.0)),
+                     _derivative(e.base, memo))
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        memo[id(e)] = d
+    return d
 
 
 def rename_var(e: Expr, new_name: str) -> Expr:
-    """Return a copy of ``e`` with every variable node renamed."""
+    """A copy of ``e`` with every variable renamed; shared subtrees stay
+    shared."""
+    return _renamed(e, new_name, {})
+
+
+def _renamed(e: Expr, new_name: str, memo: dict[int, Expr]) -> Expr:
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
         return Var(new_name)
-    if isinstance(e, Unary):
-        return Unary(e.op, rename_var(e.arg, new_name))
-    if isinstance(e, Binary):
-        return Binary(e.op, rename_var(e.left, new_name), rename_var(e.right, new_name))
-    if isinstance(e, Pow):
-        return Pow(rename_var(e.base, new_name), e.exponent)
-    raise TypeError(f"not an Expr node: {e!r}")
+    r = memo.get(id(e))
+    if r is None:
+        if isinstance(e, Unary):
+            r = Unary(e.op, _renamed(e.arg, new_name, memo))
+        elif isinstance(e, Binary):
+            r = Binary(e.op, _renamed(e.left, new_name, memo),
+                       _renamed(e.right, new_name, memo))
+        elif isinstance(e, Pow):
+            r = Pow(_renamed(e.base, new_name, memo), e.exponent)
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        memo[id(e)] = r
+    return r
 
 
 # --- printing ------------------------------------------------------------
@@ -447,25 +460,20 @@ class Inliner:
     ``inline(e, x)`` emits evaluate's operations on the variable named
     ``x`` in its order, one temporary per operator node (a subtree shared
     by identity once), and returns the name holding the value.  Constants
-    and exponents are bound by name, never printed (``1e400`` is
-    ``Const(inf)``), and the functions are the operator tables' under
-    the names ``_sin`` .. ``_pow``.  A Binary/Pow node whose operands are
-    all constants is folded: ``evaluate`` of it over its operands' bound
-    values (no subtree is walked twice) is bound as a constant, unless
-    evaluate rejects it (then it is emitted like any other node).
-    ``call`` inlines a Func1's f; ``let`` emits the caller's own
-    arithmetic around the expressions, and ``require`` a condition the
-    result needs.  ``head`` lines run first, outside the checks, and
-    ``tail`` lines after every check passed, right before the return.
+    are bound by name, never printed (``1e400`` is ``Const(inf)``).  A
+    Binary/Pow node of constant operands is folded to ``evaluate`` of it
+    over their bound values, unless evaluate rejects it.  ``call`` inlines a Func1's f; ``let`` emits the caller's own
+    arithmetic, and ``require`` a condition the result needs.  ``head``
+    lines run first, outside the checks, and ``tail`` lines after every
+    check passed, right before the return.
 
     ``build(params, result, slow)`` returns a function of ``params``
     that returns ``result`` only when no emitted line raised, the sum of
     every Binary/Pow intermediate (what the tree walk rejects when not
-    finite; the ``checked`` names, to which a caller may add its own) is
-    finite and every required condition holds.  Otherwise it returns
-    ``slow(*params)``, the reference computation, which raises or returns
-    what it always does (the sum can overflow on finite terms: that costs
-    a redundant slow call, never a wrong value).
+    finite; the ``checked`` names, to which a caller may add) is finite
+    and every required condition holds.  Otherwise it returns
+    ``slow(*params)``, the reference (a sum that overflows on finite
+    terms costs a redundant slow call, never a wrong value).
     """
 
     def __init__(self):
@@ -550,7 +558,10 @@ class Inliner:
                      f"    {fallback}"]
         tests = list(self.conditions)
         if self.checked:
-            body.append(f"s = {' + '.join(self.checked)}")
+            # at most 500 terms a line: compile overflows near 3,000
+            for i in range(0, len(self.checked), 500):
+                body.append(f"s = {'s + ' if i else ''}"
+                            f"{' + '.join(self.checked[i:i + 500])}")
             tests.append("s - s == 0.0")
         done = [*self.tail, f"return {result}"]
         if tests:
@@ -615,11 +626,9 @@ class Func1(Record):
     conversions create these: V'(u)/u is 0/0 at the origin for even
     potentials, but the limit V''(0) exists).
 
-    f is compiled on its first call, to a function equal to the tree
-    walk bit for bit and error for error (see Inliner); f' and f'' are
-    evaluated by the tree walk.  Equality, hashing and pickling see only
-    the fields, so a Func1 stays a plain value that crosses process
-    borders.
+    f is compiled on first call (see the module docstring).  Equality,
+    hashing and pickling see only the fields, so a Func1 stays a plain
+    value that crosses process borders.
     """
 
     _fields = ("expr", "d1", "d2", "var_name", "at_zero")

@@ -14,13 +14,12 @@ potentials, u F(u) = V'(u) exactly, so V and W are the exact
 antiderivatives and the drift evaluator uses them directly instead of
 quadrature; bare-coupling scenarios fall back to adaptive Simpson.
 
-A series is one generated function per run (expr.Inliner) called once
-per sample: m(t), the (Q, Q') map, the potentials and, on each
-quadrature side, the leg from the side's last point with the integrand
-inlined at its four new points and the first Simpson level.  Any sample
-it cannot finish that way (see ``_generated``) is the reference's
-(``_reference``: ``_RunningIntegral.value``, ``quad``, ``_adaptive``),
-with its values and its errors.
+One sample is one program, ``_emit_sample``, built twice (see dynamics).
+The series calls its generated build once per sample: m(t), the (Q, Q')
+map and the potentials inlined, and on each quadrature side the leg from
+the side's last point in one Simpson level.  Its checked build,
+``_reference``, takes each leg by ``_RunningIntegral.value`` (``quad``,
+``_adaptive``) and gives any sample the generated one cannot finish.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .dynamics import EPS_SING, guard, ieee_pow, qframe_terms
+from .dynamics import EPS_SING, _build_checked, _build_fast, _Checked, qframe_terms
 from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, Inliner, Record, is_zero
 from .integrators import Trajectory
-from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
+from .model import PhysState, QFrameState, Scenario, to_qframe
 
 __all__ = [
     "InvariantReport",
@@ -200,11 +199,8 @@ class _RunningIntegral:
 
 
 def _integrand(coupling: Func1) -> Callable[[float], float]:
-    """w -> w * coupling(w), generated as one function (expr.Inliner) with
-    the lambda as its reference and error path."""
-    em = Inliner()
-    return em.build("w", _emit_integrand(em, coupling, "w"),
-                    lambda w: w * coupling(w))
+    """w -> w * coupling(w), one program built twice (dynamics)."""
+    return _build_fast("w", _emit_integrand, coupling, "w")
 
 
 def _emit_integrand(em: Inliner, coupling: Func1, w: str) -> str:
@@ -234,91 +230,70 @@ class _PotentialSide:
             return "zero"
         return "potential" if self.potential is not None else "quadrature"
 
-    def value(self, arg: float) -> float:
-        if self.zero:
-            return 0.0
-        if self.potential is not None:
-            return self.potential(arg)
-        return self.running.value(arg)
-
 
 _PARAMS = "t, q, q_dot, f, f_dot"
 
 
-def _reference(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
-               ) -> Callable[..., tuple[float, float, float, float]]:
-    """sample(t, q, q_dot, f, f_dot) -> (Q, Q', E_phys, E_Q) at one sample,
-    advancing the sides' running integrals; raises InvariantError when
-    either energy is not finite.  The reference of ``_generated``."""
-
-    def sample(t, q, q_dot, f, f_dot):
-        mv = mass_at(m, t)
-        if not u_side.zero:
-            guard("f", f, t)
-        Q, Q_prime = to_qframe(mv, q, q_dot, f, f_dot)
-        pot_u = u_side.value(Q)
-        pot_v = 0.0
-        if not v_side.zero:
-            guard("q", q, t)
-            pot_v = v_side.value(f / q)
-        # the kinetic terms are algebraically equal but deliberately keep
-        # their own arithmetic (m^2 (q'f-qf')^2 vs Q'^2): frame_gap measures
-        # exactly this evaluation difference
-        kinetic = 0.5 * mv * mv * ieee_pow(q_dot * f - q * f_dot, 2)
-        ep = kinetic + pot_u + pot_v
-        eq = 0.5 * Q_prime * Q_prime + pot_u + pot_v
-        if not (math.isfinite(ep) and math.isfinite(eq)):
-            raise InvariantError(f"the invariant is not finite at t={t!r} "
-                                 f"(E_phys = {ep!r}, E_Q = {eq!r})")
-        return Q, Q_prime, ep, eq
-    return sample
-
-
-def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
-               ) -> Callable[..., tuple[float, float, float, float]]:
-    """``_reference(m, u_side, v_side)`` as one generated function: the
-    same operations in the same order.  A sample goes to the reference
-    whole when an emitted line raises or meets a non-finite value (an
-    expression intermediate, an integrand point or an energy), the mass
-    or a guard fails, or a quadrature side cannot take the leg from its
-    last point in one Simpson level: its last point was never sampled,
-    the new point is already cached, or the leg misses 15*tol.  (With a
-    tolerance that is not positive the reference fails every leg, so no
-    side's last point is ever sampled.)"""
-    em = Inliner()
+def _emit_sample(em: Inliner, m: Func1, u_side: _PotentialSide,
+                 v_side: _PotentialSide) -> str:
+    """(Q, Q', E_phys, E_Q) at one sample (t, q, q_dot, f, f_dot),
+    advancing the sides' running integrals."""
     eps = em.bind(EPS_SING)
     mv = em.call(m, "t")
-    em.require(f"0.0 < {mv} < {em.bind(math.inf)}")
+    em.mass(mv, "t")
     if not u_side.zero:
-        em.require(f"abs(f) >= {eps}")
+        em.guard("f", "t", eps)
     Q = em.let("q / f")
     wr = em.let("q_dot * f - q * f_dot")
     Q_prime = em.let(f"{mv} * {wr}")
     pot_u = _emit_side(em, u_side, Q, "u")
     pot_v = "0.0"
     if not v_side.zero:
-        em.require(f"abs(q) >= {eps}")
+        em.guard("q", "t", eps)
         pot_v = _emit_side(em, v_side, em.let("f / q"), "v")
-    # ``wr ** 2`` is ieee_pow's power: its OverflowError takes the reference
-    ep = em.let(f"0.5 * {mv} * {mv} * {wr} ** 2 + {pot_u} + {pot_v}")
+    # the equal kinetic terms keep their own arithmetic (m^2 (q'f-qf')^2 vs
+    # Q'^2): frame_gap measures exactly this evaluation difference
+    ep = em.let(f"0.5 * {mv} * {mv} * {em.pow(wr, 2)} + {pot_u} + {pot_v}")
     eq = em.let(f"0.5 * {Q_prime} * {Q_prime} + {pot_u} + {pot_v}")
-    em.checked += [ep, eq]
-    return em.build(_PARAMS, f"{Q}, {Q_prime}, {ep}, {eq}",
-                    _reference(m, u_side, v_side))
+    em.finite(lambda t, ep, eq: InvariantError(
+        f"the invariant is not finite at t={t!r} (E_phys = {ep!r}, E_Q = {eq!r})"),
+        "t", ep, eq)
+    return f"{Q}, {Q_prime}, {ep}, {eq}"
+
+
+def _reference(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
+               ) -> Callable[..., tuple[float, float, float, float]]:
+    """sample(t, q, q_dot, f, f_dot) -> (Q, Q', E_phys, E_Q), the checked
+    build; InvariantError when either energy is not finite."""
+    return _build_checked(_PARAMS, _emit_sample, m, u_side, v_side)
+
+
+def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
+               ) -> Callable[..., tuple[float, float, float, float]]:
+    """The generated build.  A sample also goes to the reference when a
+    quadrature side cannot take the leg from its last point in one Simpson
+    level: that point was never sampled (never, at a tolerance that is not
+    positive), the new point is cached, or the leg misses 15*tol."""
+    return _build_fast(_PARAMS, _emit_sample, m, u_side, v_side,
+                       slow=_reference(m, u_side, v_side))
 
 
 def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:
     """The name of one side's value at the emitted point ``x``; a
-    quadrature side's names start with ``p``."""
+    quadrature side's names start with ``p``, and its leg is
+    ``_RunningIntegral.value`` (checked) or its first Simpson level."""
     if side.zero:
         return "0.0"
     if side.potential is not None:
         return em.call(side.potential, x)
+    run = em.bind(side.running)
+    if isinstance(em, _Checked):
+        return em.let(f"{run}.value({x})")
     # _RunningIntegral.value's leg (a, x) from its last point a, which
     # holds fa = fn(a) and the value va: quad(fn, a, x) with both ends
     # known, a reversed leg as the negated swapped one, and _adaptive's
     # first level on [lo, hi]; the state is committed after the checks
-    run, cache = em.bind(side.running), em.bind(side.running.cache)
+    cache = em.bind(side.running.cache)
     coupling = side.coupling
     em.head += [f"{p}a, {p}fa, {p}va = {run}.last_x, {run}.last_f, {run}.last_val",
                 f"if {p}fa is None: return _slow({_PARAMS})"]

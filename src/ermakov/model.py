@@ -17,7 +17,6 @@ cross-checked oscillator pair via
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
 from typing import NamedTuple
@@ -232,6 +231,7 @@ class ConfigDocument(NamedTuple):
 def parse_config(text: str, path: str | None = None) -> ConfigDocument:
     """Parse the line-oriented `[section]` / `key = value` / `#`-comment
     format and reject unknown sections or keys."""
+    import configparser  # here, not at import: 170 KB only parsing needs
     cp = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None)
     cp.optionxform = str  # keys are case-sensitive (V vs v matters)

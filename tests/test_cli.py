@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,19 @@ class TestCheck:
     def test_s1_passes_default_threshold(self, tmp_path):
         assert run("check", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "c")) == 0
+
+    def test_flat_100_factor_potential(self, tmp_path, capsys):
+        # V = Q*Q*...*Q: its generated F once needed a 5,049-term sum line,
+        # which compile could not take (exit 4, RecursionError)
+        out = tmp_path / "c"
+        start = time.perf_counter()
+        code = run("check", "--config", scenario_path(S3), "--out", str(out),
+                   "--set", "integration.t_end=1",
+                   "--set", "coupling.V=" + "*".join(["Q"] * 100))
+        elapsed = time.perf_counter() - start
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
+        assert elapsed < 5.0
 
     def test_coarse_rk4_fails(self, tmp_path):
         code = run("check", "--config", scenario_path(S1),

@@ -451,3 +451,40 @@ class TestCompiledAgreement:
         f = compile_func(src, "x")
         assert f(0.5) == 1349.0
         assert time.perf_counter() - start <= 0.15
+
+    def test_thousands_of_checked_intermediates_compile(self):
+        # a balanced sum of 4,096 products: 8,191 checked intermediates,
+        # more than compile takes in one sum line (it overflows near 3,000)
+        nodes = [Binary("*", Const(1.0 + i / 4096), Var("x")) for i in range(4096)]
+        while len(nodes) > 1:
+            nodes = [Binary("+", a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+        em = Inliner()
+        fn = em.build("x", em.inline(nodes[0], "x"), partial(evaluate, nodes[0]))
+        assert len(em.checked) == 8191
+        _assert_agree(func_from_expr(nodes[0], "x"), (0.0, -0.3, 1.7, 1e300))
+        for x in (0.0, -0.3, 1.7, 1e300):
+            assert _outcome(fn, x) == _outcome(partial(evaluate, nodes[0]), x)
+
+
+class TestSharedSubtrees:
+    """differentiate and rename_var keep a subtree shared by identity
+    shared, so F_from_V of a flat product grows linearly."""
+
+    @staticmethod
+    def _emitted_lines(factors: int) -> int:
+        F = F_from_V(compile_func("*".join(["Q"] * factors), "Q"))
+        em = Inliner()
+        em.inline(F.expr, "u")
+        return len(em.lines)
+
+    def test_inlined_lines_grow_linearly(self):
+        # 296 lines at 100 factors; copied-apart trees gave 5,049
+        n50, n100 = self._emitted_lines(50), self._emitted_lines(100)
+        assert n100 <= 3 * 100 and n100 <= 2.1 * n50
+
+    def test_shared_derivative_compiles_to_the_tree_walks_bits(self):
+        # F(u) = V'(u)/u = 100 u^98
+        F = F_from_V(compile_func("*".join(["Q"] * 100), "Q"))
+        for u in (1.01, -0.7, 2.0):
+            assert F(u).hex() == evaluate(F.expr, u).hex()
+            assert F(u) == pytest.approx(100 * u ** 98, rel=1e-12)

@@ -3,9 +3,9 @@
 ``dynamics.phys_ode``, ``dynamics.qframe_ode_from_scenario`` and the
 quadrature integrand of ``invariants`` are each one generated function
 per scenario.  Every component of every result must have the bits of the
-reference (the scalar kernel behind ``_vector_rhs``, the Q-frame
-acceleration, ``lambda w: w * coupling(w)``), and every failure the
-reference's exception type and message.
+reference (the physical scalar kernel, the Q-frame acceleration,
+``lambda w: w * coupling(w)``), and every failure the reference's
+exception type and message.
 """
 
 import math
@@ -54,14 +54,19 @@ def _outcome(fn, *args):
     return "value", float(value).hex()
 
 
+def _vector(kernel):
+    """rhs(t, y) = kernel(t, *y): a scalar kernel as an ODE."""
+    return lambda t, y: kernel(t, *y)
+
+
 def _reference_phys(scn):
-    return dynamics._vector_rhs(dynamics._phys_kernel(scn))
+    return _vector(dynamics._phys_kernel(scn))
 
 
 def _reference_qframe(scn):
     accel = dynamics.qframe_accel(scn.potential_V, scn.potential_W,
                                   scn.coupling_F, scn.coupling_G)
-    return dynamics._vector_rhs(lambda tau, Q, Q_prime: (Q_prime, accel(Q, tau)))
+    return _vector(lambda tau, Q, Q_prime: (Q_prime, accel(Q, tau)))
 
 
 def _pairs(scn, rng):
@@ -227,8 +232,8 @@ def _ieee_pairs(scn):
     g, h = model.g_from_G(scn.coupling_G), model.h_from_F(scn.coupling_F)
     xrho = lambda t, x, x_dot, rho, rho_dot: dynamics.rhs_xrho(  # noqa: E731
         x, x_dot, rho, rho_dot, t, om2, g, h)
-    return {"phys": (dynamics._vector_rhs(phys), _on_numpy(phys), 5),
-            "qframe": (dynamics._vector_rhs(qframe), _on_numpy(qframe), 2),
+    return {"phys": (_vector(phys), _on_numpy(phys), 5),
+            "qframe": (_vector(qframe), _on_numpy(qframe), 2),
             "xrho": (dynamics.xrho_ode(om2, g, h), _on_numpy(xrho), 4)}
 
 
