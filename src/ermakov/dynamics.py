@@ -98,8 +98,9 @@ def ieee_div(a: float, b: float) -> float:
 # lines into ``em`` and returns its result, deciding per Scenario which
 # couplings are structurally zero.  It writes a / or ** that can raise on
 # floats as em.div/em.pow, and states each condition the result needs:
-# em.guard (singularity guard), em.mass (m(t) positive and finite) and
-# em.finite (raise error(t, *names) unless every name is finite).
+# em.guard (singularity guard), em.mass (the name of m(t), which must be
+# positive and finite) and em.finite (raise error(t, *names) unless every
+# name is finite).
 # _Fast (expr.Inliner) builds the function the integrators call: inlined
 # expressions, raw / and **, the conditions tested at the end, and any
 # call that raises, meets a non-finite intermediate or an at_zero point,
@@ -114,8 +115,10 @@ class _Fast(Inliner):
     def guard(self, var: str, t: str, eps: str) -> None:
         self.require(f"abs({var}) >= {eps}")
 
-    def mass(self, mv: str, t: str) -> None:
+    def mass(self, m: Func1, t: str) -> str:
+        mv = self.call(m, t)
         self.require(f"0.0 < {mv} < {self.bind(math.inf)}")
+        return mv
 
     def finite(self, error: Callable, t: str, *names: str) -> None:
         self.checked += names
@@ -138,10 +141,8 @@ class _Checked(Inliner):
     def guard(self, var: str, t: str, eps: str) -> None:
         self.lines.append(f"guard({var!r}, {var}, {t})")
 
-    def mass(self, mv: str, t: str) -> None:
-        # mv = m(t) becomes mass_at(m, t); rN is line N (only appended)
-        fn = self.lines[int(mv[1:])].split(" = ")[1].split("(")[0]
-        self.lines[int(mv[1:])] = f"{mv} = mass_at({fn}, {t})"
+    def mass(self, m: Func1, t: str) -> str:
+        return self.let(f"mass_at({self.bind(m)}, {t})")
 
     def finite(self, error: Callable, t: str, *names: str) -> None:
         args = ", ".join(names)
@@ -170,10 +171,9 @@ def _emit_phys(em: Inliner, scn: Scenario) -> str:
     m, F, G = scn.m, scn.coupling_F, scn.coupling_G
     eps = em.bind(EPS_SING)
     em.let("y", "q, q_dot, f, f_dot, tau")
-    mv = em.call(m, "t")
+    mv = em.mass(m, "t")
     md = em.inline(m.d1, "t")
     omt2 = em.call(scn.omega_tilde_sq, "t")
-    em.mass(mv, "t")
     em.guard("f", "t", eps)  # dtau = 1/(m f^2) needs f regardless of couplings
     g_term = f_term = "0.0"
     if not is_zero(G.expr):

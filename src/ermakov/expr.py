@@ -16,13 +16,14 @@ stay exact (no finite differencing anywhere downstream).
 
 Each operator's arithmetic is written once, in the operator tables
 (``_UNARY``, ``_BINARY``; ``^`` is ``math.pow``), and its derivative in
-``_D_UNARY``/``_D_BINARY``.  ``evaluate`` walks the tree through them and
-is the reference semantics.  ``Func1`` compiles its f, on first use, to
-straight-line Python doing the same operations in the same order, equal
-to the tree walk bit for bit and error for error (a point the tree walk
-rejects goes back to it); f' and f'' are evaluated by the tree walk.
-The same code generator, ``Inliner``, builds the dynamics' equation
-programs; ``make_function`` also builds the integrators' steps.
+``_D_UNARY``/``_D_BINARY``.  ``evaluate`` walks the tree through them,
+once per subtree shared by identity (derivatives share the subtrees of
+what they differentiate), and is the reference semantics: a ``Func1``
+evaluates f, f' and f'' with it.  ``Inliner`` generates straight-line
+Python doing the same operations in the same order, equal to the tree
+walk bit for bit and error for error (a point the tree walk rejects goes
+back to it), for the dynamics' equation programs; ``make_function`` also
+builds the integrators' steps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import cached_property, partial
 from typing import Callable, NamedTuple, Union
 
 from .errors import ExprDomainError, ExprSyntaxError
@@ -106,22 +106,32 @@ def is_zero(e: Expr) -> bool:
 # --- evaluation ----------------------------------------------------------
 
 def evaluate(e: Expr, x: float) -> float:
-    """Evaluate ``e`` at the point ``x``.
+    """Evaluate ``e`` at the point ``x``; a subtree shared by identity is
+    evaluated once.
 
     Raises ExprDomainError for division by zero, ln/sqrt of a negative
     argument, or any non-finite Binary/Pow result, naming the offending
     subexpression.
     """
+    return _value(e, x, {})
+
+
+def _value(e: Expr, x: float, memo: dict[int, float]) -> float:
+    # one frame per tree level, children left to right: the first error
+    # raised is the tree walk's
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return x
+    r = memo.get(id(e))
+    if r is not None:
+        return r
     if isinstance(e, Unary):
-        fn, args = _UNARY[e.op], (evaluate(e.arg, x),)
+        fn, args = _UNARY[e.op], (_value(e.arg, x, memo),)
     elif isinstance(e, Binary):
-        fn, args = _BINARY[e.op], (evaluate(e.left, x), evaluate(e.right, x))
+        fn, args = _BINARY[e.op], (_value(e.left, x, memo), _value(e.right, x, memo))
     elif isinstance(e, Pow):
-        fn, args = math.pow, (evaluate(e.base, x), e.exponent)
+        fn, args = math.pow, (_value(e.base, x, memo), e.exponent)
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     try:
@@ -132,6 +142,7 @@ def evaluate(e: Expr, x: float) -> float:
         raise ExprDomainError(str(err), _clip(to_source(e)), x) from None
     if not (isinstance(e, Unary) or math.isfinite(r)):
         raise ExprDomainError("non-finite result", _clip(to_source(e)), x)
+    memo[id(e)] = r
     return r
 
 
@@ -614,44 +625,33 @@ class Record:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__name__}({fields})"
 
-    def __reduce__(self):
-        return type(self), self._values()
 
-
-class Func1(Record):
-    """An expression bundled with its first two exact derivatives.
+class Func1(NamedTuple):
+    """An expression bundled with its first two exact derivatives, each
+    evaluated by ``evaluate``.
 
     ``at_zero`` optionally supplies the value at exactly x == 0 for
     functions with a removable singularity there (the coupling
     conversions create these: V'(u)/u is 0/0 at the origin for even
     potentials, but the limit V''(0) exists).
-
-    f is compiled on first call (see the module docstring).  Equality,
-    hashing and pickling see only the fields, so a Func1 stays a plain
-    value that crosses process borders.
     """
 
-    _fields = ("expr", "d1", "d2", "var_name", "at_zero")
-
-    def __init__(self, expr: Expr, d1: Expr, d2: Expr, var_name: str,
-                 at_zero: float | None = None):
-        self._set(expr, d1, d2, var_name, at_zero)
+    expr: Expr
+    d1: Expr
+    d2: Expr
+    var_name: str
+    at_zero: float | None = None
 
     def __call__(self, x: float) -> float:
-        return self._f(x)
+        if x == 0.0 and self.at_zero is not None:
+            return self.at_zero
+        return evaluate(self.expr, x)
 
     def deriv(self, x: float) -> float:
         return evaluate(self.d1, x)
 
     def deriv2(self, x: float) -> float:
         return evaluate(self.d2, x)
-
-    @cached_property
-    def _f(self) -> Callable[[float], float]:
-        em = Inliner()
-        if self.at_zero is not None:
-            em.head.append(f"if x == 0.0: return {em.bind(self.at_zero)}")
-        return em.build("x", em.inline(self.expr, "x"), partial(evaluate, self.expr))
 
     @property
     def source(self) -> str:

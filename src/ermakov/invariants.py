@@ -239,8 +239,7 @@ def _emit_sample(em: Inliner, m: Func1, u_side: _PotentialSide,
     """(Q, Q', E_phys, E_Q) at one sample (t, q, q_dot, f, f_dot),
     advancing the sides' running integrals."""
     eps = em.bind(EPS_SING)
-    mv = em.call(m, "t")
-    em.mass(mv, "t")
+    mv = em.mass(m, "t")
     if not u_side.zero:
         em.guard("f", "t", eps)
     Q = em.let("q / f")

@@ -249,6 +249,19 @@ class TestCheck:
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
         assert elapsed < 5.0
 
+    def test_flat_300_factor_potential(self, tmp_path, capsys):
+        # building F evaluates V'(0) and V''(0), DAGs of O(n) nodes that a
+        # plain tree walk visits O(n^3) times: about 9 s before evaluate
+        # shared subtrees, about 0.12 s after
+        out = tmp_path / "c"
+        start = time.perf_counter()
+        code = run("check", "--config", scenario_path(S3), "--out", str(out),
+                   "--set", "initial.q=0.9", "--set", "integration.t_end=1",
+                   "--set", "coupling.V=" + "*".join(["Q"] * 300))
+        elapsed = time.perf_counter() - start
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert elapsed < 3.0
+
     def test_coarse_rk4_fails(self, tmp_path):
         code = run("check", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "c"),

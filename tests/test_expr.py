@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import central_fd, random_expr
+from ermakov import expr as expr_module
 from ermakov.errors import ExprDomainError, ExprSyntaxError
 from ermakov.expr import (
     Binary,
@@ -342,13 +343,9 @@ def _inlined(e):
 
 
 def _tree_walk(f):
-    """(reference, generated) pairs: a Func1's compiled f, and the
-    generator's code for its derivative trees, against the tree walk."""
-    def call(x):
-        if x == 0.0 and f.at_zero is not None:
-            return f.at_zero
-        return evaluate(f.expr, x)
-    return ((call, f),
+    """(reference, generated) pairs: the generator's code for a Func1's
+    f and its derivative trees, against the tree walk."""
+    return ((lambda x: evaluate(f.expr, x), _inlined(f.expr)),
             (lambda x: evaluate(f.d1, x), _inlined(f.d1)),
             (lambda x: evaluate(f.d2, x), _inlined(f.d2)))
 
@@ -360,9 +357,8 @@ def _assert_agree(f, points):
 
 
 class TestCompiledAgreement:
-    """Compiled Func1 evaluation, and generated code for its derivative
-    trees, against the tree walk, bit for bit and error message for error
-    message."""
+    """Generated code for a Func1's f and its derivative trees against the
+    tree walk, bit for bit and error message for error message."""
 
     SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-300, -1e-300, 1e300,
                710.0, math.inf, -math.inf, math.nan)
@@ -382,7 +378,7 @@ class TestCompiledAgreement:
 
     def test_overflow_inside_with_finite_result(self):
         # u*1e308*10 overflows, 1/inf would be a finite 0: the tree walk
-        # rejects the intermediate, so the compiled call must too
+        # rejects the intermediate, so the generated code must too
         f = compile_func("1/(u*1e308*10)", "u")
         with pytest.raises(ExprDomainError, match="non-finite result"):
             f(1.0)
@@ -466,13 +462,73 @@ class TestCompiledAgreement:
             assert _outcome(fn, x) == _outcome(partial(evaluate, nodes[0]), x)
 
 
+def _unshared(e):
+    """The plain tree a DAG stands for: each shared subtree copied apart."""
+    if isinstance(e, Unary):
+        return Unary(e.op, _unshared(e.arg))
+    if isinstance(e, Binary):
+        return Binary(e.op, _unshared(e.left), _unshared(e.right))
+    if isinstance(e, Pow):
+        return Pow(_unshared(e.base), e.exponent)
+    return e
+
+
 class TestSharedSubtrees:
     """differentiate and rename_var keep a subtree shared by identity
-    shared, so F_from_V of a flat product grows linearly."""
+    shared, and evaluate walks it once, so F_from_V of a flat product and
+    its evaluation grow linearly."""
 
     @staticmethod
-    def _emitted_lines(factors: int) -> int:
-        F = F_from_V(compile_func("*".join(["Q"] * factors), "Q"))
+    def _product_F(factors: int):
+        return F_from_V(compile_func("*".join(["Q"] * factors), "Q"))
+
+    def test_evaluation_operator_calls_grow_linearly(self, monkeypatch):
+        # F' of an n-factor product is a DAG of O(n) nodes and a tree of
+        # O(n^3): each Binary node must be applied once per evaluate
+        funcs = {n: self._product_F(n) for n in (50, 100, 200)}
+        calls = {}
+        for op, fn in list(expr_module._BINARY.items()):
+            def counted(a, b, _fn=fn):
+                calls["n"] += 1
+                return _fn(a, b)
+            monkeypatch.setitem(expr_module._BINARY, op, counted)
+        counts = {}
+        for n, F in funcs.items():
+            calls["n"] = 0
+            evaluate(F.d1, 1.01)
+            counts[n] = calls["n"]
+        assert counts[200] - counts[100] == 2 * (counts[100] - counts[50]), counts
+        assert counts[200] <= 8 * 200, counts
+
+    def test_shared_evaluation_is_the_tree_walk(self):
+        # derivative DAGs evaluate as the trees they stand for, bit for bit
+        # and error message for error message (the memo keeps the order in
+        # which the tree walk meets its first error)
+        rng = np.random.default_rng(20261019)
+        points = TestCompiledAgreement.SPECIAL + tuple(
+            float(x) for x in rng.uniform(-4.0, 4.0, 20))
+        errors = 0
+        for _ in range(300):
+            d1 = differentiate(random_expr(rng, 5))
+            for e in (d1, differentiate(d1)):
+                tree = _unshared(e)
+                for x in points:
+                    got = _outcome(partial(evaluate, e), x)
+                    assert got == _outcome(partial(evaluate, tree), x), (to_source(e), x)
+                    errors += got[0] == "error"
+        assert errors > 1000
+        # a product's derivatives have no negative literal or exponent, so
+        # their printed source re-parses to the same tree
+        F = self._product_F(12)
+        for e in (F.expr, F.d1, F.d2):
+            back = parse(to_source(e), "u")
+            for x in (1.01, -0.7, 0.0, 2.0, 1e300):
+                assert (_outcome(partial(evaluate, e), x)
+                        == _outcome(partial(evaluate, back), x)), (x, to_source(e)[:60])
+
+    @classmethod
+    def _emitted_lines(cls, factors: int) -> int:
+        F = cls._product_F(factors)
         em = Inliner()
         em.inline(F.expr, "u")
         return len(em.lines)
@@ -484,7 +540,8 @@ class TestSharedSubtrees:
 
     def test_shared_derivative_compiles_to_the_tree_walks_bits(self):
         # F(u) = V'(u)/u = 100 u^98
-        F = F_from_V(compile_func("*".join(["Q"] * 100), "Q"))
+        F = self._product_F(100)
+        fast = _inlined(F.expr)
         for u in (1.01, -0.7, 2.0):
-            assert F(u).hex() == evaluate(F.expr, u).hex()
+            assert F(u).hex() == fast(u).hex() == evaluate(F.expr, u).hex()
             assert F(u) == pytest.approx(100 * u ** 98, rel=1e-12)

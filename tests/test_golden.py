@@ -159,7 +159,7 @@ def test_data_files_match_golden_digests(tmp_path):
 def test_benchmark_traffic_walks_no_derivative_tree(tmp_path, monkeypatch, command, cfg):
     # The benchmark's three runs inline every derivative they need into the
     # generated right-hand sides; Func1.deriv/deriv2 walk the tree (a few
-    # times the cost of a compiled call), so a new caller on these paths
+    # times the cost of generated code), so a new caller on these paths
     # fails here instead of slowing a workload silently.
     calls = dict.fromkeys(("deriv", "deriv2"), 0)
     for name in calls:
@@ -192,7 +192,7 @@ def test_benchmark_traffic_calls_no_per_sample_function(tmp_path, monkeypatch, c
                                                         quad_calls):
     # The invariant series is one generated pass per sample: m(t), the
     # potentials and the quadrature legs' integrand are inlined, so a
-    # compiled Func1 or quad is called only where a sample falls back to
+    # Func1 or quad is called only where a sample falls back to
     # the reference (the first one of a quadrature side).
     calls = {"call": 0, "quad": 0}
 

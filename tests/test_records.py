@@ -1,5 +1,5 @@
-"""The package's value records.  Expression nodes and the model's states
-are named tuples; Func1, Trajectory and InvariantReport are plain
+"""The package's value records.  Expression nodes, Func1 and the model's
+states are named tuples; Trajectory and InvariantReport are plain
 records.  Each is equal and hashed by value, never equal to a record of
 another kind, survives a pickle round trip and refuses assignment."""
 
@@ -47,7 +47,7 @@ def test_records_of_different_kinds_never_compare_equal():
 def test_pickle_round_trip(kind):
     a = MAKE[kind](2.0)
     if kind == "func1":
-        a(1.5)  # the compiled f is cached on the record, and not pickled
+        a(1.5)  # evaluating leaves nothing on the record to pickle
     back = pickle.loads(pickle.dumps(a))
     assert type(back) is type(a) and back == a and hash(back) == hash(a)
 
