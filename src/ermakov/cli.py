@@ -28,6 +28,7 @@ import json
 import math
 import sys
 import time
+from bisect import bisect_left
 from pathlib import Path
 
 from . import dynamics, integrators, invariants, model
@@ -287,30 +288,24 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     mapped_path = out_dir / "qframe_mapped.csv"
     _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
-    # direct transformed-frame run over the whole tau strides of the same
-    # span: it ends at its last grid time, so it samples the stride grid
-    # only (tau_end is almost never on it)
-    tau0, Q0, Q_prime0 = mapped[0]
+    # direct transformed-frame run over the span's whole tau strides: its
+    # stride rows, and its DP54 dense output at the mapped taus for the gap
+    tau0, *y0 = mapped[0]
     tau_end = mapped[-1][0]
     stride = scn.plan.output_stride
-    tol = scn.plan.tol if scn.plan.tol is not None else 1e-10
+    end = tau0 + model.stride_count(tau0, tau_end, stride)[0] * stride
+    taus = [tau for tau, _, _ in mapped if tau <= end]
     direct = integrators.integrate_adaptive54(
-        dynamics.qframe_ode_from_scenario(scn), [Q0, Q_prime0], tau0,
-        tau0 + model.stride_count(tau0, tau_end, stride)[0] * stride, tol, stride)
+        dynamics.qframe_ode_from_scenario(scn), y0, tau0, end,
+        scn.plan.tol or 1e-10, stride, taus)
     direct_path = out_dir / "qframe_direct.csv"
     _write_rows(direct_path, QFRAME_HEADER,
-                ((t, Q, Qp) for t, (Q, Qp) in zip(direct.t, direct.y)))
-
-    gap = 0.0
-    compared = 0
-    for tau, Q, _ in mapped:
-        if tau > direct.t[-1]:
-            break
-        Qd = integrators.interpolate(direct, tau)[0]
-        gap = max(gap, abs(Qd - Q))
-        compared += 1
+                ((t, *direct.y[bisect_left(direct.t, t)])
+                 for t in model.sample_times(tau0, end, stride)))
+    gap = max(abs(direct.y[bisect_left(direct.t, tau)][0] - Q)
+              for tau, Q, _ in mapped if tau <= end)
     gap_path = out_dir / "gap.json"
-    _write_json(gap_path, {"max_abs_dQ": gap, "samples_compared": compared,
+    _write_json(gap_path, {"max_abs_dQ": gap, "samples_compared": len(taus),
                            "tau_end": tau_end})
 
     manifest["outputs"] = {"qframe_mapped": str(mapped_path),

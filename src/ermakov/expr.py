@@ -6,13 +6,13 @@ pow > unary minus > mul/div > add/sub):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := '-' factor | base ('^' number)?
+    factor := '-' factor | base ('^' ('-'|'+')? number)?
     base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 Built-in functions: sin, cos, exp, ln, sqrt.  The only other legal
-identifier is the declared variable.  Exponents are numeric literals, so
-the node set is closed under symbolic differentiation and derivatives
-stay exact (no finite differencing anywhere downstream).
+identifier is the declared variable.  Exponents are signed numeric
+literals, so the node set is closed under symbolic differentiation and
+derivatives stay exact (no finite differencing anywhere downstream).
 
 Each operator's arithmetic is written once, in the operator tables
 (``_UNARY``, ``_BINARY``; ``^`` is ``math.pow``), and its derivative in
@@ -294,21 +294,19 @@ def _renamed(e: Expr, new_name: str, memo: dict[int, Expr]) -> Expr:
 # --- printing ------------------------------------------------------------
 
 def _fmt_number(v: float) -> str:
-    # repr() round-trips doubles exactly and stays inside the number token
-    # ("1e-05", "0.25", "4.0" all re-parse); inf has no such token, and
+    # repr() round-trips doubles exactly and stays inside a signed number
+    # ("-1e-05", "0.25", "4.0" all re-parse); inf has no such token, and
     # 1e999 parses back to it.
-    if v < 0:
-        raise AssertionError("negative literal must be wrapped by the caller")
-    return "1e999" if v == math.inf else repr(float(v))
+    return repr(float(v)).replace("inf", "1e999")
 
 
 def to_source(e: Expr) -> str:
     """Pretty-print ``e`` back into the concrete grammar.
 
     Re-parsing the output yields an expression that evaluates
-    identically.  Negative constants and negative exponents (which can
-    appear in derivative trees but have no literal form) are rewritten
-    as ``-(...)`` and ``1/x^|c|``.
+    identically.  A negative constant, which has no literal form, prints
+    as a negated literal (``(-2.0)``); a negative exponent prints signed
+    (``x^-1.5``).
     """
     return _print(e, 0)
 
@@ -316,10 +314,8 @@ def to_source(e: Expr) -> str:
 # precedence levels: add/sub 1, mul/div 2, unary minus 3, pow 4
 def _print(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Const):
-        if e.value < 0 or (e.value == 0.0 and math.copysign(1.0, e.value) < 0):
-            s = "-" + _fmt_number(-e.value)
-            return f"({s})" if parent_prec > 1 else s
-        return _fmt_number(e.value)
+        s = _fmt_number(e.value)
+        return f"({s})" if parent_prec > 1 and s[0] == "-" else s
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
@@ -337,8 +333,6 @@ def _print(e: Expr, parent_prec: int) -> str:
         s = f"{left}{e.op}{right}"
         return f"({s})" if parent_prec > prec else s
     if isinstance(e, Pow):
-        if e.exponent < 0:
-            return _print(_div(_const(1.0), Pow(e.base, -e.exponent)), parent_prec)
         s = f"{_print(e.base, 5)}^{_fmt_number(e.exponent)}"
         return f"({s})" if parent_prec > 4 else s
     raise TypeError(f"not an Expr node: {e!r}")
@@ -429,11 +423,12 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
+            sign = self.advance()[1] if self.peek()[1] in ("-", "+") else ""
             kind, text, off = self.peek()
             if kind != "number":
                 raise ExprSyntaxError("exponent must be a numeric literal", self.source, off)
             self.advance()
-            return Pow(e, float(text))
+            return Pow(e, float(sign + text))
         return e
 
     def base(self) -> Expr:

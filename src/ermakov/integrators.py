@@ -7,18 +7,17 @@ Three methods:
   stride exactly).
 * ``integrate_adaptive54`` -- the 7-stage Dormand-Prince 5(4) embedded
   pair with FSAL, proportional-integral step control and the pair's own
-  4th-order-continuous dense output for stride sampling.
+  4th-order-continuous dense output, which samples the stride plan and
+  any extra times.
 * ``integrate_verlet_Q`` -- Stormer-Verlet (kick-drift-kick) for the
   separable autonomous transformed-frame system, at fixed dt like RK4;
   symplectic, so energy errors stay bounded instead of drifting.
 
-Every stepper samples its start and t0 + k*output_stride for each whole
-stride of the span, and also t_end when the span leaves a remainder
-after them (``model.stride_count``), so a run's samples reach the end of
-its span.  The fixed-step methods share one stride plan
-(``_stride_plan``): steps of dt, then one shorter step that ends at
-t_end; it rejects a dt at or below the float spacing of the span's
-times, where a step would not advance the time.
+Every stepper samples the stride plan (``model.sample_times``): its
+start, each whole stride and, after a remainder, t_end.  The fixed-step
+methods step by dt (``_stride_plan``), with one shorter last step to
+t_end; a dt at or below the float spacing of the span's times, where a
+step would not advance the time, is rejected.
 
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
@@ -41,7 +40,7 @@ from typing import Callable, Sequence
 from .dynamics import _qframe_ode
 from .errors import ErmakovError, IntegrationError, SingularityError
 from .expr import Func1, Record, is_zero, make_function
-from .model import QFrameState, stride_count, stride_steps
+from .model import QFrameState, sample_times, stride_count, stride_steps
 
 __all__ = [
     "Trajectory",
@@ -242,12 +241,10 @@ def _rk4_step(n: int) -> Callable:
 
 def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                         dt: float, output_stride: float) -> Trajectory:
-    """Fixed-step RK4 with samples at t0 + k*output_stride.  A span that
-    is not a whole number of strides goes on by dt past the last stride
-    sample, takes one shorter last step to t_end and samples it."""
+    """Fixed-step RK4 sampled on the stride plan; a tail goes on by dt
+    and its one shorter last step ends at t_end."""
     k_per, n_str, k_tail = _stride_plan(t0, t_end, output_stride, dt)
-    direction = 1.0 if t_end >= t0 else -1.0
-    h = direction * dt
+    h = dt if t_end >= t0 else -dt
 
     y = [float(v) for v in y0]
     run = _Run("rk4")
@@ -255,8 +252,8 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     step = _rk4_step(len(y))
     steps = 0
     t_last = t0
-    for i in range(n_str + (k_tail > 0)):
-        seg = t0 + i * direction * output_stride
+    times = sample_times(t0, t_end, output_stride)
+    for i, (seg, t_out) in enumerate(zip(times, times[1:])):
         last = i == n_str
         try:
             for j in range(k_tail if last else k_per):
@@ -267,7 +264,6 @@ def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                 if not _finite(y_new):
                     raise IntegrationError(f"non-finite state after step at t={t + h_j!r}")
                 y, t_last = y_new, t + h_j
-            t_out = t_end if last else t0 + (i + 1) * direction * output_stride
             run.add(t_out, y, rhs(t_out, y))
         except ErmakovError as err:
             # a stage or output-sample RHS call failed, or the step left
@@ -358,12 +354,14 @@ def _dp54_dense(n: int) -> Callable:
 
 
 def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
-                         tol: float, output_stride: float) -> Trajectory:
+                         tol: float, output_stride: float,
+                         extra_times: Sequence[float] = ()) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with mixed error control
-    (atol = rtol = tol) and dense output at t0 + k*output_stride.  A span
-    that is not a whole number of strides is also sampled at t_end, where
-    the last step ends.  A nonzero span within the time tolerance, which
-    no step could resolve, raises IntegrationError."""
+    (atol = rtol = tol), sampled on the stride plan and at each of
+    ``extra_times`` (within the span) once, in time order, from the step
+    that contains it; sampling never changes a step.  A nonzero span
+    within the time tolerance, which no step resolves, raises
+    IntegrationError."""
     if not tol > 0.0:
         raise IntegrationError(f"tol must be positive, got {tol!r}")
     if not output_stride > 0.0:
@@ -373,15 +371,17 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     if 0.0 < span <= eps_t:
         raise IntegrationError(f"the span {span!r} from t0={t0!r} to t_end={t_end!r} is "
                                f"within the time tolerance {eps_t!r}: no step resolves it")
+    direction = 1.0 if t_end >= t0 else -1.0
+    times = sample_times(t0, t_end, output_stride)
+    if extra_times:
+        if not all(0.0 <= direction * (x - t0) <= span for x in extra_times):
+            raise IntegrationError("extra sample times must lie in the span")
+        times = sorted({*times, *extra_times}, reverse=direction < 0.0)
 
     y = [float(v) for v in y0]
     run = _Run("adaptive54")
     k1 = _first_slope(rhs, t0, y)
     run.add(t0, y, k1)
-    if t_end == t0:
-        return run.trajectory(0)
-
-    direction = 1.0 if t_end > t0 else -1.0
     h = direction * min(output_stride, span / 10.0)
 
     t = t0
@@ -389,8 +389,6 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     rejected = 0
     err_prev = 1e-4
     k_out = 1
-    n_out, tail = stride_count(t0, t_end, output_stride)
-    n_end = n_out + 1 if tail else n_out
     step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
 
     while direction * (t_end - t) > eps_t:
@@ -410,9 +408,8 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
             if err_norm <= 1.0:
                 t_new = t + h
                 # emit dense-output samples inside (t, t_new]
-                while k_out <= n_end:
-                    t_out = (t_end if k_out > n_out
-                             else t0 + k_out * direction * output_stride)
+                while k_out < len(times):
+                    t_out = times[k_out]
                     if direction * (t_out - t_new) > eps_t:
                         break
                     if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):
@@ -484,7 +481,7 @@ def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameStat
     try:
         a = accel(Q, tau)
         run.add(tau, [Q, P], [P, a])
-        for i in range(n_str + (k_tail > 0)):
+        for i, tau_out in enumerate(sample_times(tau, tau_end, output_stride)[1:]):
             last = i == n_str
             for j in range(k_tail if last else k_per):
                 h, tau_new = dt, initial.tau + (i * k_per + j + 1) * dt
@@ -495,7 +492,6 @@ def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameStat
                 a = accel(Q_new, tau_new)
                 tau, Q, P = tau_new, Q_new, p_half + 0.5 * h * a
                 steps += 1
-            tau_out = tau_end if last else initial.tau + (i + 1) * output_stride
             run.add(tau_out, [Q, P], [P, a])
     except ErmakovError as err:
         # (tau, Q, P) is the last state reached; a failed step commits nothing

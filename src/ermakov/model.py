@@ -56,6 +56,7 @@ __all__ = [
     "parse_float",
     "stride_steps",
     "stride_count",
+    "sample_times",
     "METHODS",
     "COUPLING_VARS",
     "MAX_GRID_POINTS",
@@ -352,14 +353,22 @@ def stride_count(t0: float, t_end: float, output_stride: float) -> tuple[int, fl
     leaves after them): the tail is 0.0 when the span is a whole number
     of strides to within 1e-9 of one, or when the last stride sample's
     time t0 +- n*output_stride already is t_end in floats; else the
-    positive remainder.  A run samples its start, each whole stride and,
-    after a tail, t_end."""
+    positive remainder."""
     span = abs(t_end - t0)
     n = int(math.floor(span / output_stride + 1e-9))
     if (span / output_stride - n <= 1e-9
             or t0 + math.copysign(n * output_stride, t_end - t0) == t_end):
         return n, 0.0
     return n, span - n * output_stride
+
+
+def sample_times(t0: float, t_end: float, output_stride: float) -> list[float]:
+    """The times a run samples: t0 +- k*output_stride for k = 0..n whole
+    strides and, after a tail, t_end (stride_count)."""
+    n, tail = stride_count(t0, t_end, output_stride)
+    direction = 1.0 if t_end >= t0 else -1.0
+    return ([t0 + k * direction * output_stride for k in range(n + 1)]
+            + ([t_end] if tail else []))
 
 
 def build_scenario(doc: ConfigDocument) -> Scenario:

@@ -441,7 +441,9 @@ class TestMap:
         out = tmp_path / "m"
         assert run("map", "--config", scenario_path(S3), "--out", str(out)) == 0
         gap = json.loads((out / "gap.json").read_text())
-        assert gap["max_abs_dQ"] < 1e-5
+        # the direct run's own dense output at each mapped tau: 1.7e-9, where
+        # cubic-Hermite interpolation between its stride rows read 5.6e-7
+        assert gap["max_abs_dQ"] < 1e-8
         assert gap["samples_compared"] > 900
         header, rows = read_csv(out / "qframe_mapped.csv")
         assert header == ["tau", "Q", "Q_prime"]

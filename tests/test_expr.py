@@ -297,9 +297,38 @@ class TestPrintRoundTrip:
             # an error names the re-parsed node, which may print differently
             assert got == ref if ref[0] == "value" else got[0] == "error"
 
+    def test_signed_exponents_parse(self):
+        assert parse("t^-1.5", "t") == Pow(Var("t"), -1.5)
+        assert parse("2*t^+2", "t") == Binary("*", Const(2.0), Pow(Var("t"), 2.0))
+        assert parse("t^-1e999", "t") == Pow(Var("t"), -math.inf)
+        with pytest.raises(ExprSyntaxError, match="numeric literal"):
+            parse("t^--1", "t")
+
+    def test_derivatives_round_trip_bit_for_bit(self):
+        # derivatives carry negative exponents and constants; printed as
+        # 1.0/t^1.5, t^-1.5 rounded differently and overflowed at 1e300
+        rng = np.random.default_rng(20261019)
+        points = TestCompiledAgreement.SPECIAL + tuple(
+            float(x) for x in rng.uniform(-4.0, 4.0, 20))
+        signed = errors = 0
+        for _ in range(300):
+            d1 = differentiate(random_expr(rng, 5))
+            for e in (d1, differentiate(d1)):
+                source = to_source(e)
+                signed += "^-" in source
+                back = parse(source, "t")
+                for x in points:
+                    want = _outcome(partial(evaluate, e), x)
+                    got = _outcome(partial(evaluate, back), x)
+                    # an error may name the re-parsed node differently
+                    assert got[0] == want[0], (source, x, want, got)
+                    assert got == want or want[0] == "error", (source, x)
+                    errors += want[0] == "error"
+        assert signed > 20 and errors > 1000  # both must bite
+
     def test_negative_exponent_printed_parseable(self):
         # derivative trees can contain negative exponents; the printer
-        # must stay inside the grammar (no '^-' form)
+        # writes them signed, which the grammar reads back
         from ermakov.expr import Pow, Var
         e = Pow(Var("t"), -0.5)
         s = to_source(e)

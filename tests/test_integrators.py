@@ -20,7 +20,7 @@ from ermakov.integrators import (
     integrate_verlet_Q,
     interpolate,
 )
-from ermakov.model import QFrameState, build_scenario, parse_config
+from ermakov.model import QFrameState, build_scenario, parse_config, sample_times
 
 
 def harmonic(t, y):
@@ -249,6 +249,74 @@ class TestAdaptive54:
         traj = integrate_adaptive54(harmonic, np.array([1.0, 0.0]), 0.0, 0.0,
                                     1e-10, 0.5)
         assert len(traj) == 1
+
+
+def _bits(row):
+    return [float(v).hex() for v in row]
+
+
+class TestExtraSampleTimes:
+    """DP54 also samples its dense output at given extra times, from the
+    step that contains each one; sampling never changes a step."""
+
+    GRID = sample_times(0.0, 1.0, 0.3)  # 0, 0.3, 0.6, 0.8999999999999999, 1
+
+    def _run(self, extra=(), t_end=1.0, stride=0.3):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return harmonic(t, y)
+        traj = integrate_adaptive54(counted, [1.0, 0.0], 0.0, t_end, 1e-10, stride, extra)
+        return traj, calls
+
+    def _step_ends(self):
+        # a stride of the whole span keeps the steps (the first h is
+        # span/10 either way) and samples nothing inside them, so the
+        # calls are the first slope and 6 stages per attempt, the last at
+        # t + h; a rejected attempt is retried from t with a smaller h
+        traj, calls = self._run(stride=1.0)
+        attempts = traj.step_count + traj.rejected_steps
+        assert len(calls) == 1 + 6 * attempts
+        tried = calls[6::6]
+        ends = [t for t, nxt in zip(tried, tried[1:] + [math.inf]) if nxt > t]
+        assert len(ends) == traj.step_count
+        return ends
+
+    def test_stride_rows_keep_their_bits(self):
+        plain, plain_calls = self._run()
+        ends = self._step_ends()
+        assert ends[-1] == 1.0 and not set(ends[:-1]) & set(self.GRID)
+        extra = [0.05, ends[3], self.GRID[2], 0.6 + 1e-12, 0.95]
+        traj, calls = self._run(extra)
+        assert (traj.step_count, traj.rejected_steps) == (plain.step_count,
+                                                           plain.rejected_steps)
+        rows = {t: (y, dy) for t, y, dy in zip(traj.t, traj.y, traj.dy)}
+        for t, y, dy in zip(plain.t, plain.y, plain.dy):
+            assert _bits(rows[t][0]) == _bits(y) and _bits(rows[t][1]) == _bits(dy)
+        # one RHS call for each extra sample off the grid and the step ends:
+        # a step end is sampled as the step's end state and FSAL slope
+        assert len(calls) == len(plain_calls) + 3
+
+    def test_each_extra_time_once_in_order(self):
+        ends = self._step_ends()
+        extra = [0.95, ends[3], self.GRID[3], 0.05, ends[3], 1.0]
+        traj, _ = self._run(extra)
+        assert traj.t == sorted({*self.GRID, *extra})
+        assert [t for t in traj.t if t in extra] == [0.05, ends[3], self.GRID[3],
+                                                     0.95, 1.0]
+        for t, y, dy in zip(traj.t, traj.y, traj.dy):
+            assert y == pytest.approx([math.cos(t), -math.sin(t)], abs=1e-9)
+            assert _bits(dy) == _bits(harmonic(t, y))  # the slope at the sample
+
+    def test_backward_run_samples_in_its_time_order(self):
+        traj, _ = self._run([-0.05, -0.95], t_end=-1.0)
+        assert traj.t == [0.0, -0.05, -0.3, -0.6, -0.8999999999999999, -0.95, -1.0]
+
+    @pytest.mark.parametrize("extra", [[1.5], [-0.1], [math.nan]])
+    def test_times_outside_the_span_rejected(self, extra):
+        with pytest.raises(IntegrationError, match="extra sample times"):
+            self._run(extra)
 
 
 @pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
