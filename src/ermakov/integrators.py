@@ -9,24 +9,24 @@ Three methods:
   pair with FSAL, proportional-integral step control and the pair's own
   4th-order-continuous dense output, which samples the stride plan and
   any extra times.
-* ``integrate_verlet_Q`` -- Stormer-Verlet (kick-drift-kick) for the
-  separable autonomous transformed-frame system, at fixed dt like RK4;
-  symplectic, so energy errors stay bounded instead of drifting.
+* ``integrate_verlet`` -- Stormer-Verlet (kick-drift-kick) for a
+  separable autonomous y = [Q, Q'] such as the transformed frame
+  (``integrate_verlet_Q``); symplectic, so energy errors stay bounded.
 
 Every stepper samples the stride plan (``model.sample_times``): its
-start, each whole stride and, after a remainder, t_end.  The fixed-step
-methods step by dt (``_stride_plan``), with one shorter last step to
-t_end; a dt at or below the float spacing of the span's times, where a
-step would not advance the time, is rejected.
+start, each whole stride and, after a remainder, t_end.  RK4 and Verlet
+share one driver (``_fixed_steps``): steps of dt, the last one shorter
+to reach t_end; a dt at or below the float spacing of the span's times,
+where a step would not advance the time, is rejected.
 
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
 side must return exactly one value per state component; each stepper
 checks this on its first call.  All steppers abort on a
-singularity-guard trip or a domain error from the right-hand side,
-attaching the partial trajectory and last valid sample to the raised
-exception; an error raised at a non-finite stage state is reported as
-that state (IntegrationError).
+singularity-guard trip or a domain error from the right-hand side, the
+first call included, attaching the partial trajectory and last valid
+sample to the raised exception; an error raised at a non-finite stage
+state is reported as that state (IntegrationError).
 """
 
 from __future__ import annotations
@@ -149,13 +149,23 @@ def _finite(y: Sequence[float]) -> bool:
     return all(map(math.isfinite, y))
 
 
-def _stride_plan(t0: float, t_end: float, output_stride: float,
-                 dt: float) -> tuple[int, int, int]:
-    """(steps per stride, whole strides, tail steps) of a fixed-step run
-    from t0 to t_end.  dt must exceed the float spacing at the span's
-    larger end, so that every step advances the time, and subdivide the
-    stride exactly; the tail steps are each dt long but the last, which
-    ends at t_end."""
+def _first_slope(rhs: Rhs, t0: float, y: list[float]) -> Sequence[float]:
+    """rhs(t0, y), checked once to hold one value per state component."""
+    k = rhs(t0, y)
+    if not y or len(k) != len(y):
+        raise IntegrationError(f"rhs returned {len(k)} values for a state of "
+                               f"{len(y)} components")
+    return k
+
+
+def _fixed_steps(method: str, make_step: Callable, rhs: Rhs, y0: Sequence[float],
+                 t0: float, t_end: float, dt: float, output_stride: float) -> Trajectory:
+    """Steps of dt from each stride sample, a tail's last step ending at
+    t_end.  dt must exceed the float spacing at the span's larger end, so
+    that every step advances the time, and subdivide the stride exactly.
+    ``make_step(n)`` gives step(rhs, t, h, y, k) -> (y at t + h, its slope
+    or None) for n components, k the slope at (t, y) or None; a sample
+    without a slope calls rhs."""
     if not dt > 0.0:
         raise IntegrationError(f"dt must be positive, got {dt!r}")
     resolution = math.ulp(max(abs(t0), abs(t_end)))
@@ -169,16 +179,35 @@ def _stride_plan(t0: float, t_end: float, output_stride: float,
         raise IntegrationError(
             f"dt={dt!r} does not subdivide output_stride={output_stride!r} exactly")
     n_str, tail = stride_count(t0, t_end, output_stride)
-    return k_per, n_str, max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
+    k_tail = max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
+    h = dt if t_end >= t0 else -dt
 
-
-def _first_slope(rhs: Rhs, t0: float, y: list[float]) -> Sequence[float]:
-    """rhs(t0, y), checked once to hold one value per state component."""
-    k = rhs(t0, y)
-    if not y or len(k) != len(y):
-        raise IntegrationError(f"rhs returned {len(k)} values for a state of "
-                               f"{len(y)} components")
-    return k
+    y = [float(v) for v in y0]
+    run = _Run(method)
+    steps = 0
+    t_last = t0
+    times = sample_times(t0, t_end, output_stride)
+    try:
+        k = _first_slope(rhs, t0, y)
+        run.add(t0, y, k)
+        step = make_step(len(y))
+        for i, (seg, t_out) in enumerate(zip(times, times[1:])):
+            last = i == n_str
+            for j in range(k_tail if last else k_per):
+                t = seg + j * h
+                h_j = t_end - t if last and j == k_tail - 1 else h
+                y_new, k = step(rhs, t, h_j, y, k)
+                steps += 1
+                if not _finite(y_new):
+                    raise IntegrationError(f"non-finite state after step at t={t + h_j!r}")
+                y, t_last = y_new, t + h_j
+            run.add(t_out, y, rhs(t_out, y) if k is None else k)
+    except ErmakovError as err:
+        # an RHS call failed, or a step left the state non-finite: y is the
+        # state at t_last; a failed step commits nothing
+        run.fail(err, steps, 0, t_last, y)
+        raise
+    return run.trajectory(steps)
 
 
 # --- generated steps ---------------------------------------------------------
@@ -241,36 +270,11 @@ def _rk4_step(n: int) -> Callable:
 
 def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                         dt: float, output_stride: float) -> Trajectory:
-    """Fixed-step RK4 sampled on the stride plan; a tail goes on by dt
-    and its one shorter last step ends at t_end."""
-    k_per, n_str, k_tail = _stride_plan(t0, t_end, output_stride, dt)
-    h = dt if t_end >= t0 else -dt
-
-    y = [float(v) for v in y0]
-    run = _Run("rk4")
-    run.add(t0, y, _first_slope(rhs, t0, y))
-    step = _rk4_step(len(y))
-    steps = 0
-    t_last = t0
-    times = sample_times(t0, t_end, output_stride)
-    for i, (seg, t_out) in enumerate(zip(times, times[1:])):
-        last = i == n_str
-        try:
-            for j in range(k_tail if last else k_per):
-                t = seg + j * h
-                h_j = t_end - t if last and j == k_tail - 1 else h
-                y_new = step(rhs, t, h_j, y)
-                steps += 1
-                if not _finite(y_new):
-                    raise IntegrationError(f"non-finite state after step at t={t + h_j!r}")
-                y, t_last = y_new, t + h_j
-            run.add(t_out, y, rhs(t_out, y))
-        except ErmakovError as err:
-            # a stage or output-sample RHS call failed, or the step left
-            # the state non-finite: y is the state at t_last
-            run.fail(err, steps, 0, t_last, y)
-            raise
-    return run.trajectory(steps)
+    """Fixed-step RK4 (``_fixed_steps``); each sample calls rhs for its slope."""
+    def make_step(n):
+        rk4 = _rk4_step(n)
+        return lambda rhs, t, h, y, k: (rk4(rhs, t, h, y), None)
+    return _fixed_steps("rk4", make_step, rhs, y0, t0, t_end, dt, output_stride)
 
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
@@ -380,8 +384,6 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
 
     y = [float(v) for v in y0]
     run = _Run("adaptive54")
-    k1 = _first_slope(rhs, t0, y)
-    run.add(t0, y, k1)
     h = direction * min(output_stride, span / 10.0)
 
     t = t0
@@ -389,10 +391,11 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     rejected = 0
     err_prev = 1e-4
     k_out = 1
-    step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
-
-    while direction * (t_end - t) > eps_t:
-        try:
+    try:
+        k1 = _first_slope(rhs, t0, y)
+        run.add(t0, y, k1)
+        step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
+        while direction * (t_end - t) > eps_t:
             if abs(h) < _STEP_FLOOR:
                 # classify as singular: in this problem family the step
                 # collapse is the practical signature of falling into a
@@ -432,69 +435,54 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                 rejected += 1
                 fac = _SAFETY * err_norm ** -0.2
                 h *= min(1.0, max(_FAC_MIN, fac))
-        except ErmakovError as err:
-            # the step size collapsed, or a stage or dense-output sample
-            # failed: t, y are the end of the last accepted step
-            run.fail(err, steps, rejected, t, y)
-            raise
+    except ErmakovError as err:
+        # the first slope, a stage or a dense-output sample failed, or the
+        # step size collapsed: t, y are the end of the last accepted step
+        run.fail(err, steps, rejected, t, y)
+        raise
 
     return run.trajectory(steps, rejected)
 
 
-# --- Stormer-Verlet for the transformed frame -------------------------------
+# --- Stormer-Verlet -----------------------------------------------------------
+
+def _verlet_step(rhs: Rhs, t: float, h: float, y: Sequence[float],
+                 k: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Kick-drift-kick from (t, y = [Q, P]) with k = rhs(t, y); the one rhs
+    call's acceleration closes this step and opens the next."""
+    Q, P = y
+    p_half = P + 0.5 * h * k[1]
+    Q_new = Q + h * p_half
+    a = rhs(t + h, [Q_new, p_half])[1]
+    P_new = p_half + 0.5 * h * a
+    return [Q_new, P_new], [P_new, a]
+
+
+def integrate_verlet(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
+                     dt: float, output_stride: float) -> Trajectory:
+    """Kick-drift-kick leapfrog (``_fixed_steps``) for y = [Q, Q'] of a
+    separable autonomous system, forward in t only: the acceleration is
+    rhs(t, y)[1], which must not depend on Q', and t only labels errors."""
+    if t_end < t0:
+        raise IntegrationError(f"t_end ({t_end!r}) precedes t0 ({t0!r})")
+    return _fixed_steps("verlet", lambda n: _verlet_step, rhs, y0, t0, t_end, dt,
+                        output_stride)
+
 
 def integrate_verlet_Q(V: Func1 | None, W: Func1 | None, initial: QFrameState,
                        dt: float, tau_end: float, output_stride: float) -> Trajectory:
-    """Kick-drift-kick leapfrog for Q'' = -V'(Q) + W'(1/Q)/Q^2.
+    """integrate_verlet for Q'' = -V'(Q) + W'(1/Q)/Q^2 from ``initial``.
 
-    Forward in tau only.  With a nonzero W, Q must keep the sign it
-    starts with: a step that lands across the pole at Q = 0 raises
-    SingularityError.
+    With a nonzero W, Q must keep the sign it starts with: a step that
+    lands across the pole at Q = 0 raises SingularityError.
     """
-    rhs = _qframe_ode(V, W)
+    ode = _qframe_ode(V, W)
     pole = W is not None and not is_zero(W.expr)
     side = initial.Q > 0.0
 
-    def accel(Q, tau):
-        if pole and (Q > 0.0) != side:
-            raise SingularityError(f"Q = {Q!r} stepped across the pole "
-                                   f"at Q = 0", tau)
-        return rhs(tau, (Q, 0.0))[1]
-    return integrate_verlet(accel, initial, dt, tau_end, output_stride)
-
-
-def integrate_verlet(accel: Callable[[float, float], float], initial: QFrameState,
-                     dt: float, tau_end: float, output_stride: float) -> Trajectory:
-    """Kick-drift-kick leapfrog for a position-only acceleration law,
-    stepped and sampled on RK4's stride plan.
-
-    ``accel(Q, tau)`` returns Q'' at position Q; tau, the time that Q is
-    reached, only labels the errors it raises (as in dynamics.qframe_accel)."""
-    if tau_end < initial.tau:
-        raise IntegrationError(f"tau_end ({tau_end!r}) precedes the initial "
-                               f"tau ({initial.tau!r})")
-    k_per, n_str, k_tail = _stride_plan(initial.tau, tau_end, output_stride, dt)
-
-    run = _Run("verlet")
-    tau, Q, P = initial.tau, initial.Q, initial.Q_prime
-    steps = 0
-    try:
-        a = accel(Q, tau)
-        run.add(tau, [Q, P], [P, a])
-        for i, tau_out in enumerate(sample_times(tau, tau_end, output_stride)[1:]):
-            last = i == n_str
-            for j in range(k_tail if last else k_per):
-                h, tau_new = dt, initial.tau + (i * k_per + j + 1) * dt
-                if last and j == k_tail - 1:
-                    h, tau_new = tau_end - tau, tau_end
-                p_half = P + 0.5 * h * a
-                Q_new = Q + h * p_half
-                a = accel(Q_new, tau_new)
-                tau, Q, P = tau_new, Q_new, p_half + 0.5 * h * a
-                steps += 1
-            run.add(tau_out, [Q, P], [P, a])
-    except ErmakovError as err:
-        # (tau, Q, P) is the last state reached; a failed step commits nothing
-        run.fail(err, steps, 0, tau, [Q, P])
-        raise
-    return run.trajectory(steps)
+    def rhs(tau, y):
+        if pole and (y[0] > 0.0) != side:
+            raise SingularityError(f"Q = {y[0]!r} stepped across the pole at Q = 0", tau)
+        return ode(tau, y)
+    return integrate_verlet(rhs, [initial.Q, initial.Q_prime], initial.tau, tau_end,
+                            dt, output_stride)

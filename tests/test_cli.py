@@ -80,6 +80,19 @@ class TestSimulate:
         header, rows = read_csv(out / "trajectory.csv")  # partial still written
         assert len(rows) >= 1
 
+    @pytest.mark.parametrize("method", ["adaptive54", "rk4"])
+    def test_guard_trip_at_t0_reports_the_initial_state(self, tmp_path, method):
+        # the first RHS call already trips the |q| guard: the manifest still
+        # names the last valid state, the initial one at t = 0
+        out = tmp_path / "run"
+        assert run("check", "--config", scenario_path(S3), "--out", str(out),
+                   "--set", "initial.q=1e-11", "--set", f"integration.method={method}",
+                   "--set", "integration.dt=0.01") == 3
+        info = json.loads((out / "manifest.json").read_text())["singularity"]
+        assert info["last_t"] == 0.0
+        assert info["last_state"] == {"q": 1e-11, "q_dot": 0.0, "f": 0.9, "f_dot": 0.0,
+                                      "tau": 0.0}
+
     def test_integrator_failure_exit_4(self, tmp_path):
         # the mass turns nonpositive mid-run: not a config error (fine at
         # t0), not a singularity of the state; an integrator failure

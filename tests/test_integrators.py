@@ -320,7 +320,8 @@ class TestExtraSampleTimes:
 
 
 @pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
-                                            (integrate_adaptive54, 1e-8)])
+                                            (integrate_adaptive54, 1e-8),
+                                            (integrate_verlet, 0.1)])
 def test_rhs_must_return_one_value_per_component(integrate, step):
     # the generated steps unpack the slope; a loop over zip would have
     # dropped the third value silently
@@ -333,11 +334,25 @@ def test_rhs_must_return_one_value_per_component(integrate, step):
 
 
 @pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
-                                            (integrate_adaptive54, 1e-8)])
+                                            (integrate_adaptive54, 1e-8),
+                                            (integrate_verlet, 0.1)])
 @pytest.mark.parametrize("stride", [0.0, -0.5])
 def test_output_stride_must_be_positive(integrate, step, stride):
     with pytest.raises(IntegrationError, match="output_stride must be positive"):
         integrate(harmonic, [1.0, 0.0], 0.0, 1.0, step, stride)
+
+
+@pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
+                                            (integrate_adaptive54, 1e-8),
+                                            (integrate_verlet, 0.1)])
+def test_rhs_failure_at_t0_reports_the_initial_state(integrate, step):
+    def pole(t, y):
+        raise SingularityError("synthetic pole", t)
+
+    with pytest.raises(SingularityError) as exc:
+        integrate(pole, [1.0, 0.5], 2.0, 3.0, step, 0.5)
+    err = exc.value
+    assert (err.last_t, err.last_state, err.partial) == (2.0, [1.0, 0.5], None)
 
 
 class TestSpanTail:
@@ -397,16 +412,41 @@ class TestSpanTail:
     def test_verlet_tail_steps_on_by_dt_then_ends_short(self):
         seen = []
 
-        def accel(Q, tau):
-            seen.append(tau)
-            return 0.0
-        traj = integrate_verlet(accel, QFrameState(0.0, 1.0, 1.0), 0.05, 1.03, 0.4)
+        def rhs(t, y):
+            seen.append(t)
+            return [y[1], 0.0]
+        traj = integrate_verlet(rhs, [1.0, 1.0], 0.0, 1.03, 0.05, 0.4)
         # 2 strides of 8 steps, then 4 steps of 0.05 and one of 0.03
         assert traj.t == pytest.approx([0.0, 0.4, 0.8, 1.03], abs=1e-15)
         assert traj.t[-1] == 1.03 and traj.step_count == 21
         assert seen[-2:] == pytest.approx([1.0, 1.03], abs=1e-15)
         # free flight at Q' = 1: Q = 1 + tau, the short step included
         assert traj.y[-1] == pytest.approx([2.03, 1.0], abs=1e-14)
+
+    def test_rk4_and_verlet_share_the_step_times(self):
+        rk4_calls, verlet_calls = [], []
+
+        def rk4_rhs(t, y):
+            rk4_calls.append(t)
+            return [y[1], -y[0]]
+
+        def verlet_rhs(t, y):
+            verlet_calls.append(t)
+            return [y[1], -y[0]]
+        rk4 = integrate_fixed_rk4(rk4_rhs, [1.0, 0.0], 0.0, 1.03, 0.05, 0.4)
+        verlet = integrate_verlet(verlet_rhs, [1.0, 0.0], 0.0, 1.03, 0.05, 0.4)
+        assert rk4.t == verlet.t and rk4.step_count == verlet.step_count == 21
+        # RK4: the first slope, then per stride 4 calls a step, the 4th at
+        # the step's end, and 1 for the sample; Verlet: 1 call a step, at its end
+        ends, calls = [], rk4_calls[1:]
+        for steps in (8, 8, 5):
+            ends += calls[3:4 * steps:4]
+            calls = calls[4 * steps + 1:]
+        assert calls == [] and ends == verlet_calls[1:]
+        assert len(verlet_calls) == verlet.step_count + 1  # one a step, one first slope
+        # step times run seg + j*h from each stride sample; the last step is t_end - t
+        t = 0.8 + 4 * 0.05
+        assert ends[-2:] == [(0.8 + 3 * 0.05) + 0.05, t + (1.03 - t)]
 
     # 1e6 + 10 * 1e-3 rounds to 1000000.01, but the float span leaves a
     # 9.3e-12 tail after 10 strides, below the 1.2e-10 spacing at 1e6:
@@ -422,8 +462,8 @@ class TestSpanTail:
         assert traj.y[-1] == pytest.approx([math.cos(0.01), -math.sin(0.01)], abs=1e-8)
 
     def test_verlet_tail_below_the_time_resolution_is_no_tail(self):
-        traj = integrate_verlet(lambda Q, tau: 0.0, QFrameState(self.T0, 1.0, 1.0),
-                                1e-4, self.T_END, 1e-3)
+        traj = integrate_verlet(lambda t, y: [y[1], 0.0], [1.0, 1.0], self.T0,
+                                self.T_END, 1e-4, 1e-3)
         assert traj.t == [self.T0 + k * 1e-3 for k in range(11)]
         assert traj.t[-1] == self.T_END and traj.step_count == 100
 
@@ -505,11 +545,10 @@ class TestVerlet:
     def test_accel_receives_each_step_tau(self):
         seen = []
 
-        def accel(Q, tau):
-            seen.append(tau)
-            return 0.0
-        integrate_verlet(accel, QFrameState(tau=5.0, Q=1.0, Q_prime=0.0), 0.25, 6.0,
-                         0.25)
+        def rhs(t, y):
+            seen.append(t)
+            return [y[1], 0.0]
+        integrate_verlet(rhs, [1.0, 0.0], 5.0, 6.0, 0.25, 0.25)
         assert seen == [5.0, 5.25, 5.5, 5.75, 6.0]
 
     def test_guard_error_names_its_tau(self):
@@ -521,12 +560,12 @@ class TestVerlet:
     def test_failure_state_is_the_state_at_last_t(self):
         # the step to tau = 0.5 fails; its position must not be reported
         # with the momentum of tau = 0.4
-        def accel(Q, tau):
-            if Q > 1.5:
-                raise SingularityError("synthetic pole", tau)
-            return 0.0
+        def rhs(t, y):
+            if y[0] > 1.5:
+                raise SingularityError("synthetic pole", t)
+            return [y[1], 0.0]
         with pytest.raises(SingularityError) as exc:
-            integrate_verlet(accel, QFrameState(0.0, 1.0, 1.0), 0.1, 2.0, 0.1)
+            integrate_verlet(rhs, [1.0, 1.0], 0.0, 2.0, 0.1, 0.1)
         err = exc.value
         assert err.last_t == 0.4 == err.partial.t[-1]
         assert err.last_state == err.partial.y[-1] == [1.4000000000000004, 1.0]
@@ -544,20 +583,18 @@ class TestVerlet:
         assert err.last_t == 0.5 and err.last_state[0] * Q0 > 0.0
 
     def test_tau_end_before_start_rejected(self):
-        with pytest.raises(IntegrationError, match="precedes the initial tau"):
-            integrate_verlet(lambda Q, tau: 0.0, QFrameState(1.0, 1.0, 0.0), 0.1, 0.5,
-                             0.1)
+        with pytest.raises(IntegrationError, match=r"t_end \(0\.5\) precedes t0 \(1\.0\)"):
+            integrate_verlet(lambda t, y: [y[1], 0.0], [1.0, 0.0], 1.0, 0.5, 0.1, 0.1)
 
     def test_dt_below_time_resolution_rejected(self):
         calls = []
 
-        def accel(Q, tau):
-            calls.append(tau)
-            return -Q
+        def rhs(t, y):
+            calls.append(t)
+            return [y[1], -y[0]]
 
         with pytest.raises(IntegrationError, match=r"time resolution 2\.0"):
-            integrate_verlet(accel, QFrameState(1e16, 1.0, 0.0), 0.05,
-                             1.00000000000001e16, 0.05)
+            integrate_verlet(rhs, [1.0, 0.0], 1e16, 1.00000000000001e16, 0.05, 0.05)
         assert calls == []
 
     def test_zero_dt_rejected(self):
