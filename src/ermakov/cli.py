@@ -157,26 +157,21 @@ def _write_manifest(out_dir: Path, payload: dict, t_start: float) -> None:
                 {**payload, "wall_ms": (time.perf_counter() - t_start) * 1e3})
 
 
-def _singularity_info(err: ErmakovError) -> dict:
-    if err.last_state is None:
-        return {"message": str(err)}
-    if len(err.last_state) == 2:  # a transformed-frame run: (Q, Q') at tau
-        names, time_key = ("Q", "Q_prime"), "last_tau"
-    else:
-        names, time_key = ("q", "q_dot", "f", "f_dot", "tau"), "last_t"
-    return {"message": str(err), time_key: err.last_t,
-            "last_state": dict(zip(names, map(float, err.last_state)))}
-
-
-def _record_error(manifest: dict, err: Exception, singularity: bool = True) -> int:
+def _record_error(manifest: dict, err: Exception) -> int:
     """Print ``err`` as the run's one stderr line and record it in the
-    manifest (with the abort details once a scenario was loaded); returns
-    its exit code."""
+    manifest, with the last valid state after a stepper abort; returns its
+    exit code."""
     message = _message(err)
     print(f"error: {message}", file=sys.stderr)
     manifest["error"] = message
-    if singularity and isinstance(err, ErmakovError):
-        manifest["singularity"] = _singularity_info(err)
+    state = getattr(err, "last_state", None)
+    if state is not None:
+        if len(state) == 2:  # a transformed-frame run: (Q, Q') at tau
+            names, time_key = ("Q", "Q_prime"), "last_tau"
+        else:
+            names, time_key = ("q", "q_dot", "f", "f_dot", "tau"), "last_t"
+        manifest["singularity"] = {"message": str(err), time_key: err.last_t,
+                                   "last_state": dict(zip(names, map(float, state)))}
     return _exit_code_for(err)
 
 
@@ -193,7 +188,7 @@ def _run(args) -> int:
         doc, scn = _load(args)
         extra = (_bench_grid(args, scn),) if args.command == "bench" else ()
     except Exception as err:  # noqa: BLE001 -- recorded, as in main
-        code = _record_error(manifest, err, singularity=False)
+        code = _record_error(manifest, err)
     else:
         manifest.update(_scenario_echo(doc, scn), config_text=doc.text)
         try:
@@ -261,7 +256,7 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         report = invariants.report_from_series(e_phys, e_q)
     elif code == EXIT_OK:
         # a complete trajectory whose invariant cannot be evaluated
-        code = _record_error(manifest, series_err, singularity=False)
+        code = _record_error(manifest, series_err)
 
     traj_path = out_dir / "trajectory.csv"
     _write_rows(traj_path, TRAJECTORY_HEADER, (

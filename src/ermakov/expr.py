@@ -14,16 +14,17 @@ identifier is the declared variable.  Exponents are signed numeric
 literals, so the node set is closed under symbolic differentiation and
 derivatives stay exact (no finite differencing anywhere downstream).
 
-Each operator's arithmetic is written once, in the operator tables
-(``_UNARY``, ``_BINARY``; ``^`` is ``math.pow``), and its derivative in
-``_D_UNARY``/``_D_BINARY``.  ``evaluate`` walks the tree through them,
-once per subtree shared by identity (derivatives share the subtrees of
-what they differentiate), and is the reference semantics: a ``Func1``
-evaluates f, f' and f'' with it.  ``Inliner`` generates straight-line
-Python doing the same operations in the same order, equal to the tree
-walk bit for bit and error for error (a point the tree walk rejects goes
-back to it), for the dynamics' equation programs; ``make_function`` also
-builds the integrators' steps.
+Each operator's arithmetic is written once, in the tables ``_UNARY`` and
+``_BINARY`` (``^`` is ``math.pow``) that ``_apply`` runs, and its
+derivative in ``_D_UNARY``/``_D_BINARY``.  ``evaluate``, ``differentiate``,
+``rename_var``, ``to_source`` and ``Inliner.inline`` fold one walk,
+``_fold``, that visits a subtree shared by identity once (derivatives share
+the subtrees of what they differentiate).  ``evaluate`` is the reference
+semantics: a ``Func1`` evaluates f, f' and f'' with it.  ``Inliner``
+generates straight-line Python doing the same operations in the same
+order, equal to the tree walk bit for bit and error for error (a point
+the tree walk rejects goes back to it), for the dynamics' equation
+programs; ``make_function`` also builds the integrators' steps.
 """
 
 from __future__ import annotations
@@ -103,6 +104,31 @@ def is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
+# --- the walk ------------------------------------------------------------
+
+def _fold(e: Expr, node: Callable, memo: dict | None = None):
+    """Fold ``e`` bottom-up: ``node(n, *results of n's children)``, the
+    children left to right, once per node shared by identity (a ``Var`` on
+    every visit), one frame per tree level.  ``node`` never returns None."""
+    if isinstance(e, Var):
+        return node(e)
+    memo = {} if memo is None else memo
+    r = memo.get(id(e))
+    if r is None:
+        if isinstance(e, Const):
+            r = node(e)
+        elif isinstance(e, Unary):
+            r = node(e, _fold(e.arg, node, memo))
+        elif isinstance(e, Binary):
+            r = node(e, _fold(e.left, node, memo), _fold(e.right, node, memo))
+        elif isinstance(e, Pow):
+            r = node(e, _fold(e.base, node, memo))
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        memo[id(e)] = r
+    return r
+
+
 # --- evaluation ----------------------------------------------------------
 
 def evaluate(e: Expr, x: float) -> float:
@@ -113,41 +139,33 @@ def evaluate(e: Expr, x: float) -> float:
     argument, or any non-finite Binary/Pow result, naming the offending
     subexpression.
     """
-    return _value(e, x, {})
+    return _fold(e, lambda n, *args: _apply(n, args, x))
 
 
-def _value(e: Expr, x: float, memo: dict[int, float]) -> float:
-    # one frame per tree level, children left to right: the first error
-    # raised is the tree walk's
+def _apply(e: Expr, args, x: float) -> float:
+    """The value of node ``e`` at the point ``x`` from its children's
+    values ``args``; an error names ``e``'s source, clipped to 60 chars."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return x
-    r = memo.get(id(e))
-    if r is not None:
-        return r
     if isinstance(e, Unary):
-        fn, args = _UNARY[e.op], (_value(e.arg, x, memo),)
+        fn = _UNARY[e.op]
     elif isinstance(e, Binary):
-        fn, args = _BINARY[e.op], (_value(e.left, x, memo), _value(e.right, x, memo))
-    elif isinstance(e, Pow):
-        fn, args = math.pow, (_value(e.base, x, memo), e.exponent)
+        fn = _BINARY[e.op]
     else:
-        raise TypeError(f"not an Expr node: {e!r}")
+        fn, args = math.pow, (*args, e.exponent)
     try:
         r = fn(*args)
+        if isinstance(e, Unary) or math.isfinite(r):
+            return r
+        message = "non-finite result"
     except ZeroDivisionError:
-        raise ExprDomainError("division by zero", _clip(to_source(e)), x) from None
+        message = "division by zero"
     except (ValueError, OverflowError) as err:
-        raise ExprDomainError(str(err), _clip(to_source(e)), x) from None
-    if not (isinstance(e, Unary) or math.isfinite(r)):
-        raise ExprDomainError("non-finite result", _clip(to_source(e)), x)
-    memo[id(e)] = r
-    return r
-
-
-def _clip(s: str, n: int = 60) -> str:
-    return s if len(s) <= n else s[: n - 3] + "..."
+        message = str(err)
+    text = to_source(e)
+    raise ExprDomainError(message, text if len(text) <= 60 else text[:57] + "...", x)
 
 
 # --- differentiation -----------------------------------------------------
@@ -231,6 +249,20 @@ _D_BINARY = {
 }
 
 
+def _d_rule(e: Expr, *d: Expr) -> Expr:
+    """The derivative of node ``e`` from its children's derivatives ``d``."""
+    if isinstance(e, Const):
+        return _const(0.0)
+    if isinstance(e, Var):
+        return _const(1.0)
+    if isinstance(e, Unary):
+        return _D_UNARY[e.op](e.arg, *d)
+    if isinstance(e, Binary):
+        return _D_BINARY[e.op](e.left, e.right, *d)
+    # d(u^c) = c * u^(c-1) * u'
+    return _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1.0)), *d)
+
+
 def differentiate(e: Expr) -> Expr:
     """Exact symbolic derivative with respect to the expression's variable.
 
@@ -239,56 +271,20 @@ def differentiate(e: Expr) -> Expr:
     needed by the frequency-shift formula).  A shared subtree is
     differentiated once.
     """
-    return _derivative(e, {})
-
-
-def _derivative(e: Expr, memo: dict[int, Expr]) -> Expr:
-    # one frame per tree level: a rule runs after the recursion
-    if isinstance(e, Const):
-        return _const(0.0)
-    if isinstance(e, Var):
-        return _const(1.0)
-    d = memo.get(id(e))
-    if d is None:
-        if isinstance(e, Unary):
-            d = _D_UNARY[e.op](e.arg, _derivative(e.arg, memo))
-        elif isinstance(e, Binary):
-            d = _D_BINARY[e.op](e.left, e.right, _derivative(e.left, memo),
-                                _derivative(e.right, memo))
-        elif isinstance(e, Pow):
-            # d(u^c) = c * u^(c-1) * u'
-            d = _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1.0)),
-                     _derivative(e.base, memo))
-        else:
-            raise TypeError(f"not an Expr node: {e!r}")
-        memo[id(e)] = d
-    return d
+    return _fold(e, _d_rule)
 
 
 def rename_var(e: Expr, new_name: str) -> Expr:
     """A copy of ``e`` with every variable renamed; shared subtrees stay
     shared."""
-    return _renamed(e, new_name, {})
+    def node(n: Expr, *args: Expr) -> Expr:
+        if isinstance(n, Var):
+            return Var(new_name)
+        if isinstance(n, Pow):
+            return Pow(*args, n.exponent)
+        return type(n)(n.op, *args) if args else n  # a Const stays itself
 
-
-def _renamed(e: Expr, new_name: str, memo: dict[int, Expr]) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return Var(new_name)
-    r = memo.get(id(e))
-    if r is None:
-        if isinstance(e, Unary):
-            r = Unary(e.op, _renamed(e.arg, new_name, memo))
-        elif isinstance(e, Binary):
-            r = Binary(e.op, _renamed(e.left, new_name, memo),
-                       _renamed(e.right, new_name, memo))
-        elif isinstance(e, Pow):
-            r = Pow(_renamed(e.base, new_name, memo), e.exponent)
-        else:
-            raise TypeError(f"not an Expr node: {e!r}")
-        memo[id(e)] = r
-    return r
+    return _fold(e, node)
 
 
 # --- printing ------------------------------------------------------------
@@ -306,36 +302,35 @@ def to_source(e: Expr) -> str:
     Re-parsing the output yields an expression that evaluates
     identically.  A negative constant, which has no literal form, prints
     as a negated literal (``(-2.0)``); a negative exponent prints signed
-    (``x^-1.5``).
+    (``x^-1.5``).  A subtree shared by identity is formatted once.
     """
-    return _print(e, 0)
+    return _fold(e, _text)[0]
 
 
-# precedence levels: add/sub 1, mul/div 2, unary minus 3, pow 4
-def _print(e: Expr, parent_prec: int) -> str:
+# (text, precedence) of a node: add/sub 1, mul/div 2, unary minus 3, pow 4,
+# atoms 5; a negative literal parses back only in parentheses, as add/sub
+def _text(e: Expr, *parts: tuple[str, int]) -> tuple[str, int]:
     if isinstance(e, Const):
         s = _fmt_number(e.value)
-        return f"({s})" if parent_prec > 1 and s[0] == "-" else s
+        return s, 1 if s[0] == "-" else 5
     if isinstance(e, Var):
-        return e.name
+        return e.name, 5
     if isinstance(e, Unary):
         if e.op == "neg":
-            s = "-" + _print(e.arg, 3)
-            return f"({s})" if parent_prec > 3 else s
-        return f"{e.op}({_print(e.arg, 0)})"
+            return "-" + _paren(parts[0], 3), 3
+        return f"{e.op}({parts[0][0]})", 5
     if isinstance(e, Binary):
         prec = 1 if e.op in "+-" else 2
-        left = _print(e.left, prec)
         # parenthesize same-level right children even for + and *: the
         # grammar is left-associative, and keeping the original grouping
         # makes re-parsed trees evaluate bit-identically
-        right = _print(e.right, prec + 1)
-        s = f"{left}{e.op}{right}"
-        return f"({s})" if parent_prec > prec else s
-    if isinstance(e, Pow):
-        s = f"{_print(e.base, 5)}^{_fmt_number(e.exponent)}"
-        return f"({s})" if parent_prec > 4 else s
-    raise TypeError(f"not an Expr node: {e!r}")
+        return f"{_paren(parts[0], prec)}{e.op}{_paren(parts[1], prec + 1)}", prec
+    return f"{_paren(parts[0], 5)}^{_fmt_number(e.exponent)}", 4
+
+
+def _paren(part: tuple[str, int], prec: int) -> str:
+    text, own = part
+    return f"({text})" if own < prec else text
 
 
 # --- tokenizer / parser --------------------------------------------------
@@ -467,8 +462,9 @@ class Inliner:
     ``x`` in its order, one temporary per operator node (a subtree shared
     by identity once), and returns the name holding the value.  Constants
     are bound by name, never printed (``1e400`` is ``Const(inf)``).  A
-    Binary/Pow node of constant operands is folded to ``evaluate`` of it
-    over their bound values, unless evaluate rejects it.  ``call`` inlines a Func1's f; ``let`` emits the caller's own
+    Binary/Pow node of constant operands is folded: its value, which
+    ``_apply`` computes from their bound values, is bound unless ``_apply``
+    rejects it.  ``call`` inlines a Func1's f; ``let`` emits the caller's own
     arithmetic, and ``require`` a condition the result needs.  ``head``
     lines run first, outside the checks, and ``tail`` lines after every
     check passed, right before the return.
@@ -505,46 +501,33 @@ class Inliner:
         self.conditions.append(condition)
 
     def inline(self, e: Expr, x: str) -> str:
-        names: dict[int, str] = {}
         constants: set[str] = set()  # emitted names bound to a constant
 
-        def emit(node: Expr) -> str:
+        def emit(node: Expr, *args: str) -> str:
             if isinstance(node, Var):
                 return x
-            name = names.get(id(node))
-            if name is not None:
-                return name
             if isinstance(node, Const):
                 name = self.bind(node.value)
                 constants.add(name)
-            elif isinstance(node, Unary):
-                arg = emit(node.arg)
-                name = self.let(f"-{arg}" if node.op == "neg" else f"_{node.op}({arg})")
-            else:
-                if isinstance(node, Binary):
-                    args = emit(node.left), emit(node.right)
-                    code = f"{args[0]} {node.op} {args[1]}"
-                elif isinstance(node, Pow):
-                    args = (emit(node.base),)
-                    code = f"_pow({args[0]}, {self.bind(node.exponent)})"
-                else:
-                    raise TypeError(f"not an Expr node: {node!r}")
-                name = None
-                if constants.issuperset(args):
-                    a = [Const(self.bound[arg]) for arg in args]
-                    one = (Binary(node.op, *a) if isinstance(node, Binary)
-                           else Pow(a[0], node.exponent))
-                    try:
-                        name = self.bind(evaluate(one, 0.0))
-                        constants.add(name)
-                    except ExprDomainError:
-                        pass
-                name = name or self.let(code)
-                self.checked.append(name)
-            names[id(node)] = name
+                return name
+            if isinstance(node, Unary):
+                return self.let(f"-{args[0]}" if node.op == "neg"
+                                else f"_{node.op}({args[0]})")
+            # the exponent is bound before folding: constants keep their numbers
+            code = (f"{args[0]} {node.op} {args[1]}" if isinstance(node, Binary)
+                    else f"_pow({args[0]}, {self.bind(node.exponent)})")
+            name = None
+            if constants.issuperset(args):
+                try:
+                    name = self.bind(_apply(node, [self.bound[a] for a in args], 0.0))
+                    constants.add(name)
+                except ExprDomainError:
+                    pass
+            name = name or self.let(code)
+            self.checked.append(name)
             return name
 
-        return emit(e)
+        return _fold(e, emit)
 
     def call(self, fn: "Func1", x: str) -> str:
         """Inline fn(x); the point x == 0.0 of an ``at_zero`` function is

@@ -151,8 +151,10 @@ def _finite(y: Sequence[float]) -> bool:
 
 def _first_slope(rhs: Rhs, t0: float, y: list[float]) -> Sequence[float]:
     """rhs(t0, y), checked once to hold one value per state component."""
+    if not y:
+        raise IntegrationError("the initial state is empty")
     k = rhs(t0, y)
-    if not y or len(k) != len(y):
+    if len(k) != len(y):
         raise IntegrationError(f"rhs returned {len(k)} values for a state of "
                                f"{len(y)} components")
     return k

@@ -22,6 +22,7 @@ from ermakov.expr import (
     evaluate,
     func_from_expr,
     parse,
+    rename_var,
     to_source,
 )
 from ermakov.model import F_from_V
@@ -574,3 +575,40 @@ class TestSharedSubtrees:
         for u in (1.01, -0.7, 2.0):
             assert F(u).hex() == fast(u).hex() == evaluate(F.expr, u).hex()
             assert F(u) == pytest.approx(100 * u ** 98, rel=1e-12)
+
+    def test_printing_formats_each_shared_node_once(self, monkeypatch):
+        # the derivatives of an n-factor product of squares print as trees
+        # whose shared subtrees repeat: O(n^2) exponents in f', O(n^3) in
+        # f''; each literal and exponent node is formatted once
+        funcs = {n: compile_func("*".join(["Q^2"] * n), "Q") for n in (20, 40, 80)}
+        calls = {"n": 0}
+        fmt = expr_module._fmt_number
+
+        def counted(v):
+            calls["n"] += 1
+            return fmt(v)
+
+        monkeypatch.setattr(expr_module, "_fmt_number", counted)
+        counts = {}
+        for n, f in funcs.items():
+            calls["n"] = 0
+            to_source(f.d1)
+            to_source(f.d2)
+            counts[n] = calls["n"]
+        assert counts[80] - counts[40] == 2 * (counts[40] - counts[20]), counts
+        assert counts[80] <= 8 * 80, counts
+
+
+_NOT_EXPR = Binary("*", Var("x"), Unary("sin", 2.0))
+
+
+@pytest.mark.parametrize("walk", [
+    partial(evaluate, x=1.0),
+    differentiate,
+    partial(rename_var, new_name="y"),
+    to_source,
+    lambda e: Inliner().inline(e, "x"),
+], ids=["evaluate", "differentiate", "rename_var", "to_source", "inline"])
+def test_walks_reject_a_child_that_is_not_an_expr(walk):
+    with pytest.raises(TypeError, match="not an Expr node: 2.0"):
+        walk(_NOT_EXPR)

@@ -336,6 +336,14 @@ def test_rhs_must_return_one_value_per_component(integrate, step):
 @pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
                                             (integrate_adaptive54, 1e-8),
                                             (integrate_verlet, 0.1)])
+def test_empty_initial_state_rejected(integrate, step):
+    with pytest.raises(IntegrationError, match="the initial state is empty"):
+        integrate(lambda t, y: [], [], 0.0, 1.0, step, 0.5)
+
+
+@pytest.mark.parametrize("integrate,step", [(integrate_fixed_rk4, 0.1),
+                                            (integrate_adaptive54, 1e-8),
+                                            (integrate_verlet, 0.1)])
 @pytest.mark.parametrize("stride", [0.0, -0.5])
 def test_output_stride_must_be_positive(integrate, step, stride):
     with pytest.raises(IntegrationError, match="output_stride must be positive"):
