@@ -16,9 +16,6 @@ one load -> run -> write path (_run), which writes manifest.json once.
 Simulation data files never contain timestamps or timings, so identical
 inputs give bit-identical output; run timing lives in the manifest (and,
 for bench, in the per-row wall_ms cost column).
-
-The environment variable ERMAKOV_SEED is reserved for future use; the
-core is randomness-free and does not read it.
 """
 
 from __future__ import annotations
@@ -67,21 +64,6 @@ def _exit_code_for(err: Exception) -> int:
 
 # --- shared plumbing ---------------------------------------------------------
 
-def _require_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
-
-
-def _threshold(raw: str, name: str) -> float:
-    """The finite positive number a threshold flag's text ``raw`` names."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{name} = {raw!r} is not a number") from None
-    _require_positive(name, value)
-    return value
-
-
 def _load(args) -> tuple[ConfigDocument, Scenario]:
     """Parse the threshold flags in place, then load and build the scenario.
 
@@ -89,9 +71,9 @@ def _load(args) -> tuple[ConfigDocument, Scenario]:
     leaves fewer than 2 (a drift over one sample says nothing); map keeps
     its degenerate t_end == t0 run, one row per file."""
     if hasattr(args, "quad_tol"):
-        args.quad_tol = _threshold(args.quad_tol, "--quad-tol")
+        args.quad_tol = model.parse_positive(args.quad_tol, "--quad-tol")
     if hasattr(args, "max_drift"):
-        args.max_drift = _threshold(args.max_drift, "--max-drift")
+        args.max_drift = model.parse_positive(args.max_drift, "--max-drift")
     doc = model.load_config(args.config)
     if args.set:
         doc = model.apply_overrides(doc, args.set)
@@ -105,29 +87,22 @@ def _load(args) -> tuple[ConfigDocument, Scenario]:
     return doc, scn
 
 
-def _integrate_phys(scn: Scenario, method: str, step: float) -> integrators.Trajectory:
-    """Physical-frame run of ``scn`` by ``method`` at ``step`` (dt for rk4,
-    tol for adaptive54)."""
-    plan = scn.plan
-    st = scn.initial
+def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
+    """Physical-frame run of ``scn`` by its plan: rk4 at its dt or
+    adaptive54 at its tol."""
+    plan, st = scn.plan, scn.initial
     y0 = [st.q, st.q_dot, st.f, st.f_dot, st.tau]
     rhs = dynamics.phys_ode(scn)
-    if method == "rk4":
+    if plan.method == "rk4":
         return integrators.integrate_fixed_rk4(rhs, y0, st.t, plan.t_end,
-                                               step, plan.output_stride)
-    if method == "adaptive54":
+                                               plan.dt, plan.output_stride)
+    if plan.method == "adaptive54":
         return integrators.integrate_adaptive54(rhs, y0, st.t, plan.t_end,
-                                                step, plan.output_stride)
+                                                plan.tol, plan.output_stride)
     raise ConfigError(
         "method 'verlet' integrates the transformed frame only and cannot "
         "produce a physical trajectory; use rk4 or adaptive54 (verlet is "
         "available through the bench subcommand)")
-
-
-def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
-    plan = scn.plan
-    # a plan sets dt (rk4, verlet) or tol (adaptive54), never both
-    return _integrate_phys(scn, plan.method, plan.tol if plan.dt is None else plan.dt)
 
 
 def _scenario_echo(doc: ConfigDocument, scn: Scenario) -> dict:
@@ -309,38 +284,27 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     return EXIT_OK
 
 
-def _bench_values(raw: str | None, name: str) -> list[float]:
-    """The comma-separated finite positive numbers of a bench flag."""
-    values = [model.parse_float(v, name) for v in (raw or "").split(",") if v.strip()]
-    for v in values:
-        _require_positive(name, v)
-    return values
-
-
-def _bench_grid(args, scn: Scenario) -> list[tuple[str, float]]:
+def _bench_grid(args, scn: Scenario) -> list[model.IntegrationPlan]:
+    """One validated plan (model.run_plan) over scn's span per grid point."""
+    def steps(raw, flag):
+        return [model.parse_positive(v, flag) for v in (raw or "").split(",") if v.strip()]
     methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
-    dts = _bench_values(args.dt, "--dt")
-    tols = _bench_values(args.tol, "--tol")
-    grid: list[tuple[str, float]] = []
+    dts, tols = steps(args.dt, "--dt"), steps(args.tol, "--tol")
     for method in methods:
         if method not in model.METHODS:
             raise ConfigError(f"unknown method {method!r} in --methods")
-        values = tols if method == "adaptive54" else dts
-        grid.extend((method, v) for v in values)
+    grid = [model.run_plan(method, scn.initial.t, scn.plan.t_end,
+                           scn.plan.output_stride, step)
+            for method in methods for step in (tols if method == "adaptive54" else dts)]
     if not grid:
         raise ConfigError("empty bench grid: give --methods plus --dt and/or --tol")
-    for method, value in grid:
-        if method != "adaptive54":
-            model.check_grid_size(scn.plan.t_end - scn.initial.t,
-                                  scn.plan.output_stride, value)
     return grid
 
 
-def _bench_row(scn: Scenario, method: str, step: float,
-               quad_tol: float) -> tuple[invariants.InvariantReport, int]:
-    """One bench run; returns (its drift report, steps)."""
-    if method != "verlet":
-        traj = _integrate_phys(scn, method, step)
+def _bench_row(scn: Scenario, quad_tol: float) -> tuple[invariants.InvariantReport, int]:
+    """One bench run of scn's plan; returns (its drift report, steps)."""
+    if scn.plan.method != "verlet":
+        traj = _integrate_plan(scn)
         return invariants.drift_report(traj, scn, quad_tol), traj.step_count
 
     # the transformed frame over the physical run's span in tau; its energy
@@ -353,22 +317,23 @@ def _bench_row(scn: Scenario, method: str, step: float,
     st = scn.initial
     start = QFrameState(0.0, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
                                               st.f, st.f_dot))
-    traj = integrators.integrate_verlet_Q(V, W, start, step, scn.plan.t_end - st.t,
-                                          scn.plan.output_stride)
+    traj = integrators.integrate_verlet_Q(V, W, start, scn.plan.dt,
+                                          scn.plan.t_end - st.t, scn.plan.output_stride)
     e = [invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
          for t, y in zip(traj.t, traj.y)]
     return invariants.report_from_series(e, e), traj.step_count
 
 
 def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
-           grid: list[tuple[str, float]]) -> int:
+           grid: list[model.IntegrationPlan]) -> int:
     rows = []
     ok_count = 0
     failures = []
-    for method, value in grid:
+    for plan in grid:
+        method, value = plan.method, plan.tol if plan.dt is None else plan.dt
         row_start = time.perf_counter()
         try:
-            report, steps = _bench_row(scn, method, value, args.quad_tol)
+            report, steps = _bench_row(scn._replace(plan=plan), args.quad_tol)
             wall = (time.perf_counter() - row_start) * 1e3
             rows.append((method, value, _fmt(report.max_rel_drift),
                          _fmt(report.max_abs_drift), str(steps), f"{wall:.3f}", "ok"))

@@ -51,9 +51,10 @@ __all__ = [
     "load_config",
     "apply_overrides",
     "build_scenario",
-    "check_grid_size",
+    "run_plan",
     "mass_at",
     "parse_float",
+    "parse_positive",
     "stride_steps",
     "stride_count",
     "sample_times",
@@ -274,24 +275,37 @@ def apply_overrides(doc: ConfigDocument, overrides: list[str]) -> ConfigDocument
     return ConfigDocument(sections, doc.text, doc.path)
 
 
-def parse_float(raw: str, name: str) -> float:
-    """A finite float from the text ``raw`` of the value called ``name``."""
+def _number(raw: str, name: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"{name} = {raw!r} is not a number") from None
+
+
+def parse_float(raw: str, name: str) -> float:
+    """A finite float from the text ``raw`` of the value called ``name``."""
+    value = _number(raw, name)
     if not math.isfinite(value):
         raise ConfigError(f"{name} = {raw!r} is not a finite number")
     return value
 
 
-def _get_float(sections, sec, key, default=None):
+def parse_positive(raw: str, name: str) -> float:
+    """A finite positive float from the text ``raw`` of the value called
+    ``name``: a stride, a step, a tolerance or a threshold."""
+    value = _number(raw, name)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
+def _get_float(sections, sec, key, default=None, parse=parse_float):
     raw = sections.get(sec, {}).get(key)
     if raw is None:
         if default is not None:
             return default
         raise ConfigError(f"missing required key {key!r} in section [{sec}]")
-    return parse_float(raw, f"[{sec}] {key}")
+    return parse(raw, f"[{sec}] {key}")
 
 
 def _compile_key(sections, sec, key, var) -> Func1:
@@ -322,21 +336,6 @@ def _coupling_side(sections, direct_key: str, potential_key: str,
         return _compile_key(sections, "coupling", direct_key,
                             COUPLING_VARS[direct_key]), None
     return constant_func(0.0, COUPLING_VARS[direct_key]), None
-
-
-def check_grid_size(span: float, output_stride: float,
-                    dt: float | None = None) -> None:
-    """Reject a run over ``span`` that would take more than
-    MAX_GRID_POINTS output samples or, given a positive ``dt``, fixed
-    steps (counting at least one stride's worth)."""
-    if span / output_stride > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"a span of {span!r} at output_stride={output_stride!r} asks for "
-            f"more than {MAX_GRID_POINTS} samples")
-    if dt is not None and dt > 0.0 and max(span, output_stride) / dt > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"dt={dt!r} asks for more than {MAX_GRID_POINTS} steps over a span "
-            f"of {max(span, output_stride)!r}")
 
 
 def stride_steps(output_stride: float, dt: float) -> int | None:
@@ -371,6 +370,34 @@ def sample_times(t0: float, t_end: float, output_stride: float) -> list[float]:
             + ([t_end] if tail else []))
 
 
+def run_plan(method: str, t0: float, t_end: float, output_stride: float,
+             step: float) -> IntegrationPlan:
+    """The validated plan of a ``method`` run from t0 to t_end, sampled
+    every ``output_stride``; ``step`` is the tol of adaptive54 and the dt
+    of the fixed-step methods (rk4, verlet), which must subdivide the
+    stride exactly (stride_steps).  Stride and step are finite and
+    positive (parse_positive).  t_end == t0 is allowed and yields a
+    single-sample run.  A run may ask for at most MAX_GRID_POINTS output
+    samples and fixed steps (counting at least one stride's worth)."""
+    span = t_end - t0
+    if span < 0.0:
+        raise ConfigError(f"t_end ({t_end}) must not precede t0 ({t0})")
+    if span / output_stride > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a span of {span!r} at output_stride={output_stride!r} asks for "
+            f"more than {MAX_GRID_POINTS} samples")
+    if method == "adaptive54":
+        return IntegrationPlan(method, t_end, None, step, output_stride)
+    if max(span, output_stride) / step > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"dt={step!r} asks for more than {MAX_GRID_POINTS} steps over a span "
+            f"of {max(span, output_stride)!r}")
+    if stride_steps(output_stride, step) is None:
+        raise ConfigError(f"dt={step!r} does not subdivide "
+                          f"output_stride={output_stride!r} exactly")
+    return IntegrationPlan(method, t_end, step, None, output_stride)
+
+
 def build_scenario(doc: ConfigDocument) -> Scenario:
     """Validate a config document and materialize the Scenario.
 
@@ -398,27 +425,11 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     t_end = _get_float(sections, "integration", "t_end")
-    output_stride = _get_float(sections, "integration", "output_stride")
-    dt = tol = None
-    if not output_stride > 0.0:
-        raise ConfigError("output_stride must be positive")
-    if method in ("rk4", "verlet"):
-        dt = _get_float(sections, "integration", "dt")
-        if not dt > 0.0:
-            raise ConfigError("dt must be positive")
-    check_grid_size(t_end - t0, output_stride, dt)
-    if dt is not None and stride_steps(output_stride, dt) is None:
-        raise ConfigError(f"dt={dt} does not subdivide "
-                          f"output_stride={output_stride} exactly")
-    if method == "adaptive54":
-        tol = _get_float(sections, "integration", "tol")
-        if not tol > 0.0:
-            raise ConfigError("tol must be positive")
-    # t_end == t0 is allowed and yields a single-sample trajectory
-    if t_end < t0:
-        raise ConfigError(f"t_end ({t_end}) must not precede t0 ({t0})")
-    plan = IntegrationPlan(method=method, t_end=t_end, dt=dt, tol=tol,
-                           output_stride=output_stride)
+    output_stride = _get_float(sections, "integration", "output_stride",
+                               parse=parse_positive)
+    step = _get_float(sections, "integration",
+                      "tol" if method == "adaptive54" else "dt", parse=parse_positive)
+    plan = run_plan(method, t0, t_end, output_stride, step)
 
     try:
         mass_at(m, t0)

@@ -683,9 +683,10 @@ class TestBench:
          "--dt must be a finite positive number, got 0.0"),
         (["--methods", "verlet", "--dt", "-0.05"],
          "--dt must be a finite positive number, got -0.05"),
-        (["--methods", "adaptive54", "--tol", "nan"], "--tol = 'nan' is not a finite number"),
+        (["--methods", "adaptive54", "--tol", "nan"],
+         "--tol must be a finite positive number, got nan"),
         (["--methods", "adaptive54", "--tol", "1e-8,inf"],
-         "--tol = 'inf' is not a finite number"),
+         "--tol must be a finite positive number, got inf"),
     ])
     def test_bad_grid_value_exit_2_before_any_row(self, tmp_path, capsys, flags,
                                                   message):
@@ -694,6 +695,28 @@ class TestBench:
                    *flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("dt,message", [
+        ("0.03", "dt=0.03 does not subdivide output_stride=0.05 exactly"),
+        ("1e-320", "dt=1e-320 asks for more than 1000000 steps over a span of 50.0"),
+        # the value's reader names its source: the config key or the flag
+        ("-0.05", "{} must be a finite positive number, got -0.05"),
+    ])
+    def test_grid_point_refused_as_simulate_refuses_its_plan(self, tmp_path, capsys,
+                                                             dt, message):
+        sim, bench = tmp_path / "s", tmp_path / "b"
+        assert run("simulate", "--config", scenario_path(S1), "--out", str(sim),
+                   "--set", "integration.method=rk4",
+                   "--set", f"integration.dt={dt}") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format("[integration] dt")]
+        assert run("bench", "--config", scenario_path(S1), "--out", str(bench),
+                   "--methods", "rk4,adaptive54", "--dt", dt, "--tol", "1e-8") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format("--dt")]
+        for out in (sim, bench):
+            assert [p.name for p in out.iterdir()] == ["manifest.json"]
+            assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
 
     @pytest.mark.parametrize("coupling,code,status", [
         ("V = Q^4/4\nW = s^2/2", 0, "ok"),

@@ -67,7 +67,7 @@ output_stride = 0.01
 
 SIMULATE_FILES = ("trajectory.csv", "report.json")
 MAP_FILES = ("qframe_mapped.csv", "qframe_direct.csv", "gap.json")
-BENCH_GRID = ["--methods", "rk4,adaptive54,verlet", "--dt", "0.1,0.05", "--tol", "1e-8"]
+BENCH_GRID = ["--methods", "rk4,adaptive54,verlet", "--dt", "0.05,0.025", "--tol", "1e-8"]
 
 
 def _environment() -> dict:
