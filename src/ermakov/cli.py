@@ -64,8 +64,11 @@ def _exit_code_for(err: Exception) -> int:
 
 # --- shared plumbing ---------------------------------------------------------
 
-def _load(args) -> tuple[ConfigDocument, Scenario]:
-    """Parse the threshold flags in place, then load and build the scenario.
+def _load(args) -> tuple[ConfigDocument, Scenario, list[model.IntegrationPlan]]:
+    """Parse the threshold flags in place, then load and build the scenario
+    and the plans it runs (model.run_plan): the config's, or one per bench
+    grid point, the first being the scenario's; bench reads no config
+    method, dt or tol.
 
     check, bench and map compare samples, so they refuse a stride that
     leaves fewer than 2 (a drift over one sample says nothing); map keeps
@@ -77,14 +80,16 @@ def _load(args) -> tuple[ConfigDocument, Scenario]:
     doc = model.load_config(args.config)
     if args.set:
         doc = model.apply_overrides(doc, args.set)
-    scn = model.build_scenario(doc)
+    runs = _bench_grid(args) if args.command == "bench" else [()]
+    scn = model.build_scenario(doc, *runs[0])
     span, stride = scn.plan.t_end - scn.initial.t, scn.plan.output_stride
     compares = (args.command in ("check", "bench")
                 or (args.command == "map" and span > 0.0))
     if compares and model.stride_count(scn.initial.t, scn.plan.t_end, stride)[0] < 1:
         raise ConfigError(f"{args.command} needs at least 2 samples, but "
                           f"output_stride={stride!r} exceeds the span {span!r}")
-    return doc, scn
+    return doc, scn, [scn.plan] + [model.run_plan(method, scn.initial.t, scn.plan.t_end,
+                                                  stride, step) for method, step in runs[1:]]
 
 
 def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
@@ -160,8 +165,8 @@ def _run(args) -> int:
     manifest = {"command": args.command, "config_path": args.config,
                 "overrides": list(args.set or []), "outputs": {}}
     try:
-        doc, scn = _load(args)
-        extra = (_bench_grid(args, scn),) if args.command == "bench" else ()
+        doc, scn, plans = _load(args)
+        extra = (plans,) if args.command == "bench" else ()
     except Exception as err:  # noqa: BLE001 -- recorded, as in main
         code = _record_error(manifest, err)
     else:
@@ -284,8 +289,8 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     return EXIT_OK
 
 
-def _bench_grid(args, scn: Scenario) -> list[model.IntegrationPlan]:
-    """One validated plan (model.run_plan) over scn's span per grid point."""
+def _bench_grid(args) -> list[tuple[str, float]]:
+    """The (method, step) of each bench grid point, from the flags."""
     def steps(raw, flag):
         return [model.parse_positive(v, flag) for v in (raw or "").split(",") if v.strip()]
     methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
@@ -293,9 +298,8 @@ def _bench_grid(args, scn: Scenario) -> list[model.IntegrationPlan]:
     for method in methods:
         if method not in model.METHODS:
             raise ConfigError(f"unknown method {method!r} in --methods")
-    grid = [model.run_plan(method, scn.initial.t, scn.plan.t_end,
-                           scn.plan.output_stride, step)
-            for method in methods for step in (tols if method == "adaptive54" else dts)]
+    grid = [(method, step) for method in methods
+            for step in (tols if method == "adaptive54" else dts)]
     if not grid:
         raise ConfigError("empty bench grid: give --methods plus --dt and/or --tol")
     return grid

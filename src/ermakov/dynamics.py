@@ -97,16 +97,19 @@ def ieee_div(a: float, b: float) -> float:
 # Each equation is written once, as a program: a function that emits its
 # lines into ``em`` and returns its result, deciding per Scenario which
 # couplings are structurally zero.  It writes a / or ** that can raise on
-# floats as em.div/em.pow, and states each condition the result needs:
-# em.guard (singularity guard), em.mass (the name of m(t), which must be
-# positive and finite) and em.finite (raise error(t, *names) unless every
-# name is finite).
+# floats as em.div/em.pow and its mass arithmetic through em.arith, and
+# states each condition the result needs: em.guard (singularity guard),
+# em.mass (the name of m(t), which must be positive and finite) and
+# em.finite (raise error(t, *names) unless every name is finite).
 # _Fast (expr.Inliner) builds the function the integrators call: inlined
 # expressions, raw / and **, the conditions tested at the end, and any
 # call that raises, meets a non-finite intermediate or an at_zero point,
-# or fails a condition handed to its fallback.  _Checked builds that
-# fallback, the reference: Func1 calls and evaluate where _Fast inlines,
-# ieee_div/ieee_pow (inf/nan, no raise), and each condition's own error.
+# or fails a condition handed to its fallback.  It folds what the scenario
+# fixes: a constant m(t) is checked once, at build time, and em.arith
+# computes m*m, m'/m and the like there and drops factors of 1.0.
+# _Checked builds that fallback, the reference, folding nothing: Func1
+# calls and evaluate where _Fast inlines, ieee_div/ieee_pow (inf/nan, no
+# raise), and each condition's own error.
 
 
 class _Fast(Inliner):
@@ -117,7 +120,9 @@ class _Fast(Inliner):
 
     def mass(self, m: Func1, t: str) -> str:
         mv = self.call(m, t)
-        self.require(f"0.0 < {mv} < {self.bind(math.inf)}")
+        v = self.value(mv)
+        if v is None or not 0.0 < v < math.inf:  # always false for a bad constant
+            self.require(f"0.0 < {mv} < {self.bind(math.inf)}")
         return mv
 
     def finite(self, error: Callable, t: str, *names: str) -> None:
@@ -131,6 +136,9 @@ class _Checked(Inliner):
         super().__init__()
         self.bound.update(evaluate=evaluate, guard=guard, ieee_div=ieee_div,
                           ieee_pow=ieee_pow, isfinite=math.isfinite, mass_at=mass_at)
+
+    def value(self, name: str) -> None:
+        return None  # the reference folds nothing
 
     def call(self, fn: Func1, x: str) -> str:
         return self.let(f"{self.bind(fn)}({x})")
@@ -175,18 +183,24 @@ def _emit_phys(em: Inliner, scn: Scenario) -> str:
     md = em.inline(m.d1, "t")
     omt2 = em.call(scn.omega_tilde_sq, "t")
     em.guard("f", "t", eps)  # dtau = 1/(m f^2) needs f regardless of couplings
+    mm = em.arith("*", mv, mv)
     g_term = f_term = "0.0"
     if not is_zero(G.expr):
         em.guard("q", "t", eps)
         g_val = em.call(G, em.let("f / q"))
-        g_term = em.let(em.div(g_val, f"{mv} * {mv} * {em.pow('q', 3)}"))
+        g_term = em.let(em.div(g_val, em.arith("*", mm, em.pow("q", 3))))
     if not is_zero(F.expr):
         f_val = em.call(F, em.let("q / f"))
-        f_term = em.let(em.div(f_val, f"{mv} * {mv} * {em.pow('f', 3)}"))
-    drag = em.let(f"{md} / {mv}")
-    return em.let(f"(q_dot, -{drag} * q_dot - {omt2} * q + {g_term}, "
-                  f"f_dot, -{drag} * f_dot - {omt2} * f + {f_term}, "
-                  f"{em.div('1.0', f'{mv} * f * f')})")
+        f_term = em.let(em.div(f_val, em.arith("*", mm, em.pow("f", 3))))
+    drag = em.let(em.arith("-", em.arith("/", md, mv)))
+
+    def accel(x: str, x_dot: str, term: str) -> str:  # -(m'/m) x' - w~2 x + term
+        return em.arith("+", em.arith("-", em.arith("*", drag, x_dot),
+                                      em.arith("*", omt2, x)), term)
+
+    dtau = em.div("1.0", em.arith("*", em.arith("*", mv, "f"), "f"))
+    return em.let(f"(q_dot, {accel('q', 'q_dot', g_term)}, "
+                  f"f_dot, {accel('f', 'f_dot', f_term)}, {dtau})")
 
 
 def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:

@@ -97,6 +97,7 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 _FUNCTIONS = tuple(op for op in _UNARY if op != "neg")
 _BOUND = {**{f"_{op}": _UNARY[op] for op in _FUNCTIONS}, "_pow": math.pow}
+_ATOM = re.compile(r"[\w.]+")  # a name or an unsigned literal of generated code
 
 
 def is_zero(e: Expr) -> bool:
@@ -461,21 +462,24 @@ class Inliner:
     ``inline(e, x)`` emits evaluate's operations on the variable named
     ``x`` in its order, one temporary per operator node (a subtree shared
     by identity once), and returns the name holding the value.  Constants
-    are bound by name, never printed (``1e400`` is ``Const(inf)``).  A
-    Binary/Pow node of constant operands is folded: its value, which
-    ``_apply`` computes from their bound values, is bound unless ``_apply``
-    rejects it.  ``call`` inlines a Func1's f; ``let`` emits the caller's own
-    arithmetic, and ``require`` a condition the result needs.  ``head``
-    lines run first, outside the checks, and ``tail`` lines after every
-    check passed, right before the return.
+    are bound by name, never printed (``1e400`` is ``Const(inf)``), and a
+    name bound to a float stays a constant for the whole build (``value``).
+    A Binary/Pow node of constant operands is folded: its value, which
+    ``_apply`` computes from theirs, is bound unless ``_apply`` rejects it.
+    ``call`` inlines a Func1's f; ``arith`` writes the caller's own
+    arithmetic, folded the same way, ``let`` emits it, and ``require`` a
+    condition the result needs.  ``head`` lines run first, outside the
+    checks, and ``tail`` lines after every check passed, right before the
+    return.
 
     ``build(params, result, slow)`` returns a function of ``params``
     that returns ``result`` only when no emitted line raised, the sum of
-    every Binary/Pow intermediate (what the tree walk rejects when not
-    finite; the ``checked`` names, to which a caller may add) is finite
-    and every required condition holds.  Otherwise it returns
-    ``slow(*params)``, the reference (a sum that overflows on finite
-    terms costs a redundant slow call, never a wrong value).
+    every emitted Binary/Pow intermediate (what the tree walk rejects when
+    not finite; the ``checked`` names, to which a caller may add; a folded
+    constant is finite, so it is left out) is finite and every required
+    condition holds.  Otherwise it returns ``slow(*params)``, the
+    reference (a sum that overflows on finite terms costs a redundant slow
+    call, never a wrong value).
     """
 
     def __init__(self):
@@ -492,38 +496,62 @@ class Inliner:
         return name
 
     def let(self, code: str, target: str | None = None) -> str:
-        """Emit ``target = code`` (a fresh temporary by default)."""
+        """Emit ``target = code`` (a fresh temporary by default; a name or
+        a literal needs none and is returned as it is)."""
+        if target is None and _ATOM.fullmatch(code):
+            return code
         target = target or f"r{len(self.lines)}"
         self.lines.append(f"{target} = {code}")
         return target
+
+    def value(self, name: str) -> float | None:
+        """The constant ``name`` is bound to, or None."""
+        v = self.bound.get(name)
+        return v if isinstance(v, float) else None
+
+    def arith(self, op: str, *args: str) -> str:
+        """The text of ``op`` (+ - * /, or ``-`` of one operand) on the
+        emitted names or texts ``args``: the other operand of a factor or
+        divisor that is the constant 1.0 (x*1.0, 1.0*x and x/1.0 are x bit
+        for bit), else a bound constant when every operand is one and the
+        operator does not raise on them, else the operation, each compound
+        operand parenthesized.  Zeros stay: adding 0.0 or multiplying by
+        -0.0 can change the sign of a zero."""
+        values = [self.value(a) for a in args]
+        if op in "*/" and values[-1] == 1.0:
+            return args[0]
+        if op == "*" and values[0] == 1.0:
+            return args[1]
+        if None not in values:
+            try:
+                return self.bind((_BINARY[op] if len(args) == 2 else operator.neg)(*values))
+            except ArithmeticError:
+                pass
+        a, *b = (x if _ATOM.fullmatch(x) else f"({x})" for x in args)
+        return f"{a} {op} {b[0]}" if b else f"{op}{a}"
 
     def require(self, condition: str) -> None:
         self.conditions.append(condition)
 
     def inline(self, e: Expr, x: str) -> str:
-        constants: set[str] = set()  # emitted names bound to a constant
-
         def emit(node: Expr, *args: str) -> str:
             if isinstance(node, Var):
                 return x
             if isinstance(node, Const):
-                name = self.bind(node.value)
-                constants.add(name)
-                return name
+                return self.bind(node.value)
             if isinstance(node, Unary):
                 return self.let(f"-{args[0]}" if node.op == "neg"
                                 else f"_{node.op}({args[0]})")
             # the exponent is bound before folding: constants keep their numbers
             code = (f"{args[0]} {node.op} {args[1]}" if isinstance(node, Binary)
                     else f"_pow({args[0]}, {self.bind(node.exponent)})")
-            name = None
-            if constants.issuperset(args):
+            values = [self.value(a) for a in args]
+            if None not in values:
                 try:
-                    name = self.bind(_apply(node, [self.bound[a] for a in args], 0.0))
-                    constants.add(name)
+                    return self.bind(_apply(node, values, 0.0))
                 except ExprDomainError:
                     pass
-            name = name or self.let(code)
+            name = self.let(code)
             self.checked.append(name)
             return name
 

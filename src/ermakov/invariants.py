@@ -238,13 +238,13 @@ def _emit_sample(em: Inliner, m: Func1, u_side: _PotentialSide,
                  v_side: _PotentialSide) -> str:
     """(Q, Q', E_phys, E_Q) at one sample (t, q, q_dot, f, f_dot),
     advancing the sides' running integrals."""
-    eps = em.bind(EPS_SING)
+    eps, half = em.bind(EPS_SING), em.bind(0.5)
     mv = em.mass(m, "t")
     if not u_side.zero:
         em.guard("f", "t", eps)
     Q = em.let("q / f")
     wr = em.let("q_dot * f - q * f_dot")
-    Q_prime = em.let(f"{mv} * {wr}")
+    Q_prime = em.let(em.arith("*", mv, wr))
     pot_u = _emit_side(em, u_side, Q, "u")
     pot_v = "0.0"
     if not v_side.zero:
@@ -252,7 +252,8 @@ def _emit_sample(em: Inliner, m: Func1, u_side: _PotentialSide,
         pot_v = _emit_side(em, v_side, em.let("f / q"), "v")
     # the equal kinetic terms keep their own arithmetic (m^2 (q'f-qf')^2 vs
     # Q'^2): frame_gap measures exactly this evaluation difference
-    ep = em.let(f"0.5 * {mv} * {mv} * {em.pow(wr, 2)} + {pot_u} + {pot_v}")
+    kinetic = em.arith("*", em.arith("*", em.arith("*", half, mv), mv), em.pow(wr, 2))
+    ep = em.let(f"{kinetic} + {pot_u} + {pot_v}")
     eq = em.let(f"0.5 * {Q_prime} * {Q_prime} + {pot_u} + {pot_v}")
     em.finite(lambda t, ep, eq: InvariantError(
         f"the invariant is not finite at t={t!r} (E_phys = {ep!r}, E_Q = {eq!r})"),

@@ -398,12 +398,15 @@ def run_plan(method: str, t0: float, t_end: float, output_stride: float,
     return IntegrationPlan(method, t_end, step, None, output_stride)
 
 
-def build_scenario(doc: ConfigDocument) -> Scenario:
+def build_scenario(doc: ConfigDocument, method: str | None = None,
+                   step: float | None = None) -> Scenario:
     """Validate a config document and materialize the Scenario.
 
     Couplings given as potentials are converted here, so downstream
     dynamics only ever sees F and G (the potentials are kept for the
-    energy evaluators).
+    energy evaluators).  A given ``method`` and ``step`` (run_plan's)
+    stand in for the config's [integration] method and its dt or tol,
+    which are then not read.
     """
     sections = doc.sections
     m = _compile_key(sections, "functions", "m", "t")
@@ -419,16 +422,18 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         if getattr(initial, name) == 0.0:
             raise ConfigError(f"initial {name} must be nonzero")
 
-    method = sections.get("integration", {}).get("method")
     if method is None:
-        raise ConfigError("missing required key 'method' in section [integration]")
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+        method = sections.get("integration", {}).get("method")
+        if method is None:
+            raise ConfigError("missing required key 'method' in section [integration]")
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     t_end = _get_float(sections, "integration", "t_end")
     output_stride = _get_float(sections, "integration", "output_stride",
                                parse=parse_positive)
-    step = _get_float(sections, "integration",
-                      "tol" if method == "adaptive54" else "dt", parse=parse_positive)
+    if step is None:
+        step = _get_float(sections, "integration", "tol" if method == "adaptive54"
+                          else "dt", parse=parse_positive)
     plan = run_plan(method, t0, t_end, output_stride, step)
 
     try:

@@ -718,6 +718,22 @@ class TestBench:
             assert [p.name for p in out.iterdir()] == ["manifest.json"]
             assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
 
+    def test_only_the_grid_plans_are_validated(self, tmp_path, capsys):
+        # the config's own plan (rk4 at a dt of 0.03 on a 0.05 stride) is one
+        # simulate refuses, but no bench row runs it
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "integration.method=rk4", "--set", "integration.dt=0.03",
+                   "--methods", "adaptive54", "--tol", "1e-8") == 0
+        assert capsys.readouterr().err == ""
+        rows = [ln.split(",") for ln in (out / "bench.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[6]) for r in rows] == [("adaptive54", "1e-08", "ok")]
+        # a malformed grid value stays exit 2, even one no row reads
+        assert run("bench", "--config", scenario_path(S1), "--out", str(tmp_path / "c"),
+                   "--methods", "rk4", "--dt", "0.05", "--tol", "nan") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --tol must be a finite positive number, got nan"]
+
     @pytest.mark.parametrize("coupling,code,status", [
         ("V = Q^4/4\nW = s^2/2", 0, "ok"),
         ("V = Q^4/4\nG = 1", 4, "error: ConfigError"),  # W missing: energy wrong

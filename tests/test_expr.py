@@ -452,21 +452,26 @@ class TestCompiledAgreement:
         _assert_agree(c, self.SPECIAL)
         _assert_agree(v, self.SPECIAL)
 
-    @pytest.mark.parametrize("src,lines,checked", [
+    @pytest.mark.parametrize("src,lines,nodes", [
         ("u/4.0^2.0", 1, 2),           # S3's F divides by 4.0^2.0
         ("u*(2*3-1)", 1, 3),
         ("u+1/0", 2, 2),               # raises when folded: emitted
         ("u+1e308*10", 2, 2),          # not finite: emitted
         ("u+(0-1)^0.5", 2, 3),         # math domain error: emitted
     ])
-    def test_constant_operands_folded_at_generation(self, src, lines, checked):
-        # a Binary/Pow node of constants is one bound constant when its
-        # value is finite, else the line the tree walk would reject; every
-        # Binary/Pow name stays in the checked sum either way
+    def test_constant_operands_folded_at_generation(self, src, lines, nodes):
+        # of the Binary/Pow nodes, one of constant operands is one bound
+        # constant when its value is finite, else the line the tree walk
+        # would reject; the emitted lines make the checked sum, and a folded
+        # constant, finite by construction, stays out of it
         e = parse(src, "u")
         em = Inliner()
         em.inline(e, "u")
-        assert (len(em.lines), len(em.checked)) == (lines, checked), em.lines
+        assert em.checked == [ln.partition(" = ")[0] for ln in em.lines]
+        # every literal and exponent is bound once, every folded node once more
+        leaves = expr_module._fold(e, lambda n, *a: sum(a) + isinstance(n, (Const, Pow)))
+        folded = sum(isinstance(v, float) for v in em.bound.values()) - leaves
+        assert (len(em.lines), folded) == (lines, nodes - lines), em.lines
         _assert_agree(func_from_expr(e, "u"), (0.0, 1.0, -2.5, 1e300))
 
     def test_folding_a_long_constant_chain_is_linear(self):
