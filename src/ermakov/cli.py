@@ -110,7 +110,11 @@ def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
         "available through the bench subcommand)")
 
 
-def _scenario_echo(doc: ConfigDocument, scn: Scenario) -> dict:
+def _scenario_echo(doc: ConfigDocument, scn: Scenario,
+                   grid: list[model.IntegrationPlan] | None = None) -> dict:
+    """The config and its scenario; bench names each grid point's plan."""
+    run = ({"grid": [{"method": p.method, "step": p.tol if p.dt is None else p.dt}
+                     for p in grid]} if grid else {"method": scn.plan.method})
     return {
         "config": {sec: dict(kv) for sec, kv in doc.sections.items()},
         "resolved": {
@@ -121,7 +125,7 @@ def _scenario_echo(doc: ConfigDocument, scn: Scenario) -> dict:
             "V": scn.potential_V.source if scn.potential_V else None,
             "W": scn.potential_W.source if scn.potential_W else None,
             "t0": scn.initial.t,
-            "method": scn.plan.method,
+            **run,
         },
     }
 
@@ -170,7 +174,7 @@ def _run(args) -> int:
     except Exception as err:  # noqa: BLE001 -- recorded, as in main
         code = _record_error(manifest, err)
     else:
-        manifest.update(_scenario_echo(doc, scn), config_text=doc.text)
+        manifest.update(_scenario_echo(doc, scn, *extra), config_text=doc.text)
         try:
             code = args.body(args, scn, out_dir, manifest, *extra)
         except Exception as err:  # noqa: BLE001

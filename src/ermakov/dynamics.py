@@ -27,6 +27,7 @@ harmonic q(t) may pass through zero when G = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -97,10 +98,11 @@ def ieee_div(a: float, b: float) -> float:
 # Each equation is written once, as a program: a function that emits its
 # lines into ``em`` and returns its result, deciding per Scenario which
 # couplings are structurally zero.  It writes a / or ** that can raise on
-# floats as em.div/em.pow and its mass arithmetic through em.arith, and
-# states each condition the result needs: em.guard (singularity guard),
-# em.mass (the name of m(t), which must be positive and finite) and
-# em.finite (raise error(t, *names) unless every name is finite).
+# floats as em.div/em.pow, a square as x*x and its mass arithmetic through
+# em.arith, and states each condition the result needs: em.guard
+# (singularity guard), em.mass (the name of m(t), which must be positive
+# and finite) and em.finite (raise error(t, *names) unless every name is
+# finite).
 # _Fast (expr.Inliner) builds the function the integrators call: inlined
 # expressions, raw / and **, the conditions tested at the end, and any
 # call that raises, meets a non-finite intermediate or an at_zero point,
@@ -109,7 +111,7 @@ def ieee_div(a: float, b: float) -> float:
 # computes m*m, m'/m and the like there and drops factors of 1.0.
 # _Checked builds that fallback, the reference, folding nothing: Func1
 # calls and evaluate where _Fast inlines, ieee_div/ieee_pow (inf/nan, no
-# raise), and each condition's own error.
+# raise), and each condition's own error; it is compiled on first use.
 
 
 class _Fast(Inliner):
@@ -167,11 +169,13 @@ def _build_checked(params: str, program: Callable, *args) -> Callable:
 
 
 def _build_fast(params: str, program: Callable, *args,
-                slow: Callable | None = None) -> Callable:
-    """The generated function; ``slow`` defaults to the checked build."""
+                reference: Callable[[], Callable] | None = None) -> Callable:
+    """The generated function.  Its fallback, ``reference()`` (by default
+    the checked build), is built by the first call that needs it."""
     em = _Fast()
-    return em.build(params, program(em, *args),
-                    slow or _build_checked(params, program, *args))
+    result = program(em, *args)
+    slow = functools.cache(reference or (lambda: _build_checked(params, program, *args)))
+    return em.build(params, result, lambda *call_args: slow()(*call_args))
 
 
 def _emit_phys(em: Inliner, scn: Scenario) -> str:
@@ -183,7 +187,7 @@ def _emit_phys(em: Inliner, scn: Scenario) -> str:
     md = em.inline(m.d1, "t")
     omt2 = em.call(scn.omega_tilde_sq, "t")
     em.guard("f", "t", eps)  # dtau = 1/(m f^2) needs f regardless of couplings
-    mm = em.arith("*", mv, mv)
+    mm = em.let(em.arith("*", mv, mv)) if _active(F) or _active(G) else None
     g_term = f_term = "0.0"
     if not is_zero(G.expr):
         em.guard("q", "t", eps)
@@ -303,7 +307,7 @@ def qframe_terms(state: QFrameState, V: Func1 | None,
     when absent or structurally zero; an active W guards Q.  The kinetic
     term is +0.0 or more, so adding or subtracting 0.0 for an absent side
     changes no bit."""
-    k = 0.5 * ieee_pow(state.Q_prime, 2)
+    k = 0.5 * (state.Q_prime * state.Q_prime)
     v = w = 0.0
     if V is not None and not is_zero(V.expr):
         v = V(state.Q)

@@ -15,8 +15,9 @@ literals, so the node set is closed under symbolic differentiation and
 derivatives stay exact (no finite differencing anywhere downstream).
 
 Each operator's arithmetic is written once, in the tables ``_UNARY`` and
-``_BINARY`` (``^`` is ``math.pow``) that ``_apply`` runs, and its
-derivative in ``_D_UNARY``/``_D_BINARY``.  ``evaluate``, ``differentiate``,
+``_BINARY`` that ``_apply`` runs (``^`` is ``math.pow``, but ``^2`` is one
+correctly rounded multiply, ``b*b``), and its derivative in
+``_D_UNARY``/``_D_BINARY``.  ``evaluate``, ``differentiate``,
 ``rename_var``, ``to_source`` and ``Inliner.inline`` fold one walk,
 ``_fold``, that visits a subtree shared by identity once (derivatives share
 the subtrees of what they differentiate).  ``evaluate`` is the reference
@@ -88,9 +89,9 @@ class Pow(NamedTuple):
 Expr = Union[Const, Var, Unary, Binary, Pow]
 
 # Each operator's arithmetic, once: the tree walk applies these, the
-# generated code calls them by the names in _BOUND (``-x`` and ``a / b``
-# are the same operations), and the parser's functions are the unary
-# table's named entries.
+# generated code calls them by the names in _BOUND (``-x``, ``a / b`` and
+# a square's ``b * b`` are the same operations), and the parser's functions
+# are the unary table's named entries.
 _UNARY = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
           "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -154,6 +155,8 @@ def _apply(e: Expr, args, x: float) -> float:
         fn = _UNARY[e.op]
     elif isinstance(e, Binary):
         fn = _BINARY[e.op]
+    elif e.exponent == 2.0:  # one correctly rounded multiply
+        fn, args = operator.mul, (*args, *args)
     else:
         fn, args = math.pow, (*args, e.exponent)
     try:
@@ -464,8 +467,9 @@ class Inliner:
     by identity once), and returns the name holding the value.  Constants
     are bound by name, never printed (``1e400`` is ``Const(inf)``), and a
     name bound to a float stays a constant for the whole build (``value``).
-    A Binary/Pow node of constant operands is folded: its value, which
+    An operator node of constant operands is folded: its value, which
     ``_apply`` computes from theirs, is bound unless ``_apply`` rejects it.
+    A square is emitted as ``x * x``.
     ``call`` inlines a Func1's f; ``arith`` writes the caller's own
     arithmetic, folded the same way, ``let`` emits it, and ``require`` a
     condition the result needs.  ``head`` lines run first, outside the
@@ -539,20 +543,24 @@ class Inliner:
                 return x
             if isinstance(node, Const):
                 return self.bind(node.value)
+            a = args[0]
             if isinstance(node, Unary):
-                return self.let(f"-{args[0]}" if node.op == "neg"
-                                else f"_{node.op}({args[0]})")
-            # the exponent is bound before folding: constants keep their numbers
-            code = (f"{args[0]} {node.op} {args[1]}" if isinstance(node, Binary)
-                    else f"_pow({args[0]}, {self.bind(node.exponent)})")
-            values = [self.value(a) for a in args]
+                code = f"-{a}" if node.op == "neg" else f"_{node.op}({a})"
+            elif isinstance(node, Binary):
+                code = f"{a} {node.op} {args[1]}"
+            elif node.exponent == 2.0:
+                code = f"{a} * {a}"
+            else:  # bound before folding: constants keep their numbers
+                code = f"_pow({a}, {self.bind(node.exponent)})"
+            values = [self.value(arg) for arg in args]
             if None not in values:
                 try:
                     return self.bind(_apply(node, values, 0.0))
                 except ExprDomainError:
                     pass
             name = self.let(code)
-            self.checked.append(name)
+            if not isinstance(node, Unary):
+                self.checked.append(name)
             return name
 
         return _fold(e, emit)

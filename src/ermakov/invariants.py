@@ -19,7 +19,8 @@ The series calls its generated build once per sample: m(t), the (Q, Q')
 map and the potentials inlined, and on each quadrature side the leg from
 the side's last point in one Simpson level.  Its checked build,
 ``_reference``, takes each leg by ``_RunningIntegral.value`` (``quad``,
-``_adaptive``) and gives any sample the generated one cannot finish.
+``_adaptive``) and gives any sample the generated one cannot finish; it is
+built when the first such sample comes.
 """
 
 from __future__ import annotations
@@ -252,7 +253,8 @@ def _emit_sample(em: Inliner, m: Func1, u_side: _PotentialSide,
         pot_v = _emit_side(em, v_side, em.let("f / q"), "v")
     # the equal kinetic terms keep their own arithmetic (m^2 (q'f-qf')^2 vs
     # Q'^2): frame_gap measures exactly this evaluation difference
-    kinetic = em.arith("*", em.arith("*", em.arith("*", half, mv), mv), em.pow(wr, 2))
+    kinetic = em.arith("*", em.arith("*", em.arith("*", half, mv), mv),
+                       em.arith("*", wr, wr))
     ep = em.let(f"{kinetic} + {pot_u} + {pot_v}")
     eq = em.let(f"0.5 * {Q_prime} * {Q_prime} + {pot_u} + {pot_v}")
     em.finite(lambda t, ep, eq: InvariantError(
@@ -275,7 +277,7 @@ def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
     level: that point was never sampled (never, at a tolerance that is not
     positive), the new point is cached, or the leg misses 15*tol."""
     return _build_fast(_PARAMS, _emit_sample, m, u_side, v_side,
-                       slow=_reference(m, u_side, v_side))
+                       reference=lambda: _reference(m, u_side, v_side))
 
 
 def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:

@@ -734,6 +734,25 @@ class TestBench:
         assert capsys.readouterr().err.splitlines() == [
             "error: --tol must be a finite positive number, got nan"]
 
+    def test_manifest_names_every_grid_point(self, tmp_path):
+        # the echo names the plan of each row, not the config's method or
+        # the first grid point's alone
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "integration.method=rk4", "--set", "integration.t_end=5",
+                   "--methods", "adaptive54,rk4", "--tol", "1e-8,1e-9",
+                   "--dt", "0.05") == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        assert "method" not in resolved
+        assert resolved["grid"] == [{"method": "adaptive54", "step": 1e-8},
+                                    {"method": "adaptive54", "step": 1e-9},
+                                    {"method": "rk4", "step": 0.05}]
+        # any other run names its one method
+        assert run("check", "--config", scenario_path(S1), "--out", str(tmp_path / "c"),
+                   "--set", "integration.t_end=5") == 0
+        resolved = json.loads((tmp_path / "c" / "manifest.json").read_text())["resolved"]
+        assert resolved["method"] == "adaptive54" and "grid" not in resolved
+
     @pytest.mark.parametrize("coupling,code,status", [
         ("V = Q^4/4\nW = s^2/2", 0, "ok"),
         ("V = Q^4/4\nG = 1", 4, "error: ConfigError"),  # W missing: energy wrong

@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, exact differentiation."""
 
 import math
+import re
 import time
 from functools import partial
 
@@ -468,11 +469,41 @@ class TestCompiledAgreement:
         em = Inliner()
         em.inline(e, "u")
         assert em.checked == [ln.partition(" = ")[0] for ln in em.lines]
-        # every literal and exponent is bound once, every folded node once more
-        leaves = expr_module._fold(e, lambda n, *a: sum(a) + isinstance(n, (Const, Pow)))
+        # every literal and every exponent but a square's (x * x binds none)
+        # is bound once, every folded node once more
+        leaves = expr_module._fold(e, lambda n, *a: sum(a) + (
+            isinstance(n, Const) or isinstance(n, Pow) and n.exponent != 2.0))
         folded = sum(isinstance(v, float) for v in em.bound.values()) - leaves
         assert (len(em.lines), folded) == (lines, nodes - lines), em.lines
         _assert_agree(func_from_expr(e, "u"), (0.0, 1.0, -2.5, 1e300))
+
+    @pytest.mark.parametrize("src,lines", [
+        ("-1*u", ["r0 = c * u"]),         # -1 is one bound constant
+        ("u*exp(0.5)", ["r0 = u * c"]),
+        ("u+sqrt(0-1)", ["r0 = _sqrt(c)", "r1 = u + r0"]),  # domain error: emitted
+        ("u+exp(1000)", ["r0 = _exp(c)", "r1 = u + r0"]),   # range error: emitted
+    ])
+    def test_unary_nodes_of_constants_folded_at_generation(self, src, lines):
+        # a Unary line is not in the checked sum: the tree walk takes any
+        # value a function returns
+        e = parse(src, "u")
+        em = Inliner()
+        em.inline(e, "u")
+        assert [re.sub(r"\bc\d+", "c", ln) for ln in em.lines] == lines
+        assert em.checked == [lines[-1].partition(" = ")[0]]
+        _assert_agree(func_from_expr(e, "u"), (0.0, 1.0, -2.5, 1e300))
+
+    def test_a_square_is_one_multiply(self):
+        # no _pow call and no bound exponent; the tree walk multiplies too
+        em = Inliner()
+        em.inline(parse("u^2+u^3", "u"), "u")
+        assert [re.sub(r"\bc\d+", "c", ln) for ln in em.lines] == [
+            "r0 = u * u", "r1 = _pow(u, c)", "r2 = r0 + r1"]
+        assert [v for v in em.bound.values() if isinstance(v, float)] == [3.0]
+        x = 0.33187190551591689  # math.pow(x, 2.0) is 1 ulp above x*x here
+        assert evaluate(parse("u^2", "u"), x) == x * x != math.pow(x, 2.0)
+        with pytest.raises(ExprDomainError, match="non-finite result"):
+            evaluate(parse("u^2", "u"), 1e200)
 
     def test_folding_a_long_constant_chain_is_linear(self):
         # 1.5+...+1.5+x folds each level on its operands' bound values; an
