@@ -472,9 +472,8 @@ class Inliner:
     A square is emitted as ``x * x``.
     ``call`` inlines a Func1's f; ``arith`` writes the caller's own
     arithmetic, folded the same way, ``let`` emits it, and ``require`` a
-    condition the result needs.  ``head`` lines run first, outside the
-    checks, and ``tail`` lines after every check passed, right before the
-    return.
+    condition the result needs.  ``tail`` lines run after every check
+    passed, right before the return.
 
     ``build(params, result, slow)`` returns a function of ``params``
     that returns ``result`` only when no emitted line raised, the sum of
@@ -491,7 +490,6 @@ class Inliner:
         self.lines: list[str] = []
         self.checked: list[str] = []
         self.conditions: list[str] = []
-        self.head: list[str] = []
         self.tail: list[str] = []
 
     def bind(self, value: object) -> str:
@@ -576,11 +574,9 @@ class Inliner:
         """The generated function of ``params`` (source text, e.g.
         ``"t, y"``) returning the emitted name ``result``."""
         fallback = f"return _slow({params})"
-        body = list(self.head)
-        if self.lines:
-            body += ["try:", *(f"    {ln}" for ln in self.lines),
-                     "except (ZeroDivisionError, ValueError, OverflowError):",
-                     f"    {fallback}"]
+        body = ["try:", *(f"    {ln}" for ln in self.lines),
+                "except (ZeroDivisionError, ValueError, OverflowError):",
+                f"    {fallback}"] if self.lines else []
         tests = list(self.conditions)
         if self.checked:
             # at most 500 terms a line: compile overflows near 3,000

@@ -17,10 +17,11 @@ quadrature; bare-coupling scenarios fall back to adaptive Simpson.
 One sample is one program, ``_emit_sample``, built twice (see dynamics).
 The series calls its generated build once per sample: m(t), the (Q, Q')
 map and the potentials inlined, and on each quadrature side the leg from
-the side's last point in one Simpson level.  Its checked build,
-``_reference``, takes each leg by ``_RunningIntegral.value`` (``quad``,
-``_adaptive``) and gives any sample the generated one cannot finish; it is
-built when the first such sample comes.
+the side's last point in one Simpson level; a side keeps only that point,
+its integrand value (nan until sampled) and the running value.  Its
+checked build, ``_reference``, takes each leg by ``_RunningIntegral.value``
+(``quad``, ``_adaptive``) and gives any sample the generated one cannot
+finish; it is built when the first such sample comes.
 """
 
 from __future__ import annotations
@@ -169,33 +170,32 @@ class InvariantReport(Record):
 
 
 class _RunningIntegral:
-    """Antiderivative along a trajectory's endpoint sequence.
+    """Antiderivative along a trajectory's point sequence.
 
-    Integrates leg by leg from the previous endpoint instead of from
-    the reference each time, caching endpoints, so evaluating the
-    invariant over n samples costs O(n) quadratures of short intervals.
-    Single-trajectory use only (not shared across workers).
+    Integrates leg by leg from the last point instead of from the
+    reference each time, so evaluating the invariant over n samples costs
+    O(n) quadratures of short intervals.  ``last_f`` is fn(last_x), nan
+    until a leg has sampled it.  Single-trajectory use only (not shared
+    across workers).
     """
 
-    __slots__ = ("fn", "tol", "last_x", "last_f", "last_val", "cache")
+    __slots__ = ("fn", "tol", "last_x", "last_f", "last_val")
 
     def __init__(self, fn: Callable[[float], float], ref: float, tol: float):
         self.fn = fn
         self.tol = tol
         self.last_x = ref
-        self.last_f: float | None = None  # fn(last_x), once sampled
+        self.last_f = math.nan
         self.last_val = 0.0
-        self.cache: dict[float, float] = {ref: 0.0}
 
     def value(self, x: float) -> float:
-        hit = self.cache.get(x)
-        if hit is not None:
-            return hit
         val = self.last_val + quad(self.fn, self.last_x, x, self.tol)
         # the generated pass takes the next leg from x, knowing fn(x): quad
-        # sampled it, so it is finite
-        self.last_x, self.last_f, self.last_val = x, self.fn(x), val
-        self.cache[x] = val
+        # sampled it (or fn(last_x), when x == last_x), so it is finite; a
+        # zero leg from the unsampled start samples nothing
+        if x != self.last_x or not math.isnan(self.last_f):
+            self.last_f = self.fn(x)
+        self.last_x, self.last_val = x, val
         return val
 
 
@@ -273,17 +273,18 @@ def _reference(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
 def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
                ) -> Callable[..., tuple[float, float, float, float]]:
     """The generated build.  A sample also goes to the reference when a
-    quadrature side cannot take the leg from its last point in one Simpson
-    level: that point was never sampled (never, at a tolerance that is not
-    positive), the new point is cached, or the leg misses 15*tol."""
+    quadrature side's leg from its last point misses 15*tol in one Simpson
+    level, as every leg from the unsampled start (nan) does: at a
+    tolerance that is not positive, every leg."""
     return _build_fast(_PARAMS, _emit_sample, m, u_side, v_side,
                        reference=lambda: _reference(m, u_side, v_side))
 
 
 def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:
     """The name of one side's value at the emitted point ``x``; a
-    quadrature side's names start with ``p``, and its leg is
-    ``_RunningIntegral.value`` (checked) or its first Simpson level."""
+    quadrature side's names start with ``p``, and its leg from the last
+    point is ``_RunningIntegral.value`` (checked) or its first Simpson
+    level, which loads and commits the last point's state."""
     if side.zero:
         return "0.0"
     if side.potential is not None:
@@ -292,14 +293,12 @@ def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:
     if isinstance(em, _Checked):
         return em.let(f"{run}.value({x})")
     # _RunningIntegral.value's leg (a, x) from its last point a, which
-    # holds fa = fn(a) and the value va: quad(fn, a, x) with both ends
-    # known, a reversed leg as the negated swapped one, and _adaptive's
-    # first level on [lo, hi]; the state is committed after the checks
-    cache = em.bind(side.running.cache)
+    # holds fa = fn(a) (nan, so the leg misses 15*tol, until sampled) and
+    # the value va: quad(fn, a, x) with both ends known, a reversed leg as
+    # the negated swapped one, and _adaptive's first level on [lo, hi];
+    # the state is committed after the checks
     coupling = side.coupling
-    em.head += [f"{p}a, {p}fa, {p}va = {run}.last_x, {run}.last_f, {run}.last_val",
-                f"if {p}fa is None: return _slow({_PARAMS})"]
-    em.require(f"{x} not in {cache}")
+    em.let(f"{run}.last_x, {run}.last_f, {run}.last_val", f"{p}a, {p}fa, {p}va")
 
     def integrand(w: str) -> str:
         value = _emit_integrand(em, coupling, w)
@@ -320,8 +319,7 @@ def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:
     em.require(f"abs({delta}) <= {em.bind(15.0 * side.running.tol)}")
     res = em.let(f"{left} + {right} + {delta} / 15.0")
     val = em.let(f"{p}va + (-{res} if {x} < {p}a else {res})")
-    em.tail += [f"{run}.last_x, {run}.last_f, {run}.last_val = {x}, {fx}, {val}",
-                f"{cache}[{x}] = {val}"]
+    em.tail.append(f"{run}.last_x, {run}.last_f, {run}.last_val = {x}, {fx}, {val}")
     return val
 
 

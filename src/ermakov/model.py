@@ -227,7 +227,6 @@ class ConfigDocument(NamedTuple):
 
     sections: dict[str, dict[str, str]]
     text: str
-    path: str | None = None
 
 
 def parse_config(text: str, path: str | None = None) -> ConfigDocument:
@@ -249,7 +248,7 @@ def parse_config(text: str, path: str | None = None) -> ConfigDocument:
             if key not in _SCHEMA[sec]:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
         sections[sec] = dict(cp[sec])
-    return ConfigDocument(sections, text, path)
+    return ConfigDocument(sections, text)
 
 
 def load_config(path: str) -> ConfigDocument:
@@ -272,7 +271,7 @@ def apply_overrides(doc: ConfigDocument, overrides: list[str]) -> ConfigDocument
         if sec not in _SCHEMA or key not in _SCHEMA[sec]:
             raise ConfigError(f"override targets unknown key [{sec}] {key!r}")
         sections.setdefault(sec, {})[key] = value.strip()
-    return ConfigDocument(sections, doc.text, doc.path)
+    return ConfigDocument(sections, doc.text)
 
 
 def _number(raw: str, name: str) -> float:

@@ -251,17 +251,19 @@ class TestGaugeResidual:
         difference of Phi = (1/2)(q^2/f) m f' along a real trajectory."""
         st0 = s2.initial
         y0 = np.array([st0.q, st0.q_dot, st0.f, st0.f_dot, st0.tau])
-        traj = integrators.integrate_adaptive54(dynamics.phys_ode(s2), y0,
-                                                st0.t, 10.0, 1e-12, 0.01)
+        ts, h = (1.0, 3.7, 8.2), 1e-5
+        traj = integrators.integrate_adaptive54(
+            dynamics.phys_ode(s2), y0, st0.t, 10.0, 1e-12, 0.01,
+            [t + d for t in ts for d in (-h, 0.0, h)])
+        at = dict(zip(traj.t, traj.y))  # the dense output at t and t +- h
 
         def phi_at(t):
-            q, q_dot, f, f_dot, _ = integrators.interpolate(traj, t)
+            q, q_dot, f, f_dot, _ = at[t]
             return 0.5 * (q * q / f) * s2.m(t) * f_dot
 
-        for t in (1.0, 3.7, 8.2):
-            h = 1e-5
+        for t in ts:
             fd = (phi_at(t + h) - phi_at(t - h)) / (2 * h)
-            q, q_dot, f, f_dot, tau = integrators.interpolate(traj, t)
+            q, q_dot, f, f_dot, tau = at[t]
             st = PhysState(t=t, tau=tau, q=q, q_dot=q_dot, f=f, f_dot=f_dot)
             mv = s2.m(t)
             dmf = -mv * s2.omega_tilde_sq(t) * f + s2.coupling_F(q / f) / (mv * f**3)
@@ -303,13 +305,9 @@ class TestFrameEquivalence:
         direct = integrators.integrate_adaptive54(
             dynamics.qframe_ode_from_scenario(s1),
             np.array([st.q / st.f, st.q_dot * st.f - st.q * st.f_dot]),
-            0.0, float(tau[-1]), 1e-10, 0.01)
-        worst = 0.0
-        for i in range(len(traj)):
-            if tau[i] > direct.t[-1]:
-                break
-            Qd = integrators.interpolate(direct, float(tau[i]))[0]
-            worst = max(worst, abs(Qd - traj.y[i][0] / traj.y[i][2]))
+            0.0, float(tau[-1]), 1e-10, 0.01, [float(x) for x in tau])
+        at_tau = dict(zip(direct.t, direct.y))  # its dense output at each tau
+        worst = max(abs(at_tau[x][0] - q / f) for x, (q, _, f, _, _) in zip(tau, traj.y))
         assert worst < 1e-5, f"max cross-frame gap {worst}"
 
     def test_reversibility(self, s2):

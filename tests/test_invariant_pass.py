@@ -5,7 +5,7 @@ sample by sample: the same bits of Q, Q', E_phys and E_Q (``float.hex``),
 the same error type and message, and the same running-integral state
 afterwards.  The sample sequences are derandomized hypothesis draws that
 cover every zero/potential/quadrature side pair, reversed legs, repeated
-points (cache hits), legs that need more than one Simpson level, integrand
+points, legs that need more than one Simpson level, integrand
 points outside the domain, |q| or |f| below EPS_SING and invalid masses.
 """
 
@@ -61,7 +61,7 @@ def make_side(name, kind, choice, tol, ref):
 
 def outcomes(make_pass, m, make_sides, states):
     """Each sample's (Q, Q', E_phys, E_Q) as hex, or its error, then each
-    quadrature side's running state and cache."""
+    quadrature side's running state."""
     u_side, v_side = make_sides()
     sample = make_pass(m, u_side, v_side)
     out = []
@@ -73,8 +73,7 @@ def outcomes(make_pass, m, make_sides, states):
     for side in (u_side, v_side):
         run = side.running
         if run is not None:
-            out.append(repr((run.last_x, run.last_f, run.last_val,
-                             list(run.cache.items()))))
+            out.append(repr((run.last_x, run.last_f, run.last_val)))
     return out
 
 
@@ -219,7 +218,7 @@ def test_smooth_samples_take_the_generated_path(reference_calls, u_kind, v_kind)
 def test_loose_tolerance_long_legs_and_repeats(reference_calls, tol):
     # at a loose tolerance long legs, reversed ones included, pass the
     # first level, so the generated Simpson arithmetic decides their bits;
-    # points drawn from a small pool repeat and must be the cached values
+    # points drawn from a small pool repeat, each a leg of its own
     rng = random.Random(tol)
     pool = (0.5, 1.0, 2.0, -1.5, 3.0)
     states = [(0.01 * i, rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0.5, 3.0),

@@ -79,17 +79,17 @@ def _counting(fn):
 
 
 def _running_unassisted(fn, ref, tol, xs):
-    """What _RunningIntegral.value returns along ``xs`` when every leg is
-    a plain quad(fn, last_x, x): values as hex, then the first error."""
-    last_x, last_val, cache, out = ref, 0.0, {ref: 0.0}, []
+    """What _RunningIntegral.value returns along ``xs`` when every leg,
+    a revisit's included, is a plain quad(fn, last_x, x): values as hex,
+    then the first error."""
+    last_x, last_val, out = ref, 0.0, []
     for x in xs:
-        if x not in cache:
-            try:
-                cache[x] = last_val = last_val + quad(fn, last_x, x, tol)
-            except QuadratureError as err:
-                return out + [str(err)]
-            last_x = x
-        out.append(cache[x].hex())
+        try:
+            last_val += quad(fn, last_x, x, tol)
+        except QuadratureError as err:
+            return out + [str(err)]
+        last_x = x
+        out.append(last_val.hex())
     return out
 
 
@@ -108,19 +108,40 @@ class TestQuadEndpointReuse:
              lambda x: 1.0 / (1.0 + x ** 4))
 
     def test_legs_reuse_their_start(self):
-        # each leg runs from the last point, not from the reference
+        # each leg, a revisit's included, runs from the last point, not from
+        # the reference, and samples nothing outside that leg
         rng = np.random.default_rng(12)
         xs = [float(v) for v in rng.uniform(-2.0, 2.0, 40)]
-        xs += [xs[3], xs[-1], 0.0, xs[7]]  # cached points cost nothing
+        xs += [xs[3], xs[-1], 0.0, xs[7]]  # revisits take a leg too
         for fn in self.FUNCS:
             counted, calls = _counting(fn)
             running = _RunningIntegral(counted, 0.0, 1e-10)
             for x in xs:
-                cached = x in running.cache
+                lo, hi = sorted((running.last_x, x))
                 calls.clear()
                 running.value(x)
-                assert not cached or calls == []
+                assert calls and all(lo <= c <= hi for c in calls)
             assert _running(fn, 0.0, 1e-10, xs) == _running_unassisted(fn, 0.0, 1e-10, xs)
+        # 0 -> 1 -> 2 -> 1: the revisit is 1 ulp from the first value at 1
+        fn = self.FUNCS[2]
+        running = _RunningIntegral(fn, 0.0, 1e-10)
+        first, last_val = running.value(1.0), running.value(2.0)
+        again = running.value(1.0)
+        assert again.hex() == (last_val + quad(fn, 2.0, 1.0, 1e-10)).hex()
+        assert again != first
+
+    def test_a_revisited_start_stays_unsampled(self):
+        # the reference point need not be in the integrand's domain: a
+        # zero leg to it samples nothing, and the first real leg fails as
+        # quad does
+        def fn(x):
+            return 1.0 / x
+        counted, calls = _counting(fn)
+        running = _RunningIntegral(counted, 0.0, 1e-10)
+        assert running.value(0.0) == 0.0 and running.value(-0.0) == 0.0
+        assert calls == [] and math.isnan(running.last_f)
+        with pytest.raises(QuadratureError, match="integrand failed at x=-0.0"):
+            running.value(1.0)
 
     @pytest.mark.parametrize("ref,xs", [
         (0.0, [0.5, -1.0, 2.5, 1.2]),   # fails at a new right end

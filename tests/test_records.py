@@ -80,7 +80,7 @@ def test_keyword_construction_and_defaults():
     f = Func1(expr=e, d1=Const(2.0), d2=Const(0.0), var_name="x")
     assert f.at_zero is None and f == Func1(e, Const(2.0), Const(0.0), "x", None)
     doc = ConfigDocument(sections={}, text="")
-    assert doc.path is None and doc == ConfigDocument({}, "", None)
+    assert doc._fields == ("sections", "text") and doc == ConfigDocument({}, "")
     traj = Trajectory(t=[0.0], y=[[1.0]], dy=[[0.0]], method="rk4", step_count=0,
                       rejected_steps=0)
     assert len(traj) == 1 and traj._fields[-1] == "rejected_steps"
