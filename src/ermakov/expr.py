@@ -17,7 +17,10 @@ derivatives stay exact (no finite differencing anywhere downstream).
 Each operator's arithmetic is written once, in the tables ``_UNARY`` and
 ``_BINARY`` that ``_apply`` runs (``^`` is ``math.pow``, but ``^2`` is one
 correctly rounded multiply, ``b*b``), and its derivative in
-``_D_UNARY``/``_D_BINARY``.  ``evaluate``, ``differentiate``,
+``_D_UNARY``/``_D_BINARY``, built through smart constructors that fold
+constants and drop exact work: d(a/c) for a constant c is a'/c, and
+(c*x)/c is x when |c| is a power of two >= 2, so ``Q^4/4`` differentiates
+to ``Q^3.0`` and ``s^2/2`` to ``2.0*s/2.0``.  ``evaluate``, ``differentiate``,
 ``rename_var``, ``to_source`` and ``Inliner.inline`` fold one walk,
 ``_fold``, that visits a subtree shared by identity once (derivatives share
 the subtrees of what they differentiate).  ``evaluate`` is the reference
@@ -176,7 +179,14 @@ def _apply(e: Expr, args, x: float) -> float:
 
 # Smart constructors fold constants and drop 0/1 identities so derivative
 # trees stay small; they never change evaluation results away from points
-# where the unfolded tree was already undefined.
+# where the unfolded tree was already undefined.  Two rules drop exact
+# work.  A quotient by b with a structurally zero derivative (a constant)
+# differentiates as a'/b, not as (a'*b - a*0)/b^2: for |b| a power of two
+# >= 2 both give the same bits, as a'*b and b^2 are exact, and for any
+# other b a'/b is one rounding where the quotient rule made three.  _div
+# cancels (c*x)/c to x when |c| is a power of two >= 2, c*x being exact;
+# x is a Binary or Pow node, so a non-finite x raises as (c*x)/c did.
+# Either rule gives a value where only the dropped a'*b or c*x overflowed.
 
 def _const(v: float) -> Const:
     return Const(float(v))
@@ -219,7 +229,16 @@ def _div(a: Expr, b: Expr) -> Expr:
         return _const(0.0)
     if isinstance(b, Const) and b.value == 1.0:
         return a
+    if (isinstance(b, Const) and _is_scale(b.value) and isinstance(a, Binary)
+            and a.op == "*" and a.left == b and isinstance(a.right, (Binary, Pow))):
+        return a.right
     return Binary("/", a, b)
+
+
+def _is_scale(c: float) -> bool:
+    """|c| is a power of two >= 2: x*c/c is x for every finite x*c."""
+    m, e = math.frexp(c)
+    return abs(m) == 0.5 and e >= 2
 
 
 def _neg(a: Expr) -> Expr:
@@ -249,7 +268,8 @@ _D_BINARY = {
     "+": lambda a, b, da, db: _add(da, db),
     "-": lambda a, b, da, db: _sub(da, db),
     "*": lambda a, b, da, db: _add(_mul(da, b), _mul(a, db)),
-    "/": lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2.0)),
+    "/": lambda a, b, da, db: (_div(da, b) if is_zero(db) else
+                               _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2.0))),
 }
 
 

@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import central_fd, random_expr
 from ermakov import expr as expr_module
@@ -22,11 +24,12 @@ from ermakov.expr import (
     differentiate,
     evaluate,
     func_from_expr,
+    is_zero,
     parse,
     rename_var,
     to_source,
 )
-from ermakov.model import F_from_V
+from ermakov.model import F_from_V, G_from_W
 
 
 class TestParse:
@@ -161,6 +164,72 @@ class TestDifferentiate:
         for _ in range(20):
             e = random_expr(rng, 4)
             differentiate(differentiate(e))  # closure: must not raise
+
+
+class TestQuotientByAConstant:
+    """d(a/c) is a'/c, and (c*x)/c is x when |c| is a power of two >= 2
+    and x a Binary or Pow node: the same bits as the quotient rule's
+    (a'*c)/c^2 wherever that evaluates, the same error class wherever it
+    raises, except where only the dropped a'*c or c*x overflowed."""
+
+    def test_s3_texts(self):
+        assert to_source(differentiate(parse("Q^4/4", "Q"))) == "Q^3.0"
+        assert to_source(differentiate(parse("s^2/2", "s"))) == "2.0*s/2.0"
+        assert F_from_V(compile_func("Q^4/4", "Q")).source == "u^3.0/u"
+        assert G_from_W(compile_func("s^2/2", "s")).source == "2.0*v/2.0/v"
+
+    SCALES = (2.0, -2.0, 4.0, 16.0, 256.0)  # |c| a power of two >= 2
+    OTHERS = (0.5, 3.0, 0.1)
+    # zeros, the least, an odd and the largest subnormal, huge, ordinary, inf, nan
+    POINTS = (0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, 2.225073858507201e-308,
+              1e300, -1e300, 1.7976931348623157e308, 0.7, -1.3, 2.5,
+              math.inf, -math.inf, math.nan)
+
+    @staticmethod
+    def _value(e, x):
+        try:
+            return evaluate(e, x)
+        except ExprDomainError:
+            return None
+
+    def _assert_as_before(self, new, old, c, dropped):
+        """``new`` gives ``old``'s bits where ``old`` evaluates and raises
+        where it raised, unless ``dropped(new's value)``, a product by c,
+        overflowed."""
+        for x in self.POINTS:
+            want, got = self._value(old, x), self._value(new, x)
+            if want is not None:  # repr round-trips a float's bits
+                assert repr(got) == repr(want), (to_source(new), c, x)
+            elif got is not None:
+                assert math.isfinite(got) and not math.isfinite(dropped(got)), (
+                    to_source(new), c, x, got)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+           c=st.sampled_from(SCALES + OTHERS))
+    def test_the_rules_keep_the_quotient_rules_bits(self, seeds, c):
+        a, x = (random_expr(np.random.default_rng(seed), 3) for seed in seeds)
+        k = Const(c)
+        # rule 2 against the unfolded (c*x)/c, for every c (it folds only scales)
+        self._assert_as_before(expr_module._div(Binary("*", k, x), k),
+                               Binary("/", Binary("*", k, x), k), c, lambda v: v * c)
+        da = differentiate(a)
+        new = differentiate(Binary("/", a, k))
+        if c in self.SCALES:
+            # rule 1 against the quotient rule's (a'*c - a*0)/c^2, whose
+            # constructors fold a zero numerator (-0.0 too) to 0.0
+            num = expr_module._sub(expr_module._mul(da, k), expr_module._mul(a, Const(0.0)))
+            old = Const(0.0) if is_zero(num) else Binary("/", num, Pow(k, 2.0))
+            self._assert_as_before(new, old, c, lambda v: v * c * c)
+            return
+        if is_zero(da):  # a zero numerator folds to 0.0, -0.0 too
+            assert new == Const(0.0)
+            return
+        for p in self.POINTS:  # one rounding: a'/c
+            d = self._value(da, p)
+            want = d / c if d is not None and math.isfinite(d / c) else None
+            assert repr(self._value(new, p)) == repr(want), (to_source(new), c, p)
 
 
 class TestDerivativeOracle:

@@ -13,7 +13,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import S1, S3, load_scenario
@@ -82,8 +82,12 @@ def assert_same(m, make_sides, states):
     assert outcomes(_generated, m, make_sides, states) == want
 
 
+# no shrink phase: a failure reports its first failing example in seconds,
+# where shrinking these sample lists took minutes
 _DIFFERENTIAL = settings(derandomize=True, max_examples=30, deadline=None,
-                         suppress_health_check=[HealthCheck.too_slow])
+                         suppress_health_check=[HealthCheck.too_slow],
+                         phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                                 Phase.target))
 
 
 @pytest.mark.parametrize("u_kind", SIDES)
