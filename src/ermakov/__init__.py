@@ -32,12 +32,9 @@ from .model import (
     to_xrho,
 )
 from .dynamics import (
-    DerivPhys,
     gauge_residual,
     lagrangian_Q,
     lagrangian_q_tilde,
-    qframe_accel,
-    rhs_phys,
     rhs_xrho,
 )
 from .integrators import (

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import PotentialsUnavailableError, SingularityError
 from .expr import Expr, Func1, Inliner, evaluate, is_zero, make_function
@@ -37,15 +37,11 @@ from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
 
 __all__ = [
     "EPS_SING",
-    "DerivPhys",
     "guard",
     "ieee_pow",
     "ieee_div",
-    "rhs_phys",
     "rhs_xrho",
     "phys_ode",
-    "xrho_ode",
-    "qframe_accel",
     "qframe_ode_from_scenario",
     "qframe_terms",
     "lagrangian_Q",
@@ -56,16 +52,6 @@ __all__ = [
 # Below this, the 1/q^3-type terms are considered blown up; abort rather
 # than propagate garbage.
 EPS_SING = 1e-10
-
-
-class DerivPhys(NamedTuple):
-    """Time derivatives of the physical-frame state components."""
-
-    dq: float
-    dq_dot: float
-    df: float
-    df_dot: float
-    dtau: float
 
 
 def guard(name: str, value: float, t: float) -> None:
@@ -207,11 +193,6 @@ def _emit_phys(em: Inliner, scn: Scenario) -> str:
                   f"f_dot, {accel('f', 'f_dot', f_term)}, {dtau})")
 
 
-def _phys_kernel(scn: Scenario) -> Callable[..., tuple[float, ...]]:
-    """(t, q, q_dot, f, f_dot, tau) -> (dq, dq_dot, df, df_dot, dtau)."""
-    return _build_checked("t, *y", _emit_phys, scn)
-
-
 def _active(fn: Func1 | None) -> bool:
     return fn is not None and not is_zero(fn.expr)
 
@@ -240,23 +221,11 @@ def _emit_qframe_ode(em: Inliner, *sides: Func1 | None) -> str:
     return em.let(f"(Q_prime, {_emit_qframe(em, *sides)})")
 
 
-def qframe_accel(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
-                 G: Func1 | None = None) -> Callable[..., float]:
-    """Transformed-frame acceleration Q'' = -V'(Q) + W'(1/Q)/Q^2, as a
-    function (Q, tau=0.0) -> Q''; tau only labels a singularity-guard error."""
-    return _build_checked("Q, tau=0.0", _emit_qframe, V, W, F, G)
-
-
-def rhs_phys(state: PhysState, scn: Scenario) -> DerivPhys:
-    """Accelerations of the coupled q-f pair plus the tau clock rate."""
-    return DerivPhys(*_phys_kernel(scn)(state.t, state.q, state.q_dot,
-                                        state.f, state.f_dot, state.tau))
-
-
 def rhs_xrho(x: float, x_dot: float, rho: float, rho_dot: float, t: float,
              omega_sq: Callable[[float], float],
              g: Func1, h: Func1) -> tuple[float, float, float, float]:
-    """Accelerations of the unit-mass x-rho pair."""
+    """Accelerations of the unit-mass x-rho pair, written by hand: as an
+    ODE, ``lambda t, y: rhs_xrho(*y, t, omega_sq, g, h)``."""
     om2 = omega_sq(t)
     g_term = h_term = 0.0
     if not (is_zero(g.expr) and is_zero(h.expr)):
@@ -270,26 +239,22 @@ def rhs_xrho(x: float, x_dot: float, rho: float, rho_dot: float, t: float,
 
 
 # --- ODEs for the integrators -------------------------------------------------
-# State layouts: phys y = [q, q_dot, f, f_dot, tau];
-#                x-rho y = [x, x_dot, rho, rho_dot];
-#                Q-frame y = [Q, Q_prime].
-# Each ODE takes the state as a list of floats and returns a tuple.
+# State layouts: phys y = [q, q_dot, f, f_dot, tau]; Q-frame y = [Q, Q_prime].
+# Each ODE takes the state as a list of floats and returns a tuple.  Its
+# checked build, the fallback, is _build_checked over the same program.
 
 _Ode = Callable[[float, list[float]], tuple[float, ...]]
 
 
 def phys_ode(scn: Scenario) -> _Ode:
+    """Physical-frame ODE (t, [q, q', f, f', tau]) -> its time derivative."""
     return _build_fast("t, y", _emit_phys, scn)
-
-
-def xrho_ode(omega_sq: Callable[[float], float], g: Func1, h: Func1) -> _Ode:
-    return lambda t, y: rhs_xrho(*y, t, omega_sq, g, h)
 
 
 def _qframe_ode(V: Func1 | None, W: Func1 | None, F: Func1 | None = None,
                 G: Func1 | None = None) -> _Ode:
-    """Transformed-frame ODE (tau, [Q, Q']) -> (Q', Q''), the generated
-    build of qframe_accel's program."""
+    """Transformed-frame ODE (tau, [Q, Q']) -> (Q', Q''), with
+    Q'' = -V'(Q) + W'(1/Q)/Q^2; tau only labels a singularity-guard error."""
     return _build_fast("tau, y", _emit_qframe_ode, V, W, F, G)
 
 

@@ -258,7 +258,8 @@ def _weighted(weights: dict[float, str], row: Sequence[float], i: int) -> str:
 
 @functools.cache
 def _rk4_step(n: int) -> Callable:
-    """step(rhs, t, h, y) -> the state one RK4 step of h after (t, y)."""
+    """step(rhs, t, h, y, k) -> (the state one RK4 step of h after (t, y),
+    None): ``_fixed_steps``' protocol.  Stage 1 calls rhs; k is unused."""
     body = [f"{_names('a', n)}= y", "hh = 0.5 * h", "h6 = h / 6.0",
             *_stage_call(1, n, "RK4", "t", "y")]
     for j, (w, t_j) in enumerate((("hh", "t + hh"), ("hh", "t + hh"), ("h", "t + h")), 2):
@@ -266,17 +267,14 @@ def _rk4_step(n: int) -> Callable:
                  *_stage_call(j, n, "RK4", t_j, "z")]
     body.append("return [" + ", ".join(
         f"a{i} + h6 * (((b1_{i} + 2.0 * b2_{i}) + 2.0 * b3_{i}) + b4_{i})"
-        for i in range(n)) + "]")
-    return _generate("rhs, t, h, y", body, {})
+        for i in range(n)) + "], None")
+    return _generate("rhs, t, h, y, k", body, {})
 
 
 def integrate_fixed_rk4(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                         dt: float, output_stride: float) -> Trajectory:
     """Fixed-step RK4 (``_fixed_steps``); each sample calls rhs for its slope."""
-    def make_step(n):
-        rk4 = _rk4_step(n)
-        return lambda rhs, t, h, y, k: (rk4(rhs, t, h, y), None)
-    return _fixed_steps("rk4", make_step, rhs, y0, t0, t_end, dt, output_stride)
+    return _fixed_steps("rk4", _rk4_step, rhs, y0, t0, t_end, dt, output_stride)
 
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------

@@ -37,50 +37,55 @@ def _state(t=0.0, q=1.0, q_dot=0.0, f=1.0, f_dot=0.0, tau=0.0):
     return PhysState(t=t, tau=tau, q=q, q_dot=q_dot, f=f, f_dot=f_dot)
 
 
+def _rhs(st, scn):
+    """(dq, dq_dot, df, df_dot, dtau) from the ODE every run integrates."""
+    return dynamics.phys_ode(scn)(st.t, [st.q, st.q_dot, st.f, st.f_dot, st.tau])
+
+
 class TestRhsPhys:
     def test_auxiliary_equilibrium(self):
         # constant coupling 4, unit frequency: f* = 2^(1/2) is a fixed point
         scn = _scn(V="2*Q^2", W="0", f=math.sqrt(2.0))
-        d = dynamics.rhs_phys(_state(q=1.0, f=math.sqrt(2.0)), scn)
-        assert d.dq_dot == pytest.approx(-1.0, abs=1e-14)
-        assert d.df_dot == pytest.approx(0.0, abs=1e-14)
+        _, dq_dot, _, df_dot, _ = _rhs(_state(q=1.0, f=math.sqrt(2.0)), scn)
+        assert dq_dot == pytest.approx(-1.0, abs=1e-14)
+        assert df_dot == pytest.approx(0.0, abs=1e-14)
 
     def test_decoupled_linear_limit(self):
         scn = _scn(V="0", W="0")
-        d = dynamics.rhs_phys(_state(q=0.7, q_dot=0.2, f=1.3, f_dot=-0.1), scn)
-        assert d.dq == 0.2
-        assert d.dq_dot == pytest.approx(-0.7)
-        assert d.df == -0.1
-        assert d.df_dot == pytest.approx(-1.3)
+        dq, dq_dot, df, df_dot, _ = _rhs(_state(q=0.7, q_dot=0.2, f=1.3, f_dot=-0.1), scn)
+        assert dq == 0.2
+        assert dq_dot == pytest.approx(-0.7)
+        assert df == -0.1
+        assert df_dot == pytest.approx(-1.3)
 
     def test_time_dependent_mass_direct_substitution(self):
         # expansion of d/dt(m q') = m q'' + m' q' with q' = 0 at this state
         scn = _scn(m="1+0.1*sin(t)", V="0", W="0")
-        d = dynamics.rhs_phys(_state(q=1.0, f=1.0), scn)
-        assert d.dq_dot == pytest.approx(-1.0, abs=1e-14)
-        assert d.dtau == pytest.approx(1.0, abs=1e-14)
+        _, dq_dot, _, _, dtau = _rhs(_state(q=1.0, f=1.0), scn)
+        assert dq_dot == pytest.approx(-1.0, abs=1e-14)
+        assert dtau == pytest.approx(1.0, abs=1e-14)
 
     def test_drag_term_fd_oracle(self):
         # independent expansion: m q'' + m' q' + m w~2 q - G/(m q^3) = 0,
         # so q'' must equal the packaged right side; check with q' != 0
         scn = _scn(m="1+0.1*sin(t)", V="0", W="0")
         st = _state(t=0.4, q=0.9, q_dot=0.5, f=1.1, f_dot=-0.2)
-        d = dynamics.rhs_phys(st, scn)
+        dq_dot = _rhs(st, scn)[1]
         mv, md = scn.m(st.t), scn.m.deriv(st.t)
-        assert mv * d.dq_dot + md * st.q_dot + mv * 1.0 * st.q == pytest.approx(0.0, abs=1e-13)
+        assert mv * dq_dot + md * st.q_dot + mv * 1.0 * st.q == pytest.approx(0.0, abs=1e-13)
 
     def test_q_guard_only_with_active_barrier(self):
         free = _scn(V="2*Q^2", W="0")
-        d = dynamics.rhs_phys(_state(q=1e-12, f=1.0), free)  # fine: G = 0
-        assert math.isfinite(d.dq_dot)
+        dq_dot = _rhs(_state(q=1e-12, f=1.0), free)[1]  # fine: G = 0
+        assert math.isfinite(dq_dot)
         barrier = _scn(V="2*Q^2", W="s^2/2")
         with pytest.raises(SingularityError):
-            dynamics.rhs_phys(_state(q=1e-12, f=1.0), barrier)
+            _rhs(_state(q=1e-12, f=1.0), barrier)
 
     def test_f_guard_always_active(self):
         scn = _scn(V="0", W="0")
         with pytest.raises(SingularityError):
-            dynamics.rhs_phys(_state(q=1.0, f=1e-12), scn)
+            _rhs(_state(q=1.0, f=1e-12), scn)
 
 
 class TestOdeAdapters:
@@ -105,8 +110,8 @@ class TestOdeAdapters:
         assert dy == (0.0, -1e200, 0.0, 3.0, 1.0)
         s2 = _scn(m="1+0.1*sin(t)", V="2*Q^2")
         om2 = lambda t: model.omega_sq_from_mass(s2.m, s2.omega_tilde_sq, t)  # noqa: E731
-        rhs = dynamics.xrho_ode(om2, model.g_from_G(s2.coupling_G),
-                                model.h_from_F(s2.coupling_F))
+        g, h = model.g_from_G(s2.coupling_G), model.h_from_F(s2.coupling_F)
+        rhs = lambda t, y: dynamics.rhs_xrho(*y, t, om2, g, h)  # noqa: E731
         dx = rhs(0.3, [1.0, 0.1, 1.2, -0.1])
         assert dx == dynamics.rhs_xrho(1.0, 0.1, 1.2, -0.1, 0.3, om2,
                                        model.g_from_G(s2.coupling_G),
@@ -144,33 +149,38 @@ class TestRhsXRho:
         assert xdd == pytest.approx(1.0, abs=1e-14)
 
 
+def _accel_Q(V, W, Q):
+    """Q'' from the transformed-frame ODE that map and Verlet integrate."""
+    return dynamics._qframe_ode(V, W)(0.0, [Q, 0.0])[1]
+
+
 class TestRhsQ:
-    """The transformed-frame equation of motion, through qframe_accel."""
+    """The transformed-frame equation of motion, through _qframe_ode."""
 
     def test_equilibrium_of_mixed_potential(self):
         V = compile_func("2*Q^2", "Q")      # (1/2) Omega^2 Q^2, Omega = 2
         W = compile_func("2*s^2", "s")      # (1/2) k s^2, k = 4
-        assert dynamics.qframe_accel(V, W)(1.0) == pytest.approx(0.0, abs=1e-14)
+        assert _accel_Q(V, W, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_harmonic_frequency(self):
         V = compile_func("2*Q^2", "Q")
         W = compile_func("0", "s")
         for Q in (-1.0, 0.3, 2.0):
-            assert dynamics.qframe_accel(V, W)(Q) == pytest.approx(-4.0 * Q, rel=1e-14)
+            assert _accel_Q(V, W, Q) == pytest.approx(-4.0 * Q, rel=1e-14)
 
     def test_free_particle(self):
         V = compile_func("0", "Q")
         W = compile_func("0", "s")
-        assert dynamics.qframe_accel(V, W)(0.5) == 0.0
+        assert _accel_Q(V, W, 0.5) == 0.0
 
     def test_zero_crossing_allowed_without_barrier(self):
         V = compile_func("2*Q^2", "Q")
-        assert dynamics.qframe_accel(V, None)(0.0) == 0.0
+        assert _accel_Q(V, None, 0.0) == 0.0
 
     def test_barrier_guard(self):
         W = compile_func("s^2/2", "s")
         with pytest.raises(SingularityError):
-            dynamics.qframe_accel(None, W)(1e-12)
+            _accel_Q(None, W, 1e-12)
 
 
 class TestLagrangians:
@@ -283,9 +293,9 @@ class TestFrameEquivalence:
         g = model.g_from_G(s2.coupling_G)
         h = model.h_from_F(s2.coupling_F)
         om2 = lambda t: model.omega_sq_from_mass(s2.m, s2.omega_tilde_sq, t)  # noqa: E731
+        xrho = lambda t, y: dynamics.rhs_xrho(*y, t, om2, g, h)  # noqa: E731
         x0 = model.to_xrho(st, s2.m)
-        trx = integrators.integrate_adaptive54(dynamics.xrho_ode(om2, g, h),
-                                               np.array(x0), st.t, 20.0,
+        trx = integrators.integrate_adaptive54(xrho, np.array(x0), st.t, 20.0,
                                                1e-10, 0.05)
         dev = 0.0
         for i in range(len(traj)):

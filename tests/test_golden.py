@@ -106,8 +106,8 @@ def _direct_runs():
     runs on widths 4, 2 and 1."""
     s2 = load_scenario(S2)
     om2 = lambda t: model.omega_sq_from_mass(s2.m, s2.omega_tilde_sq, t)  # noqa: E731
-    xrho = dynamics.xrho_ode(om2, model.g_from_G(s2.coupling_G),
-                             model.h_from_F(s2.coupling_F))
+    g, h = model.g_from_G(s2.coupling_G), model.h_from_F(s2.coupling_F)
+    xrho = lambda t, y: dynamics.rhs_xrho(*y, t, om2, g, h)  # noqa: E731
     xrho0 = np.array(model.to_xrho(s2.initial, s2.m))
     yield "direct-xrho_s2", integrate_adaptive54(
         xrho, xrho0, s2.initial.t, 20.0, 1e-10, 0.05)

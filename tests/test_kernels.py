@@ -3,7 +3,7 @@
 ``dynamics.phys_ode``, ``dynamics.qframe_ode_from_scenario`` and the
 quadrature integrand of ``invariants`` are each one generated function
 per scenario.  Every component of every result must have the bits of the
-reference (the physical scalar kernel, the Q-frame acceleration,
+reference (the checked builds of the physical and Q-frame programs,
 ``lambda w: w * coupling(w)``), and every failure the reference's
 exception type and message.
 """
@@ -59,13 +59,23 @@ def _vector(kernel):
     return lambda t, y: kernel(t, *y)
 
 
+def _checked_phys(scn):
+    """The checked build of the physical program: phys_ode's fallback."""
+    return dynamics._build_checked("t, *y", dynamics._emit_phys, scn)
+
+
+def _checked_accel(scn):
+    """The checked build of the Q-frame acceleration, (Q, tau=0.0) -> Q''."""
+    return dynamics._build_checked("Q, tau=0.0", dynamics._emit_qframe, scn.potential_V,
+                                   scn.potential_W, scn.coupling_F, scn.coupling_G)
+
+
 def _reference_phys(scn):
-    return _vector(dynamics._phys_kernel(scn))
+    return _vector(_checked_phys(scn))
 
 
 def _reference_qframe(scn):
-    accel = dynamics.qframe_accel(scn.potential_V, scn.potential_W,
-                                  scn.coupling_F, scn.coupling_G)
+    accel = _checked_accel(scn)
     return _vector(lambda tau, Q, Q_prime: (Q_prime, accel(Q, tau)))
 
 
@@ -224,9 +234,8 @@ def _on_numpy(kernel):
 
 def _ieee_pairs(scn):
     """{kernel name: (reference adapter, numpy oracle, state width)}."""
-    phys = dynamics._phys_kernel(scn)
-    accel = dynamics.qframe_accel(scn.potential_V, scn.potential_W,
-                                  scn.coupling_F, scn.coupling_G)
+    phys = _checked_phys(scn)
+    accel = _checked_accel(scn)
     qframe = lambda tau, Q, Q_prime: (Q_prime, accel(Q, tau))  # noqa: E731
     om2 = lambda t: model.omega_sq_from_mass(scn.m, scn.omega_tilde_sq, t)  # noqa: E731
     g, h = model.g_from_G(scn.coupling_G), model.h_from_F(scn.coupling_F)
@@ -234,7 +243,7 @@ def _ieee_pairs(scn):
         x, x_dot, rho, rho_dot, t, om2, g, h)
     return {"phys": (_vector(phys), _on_numpy(phys), 5),
             "qframe": (_vector(qframe), _on_numpy(qframe), 2),
-            "xrho": (dynamics.xrho_ode(om2, g, h), _on_numpy(xrho), 4)}
+            "xrho": (lambda t, y: dynamics.rhs_xrho(*y, t, om2, g, h), _on_numpy(xrho), 4)}
 
 
 def _scaled_mass(scn, k):

@@ -50,3 +50,17 @@ def test_the_transformed_frame_equation():
     Q_prime = m * (q.diff(t) * f - q * f.diff(t))
     assert sp.simplify(d_dtau(Q) - Q_prime) == 0
     assert on_the_flow(d_dtau(Q_prime) - (-Q * F(Q) + G(1 / Q) / Q**3)) == 0
+
+
+def test_the_gauge_identity_of_the_transformed_lagrangian():
+    """Off the flow, for any m, q, f, V and W: the transformed Lagrangian
+    differs from L_Q dtau/dt by the total derivative of
+    Phi = (1/2)(q^2/f) m f'."""
+    V, W = sp.Function("V"), sp.Function("W")
+    Q = q / f
+    Q_prime = m * (q.diff(t) * f - q * f.diff(t))
+    L_tilde = (m * q.diff(t)**2 / 2 + (q**2 / f) * (m * f.diff(t)).diff(t) / 2
+               - V(q / f) / (m * f**2) - W(f / q) / (m * f**2))
+    L_Q = Q_prime**2 / 2 - V(Q) - W(1 / Q)
+    Phi = (q**2 / f) * m * f.diff(t) / 2
+    assert sp.simplify(L_tilde - L_Q / (m * f**2) - Phi.diff(t)) == 0

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from conftest import S3, load_scenario
-from ermakov.dynamics import DerivPhys
 from ermakov.expr import Binary, Const, Func1, Pow, Unary, Var, compile_func, parse
 from ermakov.integrators import Trajectory
 from ermakov.invariants import InvariantReport
@@ -36,7 +35,6 @@ def test_records_of_different_kinds_never_compare_equal():
     records = [Const(1.0), Var("x"), Unary("neg", Var("x")), Pow(Var("x"), 2.0),
                Binary("*", Var("x"), Var("x")), *(make(2.0) for make in MAKE.values()),
                PhysState(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), QFrameState(0.0, 1.0, 0.0),
-               DerivPhys(0.0, 1.0, 0.0, 1.0, 1.0),
                IntegrationPlan("rk4", 1.0, 0.1, None, 0.1), ConfigDocument({}, "")]
     for i, a in enumerate(records):
         for b in records[i + 1:]:

@@ -190,7 +190,7 @@ def test_rk4_step_matches_reference(n):
         t, h, _, y, _, slopes = _case(rng, n, 4)
         ref_rhs, gen_rhs = Scripted(slopes), Scripted(slopes)
         want = ref_rk4_step(ref_rhs, t, h, y)
-        got = _rk4_step(n)(gen_rhs, t, h, y)
+        got = _rk4_step(n)(gen_rhs, t, h, y, None)[0]
         assert gen_rhs.calls == ref_rhs.calls
         assert _hex(got) == _hex(want)
 
@@ -232,7 +232,7 @@ def test_stage_errors_propagate_from_the_same_call(method, calls, n):
                 got = _outcome(step, gen_rhs, t, h, y, k1, tol)
             else:
                 ref = _outcome(ref_rk4_step, ref_rhs, t, h, y)
-                got = _outcome(step, gen_rhs, t, h, y)
+                got = _outcome(step, gen_rhs, t, h, y, None)
             assert gen_rhs.calls == ref_rhs.calls and len(ref_rhs.calls) == k
             assert ref == ("raised", fail)
             if isinstance(fail, ErmakovError) and math.isnan(y0):
