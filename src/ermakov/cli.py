@@ -136,11 +136,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, payload: dict, t_start: float) -> None:
-    _write_json(out_dir / "manifest.json",
-                {**payload, "wall_ms": (time.perf_counter() - t_start) * 1e3})
-
-
 def _record_error(manifest: dict, err: Exception) -> int:
     """Print ``err`` as the run's one stderr line and record it in the
     manifest, with the last valid state after a stepper abort; returns its
@@ -180,22 +175,15 @@ def _run(args) -> int:
         except Exception as err:  # noqa: BLE001
             code = _record_error(manifest, err)
     manifest["exit_status"] = code
-    _write_manifest(out_dir, manifest, t_start)
+    manifest["wall_ms"] = (time.perf_counter() - t_start) * 1e3
+    _write_json(out_dir / "manifest.json", manifest)
     return code
 
 
-def _energy_columns(traj, scn, tol):
-    """Invariant series and each sample's (Q, Q', E_phys, E_Q), or, if
-    evaluation fails (possible on a partial trajectory that stopped close
-    to a singularity), no series but (Q, Q') mapped row by row as they
-    are written beside NaN energies, and the error."""
-    try:
-        e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, tol)
-        return e_phys, e_q, meta, series, None
-    except ErmakovError as err:
-        series = ((*model.to_qframe(scn.m(t), q, q_dot, f, f_dot), math.nan, math.nan)
-                  for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t, traj.y))
-        return None, None, None, series, err
+def _qframe_rows(traj: integrators.Trajectory, scn: Scenario):
+    """(tau, Q, Q') of each sample of a physical trajectory."""
+    for t, (q, q_dot, f, f_dot, tau) in zip(traj.t, traj.y):
+        yield (tau, *model.to_qframe(scn.m(t), q, q_dot, f, f_dot))
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
@@ -205,16 +193,6 @@ def _write_rows(path: Path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row_fmt % row)
-
-
-def _report_payload(report: invariants.InvariantReport | None, meta: dict | None,
-                    error: ErmakovError | None) -> dict:
-    if report is None:
-        return {"error": str(error)}
-    payload = {name: getattr(report, name) for name in report._fields}
-    if meta:
-        payload["convention"] = meta
-    return payload
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -234,20 +212,26 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
             raise
         code = _record_error(manifest, err)
 
-    e_phys, e_q, meta, series, series_err = _energy_columns(traj, scn, args.quad_tol)
-    report = None
-    if series_err is None:
+    try:
+        e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, args.quad_tol)
         report = invariants.report_from_series(e_phys, e_q)
-    elif code == EXIT_OK:
-        # a complete trajectory whose invariant cannot be evaluated
-        code = _record_error(manifest, series_err)
+        payload = {name: getattr(report, name) for name in report._fields}
+        payload["convention"] = meta
+    except ErmakovError as err:
+        # the invariant is not finite (near a singularity, say): (Q, Q') beside
+        # NaN energies, and the error is the run's if the integration succeeded
+        series = ((Q, Q_prime, math.nan, math.nan)
+                  for _tau, Q, Q_prime in _qframe_rows(traj, scn))
+        payload = {"error": str(err)}
+        if code == EXIT_OK:
+            code = _record_error(manifest, err)
 
     traj_path = out_dir / "trajectory.csv"
     _write_rows(traj_path, TRAJECTORY_HEADER, (
         (t, tau, q, q_dot, f, f_dot, *row)
         for t, (q, q_dot, f, f_dot, tau), row in zip(traj.t, traj.y, series)))
     report_path = out_dir / "report.json"
-    _write_json(report_path, _report_payload(report, meta, series_err))
+    _write_json(report_path, payload)
     manifest["outputs"] = {"trajectory": str(traj_path), "report": str(report_path)}
     manifest["metadata"] = {"method": traj.method, "step_count": traj.step_count,
                             "rejected_steps": traj.rejected_steps}
@@ -261,30 +245,26 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
 
 
 def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
-    traj = _integrate_plan(scn)
-    mapped = [(tau, *model.to_qframe(scn.m(t), q, q_dot, f, f_dot))
-              for t, (q, q_dot, f, f_dot, tau) in zip(traj.t, traj.y)]
+    mapped = list(_qframe_rows(_integrate_plan(scn), scn))
     mapped_path = out_dir / "qframe_mapped.csv"
     _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
     # direct transformed-frame run over the span's whole tau strides: its
     # stride rows, and its DP54 dense output at the mapped taus for the gap
-    tau0, *y0 = mapped[0]
-    tau_end = mapped[-1][0]
+    (tau0, *y0), tau_end = mapped[0], mapped[-1][0]
     stride = scn.plan.output_stride
     end = tau0 + model.stride_count(tau0, tau_end, stride)[0] * stride
-    taus = [tau for tau, _, _ in mapped if tau <= end]
+    compared = [row for row in mapped if row[0] <= end]
     direct = integrators.integrate_adaptive54(
         dynamics.qframe_ode_from_scenario(scn), y0, tau0, end,
-        scn.plan.tol or 1e-10, stride, taus)
+        scn.plan.tol or 1e-10, stride, [tau for tau, _, _ in compared])
     direct_path = out_dir / "qframe_direct.csv"
     _write_rows(direct_path, QFRAME_HEADER,
                 ((t, *direct.y[bisect_left(direct.t, t)])
                  for t in model.sample_times(tau0, end, stride)))
-    gap = max(abs(direct.y[bisect_left(direct.t, tau)][0] - Q)
-              for tau, Q, _ in mapped if tau <= end)
+    gap = max(abs(direct.y[bisect_left(direct.t, tau)][0] - Q) for tau, Q, _ in compared)
     gap_path = out_dir / "gap.json"
-    _write_json(gap_path, {"max_abs_dQ": gap, "samples_compared": len(taus),
+    _write_json(gap_path, {"max_abs_dQ": gap, "samples_compared": len(compared),
                            "tau_end": tau_end})
 
     manifest["outputs"] = {"qframe_mapped": str(mapped_path),
@@ -315,8 +295,8 @@ def _bench_row(scn: Scenario, quad_tol: float) -> tuple[invariants.InvariantRepo
         traj = _integrate_plan(scn)
         return invariants.drift_report(traj, scn, quad_tol), traj.step_count
 
-    # the transformed frame over the physical run's span in tau; its energy
-    # is exact only when every nonzero coupling comes with its potential
+    # the transformed frame, tau from 0 to t_end - t0; its energy is exact
+    # only when every nonzero coupling comes with its potential
     V, W = scn.potential_V, scn.potential_W
     if ((V is None and not is_zero(scn.coupling_F.expr))
             or (W is None and not is_zero(scn.coupling_G.expr))):
@@ -334,34 +314,29 @@ def _bench_row(scn: Scenario, quad_tol: float) -> tuple[invariants.InvariantRepo
 
 def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
            grid: list[model.IntegrationPlan]) -> int:
-    rows = []
-    ok_count = 0
-    failures = []
+    rows, failures = [], []
     for plan in grid:
         method, value = plan.method, plan.tol if plan.dt is None else plan.dt
         row_start = time.perf_counter()
         try:
             report, steps = _bench_row(scn._replace(plan=plan), args.quad_tol)
-            wall = (time.perf_counter() - row_start) * 1e3
-            rows.append((method, value, _fmt(report.max_rel_drift),
-                         _fmt(report.max_abs_drift), str(steps), f"{wall:.3f}", "ok"))
-            ok_count += 1
+            cells = (_fmt(report.max_rel_drift), _fmt(report.max_abs_drift), str(steps))
+            status = "ok"
         except ErmakovError as err:
-            wall = (time.perf_counter() - row_start) * 1e3
-            rows.append((method, value, "", "", "", f"{wall:.3f}",
-                         f"error: {type(err).__name__}"))
+            cells, status = ("", "", ""), f"error: {type(err).__name__}"
             failures.append(f"bench row {method} {value}: {err}")
             print(failures[-1], file=sys.stderr)
+        wall = (time.perf_counter() - row_start) * 1e3
+        rows.append(",".join((method, _fmt(value), *cells, f"{wall:.3f}", status)))
     if failures:
         manifest["error"] = "; ".join(failures)
 
+    # written after the loop, so an internal failure leaves no table
     bench_path = out_dir / "bench.csv"
     with open(bench_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(BENCH_HEADER + "\n")
-        for method, value, *cells in rows:
-            fh.write(",".join((method, _fmt(value), *cells)) + "\n")
+        fh.write("\n".join([BENCH_HEADER, *rows]) + "\n")
     manifest["outputs"] = {"bench": str(bench_path)}
-    return EXIT_OK if ok_count > 0 else EXIT_INTEGRATOR
+    return EXIT_INTEGRATOR if len(failures) == len(grid) else EXIT_OK
 
 
 def cmd_convert(args) -> int:

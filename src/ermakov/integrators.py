@@ -37,6 +37,7 @@ import operator
 from bisect import bisect_left
 from typing import Callable, Sequence
 
+from . import model
 from .dynamics import _qframe_ode
 from .errors import ErmakovError, IntegrationError, SingularityError
 from .expr import Func1, Record, is_zero, make_function
@@ -365,7 +366,8 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     ``extra_times`` (within the span) once, in time order, from the step
     that contains it; sampling never changes a step.  A nonzero span
     within the time tolerance, which no step resolves, raises
-    IntegrationError."""
+    IntegrationError, and so does a run that reaches its step budget,
+    ``model.MAX_GRID_POINTS`` attempted (accepted plus rejected) steps."""
     if not tol > 0.0:
         raise IntegrationError(f"tol must be positive, got {tol!r}")
     if not output_stride > 0.0:
@@ -391,11 +393,15 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     rejected = 0
     err_prev = 1e-4
     k_out = 1
+    budget = model.MAX_GRID_POINTS
     try:
         k1 = _first_slope(rhs, t0, y)
         run.add(t0, y, k1)
         step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
         while direction * (t_end - t) > eps_t:
+            if steps + rejected >= budget:
+                raise IntegrationError(f"adaptive54 step budget of {budget} attempts "
+                                       f"exhausted at t={t!r} of t_end={t_end!r}")
             if abs(h) < _STEP_FLOOR:
                 # classify as singular: in this problem family the step
                 # collapse is the practical signature of falling into a
@@ -436,8 +442,8 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                 fac = _SAFETY * err_norm ** -0.2
                 h *= min(1.0, max(_FAC_MIN, fac))
     except ErmakovError as err:
-        # the first slope, a stage or a dense-output sample failed, or the
-        # step size collapsed: t, y are the end of the last accepted step
+        # the first slope, a stage or a dense-output sample failed, or the step
+        # size or budget ran out: t, y are the end of the last accepted step
         run.fail(err, steps, rejected, t, y)
         raise
 

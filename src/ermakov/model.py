@@ -65,9 +65,9 @@ __all__ = [
 
 METHODS = ("rk4", "adaptive54", "verlet")
 
-# Largest number of output samples, and of fixed (rk4/verlet) steps, a run
-# may ask for.  A larger grid cannot finish in reasonable time or memory;
-# it is almost always a stride, dt or t_end off by orders of magnitude.
+# Largest number of output samples and fixed (rk4/verlet) steps a run may ask
+# for, and of steps adaptive54 may attempt.  More cannot finish in reasonable
+# time or memory: a stride, dt or t_end off by orders of magnitude, or a stiff RHS.
 MAX_GRID_POINTS = 1_000_000
 
 

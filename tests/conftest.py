@@ -18,6 +18,7 @@ SCENARIO_DIR = REPO / "scenarios"
 S1 = "s1_harmonic.cfg"
 S2 = "s2_breathing_mass.cfg"
 S3 = "s3_anharmonic_singular.cfg"
+S4 = "s4_parametric.cfg"
 
 
 def scenario_path(name: str) -> str:

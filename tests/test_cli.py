@@ -813,6 +813,27 @@ output_stride = 0.5
         assert statuses["verlet"].startswith("error")
 
 
+class TestStepBudget:
+    def test_stiff_dp54_run_exits_4_with_its_partial(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # w~2 = exp(1000 t) needs 82 DP54 steps to t = 0.01, 4,777 to 0.02
+        # and 693,288 to 0.03: the run stops at its budget of attempted steps
+        monkeypatch.setattr(model, "MAX_GRID_POINTS", 20_000)
+        out = tmp_path / "out"
+        assert run("check", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "functions.omega_tilde_sq=exp(1000*t)",
+                   "--set", "integration.t_end=0.5",
+                   "--set", "integration.output_stride=0.005") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "step budget of 20000 attempts" in err[0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 4 and "step budget" in manifest["error"]
+        meta = manifest["metadata"]
+        assert meta["step_count"] + meta["rejected_steps"] == 20_000
+        _, rows = read_csv(out / "trajectory.csv")
+        assert 1 < len(rows) and rows[-1, 0] < 0.03
+
+
 # --- exit paths ---------------------------------------------------------------
 # One row per subcommand x exit path: exit code, stderr line count, manifest
 # keys and the files left in --out.
@@ -965,6 +986,26 @@ class TestExitPaths:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == _ECHO | {"error"}
         assert manifest["error"] == message and manifest["exit_status"] == 4
+        assert {p.name for p in out.iterdir()} == _MANIFEST_ONLY
+
+    def test_internal_failure_mid_grid_leaves_no_table(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # bench.csv is written after the last row, so a fault in the second
+        # row leaves only the manifest, as a fault before the first would
+        rows = []
+
+        def second_row_breaks(scn, quad_tol, _row=cli._bench_row):
+            rows.append(scn.plan)
+            if len(rows) == 2:
+                raise RuntimeError("synthetic fault")
+            return _row(scn, quad_tol)
+
+        monkeypatch.setattr(cli, "_bench_row", second_row_breaks)
+        out = tmp_path / "out"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--methods", "rk4", "--dt", "0.05,0.025", *_SHORT) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: internal failure: RuntimeError: synthetic fault"]
         assert {p.name for p in out.iterdir()} == _MANIFEST_ONLY
 
     @pytest.mark.parametrize("argv,code", [

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import S1, S2, S3, load_scenario, scenario_path
+from conftest import S1, S2, S3, S4, load_scenario, scenario_path
 from ermakov import dynamics, invariants, model
 from ermakov.cli import main
 from ermakov.expr import Func1
@@ -79,7 +79,7 @@ def _runs(work: Path):
     """(name, argv, data files) of every golden run."""
     bare = work / "bare_rk4.cfg"
     bare.write_text(BARE_RK4)
-    for label, cfg in (("s1", S1), ("s2", S2), ("s3", S3)):
+    for label, cfg in (("s1", S1), ("s2", S2), ("s3", S3), ("s4", S4)):
         yield (f"simulate-{label}", ["simulate", "--config", scenario_path(cfg)],
                SIMULATE_FILES)
         yield f"map-{label}", ["map", "--config", scenario_path(cfg)], MAP_FILES

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import S1, load_scenario
+from conftest import S4, load_scenario
 from ermakov import dynamics, invariants
 from ermakov.errors import IntegrationError, SingularityError
 from ermakov.expr import compile_func
@@ -533,20 +533,18 @@ output_stride = {stride!r}
 
 
 class TestPinneyPumped:
-    """Pinney (1950) for a pumped frequency: on S1 (m = 1, F = 4, G = 0)
-    with w~2 = 1 + 0.3 cos 2t, q = u1 and f = sqrt(2) (u1^2 + u2^2)^(1/2),
+    """Pinney (1950) for a pumped frequency: on S4 (m = 1, F = 4, G = 0,
+    w~2 = 1 + 0.3 cos 2t), q = u1 and f = sqrt(2) (u1^2 + u2^2)^(1/2),
     where u1 and u2 solve the linear u'' + w~2 u = 0 from (1, 0) and
     (0, 1), so their Wronskian is 1.  scipy's DOP853 computes u1 and u2;
     it shares no code with the program."""
 
-    PUMPED = ["functions.omega_tilde_sq=1+0.3*cos(2*t)", "integration.tol=1e-12"]
-
     @staticmethod
-    def _errors(overrides):
+    def _errors(overrides=None):
         """max |q - u1| and max |f - sqrt(2)(u1^2 + u2^2)^(1/2)| / f of the
-        DP54 run of S1 with ``overrides``, over every sample."""
+        DP54 run of S4 with ``overrides``, over every sample."""
         scipy_integrate = pytest.importorskip("scipy.integrate")
-        scn = load_scenario(S1, overrides)
+        scn = load_scenario(S4, overrides)
         st, plan = scn.initial, scn.plan
         traj = integrate_adaptive54(dynamics.phys_ode(scn),
                                     [st.q, st.q_dot, st.f, st.f_dot, st.tau],
@@ -568,8 +566,14 @@ class TestPinneyPumped:
 
     def test_dp54_matches_the_linear_superposition(self):
         # about 7e-11 and 3e-11 over 1,001 samples
-        q_err, f_err = self._errors(self.PUMPED)
+        q_err, f_err = self._errors()
         assert q_err <= 2e-10 and f_err <= 1e-10, (q_err, f_err)
+
+    def test_a_wrong_coupling_misses_the_superposition(self):
+        # F = 4.4 instead of 4: f is no longer sqrt(2) (u1^2 + u2^2)^(1/2),
+        # so the oracle tells the two apart
+        q_err, f_err = self._errors(["coupling.V=2.2*Q^2"])
+        assert f_err > 1e-3, (q_err, f_err)
 
 
 class TestVerlet:
