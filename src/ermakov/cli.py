@@ -138,8 +138,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _record_error(manifest: dict, err: Exception) -> int:
     """Print ``err`` as the run's one stderr line and record it in the
-    manifest, with the last valid state after a stepper abort; returns its
-    exit code."""
+    manifest, with the last valid state after a stepper abort, under
+    ``singularity`` for a SingularityError and ``abort`` for any other;
+    returns its exit code."""
     message = _message(err)
     print(f"error: {message}", file=sys.stderr)
     manifest["error"] = message
@@ -149,8 +150,9 @@ def _record_error(manifest: dict, err: Exception) -> int:
             names, time_key = ("Q", "Q_prime"), "last_tau"
         else:
             names, time_key = ("q", "q_dot", "f", "f_dot", "tau"), "last_t"
-        manifest["singularity"] = {"message": str(err), time_key: err.last_t,
-                                   "last_state": dict(zip(names, map(float, state)))}
+        key = "singularity" if isinstance(err, SingularityError) else "abort"
+        manifest[key] = {"message": str(err), time_key: err.last_t,
+                         "last_state": dict(zip(names, map(float, state)))}
     return _exit_code_for(err)
 
 
@@ -201,8 +203,9 @@ def _write_rows(path: Path, header: str, rows) -> None:
 
 def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     """simulate and check: integrate, then write trajectory.csv and
-    report.json, from the partial trajectory too when a run aborts; check
-    then gates on the invariant drift."""
+    report.json, from the partial trajectory too when a run aborts (the
+    report then says ``"partial": true``); check then gates on the
+    invariant drift."""
     code = EXIT_OK
     try:
         traj = _integrate_plan(scn)
@@ -211,6 +214,7 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         if traj is None:
             raise
         code = _record_error(manifest, err)
+    partial = code != EXIT_OK
 
     try:
         e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, args.quad_tol)
@@ -225,6 +229,8 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         payload = {"error": str(err)}
         if code == EXIT_OK:
             code = _record_error(manifest, err)
+    if partial:
+        payload["partial"] = True
 
     traj_path = out_dir / "trajectory.csv"
     _write_rows(traj_path, TRAJECTORY_HEADER, (

@@ -331,6 +331,10 @@ def to_source(e: Expr) -> str:
     return _fold(e, _text)[0]
 
 
+# Precedence of the binary operators, which the parser and _text share.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 # (text, precedence) of a node: add/sub 1, mul/div 2, unary minus 3, pow 4,
 # atoms 5; a negative literal parses back only in parentheses, as add/sub
 def _text(e: Expr, *parts: tuple[str, int]) -> tuple[str, int]:
@@ -344,7 +348,7 @@ def _text(e: Expr, *parts: tuple[str, int]) -> tuple[str, int]:
             return "-" + _paren(parts[0], 3), 3
         return f"{e.op}({parts[0][0]})", 5
     if isinstance(e, Binary):
-        prec = 1 if e.op in "+-" else 2
+        prec = _PRECEDENCE[e.op]
         # parenthesize same-level right children even for + and *: the
         # grammar is left-associative, and keeping the original grouping
         # makes re-parsed trees evaluate bit-identically
@@ -412,25 +416,17 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {text!r}", self.source, off)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self, prec: int = 1) -> Expr:
+        """A left-associative chain of the binary operators of precedence
+        ``prec``, whose operands bind tighter: one frame per level."""
+        e = op = None
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                e = Binary(text, e, self.term())
-            else:
+            operand = self.expr(prec + 1) if prec < _PRECEDENCE["*"] else self.factor()
+            e = operand if op is None else Binary(op, e, operand)
+            kind, op, _ = self.peek()
+            if kind != "op" or _PRECEDENCE.get(op) != prec:
                 return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                e = Binary(text, e, self.factor())
-            else:
-                return e
+            self.advance()
 
     def factor(self) -> Expr:
         # '-' binds looser than '^', so -x^2 reads as -(x^2)

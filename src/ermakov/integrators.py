@@ -13,8 +13,10 @@ Three methods:
   separable autonomous y = [Q, Q'] such as the transformed frame
   (``integrate_verlet_Q``); symplectic, so energy errors stay bounded.
 
-Every stepper samples the stride plan (``model.sample_times``): its
-start, each whole stride and, after a remainder, t_end.  RK4 and Verlet
+Every stepper runs forward in time and samples the stride plan
+(``model.sample_times``): its start, each whole stride and, after a
+remainder, t_end; the plan refuses a t_end before t0 with
+IntegrationError (``model.stride_count``).  RK4 and Verlet
 share one driver (``_fixed_steps``): steps of dt, the last one shorter
 to reach t_end; a dt at or below the float spacing of the span's times,
 where a step would not advance the time, is rejected.
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_left
 from typing import Callable, Sequence
 
@@ -76,9 +77,8 @@ class Trajectory(Record):
                  method: str, step_count: int, rejected_steps: int):
         if len(t) == 0:
             raise IntegrationError("trajectory must contain at least one sample")
-        pairs = list(zip(t, t[1:]))
-        if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
-            raise IntegrationError("trajectory times must be strictly monotone")
+        if not all(a < b for a, b in zip(t, t[1:])):
+            raise IntegrationError("trajectory times must be strictly increasing")
         self._set(t, y, dy, method, step_count, rejected_steps)
 
     def __len__(self) -> int:
@@ -92,14 +92,10 @@ def interpolate(traj: Trajectory, t_query: float) -> list[float]:
     between samples, exact at them.
     """
     t = traj.t
-    ascending = len(t) < 2 or t[1] > t[0]
-    key = None if ascending else operator.neg
-    tq = t_query if ascending else -t_query
-    lo, hi = (t[0], t[-1]) if ascending else (-t[0], -t[-1])
-    if tq < lo - 1e-12 or tq > hi + 1e-12:
+    if t_query < t[0] - 1e-12 or t_query > t[-1] + 1e-12:
         raise ValueError(f"t={t_query!r} outside trajectory range "
                          f"[{t[0]!r}, {t[-1]!r}]")
-    i = bisect_left(t, tq, key=key)
+    i = bisect_left(t, t_query)
     if i < len(t) and t[i] == t_query:
         return list(traj.y[i])
     if len(t) == 1:  # within the range check's slack of the one sample
@@ -183,7 +179,6 @@ def _fixed_steps(method: str, make_step: Callable, rhs: Rhs, y0: Sequence[float]
             f"dt={dt!r} does not subdivide output_stride={output_stride!r} exactly")
     n_str, tail = stride_count(t0, t_end, output_stride)
     k_tail = max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
-    h = dt if t_end >= t0 else -dt
 
     y = [float(v) for v in y0]
     run = _Run(method)
@@ -197,8 +192,8 @@ def _fixed_steps(method: str, make_step: Callable, rhs: Rhs, y0: Sequence[float]
         for i, (seg, t_out) in enumerate(zip(times, times[1:])):
             last = i == n_str
             for j in range(k_tail if last else k_per):
-                t = seg + j * h
-                h_j = t_end - t if last and j == k_tail - 1 else h
+                t = seg + j * dt
+                h_j = t_end - t if last and j == k_tail - 1 else dt
                 y_new, k = step(rhs, t, h_j, y, k)
                 steps += 1
                 if not _finite(y_new):
@@ -372,21 +367,20 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         raise IntegrationError(f"tol must be positive, got {tol!r}")
     if not output_stride > 0.0:
         raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
-    span = abs(t_end - t0)
+    times = sample_times(t0, t_end, output_stride)
+    span = t_end - t0
     eps_t = 1e-9 * max(1.0, abs(t0), abs(t_end), output_stride)
     if 0.0 < span <= eps_t:
         raise IntegrationError(f"the span {span!r} from t0={t0!r} to t_end={t_end!r} is "
                                f"within the time tolerance {eps_t!r}: no step resolves it")
-    direction = 1.0 if t_end >= t0 else -1.0
-    times = sample_times(t0, t_end, output_stride)
     if extra_times:
-        if not all(0.0 <= direction * (x - t0) <= span for x in extra_times):
+        if not all(0.0 <= x - t0 <= span for x in extra_times):
             raise IntegrationError("extra sample times must lie in the span")
-        times = sorted({*times, *extra_times}, reverse=direction < 0.0)
+        times = sorted({*times, *extra_times})
 
     y = [float(v) for v in y0]
     run = _Run("adaptive54")
-    h = direction * min(output_stride, span / 10.0)
+    h = min(output_stride, span / 10.0)
 
     t = t0
     steps = 0
@@ -398,18 +392,18 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         k1 = _first_slope(rhs, t0, y)
         run.add(t0, y, k1)
         step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
-        while direction * (t_end - t) > eps_t:
+        while t_end - t > eps_t:
             if steps + rejected >= budget:
                 raise IntegrationError(f"adaptive54 step budget of {budget} attempts "
                                        f"exhausted at t={t!r} of t_end={t_end!r}")
-            if abs(h) < _STEP_FLOOR:
+            if h < _STEP_FLOOR:
                 # classify as singular: in this problem family the step
                 # collapse is the practical signature of falling into a
                 # 1/q^3-type pole (plain stiffness reads the same way)
                 raise SingularityError(
                     f"step size underflow ({h!r}): the system is stiff or "
                     f"approaching a singularity", t)
-            if direction * (t + h - t_end) > 0.0:
+            if t + h > t_end:
                 h = t_end - t
 
             err_norm, y_new, k3, k4, k5, k6, k7 = step(rhs, t, h, y, k1, tol)
@@ -419,7 +413,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                 # emit dense-output samples inside (t, t_new]
                 while k_out < len(times):
                     t_out = times[k_out]
-                    if direction * (t_out - t_new) > eps_t:
+                    if t_out - t_new > eps_t:
                         break
                     if abs(t_out - t_new) <= 1e-12 * max(1.0, abs(t_out)):
                         run.add(t_out, y_new, k7)
@@ -467,10 +461,8 @@ def _verlet_step(rhs: Rhs, t: float, h: float, y: Sequence[float],
 def integrate_verlet(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                      dt: float, output_stride: float) -> Trajectory:
     """Kick-drift-kick leapfrog (``_fixed_steps``) for y = [Q, Q'] of a
-    separable autonomous system, forward in t only: the acceleration is
-    rhs(t, y)[1], which must not depend on Q', and t only labels errors."""
-    if t_end < t0:
-        raise IntegrationError(f"t_end ({t_end!r}) precedes t0 ({t0!r})")
+    separable autonomous system: the acceleration is rhs(t, y)[1], which
+    must not depend on Q', and t only labels errors."""
     return _fixed_steps("verlet", lambda n: _verlet_step, rhs, y0, t0, t_end, dt,
                         output_stride)
 

@@ -21,7 +21,8 @@ import io
 import math
 from typing import NamedTuple
 
-from .errors import ConfigError, ErmakovError, ExprDomainError, InvalidMassError
+from .errors import (ConfigError, ErmakovError, ExprDomainError, IntegrationError,
+                     InvalidMassError)
 from .expr import (
     Binary,
     Func1,
@@ -347,26 +348,26 @@ def stride_steps(output_stride: float, dt: float) -> int | None:
 
 
 def stride_count(t0: float, t_end: float, output_stride: float) -> tuple[int, float]:
-    """(whole output strides from t0 to t_end (>= 0), what the span
-    leaves after them): the tail is 0.0 when the span is a whole number
-    of strides to within 1e-9 of one, or when the last stride sample's
-    time t0 +- n*output_stride already is t_end in floats; else the
-    positive remainder."""
-    span = abs(t_end - t0)
+    """(whole output strides from t0 to t_end, what the span leaves after
+    them): the tail is 0.0 when the span is a whole number of strides to
+    within 1e-9 of one, or when the last stride sample's time
+    t0 + n*output_stride already is t_end in floats; else the positive
+    remainder.  Time runs forward only: every stepper's plan passes
+    here, and a t_end before t0 raises IntegrationError."""
+    if t_end < t0:
+        raise IntegrationError(f"t_end ({t_end!r}) precedes t0 ({t0!r})")
+    span = t_end - t0
     n = int(math.floor(span / output_stride + 1e-9))
-    if (span / output_stride - n <= 1e-9
-            or t0 + math.copysign(n * output_stride, t_end - t0) == t_end):
+    if span / output_stride - n <= 1e-9 or t0 + n * output_stride == t_end:
         return n, 0.0
     return n, span - n * output_stride
 
 
 def sample_times(t0: float, t_end: float, output_stride: float) -> list[float]:
-    """The times a run samples: t0 +- k*output_stride for k = 0..n whole
+    """The times a run samples: t0 + k*output_stride for k = 0..n whole
     strides and, after a tail, t_end (stride_count)."""
     n, tail = stride_count(t0, t_end, output_stride)
-    direction = 1.0 if t_end >= t0 else -1.0
-    return ([t0 + k * direction * output_stride for k in range(n + 1)]
-            + ([t_end] if tail else []))
+    return [t0 + k * output_stride for k in range(n + 1)] + ([t_end] if tail else [])
 
 
 def run_plan(method: str, t0: float, t_end: float, output_stride: float,

@@ -13,6 +13,7 @@ import pytest
 from conftest import REPO, S1, S2, S3, load_scenario, scenario_path
 from ermakov import cli, model
 from ermakov.cli import main
+from ermakov.errors import InvariantError
 from ermakov.expr import evaluate, parse
 
 
@@ -79,6 +80,21 @@ class TestSimulate:
         assert abs(info["last_state"]["q"]) < 1e-3  # stopped close to the pole
         header, rows = read_csv(out / "trajectory.csv")  # partial still written
         assert len(rows) >= 1
+
+    def test_partial_report_without_invariant_says_partial(self, tmp_path, monkeypatch):
+        # the error payload of a partial run also carries "partial"; the
+        # manifest keeps the stepper's error, the run's first
+        def fails(*args):
+            raise InvariantError("synthetic invariant failure")
+
+        monkeypatch.setattr(cli.invariants, "invariant_series", fails)
+        out = tmp_path / "run"
+        assert run("simulate", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "coupling.W=-(s^2)/2") == 3
+        assert json.loads((out / "report.json").read_text()) == {
+            "error": "synthetic invariant failure", "partial": True}
+        assert "step size underflow" in json.loads(
+            (out / "manifest.json").read_text())["error"]
 
     @pytest.mark.parametrize("method", ["adaptive54", "rk4"])
     def test_guard_trip_at_t0_reports_the_initial_state(self, tmp_path, method):
@@ -214,7 +230,8 @@ class TestSimulate:
     ])
     def test_non_finite_stage_state_named(self, tmp_path, capsys, overrides, message):
         # the RHS fails on a NaN stage state; the message names that state,
-        # not the expression that met it, and the partial trajectory stays
+        # not the expression that met it, and the partial trajectory stays;
+        # the manifest files it as an abort, not a singularity
         out = tmp_path / "run"
         argv = ["check", "--config", scenario_path(S3), "--out", str(out)]
         for item in overrides:
@@ -224,8 +241,9 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 4
-        assert manifest["singularity"]["message"] == message
-        assert manifest["singularity"]["last_t"] == 0.0
+        assert "singularity" not in manifest
+        assert manifest["abort"]["message"] == message
+        assert manifest["abort"]["last_t"] == 0.0
         assert len((out / "trajectory.csv").read_text().splitlines()) == 2
 
     def test_verlet_not_usable_for_physical_run(self, tmp_path, capsys):
@@ -830,8 +848,11 @@ class TestStepBudget:
         assert manifest["exit_status"] == 4 and "step budget" in manifest["error"]
         meta = manifest["metadata"]
         assert meta["step_count"] + meta["rejected_steps"] == 20_000
+        assert "singularity" not in manifest
+        assert "step budget" in manifest["abort"]["message"]
         _, rows = read_csv(out / "trajectory.csv")
         assert 1 < len(rows) and rows[-1, 0] < 0.03
+        assert json.loads((out / "report.json").read_text())["partial"] is True
 
 
 # --- exit paths ---------------------------------------------------------------
@@ -859,9 +880,13 @@ output_stride = 0.5
 _BASE = {"command", "config_path", "overrides", "outputs", "exit_status", "wall_ms"}
 _LOAD_ERROR = _BASE | {"error"}
 _ECHO = _BASE | {"config", "resolved", "config_text"}
-_RUN_ERROR = _ECHO | {"error", "singularity"}
+# a stepper abort adds its last state, under "singularity" after a pole and
+# under "abort" after any other failure (here a mass that reaches zero)
+_RUN_SINGULAR = _ECHO | {"error", "singularity"}
+_RUN_ABORT = _ECHO | {"error", "abort"}
 _SIMULATED = _ECHO | {"metadata"}
-_PARTIAL = _SIMULATED | {"error", "singularity"}
+_PARTIAL_SINGULAR = _SIMULATED | {"error", "singularity"}
+_PARTIAL_ABORT = _SIMULATED | {"error", "abort"}
 _INVARIANT_ERROR = _SIMULATED | {"error"}
 _ROW_ERROR = _ECHO | {"error"}  # bench rows failed: their messages
 
@@ -899,8 +924,8 @@ EXIT_PATHS = [
     ("simulate-2-load", ["simulate", S1] + _CONFLICT, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
     ("simulate-2-verlet", ["simulate", S1] + _VERLET, 2, 1, _ECHO | {"error"},
      _MANIFEST_ONLY),
-    ("simulate-3", ["simulate", S1] + _POLE, 3, 1, _PARTIAL, _SIM_FILES),
-    ("simulate-4-mass", ["simulate", S1] + _MASS_ZERO, 4, 1, _PARTIAL, _SIM_FILES),
+    ("simulate-3", ["simulate", S1] + _POLE, 3, 1, _PARTIAL_SINGULAR, _SIM_FILES),
+    ("simulate-4-mass", ["simulate", S1] + _MASS_ZERO, 4, 1, _PARTIAL_ABORT, _SIM_FILES),
     ("simulate-4-invariant", ["simulate", S1] + _INF_ENERGY, 4, 1, _INVARIANT_ERROR,
      _SIM_FILES),
     ("check-0", ["check", S1] + _SHORT, 0, 0, _SIMULATED, _SIM_FILES),
@@ -908,15 +933,15 @@ EXIT_PATHS = [
     ("check-2-load", ["check", S1] + _CONFLICT, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
     ("check-2-verlet", ["check", S1] + _VERLET, 2, 1, _ECHO | {"error"},
      _MANIFEST_ONLY),
-    ("check-3", ["check", S1] + _POLE, 3, 1, _PARTIAL, _SIM_FILES),
+    ("check-3", ["check", S1] + _POLE, 3, 1, _PARTIAL_SINGULAR, _SIM_FILES),
     ("check-4", ["check", S1] + _INF_ENERGY, 4, 1, _INVARIANT_ERROR, _SIM_FILES),
     ("map-0", ["map", S1] + _SHORT, 0, 0, _ECHO, _MAP_FILES),
     ("map-2-load", ["map", S1, "--set", "integration.tol=0"], 2, 1, _LOAD_ERROR,
      _MANIFEST_ONLY),
     ("map-2-verlet", ["map", S1] + _VERLET, 2, 1, _ECHO | {"error"},
      _MANIFEST_ONLY),
-    ("map-3", ["map", S1] + _POLE, 3, 1, _RUN_ERROR, _MANIFEST_ONLY),
-    ("map-4", ["map", S1] + _MASS_ZERO, 4, 1, _RUN_ERROR, _MANIFEST_ONLY),
+    ("map-3", ["map", S1] + _POLE, 3, 1, _RUN_SINGULAR, _MANIFEST_ONLY),
+    ("map-4", ["map", S1] + _MASS_ZERO, 4, 1, _RUN_ABORT, _MANIFEST_ONLY),
     ("check-2-one-sample", ["check", S3, "--set", "integration.output_stride=100"], 2, 1,
      _LOAD_ERROR, _MANIFEST_ONLY),
     ("check-2-empty-span", ["check", S1, "--set", "integration.t_end=0"], 2, 1,
@@ -972,6 +997,10 @@ class TestExitPaths:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == keys
         assert {p.name for p in out.iterdir()} == files
+        if "report.json" in files:  # a partial trajectory's report says so
+            report = json.loads((out / "report.json").read_text())
+            assert report.get("partial") is (True if keys & {"singularity", "abort"}
+                                             else None)
 
     def test_escaped_exception_in_body_writes_manifest(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -1031,6 +1060,7 @@ import ermakov
 imported = "numpy" in sys.modules
 slow = [[m for m in SLOW if m in sys.modules]]
 from ermakov.cli import main
+from ermakov.errors import InvariantError
 codes = []
 for argv in json.loads(sys.argv[1]):
     codes.append(main(argv))
@@ -1044,6 +1074,7 @@ _NUMPY_BLOCKED_SCRIPT = """
 import json, sys
 sys.modules["numpy"] = None
 from ermakov.cli import main
+from ermakov.errors import InvariantError
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 

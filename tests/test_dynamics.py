@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import S2, load_scenario
 from ermakov import dynamics, integrators, model
 from ermakov.errors import PotentialsUnavailableError, SingularityError
 from ermakov.expr import compile_func
@@ -320,13 +321,19 @@ class TestFrameEquivalence:
         assert worst < 1e-5, f"max cross-frame gap {worst}"
 
     def test_reversibility(self, s2):
+        # time reversal s = 15 - t as a forward run: the mass m(15 - s) and
+        # the t = 15 state with its velocities flipped lead back to the start
         st = s2.initial
         y0 = np.array([st.q, st.q_dot, st.f, st.f_dot, st.tau])
         fwd = integrators.integrate_adaptive54(dynamics.phys_ode(s2), y0,
                                                st.t, 15.0, 1e-10, 15.0)
-        back = integrators.integrate_adaptive54(dynamics.phys_ode(s2),
-                                                fwd.y[-1], 15.0, 0.0, 1e-10, 15.0)
-        assert np.max(np.abs(back.y[-1][:4] - y0[:4])) < 1e-6
+        reversed_s2 = load_scenario(S2, ["functions.m=1.0+0.1*sin(15.0-t)"])
+        q, q_dot, f, f_dot, _ = fwd.y[-1]
+        back = integrators.integrate_adaptive54(dynamics.phys_ode(reversed_s2),
+                                                [q, -q_dot, f, -f_dot, 0.0],
+                                                0.0, 15.0, 1e-10, 15.0)
+        q, q_dot, f, f_dot, _ = back.y[-1]
+        assert np.max(np.abs(np.array([q, -q_dot, f, -f_dot]) - y0[:4])) < 1e-6
 
     def test_qframe_ode_from_couplings_matches_potential_form(self):
         with_pot = _scn(V="Q^4/4", W="s^2/2")
