@@ -170,7 +170,17 @@ def _emit_phys(em: Inliner, scn: Scenario) -> str:
     eps = em.bind(EPS_SING)
     em.let("y", "q, q_dot, f, f_dot, tau")
     mv = em.mass(m, "t")
-    md = em.inline(m.d1, "t")
+    # A constant m makes the drag -(m'/m) x' the product -0.0*x'.  For a
+    # finite x', (-0.0*x' - w~2*x) + term is term - w~2*x bit for bit
+    # unless w~2*x is a zero and term is -0.0.  A side drops the product
+    # where that cannot happen: its term is the literal 0.0, or w~2 is a
+    # constant c with c*EPS_SING != 0 (an active term's guard keeps
+    # |x| >= EPS_SING).  A non-finite x' is itself a component of the
+    # result, which is then non-finite either way.
+    w2 = _constant(scn.omega_tilde_sq)
+    w2x_nonzero = w2 is not None and w2 * EPS_SING != 0.0
+    dragless = [is_zero(m.d1) and (is_zero(c.expr) or w2x_nonzero) for c in (G, F)]
+    md = None if all(dragless) else em.inline(m.d1, "t")
     omt2 = em.call(scn.omega_tilde_sq, "t")
     em.guard("f", "t", eps)  # dtau = 1/(m f^2) needs f regardless of couplings
     mm = em.let(em.arith("*", mv, mv)) if _active(F) or _active(G) else None
@@ -182,19 +192,28 @@ def _emit_phys(em: Inliner, scn: Scenario) -> str:
     if not is_zero(F.expr):
         f_val = em.call(F, em.let("q / f"))
         f_term = em.let(em.div(f_val, em.arith("*", mm, em.pow("f", 3))))
-    drag = em.let(em.arith("-", em.arith("/", md, mv)))
+    if md is not None:
+        drag = em.let(em.arith("-", em.arith("/", md, mv)))
 
-    def accel(x: str, x_dot: str, term: str) -> str:  # -(m'/m) x' - w~2 x + term
-        return em.arith("+", em.arith("-", em.arith("*", drag, x_dot),
-                                      em.arith("*", omt2, x)), term)
+    def accel(x: str, x_dot: str, term: str, dragless: bool) -> str:
+        w2x = em.arith("*", omt2, x)  # term - w~2 x, else -(m'/m) x' - w~2 x + term
+        if dragless:
+            return em.arith("-", term, w2x)
+        return em.arith("+", em.arith("-", em.arith("*", drag, x_dot), w2x), term)
 
     dtau = em.div("1.0", em.arith("*", em.arith("*", mv, "f"), "f"))
-    return em.let(f"(q_dot, {accel('q', 'q_dot', g_term)}, "
-                  f"f_dot, {accel('f', 'f_dot', f_term)}, {dtau})")
+    return em.let(f"(q_dot, {accel('q', 'q_dot', g_term, dragless[0])}, "
+                  f"f_dot, {accel('f', 'f_dot', f_term, dragless[1])}, {dtau})")
 
 
 def _active(fn: Func1 | None) -> bool:
     return fn is not None and not is_zero(fn.expr)
+
+
+def _constant(fn: Func1) -> float | None:
+    """fn's value when its expression folds to one, as _Fast folds it."""
+    em = _Fast()
+    return em.value(em.inline(fn.expr, "x"))
 
 
 def _emit_qframe(em: Inliner, V: Func1 | None, W: Func1 | None,

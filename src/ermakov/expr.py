@@ -20,15 +20,18 @@ correctly rounded multiply, ``b*b``), and its derivative in
 ``_D_UNARY``/``_D_BINARY``, built through smart constructors that fold
 constants and drop exact work: d(a/c) for a constant c is a'/c, and
 (c*x)/c is x when |c| is a power of two >= 2, so ``Q^4/4`` differentiates
-to ``Q^3.0`` and ``s^2/2`` to ``2.0*s/2.0``.  ``evaluate``, ``differentiate``,
-``rename_var``, ``to_source`` and ``Inliner.inline`` fold one walk,
-``_fold``, that visits a subtree shared by identity once (derivatives share
-the subtrees of what they differentiate).  ``evaluate`` is the reference
-semantics: a ``Func1`` evaluates f, f' and f'' with it.  ``Inliner``
-generates straight-line Python doing the same operations in the same
-order, equal to the tree walk bit for bit and error for error (a point
-the tree walk rejects goes back to it), for the dynamics' equation
-programs; ``make_function`` also builds the integrators' steps.
+to ``Q^3.0`` and ``s^2/2`` to ``s``.  A tree that is just its variable,
+negated or not, rejects a non-finite value, as the ``c*x`` it may stand
+for did, so the fold turns no error into a value.  ``evaluate``,
+``differentiate``, ``rename_var``, ``to_source`` and ``Inliner.inline``
+fold one walk, ``_fold``, that visits a subtree shared by identity once
+(derivatives share the subtrees of what they differentiate).
+``evaluate`` is the reference semantics: a ``Func1`` evaluates f, f'
+and f'' with it.  ``Inliner`` generates straight-line Python doing the
+same operations in the same order, equal to the tree walk bit for bit
+and error for error (a point the tree walk rejects goes back to it), for
+the dynamics' equation programs; ``make_function`` also builds the
+integrators' steps.
 """
 
 from __future__ import annotations
@@ -141,10 +144,21 @@ def evaluate(e: Expr, x: float) -> float:
     evaluated once.
 
     Raises ExprDomainError for division by zero, ln/sqrt of a negative
-    argument, or any non-finite Binary/Pow result, naming the offending
+    argument, any non-finite Binary/Pow result, or a non-finite ``x`` when
+    ``e`` is just its variable (``_bare``), naming the offending
     subexpression.
     """
+    if not math.isfinite(x) and _bare(e):
+        raise ExprDomainError("non-finite value", to_source(e), x)
     return _fold(e, lambda n, *args: _apply(n, args, x))
+
+
+def _bare(e: Expr) -> bool:
+    """``e`` is its variable, negated any number of times: a tree with no
+    Binary or Pow node that would reject a non-finite value of it."""
+    while isinstance(e, Unary) and e.op == "neg":
+        e = e.arg
+    return isinstance(e, Var)
 
 
 def _apply(e: Expr, args, x: float) -> float:
@@ -185,7 +199,9 @@ def _apply(e: Expr, args, x: float) -> float:
 # >= 2 both give the same bits, as a'*b and b^2 are exact, and for any
 # other b a'/b is one rounding where the quotient rule made three.  _div
 # cancels (c*x)/c to x when |c| is a power of two >= 2, c*x being exact;
-# x is a Binary or Pow node, so a non-finite x raises as (c*x)/c did.
+# x is a Binary, Pow or Var node, so a non-finite x raises as (c*x)/c did:
+# a derivative puts the Var under a Binary node, which rejects a non-finite
+# operand's result, or under negations only, which evaluate checks (_bare).
 # Either rule gives a value where only the dropped a'*b or c*x overflowed.
 
 def _const(v: float) -> Const:
@@ -230,7 +246,7 @@ def _div(a: Expr, b: Expr) -> Expr:
     if isinstance(b, Const) and b.value == 1.0:
         return a
     if (isinstance(b, Const) and _is_scale(b.value) and isinstance(a, Binary)
-            and a.op == "*" and a.left == b and isinstance(a.right, (Binary, Pow))):
+            and a.op == "*" and a.left == b and isinstance(a.right, (Binary, Pow, Var))):
         return a.right
     return Binary("/", a, b)
 
@@ -493,9 +509,10 @@ class Inliner:
 
     ``build(params, result, slow)`` returns a function of ``params``
     that returns ``result`` only when no emitted line raised, the sum of
-    every emitted Binary/Pow intermediate (what the tree walk rejects when
-    not finite; the ``checked`` names, to which a caller may add; a folded
-    constant is finite, so it is left out) is finite and every required
+    every emitted Binary/Pow intermediate and the variable of a tree that
+    is just its variable (what the tree walk rejects when not finite; the
+    ``checked`` names, to which a caller may add; a folded constant is
+    finite, so it is left out) is finite and every required
     condition holds.  Otherwise it returns ``slow(*params)``, the
     reference (a sum that overflows on finite terms costs a redundant slow
     call, never a wrong value).
@@ -577,6 +594,8 @@ class Inliner:
                 self.checked.append(name)
             return name
 
+        if _bare(e):
+            self.checked.append(x)
         return _fold(e, emit)
 
     def call(self, fn: "Func1", x: str) -> str:

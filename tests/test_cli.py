@@ -591,7 +591,7 @@ class TestConvert:
         (["--V", "Q", "--h-from-F"], 2, "", "error: --F and --h-from-F go together"),
         (["--G", "1"], 2, "", "error: --G and --g-from-G go together"),
         (["--V", "2*Q^2"], 0, "2.0*(2.0*u)/u", ""),
-        (["--W", "s^2/2"], 0, "2.0*v/2.0/v", ""),
+        (["--W", "s^2/2"], 0, "v/v", ""),
         (["--F", "u^2", "--h-from-F"], 0, "u*u^2.0", ""),
         (["--G", "1", "--g-from-G"], 0, "v*1.0", ""),
         (["--V", "u"], 2, "",

@@ -168,15 +168,15 @@ class TestDifferentiate:
 
 class TestQuotientByAConstant:
     """d(a/c) is a'/c, and (c*x)/c is x when |c| is a power of two >= 2
-    and x a Binary or Pow node: the same bits as the quotient rule's
+    and x a Binary, Pow or Var node: the same bits as the quotient rule's
     (a'*c)/c^2 wherever that evaluates, the same error class wherever it
     raises, except where only the dropped a'*c or c*x overflowed."""
 
     def test_s3_texts(self):
         assert to_source(differentiate(parse("Q^4/4", "Q"))) == "Q^3.0"
-        assert to_source(differentiate(parse("s^2/2", "s"))) == "2.0*s/2.0"
+        assert to_source(differentiate(parse("s^2/2", "s"))) == "s"
         assert F_from_V(compile_func("Q^4/4", "Q")).source == "u^3.0/u"
-        assert G_from_W(compile_func("s^2/2", "s")).source == "2.0*v/2.0/v"
+        assert G_from_W(compile_func("s^2/2", "s")).source == "v/v"
 
     SCALES = (2.0, -2.0, 4.0, 16.0, 256.0)  # |c| a power of two >= 2
     OTHERS = (0.5, 3.0, 0.1)
@@ -203,6 +203,24 @@ class TestQuotientByAConstant:
             elif got is not None:
                 assert math.isfinite(got) and not math.isfinite(dropped(got)), (
                     to_source(new), c, x, got)
+
+    @pytest.mark.parametrize("c", SCALES + OTHERS)
+    def test_bare_variable(self, c):
+        # (c*x)/c cancels to the bare x, which raises at +-inf and nan as
+        # the cancelled c*x did, also when a derivative negates it
+        k, x = Const(c), Var("x")
+        old = Binary("/", Binary("*", k, x), k)
+        new = expr_module._div(Binary("*", k, x), k)
+        assert (new == x) == (c in self.SCALES)
+        self._assert_as_before(new, old, c, lambda v: v * c)
+        self._assert_as_before(Unary("neg", new), Unary("neg", old), c, lambda v: v * c)
+
+    def test_negated_bare_derivative(self):
+        d = differentiate(parse("1-x^2/2", "x"))
+        assert to_source(d) == "-x"
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ExprDomainError, match="non-finite value in '-x'"):
+                evaluate(d, x)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None,
               phases=(Phase.explicit, Phase.generate))
@@ -518,7 +536,10 @@ class TestCompiledAgreement:
         v = compile_func("t", "t")
         assert c(7.0) == 2.5 and c.deriv(7.0) == 0.0 and c.deriv2(7.0) == 0.0
         assert _outcome(v, -0.0) == ("value", (-0.0).hex())
-        assert v(math.inf) == math.inf and v.deriv(3.0) == 1.0
+        assert v.deriv(3.0) == 1.0
+        for x in (math.inf, -math.inf, math.nan):  # as 1.0*t would raise
+            with pytest.raises(ExprDomainError, match="non-finite value in 't'"):
+                v(x)
         _assert_agree(c, self.SPECIAL)
         _assert_agree(v, self.SPECIAL)
 

@@ -8,6 +8,7 @@ reference (the checked builds of the physical and Q-frame programs,
 exception type and message.
 """
 
+import itertools
 import math
 import re
 
@@ -17,8 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import S1, S2, S3, load_scenario, random_expr, random_phys_states
 from ermakov import dynamics, invariants, model
-from ermakov.errors import ExprDomainError, InvalidMassError, SingularityError
-from ermakov.expr import compile_func, func_from_expr, parse
+from ermakov.errors import (ErmakovError, ExprDomainError, InvalidMassError,
+                             SingularityError)
+from ermakov.expr import compile_func, func_from_expr, parse, to_source
 
 BARE = model.parse_config("""
 [functions]
@@ -217,6 +219,56 @@ class TestErrorPaths:
         fast = invariants._integrand(F)
         for w in (0.0, -0.0, 1e-3):
             assert _outcome(fast, w) == _outcome(lambda w: w * F(w), w)
+
+    def test_bare_w_prime_rejects_nan(self):
+        # W = s^2/2 differentiates to the bare s, and with V = 0 nothing
+        # else meets Q = nan: only the variable's own finiteness check
+        # raises, where the cancelled 2.0*s raised before
+        V, W = compile_func("0", "Q"), compile_func("s^2/2", "s")
+        assert to_source(W.d1) == "s"
+        reference = dynamics._build_checked("tau, y", dynamics._emit_qframe_ode,
+                                            V, W, None, None)
+        for ode in (dynamics._qframe_ode(V, W), reference):
+            with pytest.raises(ErmakovError, match="non-finite value in 's'"):
+                ode(0.5, [math.nan, 0.3])
+        assert _outcome(dynamics._qframe_ode(V, W), 0.5, [2.0, 0.3]) == (
+            "value", ((0.3).hex(), (0.125).hex()))
+
+
+class TestConstantMassDrag:
+    """A constant m's drag -(m'/m) x' is -0.0*x'.  The physical RHS drops
+    it where (-0.0*x' - w~2 x) + term is term - w~2 x bit for bit, and
+    keeps it where the drag decides the sign of a zero: w~2 x = +0.0,
+    x' < 0 and an active term of -0.0."""
+
+    @pytest.mark.parametrize("m", ["1", "2"])
+    @pytest.mark.parametrize("omt2", ["1", "0", "t", "-1e-320"])
+    @pytest.mark.parametrize("F,G", [("0", "0"), ("-u", "0"), ("0", "-(v*0)"),
+                                     ("-(u*0)", "-(v*0)")])
+    def test_against_the_drag_formula(self, m, omt2, F, G):
+        scn = load_scenario(S1)._replace(
+            m=compile_func(m, "t"), omega_tilde_sq=compile_func(omt2, "t"),
+            coupling_F=compile_func(F, "u"), coupling_G=compile_func(G, "v"),
+            potential_V=None, potential_W=None)
+        mv = scn.m(0.0)
+        drag = -(0.0 / mv)
+
+        def accel(t, x, x_dot, coupling, ratio):
+            term = (0.0 if coupling.source == "0.0"
+                    else coupling(ratio) / (mv * mv * x ** 3))
+            return ((drag * x_dot) - scn.omega_tilde_sq(t) * x) + term
+
+        for t, q, q_dot, f, f_dot in itertools.product(
+                (0.0, 0.5), (0.0, -0.0, 0.7, -0.7), (-1.0, 0.0, 1.0),
+                (1.3, -1.3), (-1.0, 0.0, 1.0)):
+            y = [q, q_dot, f, f_dot, 0.0]
+            if G != "0" and q == 0.0:
+                continue  # the q guard
+            want = (accel(t, q, q_dot, scn.coupling_G, f / q if q else 0.0).hex(),
+                    accel(t, f, f_dot, scn.coupling_F, q / f).hex())
+            for rhs in (dynamics.phys_ode(scn), _reference_phys(scn)):
+                dy = rhs(t, y)
+                assert (dy[1].hex(), dy[3].hex()) == want, (t, y)
 
 
 # --- the kernels' IEEE operators against numpy's ----------------------------
