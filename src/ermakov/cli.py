@@ -96,25 +96,22 @@ def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
     """Physical-frame run of ``scn`` by its plan: rk4 at its dt or
     adaptive54 at its tol."""
     plan, st = scn.plan, scn.initial
-    y0 = [st.q, st.q_dot, st.f, st.f_dot, st.tau]
-    rhs = dynamics.phys_ode(scn)
-    if plan.method == "rk4":
-        return integrators.integrate_fixed_rk4(rhs, y0, st.t, plan.t_end,
-                                               plan.dt, plan.output_stride)
-    if plan.method == "adaptive54":
-        return integrators.integrate_adaptive54(rhs, y0, st.t, plan.t_end,
-                                                plan.tol, plan.output_stride)
-    raise ConfigError(
-        "method 'verlet' integrates the transformed frame only and cannot "
-        "produce a physical trajectory; use rk4 or adaptive54 (verlet is "
-        "available through the bench subcommand)")
+    if plan.method == "verlet":
+        raise ConfigError(
+            "method 'verlet' integrates the transformed frame only and cannot "
+            "produce a physical trajectory; use rk4 or adaptive54 (verlet is "
+            "available through the bench subcommand)")
+    integrate = (integrators.integrate_fixed_rk4 if plan.method == "rk4"
+                 else integrators.integrate_adaptive54)
+    return integrate(dynamics.phys_ode(scn), [st.q, st.q_dot, st.f, st.f_dot, st.tau],
+                     st.t, plan.t_end, plan.step, plan.output_stride)
 
 
 def _scenario_echo(doc: ConfigDocument, scn: Scenario,
                    grid: list[model.IntegrationPlan] | None = None) -> dict:
     """The config and its scenario; bench names each grid point's plan."""
-    run = ({"grid": [{"method": p.method, "step": p.tol if p.dt is None else p.dt}
-                     for p in grid]} if grid else {"method": scn.plan.method})
+    run = ({"grid": [{"method": p.method, "step": p.step} for p in grid]}
+           if grid else {"method": scn.plan.method})
     return {
         "config": {sec: dict(kv) for sec, kv in doc.sections.items()},
         "resolved": {
@@ -263,7 +260,8 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     compared = [row for row in mapped if row[0] <= end]
     direct = integrators.integrate_adaptive54(
         dynamics.qframe_ode_from_scenario(scn), y0, tau0, end,
-        scn.plan.tol or 1e-10, stride, [tau for tau, _, _ in compared])
+        scn.plan.step if scn.plan.method == "adaptive54" else 1e-10, stride,
+        [tau for tau, _, _ in compared])
     direct_path = out_dir / "qframe_direct.csv"
     _write_rows(direct_path, QFRAME_HEADER,
                 ((t, *direct.y[bisect_left(direct.t, t)])
@@ -311,7 +309,7 @@ def _bench_row(scn: Scenario, quad_tol: float) -> tuple[invariants.InvariantRepo
     st = scn.initial
     start = QFrameState(0.0, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
                                               st.f, st.f_dot))
-    traj = integrators.integrate_verlet_Q(V, W, start, scn.plan.dt,
+    traj = integrators.integrate_verlet_Q(V, W, start, scn.plan.step,
                                           scn.plan.t_end - st.t, scn.plan.output_stride)
     e = [invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
          for t, y in zip(traj.t, traj.y)]
@@ -322,7 +320,7 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
            grid: list[model.IntegrationPlan]) -> int:
     rows, failures = [], []
     for plan in grid:
-        method, value = plan.method, plan.tol if plan.dt is None else plan.dt
+        method, value = plan.method, plan.step
         row_start = time.perf_counter()
         try:
             report, steps = _bench_row(scn._replace(plan=plan), args.quad_tol)

@@ -65,8 +65,8 @@ class SingularityError(ErmakovError):
 
 
 class IntegrationError(ErmakovError):
-    """An integrator could not continue (step-size underflow, invalid
-    stride/step configuration, non-finite state)."""
+    """A stepper refused its plan (``model.check_plan``) or could not
+    continue (step-size underflow, step budget, non-finite state)."""
 
 
 class QuadratureError(ErmakovError):

@@ -13,13 +13,13 @@ Three methods:
   separable autonomous y = [Q, Q'] such as the transformed frame
   (``integrate_verlet_Q``); symplectic, so energy errors stay bounded.
 
-Every stepper runs forward in time and samples the stride plan
-(``model.sample_times``): its start, each whole stride and, after a
-remainder, t_end; the plan refuses a t_end before t0 with
-IntegrationError (``model.stride_count``).  RK4 and Verlet
-share one driver (``_fixed_steps``): steps of dt, the last one shorter
-to reach t_end; a dt at or below the float spacing of the span's times,
-where a step would not advance the time, is rejected.
+Every stepper passes its grid through ``model.check_plan`` first, which
+raises IntegrationError before any right-hand-side call, then runs
+forward in time and samples the stride plan (``model.sample_times``):
+its start, each whole stride and, after a remainder, t_end.  RK4 and
+Verlet share one driver (``_fixed_steps``): steps of dt, the last one
+shorter to reach t_end; a dt at or below the float spacing of the span's
+times, where a step would not advance the time, is rejected.
 
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
@@ -42,7 +42,7 @@ from . import model
 from .dynamics import _qframe_ode
 from .errors import ErmakovError, IntegrationError, SingularityError
 from .expr import Func1, Record, is_zero, make_function
-from .model import QFrameState, sample_times, stride_count, stride_steps
+from .model import QFrameState, check_plan, sample_times
 
 __all__ = [
     "Trajectory",
@@ -159,38 +159,30 @@ def _first_slope(rhs: Rhs, t0: float, y: list[float]) -> Sequence[float]:
 
 def _fixed_steps(method: str, make_step: Callable, rhs: Rhs, y0: Sequence[float],
                  t0: float, t_end: float, dt: float, output_stride: float) -> Trajectory:
-    """Steps of dt from each stride sample, a tail's last step ending at
-    t_end.  dt must exceed the float spacing at the span's larger end, so
-    that every step advances the time, and subdivide the stride exactly.
+    """Steps of dt from each stride sample of a checked plan, a tail's
+    last step ending at t_end.  dt must exceed the float spacing at the
+    span's larger end, so that every step advances the time.
     ``make_step(n)`` gives step(rhs, t, h, y, k) -> (y at t + h, its slope
     or None) for n components, k the slope at (t, y) or None; a sample
     without a slope calls rhs."""
-    if not dt > 0.0:
-        raise IntegrationError(f"dt must be positive, got {dt!r}")
+    k_per, k_tail = check_plan(method, t0, t_end, output_stride, dt)
     resolution = math.ulp(max(abs(t0), abs(t_end)))
     if dt <= resolution:
         raise IntegrationError(f"dt={dt!r} does not exceed the time resolution "
                                f"{resolution!r} of the span [{t0!r}, {t_end!r}]")
-    if not output_stride > 0.0:
-        raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
-    k_per = stride_steps(output_stride, dt)
-    if k_per is None:
-        raise IntegrationError(
-            f"dt={dt!r} does not subdivide output_stride={output_stride!r} exactly")
-    n_str, tail = stride_count(t0, t_end, output_stride)
-    k_tail = max(1, math.ceil(tail / dt - 1e-9)) if tail else 0
 
     y = [float(v) for v in y0]
     run = _Run(method)
     steps = 0
     t_last = t0
     times = sample_times(t0, t_end, output_stride)
+    tail_seg = len(times) - 2 if k_tail else -1
     try:
         k = _first_slope(rhs, t0, y)
         run.add(t0, y, k)
         step = make_step(len(y))
         for i, (seg, t_out) in enumerate(zip(times, times[1:])):
-            last = i == n_str
+            last = i == tail_seg
             for j in range(k_tail if last else k_per):
                 t = seg + j * dt
                 h_j = t_end - t if last and j == k_tail - 1 else dt
@@ -363,10 +355,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     within the time tolerance, which no step resolves, raises
     IntegrationError, and so does a run that reaches its step budget,
     ``model.MAX_GRID_POINTS`` attempted (accepted plus rejected) steps."""
-    if not tol > 0.0:
-        raise IntegrationError(f"tol must be positive, got {tol!r}")
-    if not output_stride > 0.0:
-        raise IntegrationError(f"output_stride must be positive, got {output_stride!r}")
+    check_plan("adaptive54", t0, t_end, output_stride, tol)
     times = sample_times(t0, t_end, output_stride)
     span = t_end - t0
     eps_t = 1e-9 * max(1.0, abs(t0), abs(t_end), output_stride)

@@ -53,10 +53,10 @@ __all__ = [
     "apply_overrides",
     "build_scenario",
     "run_plan",
+    "check_plan",
     "mass_at",
     "parse_float",
     "parse_positive",
-    "stride_steps",
     "stride_count",
     "sample_times",
     "METHODS",
@@ -93,10 +93,11 @@ class QFrameState(NamedTuple):
 
 
 class IntegrationPlan(NamedTuple):
+    """A run plan that passed check_plan (run_plan makes it)."""
+
     method: str
     t_end: float
-    dt: float | None          # fixed-step methods
-    tol: float | None         # adaptive method
+    step: float               # dt of rk4 and verlet, tol of adaptive54
     output_stride: float
 
 
@@ -338,24 +339,12 @@ def _coupling_side(sections, direct_key: str, potential_key: str,
     return constant_func(0.0, COUPLING_VARS[direct_key]), None
 
 
-def stride_steps(output_stride: float, dt: float) -> int | None:
-    """Number of dt steps per output stride, or None when dt (positive)
-    does not subdivide the stride exactly."""
-    k = round(output_stride / dt)
-    if k < 1 or abs(k * dt - output_stride) > 1e-9 * output_stride:
-        return None
-    return k
-
-
 def stride_count(t0: float, t_end: float, output_stride: float) -> tuple[int, float]:
     """(whole output strides from t0 to t_end, what the span leaves after
-    them): the tail is 0.0 when the span is a whole number of strides to
-    within 1e-9 of one, or when the last stride sample's time
-    t0 + n*output_stride already is t_end in floats; else the positive
-    remainder.  Time runs forward only: every stepper's plan passes
-    here, and a t_end before t0 raises IntegrationError."""
-    if t_end < t0:
-        raise IntegrationError(f"t_end ({t_end!r}) precedes t0 ({t0!r})")
+    them) of a plan that passed check_plan: the tail is 0.0 when the span
+    is a whole number of strides to within 1e-9 of one, or when the last
+    stride sample's time t0 + n*output_stride already is t_end in floats;
+    else the positive remainder."""
     span = t_end - t0
     n = int(math.floor(span / output_stride + 1e-9))
     if span / output_stride - n <= 1e-9 or t0 + n * output_stride == t_end:
@@ -370,32 +359,50 @@ def sample_times(t0: float, t_end: float, output_stride: float) -> list[float]:
     return [t0 + k * output_stride for k in range(n + 1)] + ([t_end] if tail else [])
 
 
-def run_plan(method: str, t0: float, t_end: float, output_stride: float,
-             step: float) -> IntegrationPlan:
-    """The validated plan of a ``method`` run from t0 to t_end, sampled
-    every ``output_stride``; ``step`` is the tol of adaptive54 and the dt
-    of the fixed-step methods (rk4, verlet), which must subdivide the
-    stride exactly (stride_steps).  Stride and step are finite and
-    positive (parse_positive).  t_end == t0 is allowed and yields a
-    single-sample run.  A run may ask for at most MAX_GRID_POINTS output
-    samples and fixed steps (counting at least one stride's worth)."""
+def check_plan(method: str, t0: float, t_end: float, output_stride: float,
+               step: float) -> tuple[int, int]:
+    """The one check of a run's grid, by run_plan and by every stepper
+    before its first rhs call (IntegrationError): finite t0 <= t_end, a
+    finite positive stride and step (adaptive54's tol, else dt), at most
+    MAX_GRID_POINTS samples and fixed steps (counting at least one
+    stride's worth), and a dt that subdivides the stride exactly.  Returns
+    a fixed-step run's dt steps per stride and in its tail, (0, 0) for
+    adaptive54."""
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise IntegrationError(f"t0 ({t0!r}) and t_end ({t_end!r}) must be finite")
+    for key, value in (("output_stride", output_stride),
+                       ("tol" if method == "adaptive54" else "dt", step)):
+        if not 0.0 < value < math.inf:
+            raise IntegrationError(f"{key} must be positive and finite, got {value!r}")
+    if t_end < t0:
+        raise IntegrationError(f"t_end ({t_end!r}) precedes t0 ({t0!r})")
     span = t_end - t0
-    if span < 0.0:
-        raise ConfigError(f"t_end ({t_end}) must not precede t0 ({t0})")
     if span / output_stride > MAX_GRID_POINTS:
-        raise ConfigError(
+        raise IntegrationError(
             f"a span of {span!r} at output_stride={output_stride!r} asks for "
             f"more than {MAX_GRID_POINTS} samples")
     if method == "adaptive54":
-        return IntegrationPlan(method, t_end, None, step, output_stride)
+        return 0, 0
     if max(span, output_stride) / step > MAX_GRID_POINTS:
-        raise ConfigError(
+        raise IntegrationError(
             f"dt={step!r} asks for more than {MAX_GRID_POINTS} steps over a span "
             f"of {max(span, output_stride)!r}")
-    if stride_steps(output_stride, step) is None:
-        raise ConfigError(f"dt={step!r} does not subdivide "
-                          f"output_stride={output_stride!r} exactly")
-    return IntegrationPlan(method, t_end, step, None, output_stride)
+    k_per = round(output_stride / step)
+    if k_per < 1 or abs(k_per * step - output_stride) > 1e-9 * output_stride:
+        raise IntegrationError(f"dt={step!r} does not subdivide "
+                               f"output_stride={output_stride!r} exactly")
+    tail = stride_count(t0, t_end, output_stride)[1]
+    return k_per, max(1, math.ceil(tail / step - 1e-9)) if tail else 0
+
+
+def run_plan(method: str, t0: float, t_end: float, output_stride: float,
+             step: float) -> IntegrationPlan:
+    """The plan check_plan accepts; its refusal is a ConfigError here."""
+    try:
+        check_plan(method, t0, t_end, output_stride, step)
+    except IntegrationError as err:
+        raise ConfigError(str(err)) from None
+    return IntegrationPlan(method, t_end, step, output_stride)
 
 
 def build_scenario(doc: ConfigDocument, method: str | None = None,

@@ -1,8 +1,9 @@
-"""The CLI's data files against exact solutions of S1 and S3.
+"""The CLI's data files against exact solutions of S1, S2 and S3.
 
 Each oracle reads the scenario's initial state with ``configparser``,
-computes the closed-form solution with the standard library, numpy and
-scipy, and compares it with the CSV files that ``simulate`` and ``map``
+computes the exact solution with the standard library, numpy and scipy
+(closed forms, or scipy's own integrator for S2's linear equation), and
+compares it with the CSV files that ``simulate`` and ``map``
 write.  Nothing here calls the program's expressions, kernels or
 integrators, so the oracles share no code with what they check.
 """
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import S1, S3, scenario_path
+from conftest import S1, S2, S3, scenario_path
 from ermakov.cli import main
 
 
@@ -60,6 +61,65 @@ class TestHarmonicS1:
         # phase error, growing with t
         assert q_err <= 20 * self.TOL, q_err
         assert f_err <= 1e-14, f_err
+
+
+class TestPinneyS2:
+    """S2 (m = 1 + 0.1 sin t, w~2 = 1, V = 2Q^2, W = 0), by Pinney's
+    superposition with a mass: u1 and u2 solve the linear
+    (m u')' + m u = 0 from (1, 0) and (0, 1), so m (u1 u2' - u1' u2) = 1.
+    From the shipped start (q, q', f, f') = (1, 0, sqrt 2, 0),
+    q = u1 and f = sqrt(2) (u1^2 + u2^2)^(1/2).  The oracle solves for
+    u1 and u2 with scipy's DOP853 at rtol = atol = 1e-13."""
+
+    @staticmethod
+    def _pinney(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(q, f) at the times t of the m = 1 + 0.1 sin t solution."""
+        integrate = pytest.importorskip("scipy.integrate")
+        cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        cfg.read(scenario_path(S2))
+        assert cfg["functions"]["m"] == "1+0.1*sin(t)"
+        assert ([float(cfg["initial"][k]) for k in ("q", "q_dot", "f", "f_dot")]
+                == [1.0, 0.0, math.sqrt(2.0), 0.0])
+
+        def rhs(t, y):
+            # u'' = -(m'/m) u' - u for each of u1 = y[0] and u2 = y[2]
+            drag = 0.1 * math.cos(t) / (1.0 + 0.1 * math.sin(t))
+            return [y[1], -drag * y[1] - y[0], y[3], -drag * y[3] - y[2]]
+
+        sol = integrate.solve_ivp(rhs, (t[0], t[-1]), [1.0, 0.0, 0.0, 1.0],
+                                  method="DOP853", t_eval=t, rtol=1e-13, atol=1e-13)
+        assert sol.success
+        u1, u2 = sol.y[0], sol.y[2]
+        return u1, math.sqrt(2.0) * np.sqrt(u1 ** 2 + u2 ** 2)
+
+    def _errors(self, tmp_path, tol, *overrides):
+        """(max error in q, max relative error in f) of simulate at tol."""
+        argv = ["simulate", "--config", str(scenario_path(S2)), "--out", str(tmp_path),
+                "--set", f"integration.tol={tol!r}"]
+        for item in overrides:
+            argv += ["--set", item]
+        _run(*argv)
+        c = _columns(tmp_path / "trajectory.csv")
+        assert len(c["t"]) == 1001
+        q, f = self._pinney(c["t"])
+        return (float(np.max(np.abs(c["q"] - q))),
+                float(np.max(np.abs(c["f"] - f) / f)))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_simulate_matches_the_pinney_solution(self, tmp_path, tol):
+        q_err, f_err = self._errors(tmp_path, tol)
+        # measured 5.08e-10 and 2.29e-10 at tol 1e-10, 5.1e-12 and 2.5e-12
+        # at tol 1e-12 over t in [0, 50]: about 5 tol and 2.5 tol, so the
+        # bounds 10 tol and 5 tol leave a factor of two; q's error is
+        # phase error, growing with t
+        assert q_err <= 10 * tol, q_err
+        assert f_err <= 5 * tol, f_err
+
+    def test_a_wrong_mass_misses_the_solution(self, tmp_path):
+        # m = 1 + 0.11 sin t against the 0.1 solution: measured 4.7e-3 in q
+        # and 1.5e-2 relative in f
+        q_err, f_err = self._errors(tmp_path, 1e-10, "functions.m=1+0.11*sin(t)")
+        assert q_err > 1e-3 and f_err > 1e-3, (q_err, f_err)
 
 
 class TestJacobiS3:

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import S4, load_scenario
-from ermakov import dynamics, invariants
-from ermakov.errors import IntegrationError, SingularityError
+from ermakov import dynamics, invariants, model
+from ermakov.errors import ConfigError, IntegrationError, SingularityError
 from ermakov.expr import compile_func
 from ermakov.integrators import (
     _DP_A,
@@ -154,7 +156,7 @@ class TestAdaptive54:
         st = s2.initial
         y0 = np.array([st.q, st.q_dot, st.f, st.f_dot, st.tau])
         traj = integrate_adaptive54(dynamics.phys_ode(s2), y0, st.t,
-                                    s2.plan.t_end, s2.plan.tol,
+                                    s2.plan.t_end, s2.plan.step,
                                     s2.plan.output_stride)
         assert traj.rejected_steps > 0
         assert traj.method == "adaptive54"
@@ -323,6 +325,78 @@ def test_t_end_before_t0_refused(integrate, step):
 
     with pytest.raises(IntegrationError, match=r"^t_end \(0\.5\) precedes t0 \(1\.0\)$"):
         integrate(rhs, [1.0, 0.0], 1.0, 0.5, step, 0.1)
+    assert calls == []
+
+
+STEPPERS = {"rk4": integrate_fixed_rk4, "adaptive54": integrate_adaptive54,
+            "verlet": integrate_verlet}
+
+
+def _counted_harmonic(calls):
+    def rhs(t, y):
+        calls.append(t)
+        return [y[1], -y[0]]
+    return rhs
+
+
+@pytest.mark.parametrize("method,stride,step", [
+    ("adaptive54", 1e-3, 1e-8),  # 2,001 samples
+    ("rk4", 1e-3, 1e-3),
+    ("verlet", 1e-3, 1e-3),
+    ("rk4", 0.1, 5e-4),          # 21 samples, 4,000 steps
+    ("verlet", 0.1, 5e-4),
+])
+def test_grid_caps_refused_before_any_rhs_call(monkeypatch, method, stride, step):
+    # a direct stepper call meets the caps a config's plan meets, in
+    # run_plan's words
+    monkeypatch.setattr(model, "MAX_GRID_POINTS", 1_000)
+    with pytest.raises(ConfigError) as plan_err:
+        model.run_plan(method, 0.0, 2.0, stride, step)
+    calls = []
+    with pytest.raises(IntegrationError) as exc:
+        STEPPERS[method](_counted_harmonic(calls), [1.0, 0.0], 0.0, 2.0, step, stride)
+    assert str(exc.value) == str(plan_err.value)
+    assert "asks for more than 1000 " in str(exc.value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", sorted(STEPPERS))
+@pytest.mark.parametrize("t0,t_end", [(math.nan, 1.0), (0.0, math.nan),
+                                      (-math.inf, 1.0), (0.0, math.inf)])
+def test_non_finite_span_end_refused(method, t0, t_end):
+    calls = []
+    step = 1e-8 if method == "adaptive54" else 0.1
+    with pytest.raises(IntegrationError, match=r"^t0 \(.*\) and t_end \(.*\) must be finite$"):
+        STEPPERS[method](_counted_harmonic(calls), [1.0, 0.0], t0, t_end, step, 0.1)
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(model.METHODS),
+       t0=st.sampled_from([0.0, 0.1, 2.5, -1e3, 1e6, math.nan, -math.inf]),
+       span=st.floats(-1.0, 100.0),
+       stride=st.sampled_from([1e-9, 1e-4, 0.05, 0.1, 0.3, 1.0, 0.0, -0.1, math.inf,
+                               math.nan]),
+       step=st.sampled_from([1e-12, 1e-8, 1e-4, 0.01, 0.025, 0.03, 0.05, 0.1, 0.0,
+                             math.inf, math.nan]))
+def test_run_plan_refuses_exactly_what_the_check_refuses(method, t0, span, stride, step):
+    # one check: the CLI's plan constructor and every stepper refuse the
+    # same plans with the same message, a stepper before any rhs call
+    t_end = t0 + span
+    try:
+        model.check_plan(method, t0, t_end, stride, step)
+    except IntegrationError as err:
+        refusal = str(err)
+    else:
+        assert model.run_plan(method, t0, t_end, stride, step).step == step
+        return
+    with pytest.raises(ConfigError) as plan_err:
+        model.run_plan(method, t0, t_end, stride, step)
+    assert str(plan_err.value) == refusal
+    calls = []
+    with pytest.raises(IntegrationError) as exc:
+        STEPPERS[method](_counted_harmonic(calls), [1.0, 0.0], t0, t_end, step, stride)
+    assert str(exc.value) == refusal
     assert calls == []
 
 
@@ -553,7 +627,7 @@ class TestPinneyPumped:
         st, plan = scn.initial, scn.plan
         traj = integrate_adaptive54(dynamics.phys_ode(scn),
                                     [st.q, st.q_dot, st.f, st.f_dot, st.tau],
-                                    st.t, plan.t_end, plan.tol, plan.output_stride)
+                                    st.t, plan.t_end, plan.step, plan.output_stride)
         t = np.array(traj.t)
 
         def linear(t, u):

@@ -31,7 +31,7 @@ def _traj(scn, t_end=None, tol=None, stride=None):
     return integrators.integrate_adaptive54(
         dynamics.phys_ode(scn), y0, st.t,
         scn.plan.t_end if t_end is None else t_end,
-        scn.plan.tol if tol is None else tol,
+        scn.plan.step if tol is None else tol,
         scn.plan.output_stride if stride is None else stride)
 
 

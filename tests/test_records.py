@@ -35,7 +35,7 @@ def test_records_of_different_kinds_never_compare_equal():
     records = [Const(1.0), Var("x"), Unary("neg", Var("x")), Pow(Var("x"), 2.0),
                Binary("*", Var("x"), Var("x")), *(make(2.0) for make in MAKE.values()),
                PhysState(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), QFrameState(0.0, 1.0, 0.0),
-               IntegrationPlan("rk4", 1.0, 0.1, None, 0.1), ConfigDocument({}, "")]
+               IntegrationPlan("rk4", 1.0, 0.1, 0.1), ConfigDocument({}, "")]
     for i, a in enumerate(records):
         for b in records[i + 1:]:
             assert a != b and b != a, (a, b)
