@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import dynamics, integrators, invariants, model
 from .errors import ConfigError, ErmakovError, ExprSyntaxError, SingularityError
-from .expr import compile_func, is_zero, to_source
+from .expr import compile_func, to_source
 from .model import ConfigDocument, QFrameState, Scenario
 
 EXIT_OK = 0
@@ -299,13 +299,12 @@ def _bench_row(scn: Scenario, quad_tol: float) -> tuple[invariants.InvariantRepo
         traj = _integrate_plan(scn)
         return invariants.drift_report(traj, scn, quad_tol), traj.step_count
 
-    # the transformed frame, tau from 0 to t_end - t0; its energy is exact
-    # only when every nonzero coupling comes with its potential
-    V, W = scn.potential_V, scn.potential_W
-    if ((V is None and not is_zero(scn.coupling_F.expr))
-            or (W is None and not is_zero(scn.coupling_G.expr))):
+    # the transformed frame, tau from 0 to t_end - t0
+    sides = dynamics.frame_potentials(scn)
+    if sides is None:
         raise ConfigError("verlet bench rows need the potential (V, W) of every "
                           "nonzero coupling to evaluate the transformed-frame energy")
+    V, W = sides
     st = scn.initial
     start = QFrameState(0.0, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
                                               st.f, st.f_dot))

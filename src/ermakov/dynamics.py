@@ -38,12 +38,11 @@ from .model import PhysState, QFrameState, Scenario, mass_at, to_qframe
 __all__ = [
     "EPS_SING",
     "guard",
-    "ieee_pow",
-    "ieee_div",
     "rhs_xrho",
     "phys_ode",
     "qframe_ode_from_scenario",
     "qframe_terms",
+    "frame_potentials",
     "lagrangian_Q",
     "lagrangian_q_tilde",
     "gauge_residual",
@@ -318,12 +317,20 @@ def _ddt_m_fdot(state: PhysState, scn: Scenario) -> float:
     return val
 
 
-def _require_potentials(scn: Scenario) -> tuple[Func1, Func1]:
-    if scn.potential_V is None or scn.potential_W is None:
-        raise PotentialsUnavailableError(
-            "Lagrangian evaluation needs V and W; this scenario was built "
-            "from bare coupling functions")
-    return scn.potential_V, scn.potential_W
+def frame_potentials(scn: Scenario) -> tuple[Func1 | None, Func1 | None] | None:
+    """(V, W) for the transformed frame's energy and Lagrangian, or None when
+    a nonzero coupling has no potential (a structurally zero one needs none)."""
+    V, W = scn.potential_V, scn.potential_W
+    bare = (V is None and _active(scn.coupling_F)) or (W is None and _active(scn.coupling_G))
+    return None if bare else (V, W)
+
+
+def _require_potentials(scn: Scenario) -> tuple[Func1 | None, Func1 | None]:
+    sides = frame_potentials(scn)
+    if sides is None:
+        raise PotentialsUnavailableError("Lagrangian evaluation needs the potential "
+                                         "of every nonzero coupling")
+    return sides
 
 
 def lagrangian_q_tilde(state: PhysState, scn: Scenario) -> float:
@@ -337,9 +344,9 @@ def lagrangian_q_tilde(state: PhysState, scn: Scenario) -> float:
     mv = mass_at(scn.m, t)
     guard("f", f, t)
     val = 0.5 * mv * q_dot ** 2 + 0.5 * (q * q / f) * _ddt_m_fdot(state, scn)
-    if not is_zero(V.expr):
+    if _active(V):
         val -= V(q / f) / (mv * f * f)
-    if not is_zero(W.expr):
+    if _active(W):
         guard("q", q, t)
         val -= W(f / q) / (mv * f * f)
     return val
@@ -356,12 +363,11 @@ def gauge_residual(state: PhysState, scn: Scenario) -> float:
     makes the identity hold; see the README.)  Zero up to round-off at
     every valid state.
     """
-    _require_potentials(scn)
+    V, W = _require_potentials(scn)
     t, q, q_dot, f, f_dot = state.t, state.q, state.q_dot, state.f, state.f_dot
     mv = mass_at(scn.m, t)
     guard("f", f, t)
-    l_q = lagrangian_Q(QFrameState(state.tau, *to_qframe(mv, q, q_dot, f, f_dot)),
-                       scn.potential_V, scn.potential_W)
+    l_q = lagrangian_Q(QFrameState(state.tau, *to_qframe(mv, q, q_dot, f, f_dot)), V, W)
     dmf = _ddt_m_fdot(state, scn)
     dphi_dt = (mv * q * q_dot * f_dot / f
                - 0.5 * mv * (q * f_dot / f) ** 2

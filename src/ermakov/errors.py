@@ -79,5 +79,5 @@ class InvariantError(ErmakovError):
 
 
 class PotentialsUnavailableError(ErmakovError):
-    """Operation needs the potentials themselves, but the scenario was
-    built from bare coupling functions."""
+    """Operation needs the potential of a nonzero coupling that the
+    scenario gives only as a bare coupling function."""

@@ -33,15 +33,13 @@ from .dynamics import EPS_SING, _build_checked, _build_fast, _Checked, qframe_te
 from .errors import ErmakovError, InvariantError, QuadratureError
 from .expr import Func1, Inliner, Record, is_zero
 from .integrators import Trajectory
-from .model import PhysState, QFrameState, Scenario, to_qframe
+from .model import PhysState, QFrameState, Scenario
 
 __all__ = [
     "InvariantReport",
     "quad",
     "energy_Q",
     "ray_reid_invariant",
-    "ermakov_lewis",
-    "default_ref",
     "invariant_series",
     "report_from_series",
     "drift_report",
@@ -138,13 +136,6 @@ def ray_reid_invariant(state: PhysState, scn: Scenario, u_ref: float = 0.0,
     v_side = _PotentialSide(None, scn.coupling_G, tol, v_ref)
     return _reference(scn.m, u_side, v_side)(
         state.t, state.q, state.q_dot, state.f, state.f_dot)[2]
-
-
-def ermakov_lewis(state: PhysState, m_val: float, Omega: float) -> float:
-    """Closed form of the invariant for the constant-coupling (harmonic)
-    case: (1/2) m^2 (q'f - qf')^2 + (1/2) Omega^2 (q/f)^2."""
-    _, Q_prime = to_qframe(m_val, state.q, state.q_dot, state.f, state.f_dot)
-    return 0.5 * Q_prime ** 2 + 0.5 * (Omega * state.q / state.f) ** 2
 
 
 # --- drift reporting ---------------------------------------------------------

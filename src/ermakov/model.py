@@ -55,7 +55,6 @@ __all__ = [
     "run_plan",
     "check_plan",
     "mass_at",
-    "parse_float",
     "parse_positive",
     "stride_count",
     "sample_times",

@@ -2,11 +2,12 @@
 and the cross-frame trajectory equivalences."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import S2, load_scenario
+from conftest import S1, S2, load_scenario, scenario_path
 from ermakov import dynamics, integrators, model
 from ermakov.errors import PotentialsUnavailableError, SingularityError
 from ermakov.expr import compile_func
@@ -236,6 +237,21 @@ class TestLagrangians:
 
 
 class TestGaugeResidual:
+    def test_a_zero_coupling_needs_no_potential(self):
+        # S1 without its `W = 0` line has G = 0 and no W: a structurally
+        # zero coupling needs no potential, so the residual and L~ read
+        # S1's values bit for bit
+        text = Path(scenario_path(S1)).read_text(encoding="utf-8")
+        assert "W = 0\n" in text
+        bare = build_scenario(parse_config(text.replace("W = 0\n", "")))
+        s1 = load_scenario(S1)
+        assert bare.potential_W is None and s1.potential_W is not None
+        moving = _state(t=0.3, q=0.8, q_dot=0.4, f=1.3, f_dot=-0.2)
+        for st in (s1.initial, moving):
+            for fn in (dynamics.gauge_residual, dynamics.lagrangian_q_tilde):
+                assert fn(st, bare).hex() == fn(st, s1).hex(), (fn.__name__, st)
+        assert dynamics.lagrangian_q_tilde(moving, s1) != 0.0
+
     def test_zero_at_rest_states(self):
         scn = _scn(w2="4", V="2*Q^2", W="0")
         assert dynamics.gauge_residual(_state(), scn) == pytest.approx(0.0, abs=1e-14)

@@ -1,9 +1,12 @@
 """Public names and dependencies: every exported name resolves, the
-package exports exactly what its modules declare, and it imports nothing
-outside the standard library."""
+package binds none but its version, and it imports nothing outside the
+standard library."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,18 +26,22 @@ def test_module_all_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-def test_package_imports_only_declared_names():
-    tree = ast.parse(Path(ermakov.__file__).read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"ermakov.{node.module}")
-            declared = getattr(module, "__all__", None)
-            if declared is None:  # errors: every class it defines is public
-                declared = [n for n, v in vars(module).items()
-                            if isinstance(v, type) and v.__module__ == module.__name__]
-            for alias in node.names:
-                assert hasattr(ermakov, alias.name), alias.name
-                assert alias.name in declared, (node.module, alias.name)
+_IMPORT_SCRIPT = """
+import json, sys
+import ermakov
+print(json.dumps({"public": sorted(n for n in vars(ermakov) if not n.startswith("_")),
+                  "version": "__version__" in vars(ermakov),
+                  "loaded": sorted(m for m in sys.modules if m.startswith("ermakov."))}))
+"""
+
+
+def test_import_binds_only_the_version():
+    # every public name has one import path, its module's
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"public": [], "version": True, "loaded": []}
 
 
 def test_package_imports_only_the_standard_library():

@@ -16,7 +16,6 @@ from ermakov.invariants import (
     default_ref,
     drift_report,
     energy_Q,
-    ermakov_lewis,
     invariant_series,
     quad,
     ray_reid_invariant,
@@ -276,27 +275,37 @@ class TestRayReidByHand:
 
 
 class TestErmakovLewis:
+    """The Ermakov-Lewis invariant is energy_Q in the harmonic case: S1's
+    V = 2Q^2 = (1/2) Omega^2 Q^2 with Omega = 2, and W = 0."""
+
+    @staticmethod
+    def _energy(st, scn):
+        mapped = QFrameState(st.tau, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
+                                                      st.f, st.f_dot))
+        return energy_Q(mapped, scn.potential_V, scn.potential_W)
+
     def test_matches_quadrature_form_on_s1(self, s1):
         st = s1.initial
-        assert ermakov_lewis(st, 1.0, 2.0) == pytest.approx(
+        assert self._energy(st, s1) == pytest.approx(
             ray_reid_invariant(st, s1, 0.0, 0.0, 1e-12), abs=1e-12)
 
-    def test_zero_q_state(self):
+    def test_zero_q_state(self, s1):
+        # Q = 0 and Q' = 1: only the kinetic term is left
         st = PhysState(t=0.0, tau=0.0, q=0.0, q_dot=1.0, f=1.0, f_dot=0.0)
-        assert ermakov_lewis(st, 1.0, 5.0) == 0.5
-
-    def test_omega_zero_pure_wronskian(self):
-        st = PhysState(t=0.0, tau=0.0, q=1.0, q_dot=0.5, f=2.0, f_dot=0.0)
-        assert ermakov_lewis(st, 1.0, 0.0) == 0.5 * (0.5 * 2.0) ** 2
+        assert self._energy(st, s1) == 0.5
 
     def test_equivalence_at_random_states(self, s1):
-        # constant coupling F = Omega^2 = 4: closed form vs quadrature
+        # constant coupling F = Omega^2 = 4: energy_Q vs quadrature, and
+        # energy_Q vs the closed form (1/2) Q'^2 + (1/2) Omega^2 Q^2
         rng = np.random.default_rng(77)
         tol = 1e-10
         for st in random_phys_states(rng, 1000):
-            closed = ermakov_lewis(st, s1.m(st.t), 2.0)
+            energy = self._energy(st, s1)
+            Q, Q_prime = model.to_qframe(s1.m(st.t), st.q, st.q_dot, st.f, st.f_dot)
+            assert energy == pytest.approx(0.5 * Q_prime ** 2 + 0.5 * (2.0 * Q) ** 2,
+                                           rel=1e-15)
             quadr = ray_reid_invariant(st, s1, 0.0, 0.0, tol)
-            assert abs(closed - quadr) <= 2.0 * tol * (1.0 + abs(closed))
+            assert abs(energy - quadr) <= 2.0 * tol * (1.0 + abs(energy))
 
 
 def wronskian_identity_check(st, m):
