@@ -213,16 +213,18 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         code = _record_error(manifest, err)
     partial = code != EXIT_OK
 
+    series = None
     try:
         e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, args.quad_tol)
         report = invariants.report_from_series(e_phys, e_q)
-        payload = {name: getattr(report, name) for name in report._fields}
-        payload["convention"] = meta
+        payload = {**report._asdict(), "convention": meta}
     except ErmakovError as err:
-        # the invariant is not finite (near a singularity, say): (Q, Q') beside
-        # NaN energies, and the error is the run's if the integration succeeded
-        series = ((Q, Q_prime, math.nan, math.nan)
-                  for _tau, Q, Q_prime in _qframe_rows(traj, scn))
+        # the invariant, or only its summary, is not finite (near a singularity,
+        # say): without a series, (Q, Q') beside NaN energies; the error is the
+        # run's if the integration succeeded
+        if series is None:
+            series = ((Q, Q_prime, math.nan, math.nan)
+                      for _tau, Q, Q_prime in _qframe_rows(traj, scn))
         payload = {"error": str(err)}
         if code == EXIT_OK:
             code = _record_error(manifest, err)

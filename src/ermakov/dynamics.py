@@ -153,13 +153,12 @@ def _build_checked(params: str, program: Callable, *args) -> Callable:
     return em.build(params, program(em, *args))
 
 
-def _build_fast(params: str, program: Callable, *args,
-                reference: Callable[[], Callable] | None = None) -> Callable:
-    """The generated function.  Its fallback, ``reference()`` (by default
-    the checked build), is built by the first call that needs it."""
+def _build_fast(params: str, program: Callable, *args) -> Callable:
+    """The generated function.  Its fallback, the checked build, is built
+    by the first call that needs it."""
     em = _Fast()
     result = program(em, *args)
-    slow = functools.cache(reference or (lambda: _build_checked(params, program, *args)))
+    slow = functools.cache(lambda: _build_checked(params, program, *args))
     return em.build(params, result, lambda *call_args: slow()(*call_args))
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "Binary",
     "Pow",
     "Func1",
-    "Record",
     "parse",
     "evaluate",
     "differentiate",
@@ -638,37 +637,6 @@ def make_function(params: str, body: list[str], bound: dict[str, object]) -> Cal
     namespace: dict[str, object] = {}
     exec(compile(src, "<ermakov.expr>", "exec"), namespace)
     return namespace["_factory"](**bound)
-
-
-class Record:
-    """An immutable record that a tuple would not fit: a subclass names its
-    fields in ``_fields`` and its ``__init__`` stores them through ``_set``.
-    Equal, hashed, pickled and printed by its class and field values."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, *values: object) -> None:
-        self.__dict__.update(zip(self._fields, values))
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return (self._values() == other._values() if other.__class__ is self.__class__
-                else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class Func1(NamedTuple):

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 from . import model
 from .dynamics import _qframe_ode
 from .errors import ErmakovError, IntegrationError, SingularityError
-from .expr import Func1, Record, is_zero, make_function
+from .expr import Func1, is_zero, make_function
 from .model import QFrameState, check_plan, sample_times
 
 __all__ = [
@@ -62,7 +62,7 @@ Rhs = Callable[[float, list[float]], Sequence[float]]
 _STEP_FLOOR = 1e-14  # below this the adaptive controller gives up
 
 
-class Trajectory(Record):
+class Trajectory:
     """Ordered samples of one integration run, as plain float lists.
 
     ``t`` is physical time for the q-f system and tau for the
@@ -71,15 +71,14 @@ class Trajectory(Record):
     samples is available.  Its length is the number of samples.
     """
 
-    _fields = ("t", "y", "dy", "method", "step_count", "rejected_steps")
-
     def __init__(self, t: list[float], y: list[Sequence[float]], dy: list[Sequence[float]],
                  method: str, step_count: int, rejected_steps: int):
         if len(t) == 0:
             raise IntegrationError("trajectory must contain at least one sample")
         if not all(a < b for a, b in zip(t, t[1:])):
             raise IntegrationError("trajectory times must be strictly increasing")
-        self._set(t, y, dy, method, step_count, rejected_steps)
+        self.t, self.y, self.dy = t, y, dy
+        self.method, self.step_count, self.rejected_steps = method, step_count, rejected_steps
 
     def __len__(self) -> int:
         return len(self.t)

@@ -27,11 +27,11 @@ finish; it is built when the first such sample comes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dynamics import EPS_SING, _build_checked, _build_fast, _Checked, qframe_terms
 from .errors import ErmakovError, InvariantError, QuadratureError
-from .expr import Func1, Inliner, Record, is_zero
+from .expr import Func1, Inliner, is_zero
 from .integrators import Trajectory
 from .model import PhysState, QFrameState, Scenario
 
@@ -140,17 +140,14 @@ def ray_reid_invariant(state: PhysState, scn: Scenario, u_ref: float = 0.0,
 
 # --- drift reporting ---------------------------------------------------------
 
-class InvariantReport(Record):
-    """Drift of an invariant series; every float field must be finite."""
+class InvariantReport(NamedTuple):
+    """Drift of an invariant series (``report_from_series``)."""
 
-    _fields = ("e0", "max_abs_drift", "max_rel_drift", "samples", "frame_gap")
-
-    def __init__(self, e0: float, max_abs_drift: float, max_rel_drift: float,
-                 samples: int, frame_gap: float):
-        self._set(e0, max_abs_drift, max_rel_drift, samples, frame_gap)
-        for name in ("e0", "max_abs_drift", "max_rel_drift", "frame_gap"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"InvariantReport.{name} must be finite")
+    e0: float
+    max_abs_drift: float
+    max_rel_drift: float
+    samples: int
+    frame_gap: float
 
     def gated_drift(self) -> tuple[str, float]:
         """(name, value) of the drift a threshold gates: the relative one,
@@ -267,8 +264,7 @@ def _generated(m: Func1, u_side: _PotentialSide, v_side: _PotentialSide
     quadrature side's leg from its last point misses 15*tol in one Simpson
     level, as every leg from the unsampled start (nan) does: at a
     tolerance that is not positive, every leg."""
-    return _build_fast(_PARAMS, _emit_sample, m, u_side, v_side,
-                       reference=lambda: _reference(m, u_side, v_side))
+    return _build_fast(_PARAMS, _emit_sample, m, u_side, v_side)
 
 
 def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:
@@ -344,15 +340,20 @@ def report_from_series(e_phys: Sequence[float], e_q: Sequence[float]
                        ) -> InvariantReport:
     """Summarize precomputed energy series.  Relative drift is suppressed
     (reported 0) when the initial value is numerically zero.  Raises
-    InvariantError when a value is not finite."""
+    InvariantError when a value, or a summary of finite values (a
+    difference that overflows, say), is not finite."""
+    # checked first: max skips a NaN that is not its first argument
     if not (all(map(math.isfinite, e_phys)) and all(map(math.isfinite, e_q))):
         raise InvariantError("the invariant is not finite along the trajectory")
     e0 = float(e_phys[0])
     max_abs = float(max(abs(e - e0) for e in e_phys))
     max_rel = max_abs / abs(e0) if abs(e0) >= _REL_SUPPRESS else 0.0
     gap = float(max(abs(ep - eq) for ep, eq in zip(e_phys, e_q)))
-    return InvariantReport(e0=e0, max_abs_drift=max_abs, max_rel_drift=max_rel,
-                           samples=len(e_phys), frame_gap=gap)
+    report = InvariantReport(e0, max_abs, max_rel, len(e_phys), gap)
+    for name, value in zip(report._fields, report):
+        if not math.isfinite(value):
+            raise InvariantError(f"the drift summary's {name} is not finite ({value!r})")
+    return report
 
 
 def drift_report(traj: Trajectory, scn: Scenario, tol: float = 1e-10

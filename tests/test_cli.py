@@ -35,6 +35,14 @@ def read_csv(path):
 
 # S3 with initial.q=1e120: q^3 overflows to inf, then F(q/f) meets (q/f)^3
 _CUBE_OVERFLOW = "math range error in 'u^3.0' at argument 1.111111111111111e+120"
+# S1 with w~2 = 1e4 and no V, by RK4 at h w = 5: the energy grows from
+# 1.1e-12 to 1.5e297, finite at every sample, but the relative drift overflows
+_DRIFT_OVERFLOW = [
+    "--set", "functions.omega_tilde_sq=1e4", "--set", "coupling.V=0",
+    "--set", "initial.f=1", "--set", "initial.f_dot=1.5e-6",
+    "--set", "integration.method=rk4", "--set", "integration.dt=0.05",
+    "--set", "integration.t_end=2.9"]
+_DRIFT_MESSAGE = "the drift summary's max_rel_drift is not finite (inf)"
 
 
 class TestSimulate:
@@ -177,6 +185,22 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         assert "not finite" in report["error"]
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_overflowing_drift_exit_4_with_its_files(self, tmp_path, capsys, command):
+        # every energy is finite, so trajectory.csv keeps them; only the
+        # summary, the relative drift 1.5e297 / 1.1e-12, is not
+        out = tmp_path / "run"
+        code = run(command, "--config", scenario_path(S1), "--out", str(out),
+                   *_DRIFT_OVERFLOW)
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [f"error: {_DRIFT_MESSAGE}"]
+        _, rows = read_csv(out / "trajectory.csv")
+        assert rows.shape == (59, 10) and np.isfinite(rows).all()
+        assert 1e-12 < rows[0, 8] < 2e-12 and rows[-1, 8] > 1e297
+        assert json.loads((out / "report.json").read_text()) == {"error": _DRIFT_MESSAGE}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 4 and manifest["error"] == _DRIFT_MESSAGE
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = run("simulate", "--config", str(tmp_path / "absent.cfg"),
@@ -787,6 +811,17 @@ class TestBench:
         assert row[6] == status
         if status == "ok":
             assert float(row[2]) < 1e-3
+
+    def test_overflowing_drift_fails_its_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   *_DRIFT_OVERFLOW, "--methods", "rk4,adaptive54",
+                   "--dt", "0.05", "--tol", "1e-8") == 4
+        rows = (out / "bench.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == ["error: InvariantError",
+                                                    "error: SingularityError"]
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"bench row rk4 0.05: {_DRIFT_MESSAGE}")
 
     def test_failed_row_message_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "b"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import S1, S2, S3, S4, random_expr, scenario_path
@@ -56,6 +56,11 @@ def overrides(draw):
        cfg=st.sampled_from((S1, S2, S3, S4)),
        t_end=st.sampled_from(("0.5", "2", "2", "2", "50")),
        sets=st.lists(overrides(), min_size=1, max_size=4))
+# RK4 at h w = 5 grows the energy from 1.1e-12 to 1.5e297: every sample is
+# finite, but the relative drift overflows
+@example(command="simulate", cfg=S1, t_end="2.9", sets=[
+    "functions.omega_tilde_sq=1e4", "coupling.V=0", "initial.f=1", "initial.f_dot=1.5e-6",
+    "integration.method=rk4", "integration.dt=0.05"])
 def test_every_override_ends_in_a_documented_exit(command, cfg, t_end, sets):
     argv = [command, "--config", scenario_path(cfg),
             "--set", f"integration.t_end={t_end}"]

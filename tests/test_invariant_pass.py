@@ -183,17 +183,19 @@ def test_ray_reid_sides_with_explicit_refs(name, refs):
 def reference_calls(monkeypatch):
     """The t of every sample the generated pass hands to the reference."""
     calls = []
-    reference = invariants._reference
+    build = dynamics._build_checked
 
-    def counted_reference(m, u_side, v_side):
-        sample = reference(m, u_side, v_side)
+    def counted_build(params, program, *args):
+        sample = build(params, program, *args)
+        if program is not invariants._emit_sample:
+            return sample
 
-        def counted(*args):
-            calls.append(args[0])
-            return sample(*args)
+        def counted(*call_args):
+            calls.append(call_args[0])
+            return sample(*call_args)
         return counted
 
-    monkeypatch.setattr(invariants, "_reference", counted_reference)
+    monkeypatch.setattr(dynamics, "_build_checked", counted_build)
     return calls
 
 

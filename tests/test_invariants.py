@@ -11,7 +11,6 @@ from ermakov import dynamics, integrators, model
 from ermakov.errors import InvariantError, QuadratureError, SingularityError
 from ermakov.expr import compile_func
 from ermakov.invariants import (
-    InvariantReport,
     _RunningIntegral,
     default_ref,
     drift_report,
@@ -442,6 +441,6 @@ output_stride = 0.5
         assert rep.max_rel_drift == 0.0
 
     def test_report_requires_finite_fields(self):
-        with pytest.raises(ValueError):
-            InvariantReport(e0=float("nan"), max_abs_drift=0.0,
-                            max_rel_drift=0.0, samples=1, frame_gap=0.0)
+        # finite energies whose relative drift overflows: the summary fails
+        with pytest.raises(InvariantError, match="max_rel_drift is not finite"):
+            report_from_series([1e-12, 1e297], [1e-12, 1e297])

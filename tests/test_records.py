@@ -1,7 +1,9 @@
-"""The package's value records.  Expression nodes, Func1 and the model's
-states are named tuples; Trajectory and InvariantReport are plain
-records.  Each is equal and hashed by value, never equal to a record of
-another kind, survives a pickle round trip and refuses assignment."""
+"""The package's value records.  Expression nodes, Func1, the model's
+states and InvariantReport are named tuples: each is equal and hashed by
+value, never equal to a record of another kind, survives a pickle round
+trip and refuses assignment.  Trajectory is a plain container of one
+run's samples: built by keyword, as long as its sample count, and pickled
+field by field."""
 
 import pickle
 
@@ -18,8 +20,6 @@ MAKE = {
     "expr": lambda v: Binary("+", Pow(Var("x"), v), Unary("sin", Const(1.5))),
     "func1": lambda v: compile_func(f"x^{v!r}", "x"),
     "scenario": lambda v: load_scenario(S3, [f"initial.q={v!r}"]),
-    "trajectory": lambda v: Trajectory((0.0, v), ((1.0,), (2.0,)), ((0.0,), (0.5,)),
-                                       "rk4", 1, 0),
     "report": lambda v: InvariantReport(1.0, v, v, 3, 0.0),
 }
 
@@ -81,4 +81,13 @@ def test_keyword_construction_and_defaults():
     assert doc._fields == ("sections", "text") and doc == ConfigDocument({}, "")
     traj = Trajectory(t=[0.0], y=[[1.0]], dy=[[0.0]], method="rk4", step_count=0,
                       rejected_steps=0)
-    assert len(traj) == 1 and traj._fields[-1] == "rejected_steps"
+    assert len(traj) == 1 and traj.rejected_steps == 0
+
+
+def test_trajectory_pickle_round_trip_field_by_field():
+    traj = Trajectory([0.0, 0.5], [[1.0, 0.0], [0.5, -1.0]], [[0.0, 1.0], [-1.0, 0.5]],
+                      "adaptive54", 7, 2)
+    back = pickle.loads(pickle.dumps(traj))
+    assert type(back) is Trajectory and len(back) == 2
+    for name in ("t", "y", "dy", "method", "step_count", "rejected_steps"):
+        assert getattr(back, name) == getattr(traj, name), name
