@@ -26,6 +26,7 @@ import math
 import sys
 import time
 from bisect import bisect_left
+from itertools import islice
 from pathlib import Path
 
 from . import dynamics, integrators, invariants, model
@@ -213,18 +214,18 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         code = _record_error(manifest, err)
     partial = code != EXIT_OK
 
-    series = None
+    series: list = []
     try:
-        e_phys, e_q, meta, series = invariants.invariant_series(traj, scn, args.quad_tol)
+        e_phys, e_q, meta, _ = invariants.invariant_series(traj, scn, args.quad_tol, series)
         report = invariants.report_from_series(e_phys, e_q)
         payload = {**report._asdict(), "convention": meta}
     except ErmakovError as err:
-        # the invariant, or only its summary, is not finite (near a singularity,
-        # say): without a series, (Q, Q') beside NaN energies; the error is the
-        # run's if the integration succeeded
-        if series is None:
-            series = ((Q, Q_prime, math.nan, math.nan)
-                      for _tau, Q, Q_prime in _qframe_rows(traj, scn))
+        # the invariant failed at a sample (near a singularity, say), or only
+        # its summary is not finite: the samples before keep their rows, and
+        # from that sample on (Q, Q') stand beside NaN energies; the error is
+        # the run's if the integration succeeded
+        series.extend((Q, Q_prime, math.nan, math.nan) for _tau, Q, Q_prime in
+                      islice(_qframe_rows(traj, scn), len(series), None))
         payload = {"error": str(err)}
         if code == EXIT_OK:
             code = _record_error(manifest, err)

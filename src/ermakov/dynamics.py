@@ -103,7 +103,8 @@ class _Fast(Inliner):
     div, pow = "{} / ({})".format, "{} ** {}".format
 
     def guard(self, var: str, t: str, eps: str) -> None:
-        self.require(f"abs({var}) >= {eps}")
+        # abs(var) >= eps without the call: a NaN fails both ways
+        self.require(f"({var} >= {eps} or {var} <= {self.bind(-self.value(eps))})")
 
     def mass(self, m: Func1, t: str) -> str:
         mv = self.call(m, t)

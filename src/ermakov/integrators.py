@@ -380,6 +380,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
         k1 = _first_slope(rhs, t0, y)
         run.add(t0, y, k1)
         step, dense = _dp54_step(len(y)), _dp54_dense(len(y))
+        n_times = len(times)
         while t_end - t > eps_t:
             if steps + rejected >= budget:
                 raise IntegrationError(f"adaptive54 step budget of {budget} attempts "
@@ -399,7 +400,7 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
             if err_norm <= 1.0:
                 t_new = t + h
                 # emit dense-output samples inside (t, t_new]
-                while k_out < len(times):
+                while k_out < n_times:
                     t_out = times[k_out]
                     if t_out - t_new > eps_t:
                         break
@@ -417,12 +418,17 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
                     fac = _FAC_MAX
                 else:
                     fac = _SAFETY * err_norm ** -_PI_ALPHA * err_prev ** _PI_BETA
-                h *= min(_FAC_MAX, max(_FAC_MIN, fac))
-                err_prev = max(err_norm, 1e-4)
+                # min(_FAC_MAX, max(_FAC_MIN, fac)) and max(err_norm, 1e-4),
+                # written as the builtins decide: max(a, b) is b if b > a else
+                # a, min(a, b) is b if b < a else a (a NaN fac gives _FAC_MIN)
+                fac = fac if fac > _FAC_MIN else _FAC_MIN
+                h *= fac if fac < _FAC_MAX else _FAC_MAX
+                err_prev = 1e-4 if 1e-4 > err_norm else err_norm
             else:
                 rejected += 1
                 fac = _SAFETY * err_norm ** -0.2
-                h *= min(1.0, max(_FAC_MIN, fac))
+                fac = fac if fac > _FAC_MIN else _FAC_MIN  # min(1.0, max(_FAC_MIN, fac))
+                h *= fac if fac < 1.0 else 1.0
     except ErmakovError as err:
         # the first slope, a stage or a dense-output sample failed, or the step
         # size or budget ran out: t, y are the end of the last accepted step

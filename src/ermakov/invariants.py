@@ -303,27 +303,32 @@ def _emit_side(em: Inliner, side: _PotentialSide, x: str, p: str) -> str:
     left = em.let(f"({mid} - {p}lo) / 6.0 * ({p}flo + 4.0 * {flm} + {fm})")
     right = em.let(f"({p}hi - {mid}) / 6.0 * ({fm} + 4.0 * {frm} + {p}fhi)")
     delta = em.let(f"{left} + {right} - {whole}")
-    em.require(f"abs({delta}) <= {em.bind(15.0 * side.running.tol)}")
+    bound = 15.0 * side.running.tol  # abs(delta) <= bound, without the call
+    em.require(f"{em.bind(-bound)} <= {delta} <= {em.bind(bound)}")
     res = em.let(f"{left} + {right} + {delta} / 15.0")
     val = em.let(f"{p}va + (-{res} if {x} < {p}a else {res})")
     em.tail.append(f"{run}.last_x, {run}.last_f, {run}.last_val = {x}, {fx}, {val}")
     return val
 
 
-def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10) -> tuple:
+def invariant_series(traj: Trajectory, scn: Scenario, tol: float = 1e-10,
+                     rows: list | None = None) -> tuple:
     """Physical-frame and transformed-frame energy at every sample of a
     physical trajectory (columns q, q_dot, f, f_dot, tau).
 
     Returns (e_phys, e_q, meta, rows); meta records which evaluation path
     each side used and the reference points of any quadrature, and rows
-    holds each sample's (Q, Q', E_phys, E_Q).  Raises InvariantError at
-    the first sample where either value is not finite.
+    holds each sample's (Q, Q', E_phys, E_Q): the list ``rows`` when one
+    is given, so that a caller keeps the rows made before a failing
+    sample.  Raises InvariantError at the first sample where either value
+    is not finite.
     """
     u_side = _PotentialSide(scn.potential_V, scn.coupling_F, tol)
     v_side = _PotentialSide(scn.potential_W, scn.coupling_G, tol)
     sample = _generated(scn.m, u_side, v_side)
-    series = [sample(t, q, q_dot, f, f_dot)
-              for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t, traj.y)]
+    series = [] if rows is None else rows
+    series.extend(sample(t, q, q_dot, f, f_dot)
+                  for t, (q, q_dot, f, f_dot, _tau) in zip(traj.t, traj.y))
     e_phys = [row[2] for row in series]
     e_q = [row[3] for row in series]
     meta = {

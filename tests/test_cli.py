@@ -202,6 +202,22 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 4 and manifest["error"] == _DRIFT_MESSAGE
 
+    def test_failing_sample_keeps_the_energies_before_it(self, tmp_path, capsys):
+        # the same run to t = 3.2 overflows to inf at t = 3.05: the 61 rows
+        # to t = 3.0 keep their energies, the 4 from 3.05 on read NaN
+        out = tmp_path / "run"
+        code = run("simulate", "--config", scenario_path(S1), "--out", str(out),
+                   *_DRIFT_OVERFLOW[:-1], "integration.t_end=3.2")
+        assert code == 4
+        message = ("the invariant is not finite at t=3.0500000000000003 "
+                   "(E_phys = inf, E_Q = inf)")
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        _, rows = read_csv(out / "trajectory.csv")
+        assert rows.shape == (65, 10) and rows[60, 0] == 3.0
+        assert np.isfinite(rows[:61]).all() and rows[60, 8] > 1e307
+        assert np.isnan(rows[61:, 8:]).all() and np.isfinite(rows[61:, :8]).all()
+        assert json.loads((out / "report.json").read_text()) == {"error": message}
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = run("simulate", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "run"))

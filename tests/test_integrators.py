@@ -246,6 +246,20 @@ class TestAdaptive54:
                                     1e-10, 0.5)
         assert len(traj) == 1
 
+    def test_controller_clamps_pinned(self):
+        # y' = 1 has an error norm of exactly 0: fac = _FAC_MAX, the growth
+        # clamp's tie, and err_prev the floor 1e-4; h = 1, 5, then the 4
+        # left to t_end
+        traj = integrate_adaptive54(lambda t, y: [1.0], [0.0], 0.0, 10.0, 1e-8, 10.0)
+        assert (traj.step_count, traj.rejected_steps) == (3, 0)
+        assert traj.y[-1] == [9.999999999999998]
+        # y' = -1000 y: four of the five rejections clamp fac to _FAC_MIN;
+        # the counts and the last bit pin every decision of the controller
+        traj = integrate_adaptive54(lambda t, y: [-1000.0 * y[0]], [1.0], 0.0, 1.0,
+                                    1e-8, 1.0)
+        assert (traj.step_count, traj.rejected_steps) == (374, 5)
+        assert traj.y[-1][0].hex() == "0x1.ac139c025c8d4p-32"
+
 
 def _bits(row):
     return [float(v).hex() for v in row]

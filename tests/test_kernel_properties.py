@@ -11,7 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import S1, S2, S3, load_scenario, scenario_path  # noqa: E402
+from conftest import S1, S2, S3, S4, load_scenario, scenario_path  # noqa: E402
 from ermakov import cli, dynamics, expr, integrators, invariants, model  # noqa: E402
 from ermakov.errors import InvalidMassError, SingularityError  # noqa: E402
 from ermakov.expr import compile_func, constant_func  # noqa: E402
@@ -60,11 +60,14 @@ FOLD_BASES = {**SCENARIOS, "s1": load_scenario(S1),
 
 @functools.cache
 def _fold_pair(kernel, base, m):
-    """(fast build, checked build) of the physical RHS or of one invariant
-    sample (potential scenarios only) of ``base`` with the mass ``m``."""
+    """(fast build, checked build) of the physical RHS, the transformed-frame
+    ODE (which ignores the mass) or one invariant sample (potential
+    scenarios only) of ``base`` with the mass ``m``."""
     scn = FOLD_BASES[base]._replace(m=compile_func(m, "t"))
     if kernel == "phys":
         return dynamics.phys_ode(scn), _reference_phys(scn)
+    if kernel == "qframe":
+        return dynamics.qframe_ode_from_scenario(scn), _reference_qframe(scn)
     sides = (invariants._PotentialSide(scn.potential_V, scn.coupling_F, 1e-10),
              invariants._PotentialSide(scn.potential_W, scn.coupling_G, 1e-10))
     return invariants._generated(scn.m, *sides), invariants._reference(scn.m, *sides)
@@ -87,16 +90,18 @@ def _bits(fn, *args):
     return "value", tuple((repr(v), float(v).hex()) for v in value)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=700, deadline=None, derandomize=True, database=None)
 @given(m=st.sampled_from(FOLD_MASSES),
        case=st.sampled_from((("phys", "s3"), ("phys", "bare"), ("phys", "bare_G0"),
+                             ("qframe", "s3"), ("qframe", "bare"),
                              ("sample", "s3"), ("sample", "s1"))),
        t=st.one_of(st.sampled_from((0.0, 0.5, -0.0, math.inf)), any_float),
        y=st.lists(fold_coordinate, min_size=5, max_size=5))
 @example(m="1", case=("phys", "bare_G0"), t=0.0, y=[0.0, 0.0, 1.5, 0.0, 0.0])  # -0.0 + 0.0
+@example(m="1", case=("qframe", "s3"), t=0.0, y=[-_EDGE, 0.5, 0.0, 0.0, 0.0])  # the guard's edge
 def test_folded_builds_match_the_checked_ones(m, case, t, y):
     fast, ref = _fold_pair(*case, m)
-    args = (t, y) if case[0] == "phys" else (t, *y[:4])
+    args = {"phys": (t, y), "qframe": (t, y[:2]), "sample": (t, *y[:4])}[case[0]]
     assert _bits(fast, *args) == _bits(ref, *args)
 
 
@@ -124,6 +129,27 @@ def _fast_bodies(monkeypatch, build):
     monkeypatch.setattr(expr, "make_function", recording)
     build()
     return bodies
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3", "s4", "bare"])
+def test_no_fast_build_calls_abs(monkeypatch, name):
+    # the guards and the quadrature leg's test are comparisons: abs(x) >= e
+    # is x >= e or x <= -e, abs(d) <= c is -c <= d <= c, NaN False both ways
+    scn = SCENARIOS["bare"] if name == "bare" else load_scenario(
+        {"s1": S1, "s2": S2, "s3": S3, "s4": S4}[name])
+
+    def build_all():
+        dynamics.phys_ode(scn)
+        dynamics.qframe_ode_from_scenario(scn)
+        invariants._generated(scn.m, invariants._PotentialSide(scn.potential_V,
+                                                                scn.coupling_F, 1e-10),
+                              invariants._PotentialSide(scn.potential_W,
+                                                        scn.coupling_G, 1e-10))
+
+    bodies = _fast_bodies(monkeypatch, build_all)
+    assert len(bodies) >= 3
+    for body, _bound in bodies:
+        assert not [ln for ln in body if "abs(" in ln], body
 
 
 def test_a_negative_constant_is_bound_not_computed_per_call(monkeypatch):
