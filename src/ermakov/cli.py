@@ -12,10 +12,13 @@ Subcommands:
 Exit codes: 0 success, 1 drift threshold exceeded (check), 2 config
 error, 3 singularity abort (simulate and check still write the partial
 trajectory), 4 integrator failure.  simulate, check, map and bench share
-one load -> run -> write path (_run), which writes manifest.json once.
-Simulation data files never contain timestamps or timings, so identical
-inputs give bit-identical output; run timing lives in the manifest (and,
-for bench, in the per-row wall_ms cost column).
+one load -> run -> write path (_run), which writes manifest.json once,
+with the failing exit's line (exit 1's too) as "error".  _certify is the
+one path from a physical trajectory to its certificate: simulate, check
+and the rk4/adaptive54 bench rows.  map refuses (exit 2, manifest only)
+a tau span with 1 sample to compare; bench, a method whose --dt/--tol is
+empty.  Data files hold no timings (the manifest and bench's wall_ms
+column do), so identical inputs give bit-identical output.
 """
 
 from __future__ import annotations
@@ -55,7 +58,13 @@ def _message(err: Exception) -> str:
     return f"internal failure: {type(err).__name__}: {err}"
 
 
+class _DriftExceeded(ErmakovError):
+    """check's failed drift gate (exit 1)."""
+
+
 def _exit_code_for(err: Exception) -> int:
+    if isinstance(err, _DriftExceeded):
+        return EXIT_DRIFT
     if isinstance(err, (ConfigError, ExprSyntaxError)):
         return EXIT_CONFIG
     if isinstance(err, SingularityError):
@@ -139,8 +148,8 @@ def _record_error(manifest: dict, err: Exception) -> int:
     manifest, with the last valid state after a stepper abort, under
     ``singularity`` for a SingularityError and ``abort`` for any other;
     returns its exit code."""
-    message = _message(err)
-    print(f"error: {message}", file=sys.stderr)
+    message, code = _message(err), _exit_code_for(err)
+    print(message if code == EXIT_DRIFT else f"error: {message}", file=sys.stderr)
     manifest["error"] = message
     state = getattr(err, "last_state", None)
     if state is not None:
@@ -151,7 +160,7 @@ def _record_error(manifest: dict, err: Exception) -> int:
         key = "singularity" if isinstance(err, SingularityError) else "abort"
         manifest[key] = {"message": str(err), time_key: err.last_t,
                          "last_state": dict(zip(names, map(float, state)))}
-    return _exit_code_for(err)
+    return code
 
 
 def _run(args) -> int:
@@ -195,15 +204,38 @@ def _write_rows(path: Path, header: str, rows) -> None:
             fh.write(row_fmt % row)
 
 
+def _certify(traj: integrators.Trajectory, scn: Scenario, args
+             ) -> tuple[list, dict, ErmakovError | None]:
+    """Each sample's (Q, Q', E_phys, E_Q), the report.json payload, and
+    the failure: None, the invariant's error, or check's drift gate."""
+    rows: list = []
+    try:
+        e_phys, e_q, meta, _ = invariants.invariant_series(traj, scn, args.quad_tol, rows)
+        report = invariants.report_from_series(e_phys, e_q)
+    except ErmakovError as err:
+        # the invariant failed at a sample (near a singularity, say), or only
+        # its summary is not finite: the samples before keep their rows, and
+        # from that sample on (Q, Q') stand beside NaN energies
+        rows.extend((Q, Q_prime, math.nan, math.nan) for _tau, Q, Q_prime in
+                    islice(_qframe_rows(traj, scn), len(rows), None))
+        return rows, {"error": str(err)}, err
+    failure = None
+    if args.command == "check":
+        name, drift = report.gated_drift()
+        if drift > args.max_drift:
+            failure = _DriftExceeded(f"drift check failed: {name} = {drift:.3e} "
+                                     f"> {args.max_drift:.3e}")
+    return rows, {**report._asdict(), "convention": meta}, failure
+
+
 # --- subcommand bodies -------------------------------------------------------
 # body(args, scn, out_dir, manifest[, grid]) -> exit code; an exception
 # it raises is recorded by _run.
 
 def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
-    """simulate and check: integrate, then write trajectory.csv and
-    report.json, from the partial trajectory too when a run aborts (the
-    report then says ``"partial": true``); check then gates on the
-    invariant drift."""
+    """simulate and check: integrate, certify, then write trajectory.csv
+    and report.json, from the partial trajectory too when a run aborts
+    (the report then says ``"partial": true``)."""
     code = EXIT_OK
     try:
         traj = _integrate_plan(scn)
@@ -212,55 +244,38 @@ def _simulate(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
         if traj is None:
             raise
         code = _record_error(manifest, err)
-    partial = code != EXIT_OK
-
-    series: list = []
-    try:
-        e_phys, e_q, meta, _ = invariants.invariant_series(traj, scn, args.quad_tol, series)
-        report = invariants.report_from_series(e_phys, e_q)
-        payload = {**report._asdict(), "convention": meta}
-    except ErmakovError as err:
-        # the invariant failed at a sample (near a singularity, say), or only
-        # its summary is not finite: the samples before keep their rows, and
-        # from that sample on (Q, Q') stand beside NaN energies; the error is
-        # the run's if the integration succeeded
-        series.extend((Q, Q_prime, math.nan, math.nan) for _tau, Q, Q_prime in
-                      islice(_qframe_rows(traj, scn), len(series), None))
-        payload = {"error": str(err)}
-        if code == EXIT_OK:
-            code = _record_error(manifest, err)
-    if partial:
+    rows, payload, failure = _certify(traj, scn, args)
+    if code != EXIT_OK:
         payload["partial"] = True
+    elif failure is not None:
+        code = _record_error(manifest, failure)
 
     traj_path = out_dir / "trajectory.csv"
     _write_rows(traj_path, TRAJECTORY_HEADER, (
         (t, tau, q, q_dot, f, f_dot, *row)
-        for t, (q, q_dot, f, f_dot, tau), row in zip(traj.t, traj.y, series)))
+        for t, (q, q_dot, f, f_dot, tau), row in zip(traj.t, traj.y, rows)))
     report_path = out_dir / "report.json"
     _write_json(report_path, payload)
     manifest["outputs"] = {"trajectory": str(traj_path), "report": str(report_path)}
     manifest["metadata"] = {"method": traj.method, "step_count": traj.step_count,
                             "rejected_steps": traj.rejected_steps}
-    if code == EXIT_OK and args.command == "check":
-        name, drift = report.gated_drift()
-        if drift > args.max_drift:
-            print(f"drift check failed: {name} = {drift:.3e} "
-                  f"> {args.max_drift:.3e}", file=sys.stderr)
-            code = EXIT_DRIFT
     return code
 
 
 def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     mapped = list(_qframe_rows(_integrate_plan(scn), scn))
+    (tau0, *y0), tau_end = mapped[0], mapped[-1][0]
+    stride = scn.plan.output_stride
+    end = tau0 + model.stride_count(tau0, tau_end, stride)[0] * stride
+    compared = [row for row in mapped if row[0] <= end]
+    if len(mapped) > 1 and len(compared) < 2:
+        raise ConfigError(f"map needs at least 2 samples, but only 1 lies in the whole "
+                          f"output strides ({stride!r}) of the tau span {tau_end - tau0!r}")
     mapped_path = out_dir / "qframe_mapped.csv"
     _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
     # direct transformed-frame run over the span's whole tau strides: its
     # stride rows, and its DP54 dense output at the mapped taus for the gap
-    (tau0, *y0), tau_end = mapped[0], mapped[-1][0]
-    stride = scn.plan.output_stride
-    end = tau0 + model.stride_count(tau0, tau_end, stride)[0] * stride
-    compared = [row for row in mapped if row[0] <= end]
     direct = integrators.integrate_adaptive54(
         dynamics.qframe_ode_from_scenario(scn), y0, tau0, end,
         scn.plan.step if scn.plan.method == "adaptive54" else 1e-10, stride,
@@ -293,29 +308,35 @@ def _bench_grid(args) -> list[tuple[str, float]]:
             for step in (tols if method == "adaptive54" else dts)]
     if not grid:
         raise ConfigError("empty bench grid: give --methods plus --dt and/or --tol")
+    for method in methods:
+        if method not in dict(grid):  # a listed method would run no row
+            flag = "--tol" if method == "adaptive54" else "--dt"
+            raise ConfigError(f"bench method {method!r} needs {flag}")
     return grid
 
 
-def _bench_row(scn: Scenario, quad_tol: float) -> tuple[invariants.InvariantReport, int]:
-    """One bench run of scn's plan; returns (its drift report, steps)."""
+def _bench_row(scn: Scenario, args) -> tuple[str, str, str]:
+    """One bench run of scn's plan: its drift and steps cells."""
     if scn.plan.method != "verlet":
         traj = _integrate_plan(scn)
-        return invariants.drift_report(traj, scn, quad_tol), traj.step_count
-
-    # the transformed frame, tau from 0 to t_end - t0
-    sides = dynamics.frame_potentials(scn)
-    if sides is None:
-        raise ConfigError("verlet bench rows need the potential (V, W) of every "
-                          "nonzero coupling to evaluate the transformed-frame energy")
-    V, W = sides
-    st = scn.initial
-    start = QFrameState(0.0, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
-                                              st.f, st.f_dot))
-    traj = integrators.integrate_verlet_Q(V, W, start, scn.plan.step,
-                                          scn.plan.t_end - st.t, scn.plan.output_stride)
-    e = [invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
-         for t, y in zip(traj.t, traj.y)]
-    return invariants.report_from_series(e, e), traj.step_count
+        _rows, drift, failure = _certify(traj, scn, args)
+        if failure is not None:
+            raise failure
+    else:  # the transformed frame, tau from 0 to t_end - t0
+        sides = dynamics.frame_potentials(scn)
+        if sides is None:
+            raise ConfigError("verlet bench rows need the potential (V, W) of every nonzero "
+                              "coupling to evaluate the transformed-frame energy")
+        V, W = sides
+        st = scn.initial
+        start = QFrameState(0.0, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
+                                                  st.f, st.f_dot))
+        traj = integrators.integrate_verlet_Q(V, W, start, scn.plan.step,
+                                              scn.plan.t_end - st.t, scn.plan.output_stride)
+        e = [invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
+             for t, y in zip(traj.t, traj.y)]
+        drift = invariants.report_from_series(e, e)._asdict()
+    return _fmt(drift["max_rel_drift"]), _fmt(drift["max_abs_drift"]), str(traj.step_count)
 
 
 def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
@@ -325,9 +346,7 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
         method, value = plan.method, plan.step
         row_start = time.perf_counter()
         try:
-            report, steps = _bench_row(scn._replace(plan=plan), args.quad_tol)
-            cells = (_fmt(report.max_rel_drift), _fmt(report.max_abs_drift), str(steps))
-            status = "ok"
+            cells, status = _bench_row(scn._replace(plan=plan), args), "ok"
         except ErmakovError as err:
             cells, status = ("", "", ""), f"error: {type(err).__name__}"
             failures.append(f"bench row {method} {value}: {err}")

@@ -42,7 +42,6 @@ __all__ = [
     "ray_reid_invariant",
     "invariant_series",
     "report_from_series",
-    "drift_report",
 ]
 
 _REL_SUPPRESS = 1e-12  # |e0| below this: relative drift is meaningless
@@ -359,11 +358,3 @@ def report_from_series(e_phys: Sequence[float], e_q: Sequence[float]
         if not math.isfinite(value):
             raise InvariantError(f"the drift summary's {name} is not finite ({value!r})")
     return report
-
-
-def drift_report(traj: Trajectory, scn: Scenario, tol: float = 1e-10
-                 ) -> InvariantReport:
-    """Evaluate the invariant along a physical trajectory and summarize
-    its drift."""
-    e_phys, e_q, _meta, _rows = invariant_series(traj, scn, tol)
-    return report_from_series(e_phys, e_q)

@@ -55,8 +55,8 @@ def test_c01_s1_invariant_constancy():
     scn = load_scenario(S1)
     t0 = time.perf_counter()
     traj = _integrate(scn)  # tol 1e-10, t in [0, 50] from the config
-    e_phys, _, _, _ = invariants.invariant_series(traj, scn)
-    rep = invariants.drift_report(traj, scn)
+    e_phys, e_q, _, _ = invariants.invariant_series(traj, scn)
+    rep = invariants.report_from_series(e_phys, e_q)
     elapsed = time.perf_counter() - t0
     worst = float(np.max(np.abs(np.array(e_phys) - 1.0)))
     ok = rep.max_rel_drift < 1e-8 and worst < 1e-6 and elapsed < 5.0
@@ -74,7 +74,8 @@ def test_c02_frame_equality():
     for name in (S1, S2, S3):
         scn = load_scenario(name)
         traj = _integrate(scn)
-        rep = invariants.drift_report(traj, scn)
+        e_phys, e_q, _, _ = invariants.invariant_series(traj, scn)
+        rep = invariants.report_from_series(e_phys, e_q)
         worst_gap = max(worst_gap, rep.frame_gap)
         for i, st in enumerate(_states_of(traj)):
             if i % 25:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO, S1, S2, S3, load_scenario, scenario_path
+from test_golden import BARE_RK4
 from ermakov import cli, model
 from ermakov.cli import main
 from ermakov.errors import InvariantError
@@ -468,6 +469,19 @@ class TestCheck:
             f"drift check failed: max_abs_drift = {report['max_abs_drift']:.3e} "
             f"> 1.000e-08"]
 
+    def test_failed_gate_names_itself_in_the_manifest(self, tmp_path, capsys):
+        # exit 1 records its reason like every other failing exit: the
+        # gate's stderr line, with no "error: " before it on stderr
+        out = tmp_path / "c"
+        assert run("check", "--config", scenario_path(S1), "--out", str(out),
+                   "--max-drift", "1e-12") == 1
+        report = json.loads((out / "report.json").read_text())
+        line = (f"drift check failed: max_rel_drift = {report['max_rel_drift']:.3e} "
+                f"> 1.000e-12")
+        assert capsys.readouterr().err.splitlines() == [line]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["exit_status"], manifest["error"]) == (1, line)
+
     def test_exactly_conserved_zero_energy_passes(self, tmp_path):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text("""
@@ -577,6 +591,21 @@ output_stride = 0.1
         assert info["last_tau"] == 0.3
         assert "|Q|" in info["message"]
 
+    def test_tau_span_shorter_than_a_stride_exit_2(self, tmp_path, capsys):
+        # f = 100 makes tau' = 1/(m f^2) = 1e-4: the t span of 50 maps to a
+        # tau span of 0.005, a tenth of the stride, so only tau0 would be
+        # compared and the gap would read 0 from one sample
+        out = tmp_path / "m"
+        assert run("map", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "functions.omega_tilde_sq=0", "--set", "coupling.V=Q^2",
+                   "--set", "initial.f=100", "--set", "initial.q_dot=1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: map needs at least 2 samples, but only 1 lies "
+                                 "in the whole output strides (0.05) of the tau span 0.00")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
+
     def test_degenerate_span_single_rows(self, tmp_path):
         out = tmp_path / "m"
         assert run("map", "--config", scenario_path(S1), "--out", str(out),
@@ -682,6 +711,47 @@ class TestBench:
                    "--out", str(tmp_path / "b")) == 2
         assert run("bench", "--config", scenario_path(S1),
                    "--out", str(tmp_path / "b2"), "--methods", "rk4") == 2
+
+    @pytest.mark.parametrize("methods,flags,message", [
+        ("adaptive54,rk4", ["--tol", "1e-8"], "bench method 'rk4' needs --dt"),
+        ("rk4,verlet,adaptive54", ["--dt", "0.05"],
+         "bench method 'adaptive54' needs --tol"),
+        # no listed method has its list: the grid itself is empty
+        ("rk4", [], "empty bench grid: give --methods plus --dt and/or --tol"),
+    ])
+    def test_method_without_its_steps_exit_2_before_any_row(self, tmp_path, capsys,
+                                                            methods, flags, message):
+        # a listed method whose --dt or --tol list is empty would run no row
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--methods", methods, *flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["error"] == message
+
+    @pytest.mark.parametrize("bare,dt,tol", [(False, "0.05", "1e-8"),
+                                             (True, "0.01", "1e-10")], ids=["s3", "bare_rk4"])
+    def test_physical_rows_report_the_drift_check_reports(self, tmp_path, bare, dt, tol):
+        # bench and check certify a trajectory by one path: each physical
+        # row's drift cells are check's report.json values for its plan
+        config = tmp_path / "bare_rk4.cfg" if bare else scenario_path(S3)
+        if bare:
+            config.write_text(BARE_RK4)
+        out = tmp_path / "b"
+        assert run("bench", "--config", str(config), "--out", str(out),
+                   "--methods", "rk4,adaptive54", "--dt", dt, "--tol", tol) == 0
+        lines = (out / "bench.csv").read_text().splitlines()[1:]
+        assert len(lines) == 2
+        for line, (method, key, step) in zip(lines, [("rk4", "dt", dt),
+                                                    ("adaptive54", "tol", tol)]):
+            run_dir = tmp_path / method
+            assert run("check", "--config", str(config), "--out", str(run_dir),
+                       "--max-drift", "1", "--set", f"integration.method={method}",
+                       "--set", f"integration.{key}={step}") == 0
+            report = json.loads((run_dir / "report.json").read_text())
+            assert line.split(",")[:4] == [method, f"{float(step):.17g}",
+                                           f"{report['max_rel_drift']:.17g}",
+                                           f"{report['max_abs_drift']:.17g}"]
 
     def test_verlet_row_bounded_drift(self, tmp_path):
         out = tmp_path / "b"
@@ -939,6 +1009,7 @@ _SIMULATED = _ECHO | {"metadata"}
 _PARTIAL_SINGULAR = _SIMULATED | {"error", "singularity"}
 _PARTIAL_ABORT = _SIMULATED | {"error", "abort"}
 _INVARIANT_ERROR = _SIMULATED | {"error"}
+_DRIFT_GATE = _SIMULATED | {"error"}  # check's gate failed: its stderr line
 _ROW_ERROR = _ECHO | {"error"}  # bench rows failed: their messages
 
 _SIM_FILES = {"manifest.json", "report.json", "trajectory.csv"}
@@ -980,7 +1051,7 @@ EXIT_PATHS = [
     ("simulate-4-invariant", ["simulate", S1] + _INF_ENERGY, 4, 1, _INVARIANT_ERROR,
      _SIM_FILES),
     ("check-0", ["check", S1] + _SHORT, 0, 0, _SIMULATED, _SIM_FILES),
-    ("check-1", ["check", S1] + _COARSE, 1, 1, _SIMULATED, _SIM_FILES),
+    ("check-1", ["check", S1] + _COARSE, 1, 1, _DRIFT_GATE, _SIM_FILES),
     ("check-2-load", ["check", S1] + _CONFLICT, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
     ("check-2-verlet", ["check", S1] + _VERLET, 2, 1, _ECHO | {"error"},
      _MANIFEST_ONLY),
@@ -999,9 +1070,15 @@ EXIT_PATHS = [
      _LOAD_ERROR, _MANIFEST_ONLY),
     ("map-2-one-sample", ["map", S3, "--set", "integration.output_stride=100"], 2, 1,
      _LOAD_ERROR, _MANIFEST_ONLY),
+    # the t span holds 1,001 samples, the tau span only its first
+    ("map-2-one-tau-sample", ["map", S1, "--set", "functions.omega_tilde_sq=0",
+                              "--set", "coupling.V=Q^2", "--set", "initial.f=100"], 2, 1,
+     _ECHO | {"error"}, _MANIFEST_ONLY),
     ("bench-0", ["bench", S1, "--methods", "rk4", "--dt", "0.05"] + _SHORT, 0, 0,
      _ECHO, {"manifest.json", "bench.csv"}),
     ("bench-2", ["bench", S1, "--methods", "rk4"], 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
+    ("bench-2-method-without-steps", ["bench", S1, "--methods", "adaptive54,rk4",
+                                      "--tol", "1e-8"], 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
     ("bench-2-one-sample", ["bench", S3, "--methods", "rk4", "--dt", "0.5",
                             "--set", "integration.output_stride=100"], 2, 1,
      _LOAD_ERROR, _MANIFEST_ONLY),
