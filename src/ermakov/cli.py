@@ -10,15 +10,16 @@ Subcommands:
     bench      drift/cost table over a method x (dt|tol) grid
 
 Exit codes: 0 success, 1 drift threshold exceeded (check), 2 config
-error, 3 singularity abort (simulate and check still write the partial
-trajectory), 4 integrator failure.  simulate, check, map and bench share
-one load -> run -> write path (_run), which writes manifest.json once,
-with the failing exit's line (exit 1's too) as "error".  _certify is the
-one path from a physical trajectory to its certificate: simulate, check
-and the rk4/adaptive54 bench rows.  map refuses (exit 2, manifest only)
-a tau span with 1 sample to compare; bench, a method whose --dt/--tol is
-empty.  Data files hold no timings (the manifest and bench's wall_ms
-column do), so identical inputs give bit-identical output.
+error (a plan check_plan refuses too), 3 singularity abort (simulate and
+check still write the partial trajectory), 4 integrator failure.  The
+subcommands but convert share one load -> run -> write path (_run),
+which writes manifest.json into --out once (none if --out cannot be a
+directory: exit 2), the failing exit's line (exit 1's too) as "error".
+_certify is the one path from a physical trajectory to its certificate:
+simulate, check and the rk4/adaptive54 bench rows.  map refuses (exit 2,
+manifest only) a tau span with 1 sample to compare; bench, a method
+whose --dt/--tol is empty.  Data files hold no timings (the manifest and
+bench's wall_ms column do), so identical inputs give bit-identical output.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _load(args) -> tuple[ConfigDocument, Scenario, list[model.IntegrationPlan]]:
     grid point, the first being the scenario's; bench reads no config
     method, dt or tol.
 
-    check, bench and map compare samples, so they refuse a stride that
-    leaves fewer than 2 (a drift over one sample says nothing); map keeps
-    its degenerate t_end == t0 run, one row per file."""
+    check, bench and map compare samples, so they refuse a span that
+    holds no whole output stride; map keeps its degenerate t_end == t0
+    run, one row per file."""
     if hasattr(args, "quad_tol"):
         args.quad_tol = model.parse_positive(args.quad_tol, "--quad-tol")
     if hasattr(args, "max_drift"):
@@ -96,7 +97,7 @@ def _load(args) -> tuple[ConfigDocument, Scenario, list[model.IntegrationPlan]]:
     compares = (args.command in ("check", "bench")
                 or (args.command == "map" and span > 0.0))
     if compares and model.stride_count(scn.initial.t, scn.plan.t_end, stride)[0] < 1:
-        raise ConfigError(f"{args.command} needs at least 2 samples, but "
+        raise ConfigError(f"{args.command} needs one whole output stride, but "
                           f"output_stride={stride!r} exceeds the span {span!r}")
     return doc, scn, [scn.plan] + [model.run_plan(method, scn.initial.t, scn.plan.t_end,
                                                   stride, step) for method, step in runs[1:]]
@@ -168,7 +169,10 @@ def _run(args) -> int:
     (and the bench grid), echo it into the manifest, run the subcommand's
     body, and write manifest.json once, whatever the outcome."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:  # nowhere to write the manifest: main prints the line
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {args.out!r} cannot be a directory: {err.strerror}")
     t_start = time.perf_counter()
     manifest = {"command": args.command, "config_path": args.config,
                 "overrides": list(args.set or []), "outputs": {}}
@@ -343,16 +347,15 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
            grid: list[model.IntegrationPlan]) -> int:
     rows, failures = [], []
     for plan in grid:
-        method, value = plan.method, plan.step
         row_start = time.perf_counter()
         try:
             cells, status = _bench_row(scn._replace(plan=plan), args), "ok"
         except ErmakovError as err:
             cells, status = ("", "", ""), f"error: {type(err).__name__}"
-            failures.append(f"bench row {method} {value}: {err}")
+            failures.append(f"bench row {plan.method} {plan.step}: {err}")
             print(failures[-1], file=sys.stderr)
         wall = (time.perf_counter() - row_start) * 1e3
-        rows.append(",".join((method, _fmt(value), *cells, f"{wall:.3f}", status)))
+        rows.append(",".join((plan.method, _fmt(plan.step), *cells, f"{wall:.3f}", status)))
     if failures:
         manifest["error"] = "; ".join(failures)
 
@@ -370,11 +373,6 @@ def cmd_convert(args) -> int:
         print("error: give exactly one of "
               + ", ".join(f"--{key}" for key in model.COUPLING_VARS), file=sys.stderr)
         return EXIT_CONFIG
-    for key, flag in (("F", "h_from_F"), ("G", "g_from_G")):
-        if (getattr(args, key) is not None) != getattr(args, flag):
-            print(f"error: --{key} and --{flag.replace('_', '-')} go together",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     key = requested[0]
     convert = {"V": model.F_from_V, "W": model.G_from_W,
                "F": model.h_from_F, "G": model.g_from_G}[key]
@@ -429,12 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("convert", help="convert coupling representations")
     p.add_argument("--V", help="potential V(Q); prints F(u) = V'(u)/u")
     p.add_argument("--W", help="potential W(s); prints G(v) = W'(v)/v")
-    p.add_argument("--F", help="coupling F(u); use with --h-from-F")
-    p.add_argument("--G", help="coupling G(v); use with --g-from-G")
-    p.add_argument("--h-from-F", action="store_true", dest="h_from_F",
-                   help="print h(u) = u F(u)")
-    p.add_argument("--g-from-G", action="store_true", dest="g_from_G",
-                   help="print g(v) = v G(v)")
+    p.add_argument("--F", help="coupling F(u); prints h(u) = u F(u)")
+    p.add_argument("--G", help="coupling G(v); prints g(v) = v G(v)")
     p.set_defaults(func=cmd_convert)
 
     p = subs.add_parser("bench", help="drift/cost table over a method grid")
@@ -454,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except Exception as err:  # noqa: BLE001 -- one line, never a traceback
         print(f"error: {_message(err)}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+        return _exit_code_for(err)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ raises IntegrationError before any right-hand-side call, then runs
 forward in time and samples the stride plan (``model.sample_times``):
 its start, each whole stride and, after a remainder, t_end.  RK4 and
 Verlet share one driver (``_fixed_steps``): steps of dt, the last one
-shorter to reach t_end; a dt at or below the float spacing of the span's
-times, where a step would not advance the time, is rejected.
+shorter to reach t_end.
 
 The RK4 and DP54 steps, and DP54's dense output, are straight-line
 functions generated once per state width, on first use.  The right-hand
@@ -42,7 +41,7 @@ from . import model
 from .dynamics import _qframe_ode
 from .errors import ErmakovError, IntegrationError, SingularityError
 from .expr import Func1, is_zero, make_function
-from .model import QFrameState, check_plan, sample_times
+from .model import QFrameState, check_plan, sample_times, time_tolerance
 
 __all__ = [
     "Trajectory",
@@ -159,16 +158,10 @@ def _first_slope(rhs: Rhs, t0: float, y: list[float]) -> Sequence[float]:
 def _fixed_steps(method: str, make_step: Callable, rhs: Rhs, y0: Sequence[float],
                  t0: float, t_end: float, dt: float, output_stride: float) -> Trajectory:
     """Steps of dt from each stride sample of a checked plan, a tail's
-    last step ending at t_end.  dt must exceed the float spacing at the
-    span's larger end, so that every step advances the time.
-    ``make_step(n)`` gives step(rhs, t, h, y, k) -> (y at t + h, its slope
-    or None) for n components, k the slope at (t, y) or None; a sample
-    without a slope calls rhs."""
+    last step ending at t_end.  ``make_step(n)`` gives step(rhs, t, h, y,
+    k) -> (y at t + h, its slope or None) for n components, k the slope
+    at (t, y) or None; a sample without a slope calls rhs."""
     k_per, k_tail = check_plan(method, t0, t_end, output_stride, dt)
-    resolution = math.ulp(max(abs(t0), abs(t_end)))
-    if dt <= resolution:
-        raise IntegrationError(f"dt={dt!r} does not exceed the time resolution "
-                               f"{resolution!r} of the span [{t0!r}, {t_end!r}]")
 
     y = [float(v) for v in y0]
     run = _Run(method)
@@ -350,17 +343,13 @@ def integrate_adaptive54(rhs: Rhs, y0: Sequence[float], t0: float, t_end: float,
     """Adaptive Dormand-Prince 5(4) with mixed error control
     (atol = rtol = tol), sampled on the stride plan and at each of
     ``extra_times`` (within the span) once, in time order, from the step
-    that contains it; sampling never changes a step.  A nonzero span
-    within the time tolerance, which no step resolves, raises
-    IntegrationError, and so does a run that reaches its step budget,
-    ``model.MAX_GRID_POINTS`` attempted (accepted plus rejected) steps."""
+    that contains it; sampling never changes a step.  A run that reaches
+    its step budget, ``model.MAX_GRID_POINTS`` attempted (accepted plus
+    rejected) steps, raises IntegrationError."""
     check_plan("adaptive54", t0, t_end, output_stride, tol)
     times = sample_times(t0, t_end, output_stride)
     span = t_end - t0
-    eps_t = 1e-9 * max(1.0, abs(t0), abs(t_end), output_stride)
-    if 0.0 < span <= eps_t:
-        raise IntegrationError(f"the span {span!r} from t0={t0!r} to t_end={t_end!r} is "
-                               f"within the time tolerance {eps_t!r}: no step resolves it")
+    eps_t = time_tolerance(t0, t_end, output_stride)
     if extra_times:
         if not all(0.0 <= x - t0 <= span for x in extra_times):
             raise IntegrationError("extra sample times must lie in the span")

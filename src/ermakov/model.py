@@ -54,6 +54,7 @@ __all__ = [
     "build_scenario",
     "run_plan",
     "check_plan",
+    "time_tolerance",
     "mass_at",
     "parse_positive",
     "stride_count",
@@ -358,14 +359,21 @@ def sample_times(t0: float, t_end: float, output_stride: float) -> list[float]:
     return [t0 + k * output_stride for k in range(n + 1)] + ([t_end] if tail else [])
 
 
+def time_tolerance(t0: float, t_end: float, output_stride: float) -> float:
+    """adaptive54's time tolerance: within it of t_end the run has ended."""
+    return 1e-9 * max(1.0, abs(t0), abs(t_end), output_stride)
+
+
 def check_plan(method: str, t0: float, t_end: float, output_stride: float,
                step: float) -> tuple[int, int]:
     """The one check of a run's grid, by run_plan and by every stepper
     before its first rhs call (IntegrationError): finite t0 <= t_end, a
     finite positive stride and step (adaptive54's tol, else dt), at most
     MAX_GRID_POINTS samples and fixed steps (counting at least one
-    stride's worth), and a dt that subdivides the stride exactly.  Returns
-    a fixed-step run's dt steps per stride and in its tail, (0, 0) for
+    stride's worth), adaptive54's span 0 or past the time tolerance, and
+    a dt that subdivides the stride exactly and exceeds the float spacing
+    at the span's larger end (each step advances the time).  Returns a
+    fixed-step run's dt steps per stride and in its tail, (0, 0) for
     adaptive54."""
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise IntegrationError(f"t0 ({t0!r}) and t_end ({t_end!r}) must be finite")
@@ -381,6 +389,10 @@ def check_plan(method: str, t0: float, t_end: float, output_stride: float,
             f"a span of {span!r} at output_stride={output_stride!r} asks for "
             f"more than {MAX_GRID_POINTS} samples")
     if method == "adaptive54":
+        eps_t = time_tolerance(t0, t_end, output_stride)
+        if 0.0 < span <= eps_t:
+            raise IntegrationError(f"the span {span!r} from t0={t0!r} to t_end={t_end!r} is "
+                                   f"within the time tolerance {eps_t!r}: no step resolves it")
         return 0, 0
     if max(span, output_stride) / step > MAX_GRID_POINTS:
         raise IntegrationError(
@@ -390,6 +402,10 @@ def check_plan(method: str, t0: float, t_end: float, output_stride: float,
     if k_per < 1 or abs(k_per * step - output_stride) > 1e-9 * output_stride:
         raise IntegrationError(f"dt={step!r} does not subdivide "
                                f"output_stride={output_stride!r} exactly")
+    resolution = math.ulp(max(abs(t0), abs(t_end)))
+    if step <= resolution:
+        raise IntegrationError(f"dt={step!r} does not exceed the time resolution "
+                               f"{resolution!r} of the span [{t0!r}, {t_end!r}]")
     tail = stride_count(t0, t_end, output_stride)[1]
     return k_per, max(1, math.ceil(tail / step - 1e-9)) if tail else 0
 

@@ -371,34 +371,46 @@ class TestCheck:
         assert len(rows) == 11 and rows[-1, 0] == 1000000.01
         assert json.loads((out / "report.json").read_text())["samples"] == 11
 
-    def test_span_within_time_tolerance_exits_4(self, tmp_path, capsys):
-        # 2,000 strides of 0.05 that DP54 cannot step at t0 = 1e16 are an
-        # integration error, not a certificate over the start sample alone
+    def test_span_within_time_tolerance_exits_2(self, tmp_path, capsys):
+        # 2,000 strides of 0.05 that DP54 cannot step at t0 = 1e16 are a
+        # plan the load refuses, not a certificate over the start sample alone
         out = tmp_path / "c"
         assert run("check", "--config", scenario_path(S1), "--out", str(out),
                    "--set", "initial.t0=1e16",
-                   "--set", "integration.t_end=1.00000000000001e16") == 4
+                   "--set", "integration.t_end=1.00000000000001e16") == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "time tolerance" in err
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["exit_status"] == 4 and "time tolerance" in manifest["error"]
-        assert not (out / "report.json").exists()
+        assert set(manifest) == _LOAD_ERROR and manifest["exit_status"] == 2
+        assert "time tolerance" in manifest["error"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
-    def test_dt_below_time_resolution_exits_4(self, tmp_path, capsys):
-        # steps of 0.05 at t0 = 1e16, where the float spacing is 2.0, fail
-        # before the first step instead of after 2,000 steps that never
-        # advance the time
+    def test_dt_below_time_resolution_exits_2(self, tmp_path, capsys):
+        # steps of 0.05 at t0 = 1e16, where the float spacing is 2.0, are
+        # refused at load instead of run as 2,000 steps that never advance
+        # the time
         out = tmp_path / "c"
         assert run("check", "--config", scenario_path(S1), "--out", str(out),
                    "--set", "initial.t0=1e16",
                    "--set", "integration.t_end=1.00000000000001e16",
                    "--set", "integration.method=rk4",
-                   "--set", "integration.dt=0.05") == 4
+                   "--set", "integration.dt=0.05") == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "time resolution 2.0" in err
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["exit_status"] == 4 and "time resolution" in manifest["error"]
-        assert not (out / "trajectory.csv").exists()
+        assert set(manifest) == _LOAD_ERROR and manifest["exit_status"] == 2
+        assert "time resolution" in manifest["error"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "map"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, command):
+        # there is nowhere to write manifest.json: one line names the path
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        assert run(command, "--config", scenario_path(S1), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {str(out)!r} cannot be a directory: File exists"]
+        assert out.read_text() == "kept\n"
 
     def test_vacuous_threshold_always_passes(self, tmp_path):
         code = run("check", "--config", scenario_path(S1),
@@ -633,22 +645,36 @@ class TestConvert:
             assert evaluate(e, float(v)) == pytest.approx(1.0, rel=1e-12)
 
     def test_h_from_square(self, capsys):
-        assert run("convert", "--F", "u^2", "--h-from-F") == 0
+        assert run("convert", "--F", "u^2") == 0
         text = capsys.readouterr().out.strip()
         e = parse(text, "u")
         for u in (-2.0, 0.5, 3.0):
             assert evaluate(e, u) == pytest.approx(u**3, rel=1e-12)
 
     def test_g_from_constant(self, capsys):
-        assert run("convert", "--G", "1", "--g-from-G") == 0
+        assert run("convert", "--G", "1") == 0
         e = parse(capsys.readouterr().out.strip(), "v")
         assert evaluate(e, 0.5) == 0.5
 
     def test_flag_validation(self, capsys):
-        assert run("convert", "--F", "u^2") == 2
+        assert run("convert", "--F", "u^2", "--G", "1") == 2
         assert run("convert", "--V", "Q", "--W", "s") == 2
-        assert run("convert", "--h-from-F") == 2
         assert run("convert", "--V", "2*Q^") == 2  # syntax error
+        with pytest.raises(SystemExit) as exc:  # the dropped flag is unknown
+            run("convert", "--F", "u^2", "--h-from-F")
+        assert exc.value.code == 2
+
+    def test_converter_fault_is_one_line_exit_4(self, capsys, monkeypatch):
+        # main's catch-all: an unexpected error prints one line, no traceback
+        def broken(fn):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(model, "h_from_F", broken)
+        assert run("convert", "--F", "u^2") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: internal failure: RuntimeError: synthetic fault"]
 
     def test_no_conversion_requested(self):
         assert run("convert") == 2
@@ -656,20 +682,20 @@ class TestConvert:
     @pytest.mark.parametrize("argv,code,out,err", [
         ([], 2, "", "error: give exactly one of --V, --W, --F, --G"),
         (["--V", "Q", "--W", "s"], 2, "", "error: give exactly one of --V, --W, --F, --G"),
-        (["--F", "u^2"], 2, "", "error: --F and --h-from-F go together"),
-        (["--V", "Q", "--h-from-F"], 2, "", "error: --F and --h-from-F go together"),
-        (["--G", "1"], 2, "", "error: --G and --g-from-G go together"),
+        (["--F", "1/u"], 0, "u*(1.0/u)", ""),
+        (["--F", "u^2", "--G", "1"], 2, "", "error: give exactly one of --V, --W, --F, --G"),
+        (["--G", "v^-2"], 0, "v*v^-2.0", ""),
         (["--V", "2*Q^2"], 0, "2.0*(2.0*u)/u", ""),
         (["--W", "s^2/2"], 0, "v/v", ""),
-        (["--F", "u^2", "--h-from-F"], 0, "u*u^2.0", ""),
-        (["--G", "1", "--g-from-G"], 0, "v*1.0", ""),
+        (["--F", "u^2"], 0, "u*u^2.0", ""),
+        (["--G", "1"], 0, "v*1.0", ""),
         (["--V", "u"], 2, "",
          "error: unknown identifier 'u' (declared variable is 'Q') (at offset 0 in 'u')"),
         (["--W", "Q"], 2, "",
          "error: unknown identifier 'Q' (declared variable is 's') (at offset 0 in 'Q')"),
-        (["--F", "v", "--h-from-F"], 2, "",
+        (["--F", "v"], 2, "",
          "error: unknown identifier 'v' (declared variable is 'u') (at offset 0 in 'v')"),
-        (["--G", "u", "--g-from-G"], 2, "",
+        (["--G", "u"], 2, "",
          "error: unknown identifier 'u' (declared variable is 'v') (at offset 0 in 'u')"),
         (["--V", "1e400*Q^2"], 0, "1e999*(2.0*u)/u", ""),
     ])
@@ -695,14 +721,34 @@ class TestBench:
             assert 8.0 < a / b < 32.0, drifts
 
     def test_stride_past_the_span_exit_2(self, tmp_path, capsys):
-        # one sample per row would read as zero drift while comparing nothing
+        # each row would compare t0 with t_end alone, over no whole stride
         out = tmp_path / "b"
         assert run("bench", "--config", scenario_path(S3), "--out", str(out),
                    "--methods", "adaptive54,rk4", "--tol", "1e-8", "--dt", "0.5",
                    "--set", "integration.output_stride=100") == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: bench needs at least 2 samples, but output_stride=100.0 "
+            "error: bench needs one whole output stride, but output_stride=100.0 "
             "exceeds the span 50.0"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
+
+    @pytest.mark.parametrize("methods,flags,words", [
+        ("rk4,adaptive54", ["--dt", "0.05", "--tol", "1e-8"], "time resolution 2.0"),
+        ("adaptive54", ["--tol", "1e-8"], "within the time tolerance"),
+        # a verlet row steps tau from 0, but its plan is the physical span's
+        ("verlet", ["--dt", "0.05"], "time resolution 2.0"),
+    ])
+    def test_unresolvable_grid_point_exit_2(self, tmp_path, capsys, methods, flags,
+                                            words):
+        # at t0 = 1e16 no step of 0.05 advances the time and DP54 resolves
+        # no span of 100: the load refuses the grid point before any row
+        out = tmp_path / "b"
+        assert run("bench", "--config", scenario_path(S1), "--out", str(out),
+                   "--set", "initial.t0=1e16",
+                   "--set", "integration.t_end=1.00000000000001e16",
+                   "--methods", methods, *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and words in err[0]
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
 

@@ -374,6 +374,24 @@ def test_grid_caps_refused_before_any_rhs_call(monkeypatch, method, stride, step
     assert calls == []
 
 
+@pytest.mark.parametrize("method,step,words", [
+    ("rk4", 0.05, "does not exceed the time resolution 2.0 of the span"),
+    ("verlet", 0.05, "does not exceed the time resolution 2.0 of the span"),
+    ("adaptive54", 1e-10, "within the time tolerance 10000000.0000001: no step resolves"),
+])
+def test_unresolvable_span_refused_by_the_plan(method, step, words):
+    # at t0 = 1e16 the float spacing is 2.0 and DP54's time tolerance 1e7:
+    # run_plan refuses a span of 100 in the words a stepper raises
+    t0, t_end = 1e16, 1.00000000000001e16
+    with pytest.raises(ConfigError, match=words) as plan_err:
+        model.run_plan(method, t0, t_end, 0.05, step)
+    calls = []
+    with pytest.raises(IntegrationError) as exc:
+        STEPPERS[method](_counted_harmonic(calls), [1.0, 0.0], t0, t_end, step, 0.05)
+    assert str(exc.value) == str(plan_err.value)
+    assert calls == []
+
+
 @pytest.mark.parametrize("method", sorted(STEPPERS))
 @pytest.mark.parametrize("t0,t_end", [(math.nan, 1.0), (0.0, math.nan),
                                       (-math.inf, 1.0), (0.0, math.inf)])

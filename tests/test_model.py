@@ -89,6 +89,16 @@ class TestCouplingNormalization:
         g = g_from_G(compile_func("v^2", "v"))
         assert g(3.0) == pytest.approx(27.0, rel=1e-14)
 
+    @pytest.mark.parametrize("convert,var", [(h_from_F, "u"), (g_from_G, "v")])
+    def test_coupling_undefined_at_origin(self, convert, var):
+        # 1/x has no value at 0, so x * (1/x) gets no at_zero patch there
+        out = convert(compile_func(f"1/{var}", var))
+        assert out.at_zero is None
+        with pytest.raises(ExprDomainError):
+            out(0.0)
+        for x in (-2.0, 0.5, 3.0):
+            assert out(x) == x * (1.0 / x)
+
     def test_h_round_trip_recovers_F(self):
         rng = np.random.default_rng(5)
         F = compile_func("u^2 - 3*u + 1", "u")
