@@ -10,11 +10,13 @@ Subcommands:
     bench      drift/cost table over a method x (dt|tol) grid
 
 Exit codes: 0 success, 1 drift threshold exceeded (check), 2 config
-error (a plan check_plan refuses too), 3 singularity abort (simulate and
-check still write the partial trajectory), 4 integrator failure.  The
-subcommands but convert share one load -> run -> write path (_run),
-which writes manifest.json into --out once (none if --out cannot be a
-directory: exit 2), the failing exit's line (exit 1's too) as "error".
+error (a plan check_plan refuses too: every plan run goes through
+model.run_plan first, map's direct tau run and bench's verlet rows
+included), 3 singularity abort (simulate and check still write the
+partial trajectory), 4 integrator failure.  The subcommands but convert
+share one load -> run -> write path (_run), which writes manifest.json
+into --out once (none if --out cannot be a directory: exit 2), the
+failing exit's line (exit 1's too) as "error"; main prints convert's.
 _certify is the one path from a physical trajectory to its certificate:
 simulate, check and the rk4/adaptive54 bench rows.  map refuses (exit 2,
 manifest only) a tau span with 1 sample to compare; bench, a method
@@ -81,9 +83,9 @@ def _load(args) -> tuple[ConfigDocument, Scenario, list[model.IntegrationPlan]]:
     grid point, the first being the scenario's; bench reads no config
     method, dt or tol.
 
-    check, bench and map compare samples, so they refuse a span that
-    holds no whole output stride; map keeps its degenerate t_end == t0
-    run, one row per file."""
+    Only bench runs verlet.  check, bench and map compare samples, so
+    they refuse a span that holds no whole output stride; map keeps its
+    degenerate t_end == t0 run, one row per file."""
     if hasattr(args, "quad_tol"):
         args.quad_tol = model.parse_positive(args.quad_tol, "--quad-tol")
     if hasattr(args, "max_drift"):
@@ -93,6 +95,11 @@ def _load(args) -> tuple[ConfigDocument, Scenario, list[model.IntegrationPlan]]:
         doc = model.apply_overrides(doc, args.set)
     runs = _bench_grid(args) if args.command == "bench" else [()]
     scn = model.build_scenario(doc, *runs[0])
+    if args.command != "bench" and scn.plan.method == "verlet":
+        raise ConfigError(
+            "method 'verlet' integrates the transformed frame only and cannot "
+            "produce a physical trajectory; use rk4 or adaptive54 (verlet is "
+            "available through the bench subcommand)")
     span, stride = scn.plan.t_end - scn.initial.t, scn.plan.output_stride
     compares = (args.command in ("check", "bench")
                 or (args.command == "map" and span > 0.0))
@@ -107,11 +114,6 @@ def _integrate_plan(scn: Scenario) -> integrators.Trajectory:
     """Physical-frame run of ``scn`` by its plan: rk4 at its dt or
     adaptive54 at its tol."""
     plan, st = scn.plan, scn.initial
-    if plan.method == "verlet":
-        raise ConfigError(
-            "method 'verlet' integrates the transformed frame only and cannot "
-            "produce a physical trajectory; use rk4 or adaptive54 (verlet is "
-            "available through the bench subcommand)")
     integrate = (integrators.integrate_fixed_rk4 if plan.method == "rk4"
                  else integrators.integrate_adaptive54)
     return integrate(dynamics.phys_ode(scn), [st.q, st.q_dot, st.f, st.f_dot, st.tau],
@@ -179,14 +181,10 @@ def _run(args) -> int:
     try:
         doc, scn, plans = _load(args)
         extra = (plans,) if args.command == "bench" else ()
+        manifest.update(_scenario_echo(doc, scn, *extra), config_text=doc.text)
+        code = args.body(args, scn, out_dir, manifest, *extra)
     except Exception as err:  # noqa: BLE001 -- recorded, as in main
         code = _record_error(manifest, err)
-    else:
-        manifest.update(_scenario_echo(doc, scn, *extra), config_text=doc.text)
-        try:
-            code = args.body(args, scn, out_dir, manifest, *extra)
-        except Exception as err:  # noqa: BLE001
-            code = _record_error(manifest, err)
     manifest["exit_status"] = code
     manifest["wall_ms"] = (time.perf_counter() - t_start) * 1e3
     _write_json(out_dir / "manifest.json", manifest)
@@ -275,14 +273,16 @@ def _map(args, scn: Scenario, out_dir: Path, manifest: dict) -> int:
     if len(mapped) > 1 and len(compared) < 2:
         raise ConfigError(f"map needs at least 2 samples, but only 1 lies in the whole "
                           f"output strides ({stride!r}) of the tau span {tau_end - tau0!r}")
+    # the direct run's plan, refused before any data file is written
+    plan = model.run_plan("adaptive54", tau0, end, stride,
+                          scn.plan.step if scn.plan.method == "adaptive54" else 1e-10)
     mapped_path = out_dir / "qframe_mapped.csv"
     _write_rows(mapped_path, QFRAME_HEADER, mapped)
 
     # direct transformed-frame run over the span's whole tau strides: its
     # stride rows, and its DP54 dense output at the mapped taus for the gap
     direct = integrators.integrate_adaptive54(
-        dynamics.qframe_ode_from_scenario(scn), y0, tau0, end,
-        scn.plan.step if scn.plan.method == "adaptive54" else 1e-10, stride,
+        dynamics.qframe_ode_from_scenario(scn), y0, tau0, plan.t_end, plan.step, stride,
         [tau for tau, _, _ in compared])
     direct_path = out_dir / "qframe_direct.csv"
     _write_rows(direct_path, QFRAME_HEADER,
@@ -326,17 +326,13 @@ def _bench_row(scn: Scenario, args) -> tuple[str, str, str]:
         _rows, drift, failure = _certify(traj, scn, args)
         if failure is not None:
             raise failure
-    else:  # the transformed frame, tau from 0 to t_end - t0
-        sides = dynamics.frame_potentials(scn)
-        if sides is None:
-            raise ConfigError("verlet bench rows need the potential (V, W) of every nonzero "
-                              "coupling to evaluate the transformed-frame energy")
-        V, W = sides
+    else:  # the transformed frame, tau over the plan's [t0, t_end]
+        V, W = dynamics.frame_potentials(scn)
         st = scn.initial
-        start = QFrameState(0.0, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
-                                                  st.f, st.f_dot))
+        start = QFrameState(st.t, *model.to_qframe(scn.m(st.t), st.q, st.q_dot,
+                                                   st.f, st.f_dot))
         traj = integrators.integrate_verlet_Q(V, W, start, scn.plan.step,
-                                              scn.plan.t_end - st.t, scn.plan.output_stride)
+                                              scn.plan.t_end, scn.plan.output_stride)
         e = [invariants.energy_Q(QFrameState(tau=t, Q=y[0], Q_prime=y[1]), V, W)
              for t, y in zip(traj.t, traj.y)]
         drift = invariants.report_from_series(e, e)._asdict()
@@ -370,17 +366,12 @@ def _bench(args, scn: Scenario, out_dir: Path, manifest: dict,
 def cmd_convert(args) -> int:
     requested = [key for key in model.COUPLING_VARS if getattr(args, key) is not None]
     if len(requested) != 1:
-        print("error: give exactly one of "
-              + ", ".join(f"--{key}" for key in model.COUPLING_VARS), file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("give exactly one of "
+                          + ", ".join(f"--{key}" for key in model.COUPLING_VARS))
     key = requested[0]
     convert = {"V": model.F_from_V, "W": model.G_from_W,
                "F": model.h_from_F, "G": model.g_from_G}[key]
-    try:
-        out = convert(compile_func(getattr(args, key), model.COUPLING_VARS[key]))
-    except ErmakovError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    out = convert(compile_func(getattr(args, key), model.COUPLING_VARS[key]))
     print(to_source(out.expr))
     return EXIT_OK
 

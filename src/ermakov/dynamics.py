@@ -317,20 +317,16 @@ def _ddt_m_fdot(state: PhysState, scn: Scenario) -> float:
     return val
 
 
-def frame_potentials(scn: Scenario) -> tuple[Func1 | None, Func1 | None] | None:
-    """(V, W) for the transformed frame's energy and Lagrangian, or None when
-    a nonzero coupling has no potential (a structurally zero one needs none)."""
+def frame_potentials(scn: Scenario) -> tuple[Func1 | None, Func1 | None]:
+    """(V, W) for the transformed frame's energy and Lagrangian: a nonzero
+    coupling without its potential raises PotentialsUnavailableError (a
+    structurally zero one needs none)."""
     V, W = scn.potential_V, scn.potential_W
-    bare = (V is None and _active(scn.coupling_F)) or (W is None and _active(scn.coupling_G))
-    return None if bare else (V, W)
-
-
-def _require_potentials(scn: Scenario) -> tuple[Func1 | None, Func1 | None]:
-    sides = frame_potentials(scn)
-    if sides is None:
-        raise PotentialsUnavailableError("Lagrangian evaluation needs the potential "
-                                         "of every nonzero coupling")
-    return sides
+    if (V is None and _active(scn.coupling_F)) or (W is None and _active(scn.coupling_G)):
+        raise PotentialsUnavailableError(
+            "the transformed-frame energy and Lagrangian need the potential "
+            "(V, W) of every nonzero coupling")
+    return V, W
 
 
 def lagrangian_q_tilde(state: PhysState, scn: Scenario) -> float:
@@ -339,7 +335,7 @@ def lagrangian_q_tilde(state: PhysState, scn: Scenario) -> float:
         (1/2) m q'^2 + (1/2)(q^2/f) d/dt(m f')
           - V(q/f)/(m f^2) - W(f/q)/(m f^2)
     """
-    V, W = _require_potentials(scn)
+    V, W = frame_potentials(scn)
     t, q, q_dot, f = state.t, state.q, state.q_dot, state.f
     mv = mass_at(scn.m, t)
     guard("f", f, t)
@@ -363,7 +359,7 @@ def gauge_residual(state: PhysState, scn: Scenario) -> float:
     makes the identity hold; see the README.)  Zero up to round-off at
     every valid state.
     """
-    V, W = _require_potentials(scn)
+    V, W = frame_potentials(scn)
     t, q, q_dot, f, f_dot = state.t, state.q, state.q_dot, state.f, state.f_dot
     mv = mass_at(scn.m, t)
     guard("f", f, t)

@@ -618,6 +618,27 @@ output_stride = 0.1
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
 
+    @pytest.mark.parametrize("overrides,message", [
+        # tau' = 1e-6: the direct run's tau span of 1e-10 is within DP54's
+        # time tolerance
+        (["functions.omega_tilde_sq=0", "coupling.V=Q^2", "initial.f=1000",
+          "initial.q_dot=1", "integration.output_stride=1e-10", "integration.t_end=1e-4"],
+         "error: the span 1e-10 from t0=0.0 to t_end=1e-10 is within the time tolerance"),
+        # tau' = 1e4: 500 samples in t, over 5 million in tau
+        (["coupling.V=0", "initial.f=0.01", "integration.output_stride=0.001",
+          "integration.t_end=0.5"],
+         "error: a span of 5463.024"),
+    ])
+    def test_direct_run_plan_refused_exit_2(self, tmp_path, capsys, overrides, message):
+        # the direct run's plan is checked before any data file is written
+        out = tmp_path / "m"
+        assert run("map", "--config", scenario_path(S1), "--out", str(out),
+                   *(arg for kv in overrides for arg in ("--set", kv))) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
+
     def test_degenerate_span_single_rows(self, tmp_path):
         out = tmp_path / "m"
         assert run("map", "--config", scenario_path(S1), "--out", str(out),
@@ -735,7 +756,7 @@ class TestBench:
     @pytest.mark.parametrize("methods,flags,words", [
         ("rk4,adaptive54", ["--dt", "0.05", "--tol", "1e-8"], "time resolution 2.0"),
         ("adaptive54", ["--tol", "1e-8"], "within the time tolerance"),
-        # a verlet row steps tau from 0, but its plan is the physical span's
+        # a verlet row steps tau over its plan's grid, from t0 = 1e16
         ("verlet", ["--dt", "0.05"], "time resolution 2.0"),
     ])
     def test_unresolvable_grid_point_exit_2(self, tmp_path, capsys, methods, flags,
@@ -809,13 +830,19 @@ class TestBench:
         assert float(row[2]) < 1e-3
 
     def test_verlet_row_steps_the_whole_span(self, tmp_path):
-        # 50 is no multiple of 30: both fixed-step rows go on past tau = 30
-        out = tmp_path / "b"
-        assert run("bench", "--config", scenario_path(S3), "--out", str(out),
-                   "--methods", "verlet,rk4", "--dt", "0.1",
-                   "--set", "integration.output_stride=30") == 0
-        rows = [ln.split(",") for ln in (out / "bench.csv").read_text().splitlines()[1:]]
-        assert [(r[0], r[4]) for r in rows] == [("verlet", "500"), ("rk4", "500")]
+        for name, dt, overrides, steps in [
+            # 50 is no multiple of 30: both fixed-step rows go on past tau = 30
+            ("long-stride", "0.1", ["integration.output_stride=30"], "500"),
+            # the verlet row steps the grid its plan was checked on, [t0, t_end]
+            ("late-t0", "0.001", ["initial.t0=1000000", "integration.t_end=1000000.01",
+                                  "integration.output_stride=0.001"], "10"),
+        ]:
+            out = tmp_path / name
+            assert run("bench", "--config", scenario_path(S3), "--out", str(out),
+                       "--methods", "verlet,rk4", "--dt", dt,
+                       *(arg for kv in overrides for arg in ("--set", kv))) == 0
+            rows = [ln.split(",") for ln in (out / "bench.csv").read_text().splitlines()[1:]]
+            assert [(r[0], r[4]) for r in rows] == [("verlet", steps), ("rk4", steps)], name
 
     def test_verlet_row_fails_at_the_pole(self, tmp_path, capsys):
         # W = -s^2/2 drives Q through 0 at tau ~ 0.5; a dt of 1e-3 steps over
@@ -929,7 +956,7 @@ class TestBench:
 
     @pytest.mark.parametrize("coupling,code,status", [
         ("V = Q^4/4\nW = s^2/2", 0, "ok"),
-        ("V = Q^4/4\nG = 1", 4, "error: ConfigError"),  # W missing: energy wrong
+        ("V = Q^4/4\nG = 1", 4, "error: PotentialsUnavailableError"),  # W missing
         ("", 0, "ok"),                                     # free particle
     ])
     def test_verlet_row_needs_the_potential_of_every_coupling(
@@ -1090,8 +1117,7 @@ EXIT_PATHS = [
     # (id, argv after --config/--out, code, stderr lines, manifest keys, files)
     ("simulate-0", ["simulate", S1] + _SHORT, 0, 0, _SIMULATED, _SIM_FILES),
     ("simulate-2-load", ["simulate", S1] + _CONFLICT, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
-    ("simulate-2-verlet", ["simulate", S1] + _VERLET, 2, 1, _ECHO | {"error"},
-     _MANIFEST_ONLY),
+    ("simulate-2-verlet", ["simulate", S1] + _VERLET, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
     ("simulate-3", ["simulate", S1] + _POLE, 3, 1, _PARTIAL_SINGULAR, _SIM_FILES),
     ("simulate-4-mass", ["simulate", S1] + _MASS_ZERO, 4, 1, _PARTIAL_ABORT, _SIM_FILES),
     ("simulate-4-invariant", ["simulate", S1] + _INF_ENERGY, 4, 1, _INVARIANT_ERROR,
@@ -1099,15 +1125,13 @@ EXIT_PATHS = [
     ("check-0", ["check", S1] + _SHORT, 0, 0, _SIMULATED, _SIM_FILES),
     ("check-1", ["check", S1] + _COARSE, 1, 1, _DRIFT_GATE, _SIM_FILES),
     ("check-2-load", ["check", S1] + _CONFLICT, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
-    ("check-2-verlet", ["check", S1] + _VERLET, 2, 1, _ECHO | {"error"},
-     _MANIFEST_ONLY),
+    ("check-2-verlet", ["check", S1] + _VERLET, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
     ("check-3", ["check", S1] + _POLE, 3, 1, _PARTIAL_SINGULAR, _SIM_FILES),
     ("check-4", ["check", S1] + _INF_ENERGY, 4, 1, _INVARIANT_ERROR, _SIM_FILES),
     ("map-0", ["map", S1] + _SHORT, 0, 0, _ECHO, _MAP_FILES),
     ("map-2-load", ["map", S1, "--set", "integration.tol=0"], 2, 1, _LOAD_ERROR,
      _MANIFEST_ONLY),
-    ("map-2-verlet", ["map", S1] + _VERLET, 2, 1, _ECHO | {"error"},
-     _MANIFEST_ONLY),
+    ("map-2-verlet", ["map", S1] + _VERLET, 2, 1, _LOAD_ERROR, _MANIFEST_ONLY),
     ("map-3", ["map", S1] + _POLE, 3, 1, _RUN_SINGULAR, _MANIFEST_ONLY),
     ("map-4", ["map", S1] + _MASS_ZERO, 4, 1, _RUN_ABORT, _MANIFEST_ONLY),
     ("check-2-one-sample", ["check", S3, "--set", "integration.output_stride=100"], 2, 1,

@@ -230,6 +230,8 @@ class TestLagrangians:
 
     def test_needs_potentials(self):
         scn = _scn(F="4", G="0")
+        with pytest.raises(PotentialsUnavailableError, match="need the potential"):
+            dynamics.frame_potentials(scn)
         with pytest.raises(PotentialsUnavailableError):
             dynamics.lagrangian_q_tilde(_state(), scn)
         with pytest.raises(PotentialsUnavailableError):

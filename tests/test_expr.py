@@ -386,6 +386,9 @@ class TestPrintRoundTrip:
             # an error names the re-parsed node, which may print differently
             assert got == ref if ref[0] == "value" else got[0] == "error"
 
+    def test_trailing_blanks_end_the_input(self):
+        assert parse("x  ", "x") == Var("x")
+
     def test_signed_exponents_parse(self):
         assert parse("t^-1.5", "t") == Pow(Var("t"), -1.5)
         assert parse("2*t^+2", "t") == Binary("*", Const(2.0), Pow(Var("t"), 2.0))
